@@ -7,7 +7,6 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 
@@ -25,18 +24,16 @@ _FAILURE_BUDGET = 0.01
 _CTX = {}
 
 
-def _init_worker(counts, designs, hp, fit_kwargs, base_seed):
+def _init_worker(counts, designs, hp, opts):
     _CTX["counts"] = counts
     _CTX["designs"] = designs
     _CTX["hp"] = hp
-    _CTX["fit_kwargs"] = fit_kwargs
-    _CTX["base_seed"] = base_seed
+    _CTX["opts"] = opts
 
 
 def _fit_gene_task(gene_index: int):
-    opts = FitOptions(seed=_CTX["base_seed"] ^ gene_index, **_CTX["fit_kwargs"])
     ys = [c[gene_index] for c in _CTX["counts"]]
-    return fit_gene(ys, _CTX["designs"], _CTX["hp"], opts)
+    return fit_gene(ys, _CTX["designs"], _CTX["hp"], _CTX["opts"])
 
 
 def _default_workers() -> int:
@@ -72,22 +69,23 @@ def run_detect(args) -> int:
     gamma2 = None if args.gamma2 == "auto" else float(args.gamma2)
     hp = Hyperparameters.default(ds.n_samples, degree, gamma2=gamma2)
     spec = BasisSpec(degree)
-    norm_samples = [replace(s, coords=normalize_coords(s.coords)) for s in ds.samples]
-    designs = [build_design(s, spec) for s in norm_samples]
+    designs = [
+        build_design(normalize_coords(s.coords), s.covariates, spec) for s in ds.samples
+    ]
     counts = [s.counts for s in ds.samples]
 
-    fit_kwargs = dict(max_iter=args.max_iter, elbo_tol=args.tol)
+    opts = FitOptions(max_iter=args.max_iter, elbo_tol=args.tol)
     workers = args.workers
     indices = list(range(ds.n_genes))
     if workers <= 1:
-        _init_worker(counts, designs, hp, fit_kwargs, args.seed)
+        _init_worker(counts, designs, hp, opts)
         results = [_fit_gene_task(i) for i in indices]
     else:
         chunk = max(1, ds.n_genes // (workers * 8))
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(counts, designs, hp, fit_kwargs, args.seed),
+            initargs=(counts, designs, hp, opts),
         ) as pool:
             results = list(pool.map(_fit_gene_task, indices, chunksize=chunk))
 
@@ -96,7 +94,6 @@ def run_detect(args) -> int:
         if res.failure is not None:
             n_failed += 1
             log.warning("gene %s failed: %s", gid, res.failure)
-    level = None if args.bfdr_level is None else args.bfdr_level
     meta = {
         "degree": degree,
         "gamma2": hp.gamma2,
@@ -104,7 +101,7 @@ def run_detect(args) -> int:
         "max_iter": args.max_iter,
         "tol": args.tol,
     }
-    report = selection.build_report(ds.gene_ids, results, bfdr_level=level, meta=meta)
+    report = selection.build_report(ds.gene_ids, results, bfdr_level=args.bfdr_level, meta=meta)
     dataio.write_report(report, args.out)
     n_sel = len(report.selected_ids)
     log.info(

@@ -78,16 +78,17 @@ class SpatialSample:
             )
         if len(self.covariate_names) != self.covariates.shape[1]:
             raise DataError(f"sample {self.sample_id}: covariate name count mismatch")
-        if not np.issubdtype(self.counts.dtype, np.integer):
-            as_float = self.counts.astype(float)
-            rounded = np.rint(as_float)
-            if not np.all(np.isfinite(as_float)) or np.any(np.abs(as_float - rounded) > 0):
-                raise DataError(f"sample {self.sample_id}: non-integer count value")
-            self.counts = rounded.astype(np.int64)
-        else:
-            self.counts = self.counts.astype(np.int64)
-        if np.any(self.counts < 0):
-            raise DataError(f"sample {self.sample_id}: negative count value")
+        counts = self.counts
+        # A NaN, infinite or fractional value does not survive the cast intact.
+        with np.errstate(invalid="ignore"):
+            self.counts = counts.astype(np.int64)
+        bad = (self.counts < 0) | (self.counts != counts)
+        if bad.any():
+            g, s = np.argwhere(bad)[0]
+            raise DataError(
+                f"sample {self.sample_id}: count {counts[g, s]} of gene "
+                f"{self.gene_ids[g]} at spot {self.spot_ids[s]} is not a non-negative integer"
+            )
         if not np.all(np.isfinite(self.coords)):
             raise DataError(f"sample {self.sample_id}: non-finite coordinate")
         if not np.all(np.isfinite(self.covariates)):
@@ -214,23 +215,18 @@ def _read_tsv_table(path, expected_cols=None):
     return header, rows
 
 
-def _parse_float(token, path):
+def _parse_numbers(rows, path):
+    """Float array of a table of number tokens; SpatialSample checks the values."""
     try:
-        value = float(token)
+        return np.array(rows, dtype=float)
     except ValueError as exc:
-        raise DataError(f"{path}: cannot parse number {token!r}") from exc
-    if not math.isfinite(value):
-        raise DataError(f"{path}: non-finite value {token!r}")
-    return value
+        raise DataError(f"{path}: cannot parse number ({exc})") from exc
 
 
 def _load_coords(path):
     header, rows = _read_tsv_table(path, expected_cols=("spot_id", "s1", "s2"))
     spot_ids = [r[0] for r in rows]
-    coords = np.array(
-        [[_parse_float(r[1], path), _parse_float(r[2], path)] for r in rows], dtype=float
-    )
-    return spot_ids, coords
+    return spot_ids, _parse_numbers([r[1:3] for r in rows], path).reshape(len(rows), 2)
 
 
 def _load_covariates(path):
@@ -239,9 +235,7 @@ def _load_covariates(path):
         raise DataError(f"{path}: first covariate column must be spot_id")
     names = tuple(header[1:])
     spot_ids = [r[0] for r in rows]
-    values = np.array(
-        [[_parse_float(tok, path) for tok in r[1:]] for r in rows], dtype=float
-    ).reshape(len(rows), len(names))
+    values = _parse_numbers([r[1:] for r in rows], path).reshape(len(rows), len(names))
     return spot_ids, names, values
 
 
@@ -254,22 +248,13 @@ def _sniff_counts_format(path):
     return "dense"
 
 
-def _parse_count(token, path):
-    value = _parse_float(token, path)
-    if value < 0 or value != int(value):
-        raise DataError(f"{path}: count must be a non-negative integer, got {token!r}")
-    return int(value)
-
-
 def _load_counts_dense(path):
     header, rows = _read_tsv_table(path)
     spot_ids = header[1:]
     if not spot_ids:
         raise DataError(f"{path}: dense counts file lists no spots")
     gene_ids = [r[0] for r in rows]
-    counts = np.empty((len(rows), len(spot_ids)), dtype=np.int64)
-    for i, row in enumerate(rows):
-        counts[i] = [_parse_count(tok, path) for tok in row[1:]]
+    counts = _parse_numbers([r[1:] for r in rows], path).reshape(len(rows), len(spot_ids))
     return gene_ids, spot_ids, counts
 
 
@@ -277,23 +262,32 @@ def _load_counts_triplet(path, gene_ids, n_spots):
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     dims = lines[0].split()
-    if len(dims) != 2:
+    if len(dims) != 2 or not all(d.isdigit() for d in dims):
         raise DataError(f"{path}: triplet file needs a 'G N' dimension header")
     n_genes, n = int(dims[0]), int(dims[1])
     if n_genes != len(gene_ids):
         raise DataError(f"{path}: header says {n_genes} genes, sidecar lists {len(gene_ids)}")
     if n != n_spots:
         raise DataError(f"{path}: header says {n} spots, coords file lists {n_spots}")
-    counts = np.zeros((n_genes, n), dtype=np.int64)
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise DataError(f"{path}: malformed triplet line {ln!r}")
-        gi, si = int(parts[0]), int(parts[1])
-        if not (1 <= gi <= n_genes and 1 <= si <= n):
-            raise DataError(f"{path}: triplet index out of range in {ln!r}")
-        counts[gi - 1, si - 1] = _parse_count(parts[2], path)
-    return counts
+    body = lines[1:]
+    try:
+        table = np.loadtxt(body, comments=None, ndmin=2) if body else np.zeros((0, 3))
+    except ValueError as exc:
+        raise DataError(f"{path}: malformed triplet line ({exc})") from exc
+    if table.shape[1] != 3:
+        raise DataError(f"{path}: triplet lines have {table.shape[1]} fields, need 3")
+    gene, spot, value = table.T
+    ok = (gene == np.rint(gene)) & (spot == np.rint(spot))
+    ok &= (gene >= 1) & (gene <= n_genes) & (spot >= 1) & (spot <= n)
+    if not ok.all():
+        raise DataError(f"{path}: triplet index out of range in {body[np.argmin(ok)]!r}")
+    flat = (gene.astype(np.int64) - 1) * n + (spot.astype(np.int64) - 1)
+    # Fancy assignment leaves the winner of a repeated index unspecified.
+    if np.unique(flat).size != flat.size:
+        raise DataError(f"{path}: a (gene, spot) pair is listed twice")
+    counts = np.zeros(n_genes * n)
+    counts[flat] = value
+    return counts.reshape(n_genes, n)
 
 
 def _load_sample(entry: ManifestEntry, base_dir) -> SpatialSample:
@@ -321,15 +315,17 @@ def _load_sample(entry: ManifestEntry, base_dir) -> SpatialSample:
     else:
         raise DataError(f"unknown counts_format {fmt!r}")
 
-    if set(count_spots) != set(spot_ids) or set(cov_spots) != set(spot_ids):
-        missing = (set(count_spots) ^ set(spot_ids)) | (set(cov_spots) ^ set(spot_ids))
-        raise DataError(
-            f"sample {entry.sample_id}: spot ids disagree across files "
-            f"(offending ids: {sorted(missing)[:5]})"
-        )
     # Canonical spot order: the coordinates file row order.
-    count_perm = [count_spots.index(s) for s in spot_ids]
-    cov_perm = [cov_spots.index(s) for s in spot_ids]
+    perms = []
+    for ids in (count_spots, cov_spots):
+        row = {s: i for i, s in enumerate(ids)}
+        if len(row) != len(ids) or row.keys() != set(spot_ids):
+            raise DataError(
+                f"sample {entry.sample_id}: spot ids disagree across files "
+                f"(offending ids: {sorted(row.keys() ^ set(spot_ids))[:5]})"
+            )
+        perms.append([row[s] for s in spot_ids])
+    count_perm, cov_perm = perms
     return SpatialSample(
         sample_id=entry.sample_id,
         counts=counts[:, count_perm],
@@ -513,15 +509,22 @@ def read_report(path):
     rows = []
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
-        raise DataError(f"{path}: missing report metadata header")
+    if len(lines) < 2 or not lines[0].startswith("#"):
+        raise DataError(f"{path}: missing report metadata or column header")
     for token in lines[0][1:].split():
         if "=" in token:
             key, val = token.split("=", 1)
             meta[key] = val
     header = lines[1].split("\t")
+    for column in ("gene_id", "e_u1", "e_u2", "u_tilde", "selected"):
+        if column not in header:
+            raise DataError(f"{path}: report header lacks column {column!r}")
     for ln in lines[2:]:
         parts = ln.split("\t")
+        if len(parts) != len(header):
+            raise DataError(
+                f"{path}: line {ln!r} has {len(parts)} fields, header has {len(header)}"
+            )
         row = dict(zip(header, parts))
         rows.append(
             {

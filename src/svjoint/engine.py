@@ -25,11 +25,9 @@ from scipy.special import digamma as psi
 from scipy.special import expit, gammaln
 
 from .numerics import (
-    DEFAULT_QUADRATURE,
     NumericalError,
     PhiFactor,
     PhiQuadCache,
-    QuadratureSpec,
     log_beta,
     mvn_exp_neg_linear,
     phi_factor,
@@ -252,17 +250,12 @@ class SharedState:
 class FitOptions:
     max_iter: int = 500
     elbo_tol: float = 1e-2
-    damping: float = 1.0
-    seed: int = 0
-    quadrature: QuadratureSpec = DEFAULT_QUADRATURE
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not self.elbo_tol > 0:
             raise ValueError("elbo_tol must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
 
 
 @dataclass
@@ -310,7 +303,7 @@ def init_state(ys, designs, hp: Hyperparameters):
             u_alpha=np.full(2, 0.5),
         )
         ss.refresh_theta_cache(design)
-        update_g(ss, y, design)
+        update_g(ss, y)
         states.append(ss)
     shared = SharedState(
         u_u=np.full(2, 0.5),
@@ -353,17 +346,20 @@ def theta_expected_logp(mu, sigma, design, u_phi, one_minus_ur, e_g, m_prior):
     return lin + quad + curv
 
 
-def theta_derivatives(mu, sigma, design, u_phi, one_minus_ur, e_g, m_prior):
-    """Gradient in mu and derivative matrix in Sigma of ``theta_expected_logp``."""
+def theta_derivatives(mu, w_exp, design, u_phi, one_minus_ur, e_g, m_prior):
+    """Gradient in mu and derivative matrix in Sigma of ``theta_expected_logp``.
+
+    ``w_exp`` is E[exp(-C theta)] at the factor's current (mu, Sigma), the
+    only way Sigma enters the derivatives.
+    """
     c = design.matrix
-    w_exp = mvn_exp_neg_linear(mu, sigma, c)
     w = one_minus_ur * e_g * w_exp
     grad_mu = u_phi * (c.T @ (w - one_minus_ur)) - m_prior * mu
     d_sigma = -0.5 * (u_phi * (c.T * w) @ c + np.diag(m_prior))
     return grad_mu, d_sigma
 
 
-def update_theta(ss: SampleState, y, design, hp: Hyperparameters, damping: float = 1.0):
+def update_theta(ss: SampleState, design, hp: Hyperparameters, damping: float = 1.0):
     """One fixed-point Gaussian step for the regression block.
 
     The new covariance is the inverse of P = u_phi C' diag[w] C + M_prior
@@ -373,7 +369,7 @@ def update_theta(ss: SampleState, y, design, hp: Hyperparameters, damping: float
     m_prior = m_prior_diag(ss, design, hp)
     one_minus_ur = 1.0 - ss.u_r
     grad_mu, d_sigma = theta_derivatives(
-        ss.mu, ss.sigma, design, ss.u_phi, one_minus_ur, ss.e_g, m_prior
+        ss.mu, ss.w_exp, design, ss.u_phi, one_minus_ur, ss.e_g, m_prior
     )
     prec = -2.0 * d_sigma
     prec = 0.5 * (prec + prec.T)
@@ -393,8 +389,7 @@ def update_theta(ss: SampleState, y, design, hp: Hyperparameters, damping: float
     ss.refresh_theta_cache(design)
 
 
-def update_phi(ss: SampleState, y, design, hp: Hyperparameters,
-               quad: QuadratureSpec = DEFAULT_QUADRATURE):
+def update_phi(ss: SampleState, design, hp: Hyperparameters):
     """Refresh the dispersion factor's (N_pi, c1) and its mean u_phi.
 
     b_phi enters c1 once, outside the spot sum.  The mean is the ratio of
@@ -408,12 +403,12 @@ def update_phi(ss: SampleState, y, design, hp: Hyperparameters,
     if not c1 > 0.0:
         raise EngineError(f"non-positive c1 = {c1} in phi update")
     ss.c1 = c1
-    fac = phi_factor(hp.a_phi, ss.n_pi, c1, quad, cache=ss.phi_quad)
+    fac = phi_factor(hp.a_phi, ss.n_pi, c1, cache=ss.phi_quad)
     ss.phi_cache = fac
     ss.u_phi = float(np.clip(fac.e_phi, *_U_PHI_BOUNDS))
 
 
-def update_g(ss: SampleState, y, design):
+def update_g(ss: SampleState, y):
     """Conjugate Gamma update of the per-spot Poisson rates."""
     kappa = np.maximum(1.0 - ss.u_r, _KAPPA_FLOOR)
     ss.a_g = (y + ss.u_phi - 1.0) * kappa + 1.0
@@ -446,7 +441,7 @@ def _beta_sq_norm(ss: SampleState, design, k: int) -> float:
     return float(mu_b @ mu_b + np.trace(ss.sigma[blk, blk]))
 
 
-def update_sigma(ss: SampleState, design, k: int, hp: Hyperparameters):
+def update_sigma(ss: SampleState, design, k: int):
     """Gamma update of q(1/sigma_k^2); the shape uses the block length L."""
     bsq = _beta_sq_norm(ss, design, k)
     ss.a_sig[k] = 0.5 * (design.n_basis * ss.u_alpha[k] + 1.0)
@@ -737,14 +732,14 @@ def compute_elbo(states, shared, ys, designs, hp: Hyperparameters) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _one_iteration(states, shared, ys, designs, hp, damping, quad):
+def _one_iteration(states, shared, ys, designs, hp, damping):
     for ss, y, design in zip(states, ys, designs):
-        update_theta(ss, y, design, hp, damping)
-        update_phi(ss, y, design, hp, quad)
-        update_g(ss, y, design)
+        update_theta(ss, design, hp, damping)
+        update_phi(ss, design, hp)
+        update_g(ss, y)
         update_r(ss, y, hp)
         for k in (0, 1):
-            update_sigma(ss, design, k, hp)
+            update_sigma(ss, design, k)
             update_a(ss, k, hp)
             update_alpha(ss, shared, design, k, hp)
     for k in (0, 1):
@@ -772,7 +767,7 @@ def fit_gene(ys, designs, hp: Hyperparameters, opts: FitOptions = FitOptions()):
 
     states, shared = init_state(ys, designs, hp)
     trace = []
-    damping = opts.damping
+    damping = 1.0
     converged = False
     failure = None
     prev_elbo = None
@@ -782,7 +777,7 @@ def fit_gene(ys, designs, hp: Hyperparameters, opts: FitOptions = FitOptions()):
         retried = False
         while True:
             try:
-                _one_iteration(states, shared, ys, designs, hp, damping, opts.quadrature)
+                _one_iteration(states, shared, ys, designs, hp, damping)
                 elbo = compute_elbo(states, shared, ys, designs, hp)
                 break
             except (EngineError, NumericalError, np.linalg.LinAlgError) as exc:

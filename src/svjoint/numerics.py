@@ -25,11 +25,9 @@ __all__ = [
     "NumericalError",
     "PhiFactor",
     "QuadratureSpec",
-    "digamma",
     "log_beta",
     "h_integral",
     "phi_factor",
-    "phi_expectations",
     "mvn_exp_neg_linear",
 ]
 
@@ -64,49 +62,6 @@ class QuadratureSpec:
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
-
-# Asymptotic expansion coefficients of digamma: psi(x) ~ ln x - 1/(2x)
-# - sum_n B_{2n} / (2n x^{2n}).
-_DIGAMMA_ASY = (
-    -1.0 / 12.0,
-    1.0 / 120.0,
-    -1.0 / 252.0,
-    1.0 / 240.0,
-    -1.0 / 132.0,
-    691.0 / 32760.0,
-    -1.0 / 12.0,
-)
-_DIGAMMA_SHIFT = 10.0
-
-
-def digamma(x):
-    """Digamma function d/dx log Gamma(x) for x > 0.
-
-    Uses the recurrence digamma(x+1) = digamma(x) + 1/x to shift the
-    argument above 10, then the asymptotic series.  Accepts scalars or
-    arrays; accurate to ~1e-13 relative.
-    """
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(x_arr)) or np.any(x_arr <= 0.0):
-        raise ValueError("digamma requires positive finite arguments")
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr).copy()
-    acc = np.zeros_like(x_arr)
-    # Recurrence: push every argument above the asymptotic threshold.
-    while True:
-        small = x_arr < _DIGAMMA_SHIFT
-        if not small.any():
-            break
-        acc[small] -= 1.0 / x_arr[small]
-        x_arr[small] += 1.0
-    inv2 = 1.0 / (x_arr * x_arr)
-    series = np.zeros_like(x_arr)
-    power = inv2.copy()
-    for coef in _DIGAMMA_ASY:
-        series += coef * power
-        power *= inv2
-    out = acc + np.log(x_arr) - 0.5 / x_arr + series
-    return float(out[0]) if scalar else out
 
 
 def log_beta(a, b):
@@ -381,12 +336,6 @@ def phi_factor(a_phi, s, t, spec: QuadratureSpec = DEFAULT_QUADRATURE,
     e_log_phi = float(np.sum(wts * own.u) / total)
     e_self = float(np.sum(wts * own.self_term) / total)
     return PhiFactor(log_h0, log_h1, e_phi, e_log_phi, e_self)
-
-
-def phi_expectations(a_phi, s, t, spec: QuadratureSpec = DEFAULT_QUADRATURE):
-    """Moments (E[phi], E[log phi], E[phi log phi - log Gamma(phi)]) of q(phi)."""
-    fac = phi_factor(a_phi, s, t, spec)
-    return fac.e_phi, fac.e_log_phi, fac.e_self
 
 
 def mvn_exp_neg_linear(mu, sigma, c):

@@ -117,12 +117,12 @@ def eval_basis(spec: BasisSpec, t):
     return vals[0] if scalar else vals
 
 
-def build_design(sample, spec: BasisSpec) -> DesignMatrix:
+def build_design(coords, covariates, spec: BasisSpec) -> DesignMatrix:
     """Assemble the design matrix for one sample from normalized coordinates."""
-    coords = np.asarray(sample.coords, dtype=float)
+    coords = np.asarray(coords, dtype=float)
     if np.any(coords < -_T_TOL) or np.any(coords > 1.0 + _T_TOL):
         raise ValueError("build_design expects coordinates normalized to [0, 1]")
-    covs = np.asarray(sample.covariates, dtype=float)
+    covs = np.asarray(covariates, dtype=float)
     if covs.ndim != 2:
         raise ValueError(f"covariates must be 2-d, got shape {covs.shape}")
     n = coords.shape[0]
@@ -246,10 +246,9 @@ def select_degree(dataset, candidates, gene_subset, max_iter: int = 200) -> int:
     votes = []
     for sample in dataset.samples:
         coords = normalize_coords(sample.coords)
-        norm_sample = _CoordView(coords, sample.covariates)
         mean_aic = {}
         for degree in candidates:
-            design = build_design(norm_sample, BasisSpec(degree))
+            design = build_design(coords, sample.covariates, BasisSpec(degree))
             aics = []
             for g in gene_subset:
                 fit = zinb_mle(sample.counts[g], design, max_iter=max_iter)
@@ -269,11 +268,3 @@ def select_degree(dataset, candidates, gene_subset, max_iter: int = 200) -> int:
             )
             votes.append(DEFAULT_DEGREE)
     return max(votes)
-
-
-@dataclass(frozen=True)
-class _CoordView:
-    """Lightweight stand-in exposing normalized coords to build_design."""
-
-    coords: np.ndarray
-    covariates: np.ndarray

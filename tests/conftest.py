@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from svjoint.engine import FitOptions, Hyperparameters, init_state, _one_iteration
+from svjoint.engine import Hyperparameters, init_state, _one_iteration
 from svjoint.splines import BasisSpec, build_design
-from svjoint.splines import _CoordView
 
 
 def make_design(coords, covariates, degree):
-    return build_design(_CoordView(np.asarray(coords, float), np.asarray(covariates, float)), BasisSpec(degree))
+    return build_design(
+        np.asarray(coords, float), np.asarray(covariates, float), BasisSpec(degree)
+    )
 
 
 @pytest.fixture
@@ -43,5 +44,5 @@ def five_spot_state():
     hp = Hyperparameters.default(1, 1)
     states, shared = init_state([y], [design], hp)
     for _ in range(4):
-        _one_iteration(states, shared, [y], [design], hp, 1.0, FitOptions().quadrature)
+        _one_iteration(states, shared, [y], [design], hp, 1.0)
     return states, shared, [y], [design], hp

@@ -1,5 +1,7 @@
 """Dataset loading, validation, filtering, and persistence round-trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,46 @@ class TestLoadDataset:
         np.testing.assert_array_equal(ds.samples[0].counts, [[9, 5]])
 
 
+def triplet_manifest(tmp_path, body):
+    """simple_manifest's 2 genes x 3 spots sample with triplet counts ``body``."""
+    entry = simple_manifest(tmp_path).entries[0]
+    (tmp_path / entry.counts).write_text("2 3\n" + body)
+    (tmp_path / "genes_A.txt").write_text("gA\ngB\n")
+    entry = replace(entry, genes="genes_A.txt", counts_format="triplet")
+    return Manifest(entries=(entry,), base_dir=str(tmp_path))
+
+
+class TestCountParseErrors:
+    def test_triplet_loads(self, tmp_path):
+        ds = load_dataset(triplet_manifest(tmp_path, "1 1 4\n2 3 7\n"))
+        np.testing.assert_array_equal(ds.samples[0].counts, [[4, 0, 0], [0, 0, 7]])
+
+    def test_non_numeric_dense_token(self, tmp_path):
+        with pytest.raises(DataError, match="counts_A.tsv"):
+            load_dataset(simple_manifest(tmp_path, counts=[[1, "x", 2], [0, 3, 1]]))
+
+    def test_triplet_line_with_two_fields(self, tmp_path):
+        with pytest.raises(DataError, match="counts_A.tsv"):
+            load_dataset(triplet_manifest(tmp_path, "1 1 4\n2 3\n"))
+
+    @pytest.mark.parametrize("line", ["0 1 4", "3 1 4", "1 0 4", "1 4 4"])
+    def test_triplet_index_out_of_range(self, tmp_path, line):
+        with pytest.raises(DataError, match="counts_A.tsv"):
+            load_dataset(triplet_manifest(tmp_path, "1 1 4\n" + line + "\n"))
+
+    def test_non_numeric_triplet_index(self, tmp_path):
+        with pytest.raises(DataError, match="counts_A.tsv"):
+            load_dataset(triplet_manifest(tmp_path, "1 1 4\nx 3 7\n"))
+
+    def test_triplet_pair_listed_twice(self, tmp_path):
+        with pytest.raises(DataError, match="listed twice"):
+            load_dataset(triplet_manifest(tmp_path, "1 1 4\n2 3 7\n1 1 5\n"))
+
+    def test_fractional_triplet_value(self, tmp_path):
+        with pytest.raises(DataError, match="non-negative integer"):
+            load_dataset(triplet_manifest(tmp_path, "1 1 4\n2 3 0.5\n"))
+
+
 class TestFilterDataset:
     def make_ds(self, counts):
         counts = np.asarray(counts)
@@ -228,6 +270,20 @@ class TestWriteReport:
         flags = {r["gene_id"]: r["selected"] for r in rows}
         assert flags["g1"] is True
         assert flags["g2"] is False
+
+    @pytest.mark.parametrize(
+        "header, rows, match",
+        [
+            ("gene_id\te_u1\te_u2\tselected", ["g1\t0.9\t0.1\t1"], "u_tilde"),
+            ("gene_id\te_u1\te_u2\tu_tilde\tselected", ["g1\t0.9\t0.1\t0.9"], "has 4 fields"),
+        ],
+        ids=["missing-column", "short-row"],
+    )
+    def test_read_rejects_malformed_report(self, tmp_path, header, rows, match):
+        path = tmp_path / "r.tsv"
+        path.write_text("\n".join(["# degree=3", header] + rows) + "\n")
+        with pytest.raises(DataError, match=match):
+            read_report(path)
 
     def test_empty_report(self, tmp_path):
         report = build_report([], [], bfdr_level=0.05)

@@ -7,10 +7,12 @@ import pytest
 from scipy.special import digamma as psi
 from scipy.special import expit
 
+from svjoint import engine
 from svjoint.engine import (
     EngineError,
     FitOptions,
     Hyperparameters,
+    _one_iteration,
     alpha_logit,
     compute_elbo,
     init_state,
@@ -74,7 +76,7 @@ class TestUpdateG:
         ss.mu = np.zeros(design.dim)
         ss.sigma = np.zeros((design.dim, design.dim))
         ss.refresh_theta_cache(design)
-        update_g(ss, ss.y, design)
+        update_g(ss, ss.y)
         assert ss.a_g[0] == pytest.approx(5.0)
         assert ss.b_g[0] == pytest.approx(3.0)
         assert ss.e_g[0] == pytest.approx(5.0 / 3.0)
@@ -86,7 +88,7 @@ class TestUpdateG:
         ss.mu = np.zeros(design.dim)
         ss.sigma = np.zeros((design.dim, design.dim))
         ss.refresh_theta_cache(design)
-        update_g(ss, ss.y, design)
+        update_g(ss, ss.y)
         assert abs(ss.a_g[0] - 1.0) < 1e-7
         assert ss.b_g[0] > 0.0
 
@@ -97,7 +99,7 @@ class TestUpdateG:
         ss.mu = np.zeros(design.dim)
         ss.sigma = np.zeros((design.dim, design.dim))
         ss.refresh_theta_cache(design)
-        update_g(ss, ss.y, design)
+        update_g(ss, ss.y)
         assert ss.a_g[0] == pytest.approx(1.0)
         assert ss.b_g[0] == pytest.approx(2.0)
 
@@ -125,7 +127,7 @@ class TestUpdatePhi:
     def test_all_dropout_reduces_to_prior_mean(self):
         ss, _, design, hp = single_state([0, 0])
         ss.u_r = np.array([1.0, 1.0])
-        update_phi(ss, ss.y, design, hp)
+        update_phi(ss, design, hp)
         assert ss.n_pi == 0.0
         assert ss.c1 == pytest.approx(hp.b_phi)
         assert ss.u_phi == pytest.approx(hp.a_phi / hp.b_phi, rel=1e-8)
@@ -140,7 +142,7 @@ class TestUpdatePhi:
         ss.mu = np.zeros(design.dim)
         ss.sigma = np.zeros((design.dim, design.dim))
         ss.refresh_theta_cache(design)
-        update_phi(ss, ss.y, design, hp)
+        update_phi(ss, design, hp)
         assert ss.c1 == pytest.approx(0.001 + 2.0, rel=1e-12)
 
     def test_negative_c1_rejected(self):
@@ -153,7 +155,7 @@ class TestUpdatePhi:
         ss.sigma = np.zeros((design.dim, design.dim))
         ss.refresh_theta_cache(design)
         with pytest.raises(EngineError, match="c1"):
-            update_phi(ss, ss.y, design, hp)
+            update_phi(ss, design, hp)
 
 
 class TestUpdateSigma:
@@ -161,7 +163,7 @@ class TestUpdateSigma:
         ss, _, design, hp = single_state([1, 2, 3])
         ss.u_alpha[0] = 0.0
         ss.u_inv_a[0] = 0.7
-        update_sigma(ss, design, 0, hp)
+        update_sigma(ss, design, 0)
         assert ss.a_sig[0] == pytest.approx(0.5)
         assert ss.b_sig[0] == pytest.approx(0.7)
 
@@ -173,7 +175,7 @@ class TestUpdateSigma:
         ss.sigma = np.zeros((design.dim, design.dim))
         ss.u_alpha[0] = 1.0
         ss.u_inv_a[0] = 1.0
-        update_sigma(ss, design, 0, hp)
+        update_sigma(ss, design, 0)
         assert ss.a_sig[0] == pytest.approx(1.5)
         assert ss.b_sig[0] == pytest.approx(3.0)
         assert ss.e_inv_sigma2(0) == pytest.approx(0.5)
@@ -184,7 +186,7 @@ class TestUpdateSigma:
         ss.sigma = np.zeros((design.dim, design.dim))
         ss.u_alpha[0] = 1.0
         ss.u_inv_a[0] = 2.0
-        update_sigma(ss, design, 0, hp)
+        update_sigma(ss, design, 0)
         assert ss.a_sig[0] == pytest.approx(1.5)
         assert ss.b_sig[0] == pytest.approx(2.0)
 
@@ -335,20 +337,35 @@ class TestUpdateTheta:
         ss, shared, design, hp = single_state([0, 0, 0, 0])
         ss.u_r = np.ones(4)
         ss.mu = np.array([0.5, -0.3, 0.2, 0.1])
-        update_theta(ss, ss.y, design, hp, damping=1.0)
+        update_theta(ss, design, hp, damping=1.0)
         m_prior = m_prior_diag(ss, design, hp)
         np.testing.assert_allclose(ss.mu, 0.0, atol=1e-12)
         np.testing.assert_allclose(ss.sigma, np.diag(1.0 / m_prior), atol=1e-12)
 
     def test_dimensions(self):
         ss, _, design, hp = single_state([1] * 10, degree=3, j_cov=2, n=10)
-        update_theta(ss, ss.y, design, hp)
+        update_theta(ss, design, hp)
         assert ss.sigma.shape == (9, 9)
 
     def test_covariance_positive_definite(self, five_spot_state):
         states, shared, ys, designs, hp = five_spot_state
-        update_theta(states[0], ys[0], designs[0], hp)
+        update_theta(states[0], designs[0], hp)
         assert np.linalg.eigvalsh(states[0].sigma).min() > 0.0
+
+    def test_one_moment_evaluation_per_sample(self, five_spot_state, monkeypatch):
+        # The step reads the cached E[exp(-C theta)]; only the refresh at the
+        # new (mu, Sigma) evaluates it.
+        states, shared, ys, designs, hp = five_spot_state
+        real = engine.mvn_exp_neg_linear
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(engine, "mvn_exp_neg_linear", counting)
+        _one_iteration(states, shared, ys, designs, hp, 1.0)
+        assert len(calls) == len(states)
 
 
 class TestElbo:

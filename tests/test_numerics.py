@@ -11,15 +11,11 @@ from svjoint.numerics import (
     NumericalError,
     PhiQuadCache,
     QuadratureSpec,
-    digamma,
     h_integral,
     log_beta,
     mvn_exp_neg_linear,
-    phi_expectations,
     phi_factor,
 )
-
-EULER = 0.5772156649015329
 
 
 def adaptive_log_h(p, q, r, s, t):
@@ -57,29 +53,6 @@ def adaptive_log_h(p, q, r, s, t):
             return result
         prev = result
         half *= 2.0
-
-
-class TestDigamma:
-    def test_euler_mascheroni(self):
-        assert digamma(1.0) == pytest.approx(-EULER, rel=1e-12)
-
-    def test_shifted_value(self):
-        assert digamma(2.0) == pytest.approx(1.0 - EULER, rel=1e-12)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            digamma(0.0)
-        with pytest.raises(ValueError):
-            digamma(-3.0)
-
-    def test_recurrence(self):
-        x = np.linspace(0.5, 50.0, 397)
-        lhs = digamma(x + 1.0) - digamma(x)
-        np.testing.assert_allclose(lhs, 1.0 / x, rtol=1e-10, atol=1e-12)
-
-    def test_against_scipy(self):
-        x = np.concatenate([[1e-4, 1e-2], np.linspace(0.1, 200.0, 500), [1e5]])
-        np.testing.assert_allclose(digamma(x), sps.digamma(x), rtol=1e-12, atol=1e-12)
 
 
 class TestLogBeta:
@@ -169,13 +142,14 @@ class TestPhiFactor:
 
     def test_gamma_reduction_moments(self):
         # s = 0 reduces q(phi) to Gamma(a_phi, t).
-        e, e_log, _ = phi_expectations(2.5, 0.0, 3.0)
-        assert e == pytest.approx(2.5 / 3.0, rel=1e-9)
-        assert e_log == pytest.approx(sps.digamma(2.5) - math.log(3.0), rel=1e-9)
+        fac = phi_factor(2.5, 0.0, 3.0)
+        assert fac.e_phi == pytest.approx(2.5 / 3.0, rel=1e-9)
+        want = sps.digamma(2.5) - math.log(3.0)
+        assert fac.e_log_phi == pytest.approx(want, rel=1e-9)
 
     def test_all_dropout_default_mean_is_one(self):
-        e, _, _ = phi_expectations(0.001, 0.0, 0.001)
-        assert e == pytest.approx(1.0, rel=1e-9)
+        fac = phi_factor(0.001, 0.0, 0.001)
+        assert fac.e_phi == pytest.approx(1.0, rel=1e-9)
 
     def test_cache_reuse_matches_fresh(self):
         cache = PhiQuadCache()
