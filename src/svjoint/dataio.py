@@ -505,38 +505,50 @@ def read_report(path):
 
     Returns (meta dict, list of row dicts with gene_id, u_tilde, selected).
     """
-    meta = {}
     rows = []
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if len(lines) < 2 or not lines[0].startswith("#"):
+    lines = _nonblank_lines(path)
+    if len(lines) < 2 or not lines[0][1].startswith("#"):
         raise DataError(f"{path}: missing report metadata or column header")
-    for token in lines[0][1:].split():
-        if "=" in token:
-            key, val = token.split("=", 1)
-            meta[key] = val
-    header = lines[1].split("\t")
+    meta = _parse_meta(lines[0][1])
+    header = lines[1][1].split("\t")
     for column in ("gene_id", "e_u1", "e_u2", "u_tilde", "selected"):
         if column not in header:
             raise DataError(f"{path}: report header lacks column {column!r}")
-    for ln in lines[2:]:
+    for lineno, ln in lines[2:]:
         parts = ln.split("\t")
         if len(parts) != len(header):
             raise DataError(
-                f"{path}: line {ln!r} has {len(parts)} fields, header has {len(header)}"
+                f"{path}: line {lineno} has {len(parts)} fields, header has {len(header)}"
             )
         row = dict(zip(header, parts))
-        rows.append(
-            {
-                "gene_id": row["gene_id"],
-                "e_u1": float(row["e_u1"]),
-                "e_u2": float(row["e_u2"]),
-                "u_tilde": float(row["u_tilde"]),
-                "selected": row["selected"] == "1",
-                "converged": row.get("converged") == "1",
-            }
-        )
+        parsed = {"gene_id": row["gene_id"]}
+        for column in ("e_u1", "e_u2", "u_tilde"):
+            try:
+                parsed[column] = float(row[column])
+            except ValueError:
+                raise DataError(
+                    f"{path}: line {lineno}: {column} value {row[column]!r} is not a number"
+                ) from None
+        parsed["selected"] = row["selected"] == "1"
+        parsed["converged"] = row.get("converged") == "1"
+        rows.append(parsed)
     return meta, rows
+
+
+def _nonblank_lines(path):
+    """(1-based line number, text) of each non-blank line of a text file."""
+    with open(path) as fh:
+        return [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, 1) if ln.strip()]
+
+
+def _parse_meta(line):
+    """key=value tokens of a '#'-prefixed metadata line."""
+    meta = {}
+    for token in line[1:].split():
+        if "=" in token:
+            key, val = token.split("=", 1)
+            meta[key] = val
+    return meta
 
 
 def write_truth(truth, path):
@@ -557,18 +569,15 @@ def write_truth(truth, path):
 
 def read_truth(path):
     """Read a ground-truth TSV; returns (meta dict, gene_ids, sv_flags)."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
+    lines = _nonblank_lines(path)
+    if not lines or not lines[0][1].startswith("#"):
         raise DataError(f"{path}: missing truth metadata header")
-    meta = {}
-    for token in lines[0][1:].split():
-        if "=" in token:
-            key, val = token.split("=", 1)
-            meta[key] = val
+    meta = _parse_meta(lines[0][1])
     gene_ids, flags = [], []
-    for ln in lines[2:]:
+    for lineno, ln in lines[2:]:
         parts = ln.split("\t")
+        if len(parts) < 2:
+            raise DataError(f"{path}: line {lineno} has no is_sv field")
         gene_ids.append(parts[0])
         flags.append(parts[1] == "1")
     return meta, tuple(gene_ids), np.array(flags, dtype=bool)

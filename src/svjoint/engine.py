@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.special import digamma as psi
-from scipy.special import expit, gammaln
+from scipy.special import expit, gammaln, xlogy
 
 from .numerics import (
     NumericalError,
@@ -69,13 +69,17 @@ _KAPPA_FLOOR = 1e-8  # keeps q(g) a proper Gamma at fully dropped-out spots
 _U_PHI_BOUNDS = (1e-4, 1e4)
 _MIN_DAMPING = 1.0 / 16.0
 _JITTER = 1e-8
-_EIG_FLOOR = 1e-10
 
 LOG_2PI = math.log(2.0 * math.pi)
+_LGAMMA_HALF = float(gammaln(0.5))
 
 
 class EngineError(RuntimeError):
     """Raised when a variational update cannot be completed."""
+
+
+# Numerical failures that end one gene's fit rather than the run.
+_FIT_ERRORS = (EngineError, NumericalError, np.linalg.LinAlgError)
 
 
 @lru_cache(maxsize=256)
@@ -140,12 +144,15 @@ class SampleState:
     """Variational factor parameters and caches for one sample.
 
     Conventions: ``e_g``/``e_log_g`` are moments of q(g); ``u_r`` is
-    E[r_i], exactly 0 wherever y_i > 0; ``w_exp`` caches
-    E[exp(-C_i theta)] for the current (mu, Sigma); ``phi_cache`` carries
-    the quadrature normalizer and moments of q(phi) at (n_pi, c1).
+    E[r_i], exactly 0 wherever y_i > 0; ``w_exp``, ``c_mu`` and
+    ``beta_sq`` cache E[exp(-C_i theta)], C mu and E[beta_k' beta_k] for
+    the current (mu, Sigma) and are refreshed together by
+    ``refresh_theta_cache``; ``log_y_fact`` is log(y_i!); ``phi_cache``
+    carries the quadrature normalizer and moments of q(phi) at (n_pi, c1).
     """
 
     y: np.ndarray
+    log_y_fact: np.ndarray
     a_g: np.ndarray
     b_g: np.ndarray
     e_g: np.ndarray = field(init=False)
@@ -159,6 +166,8 @@ class SampleState:
     mu: np.ndarray = None
     sigma: np.ndarray = None
     w_exp: np.ndarray = None
+    c_mu: np.ndarray = None
+    beta_sq: tuple = None
     a_sig: np.ndarray = None
     b_sig: np.ndarray = None
     u_inv_a: np.ndarray = None
@@ -172,12 +181,15 @@ class SampleState:
         self.e_log_g = psi(self.a_g) - np.log(self.b_g)
 
     def refresh_theta_cache(self, design):
+        """Recompute every cached function of (mu, Sigma); call after changing either."""
         w = mvn_exp_neg_linear(self.mu, self.sigma, design.matrix)
         bad = ~np.isfinite(w)
         if bad.any():
             idx = int(np.nonzero(bad)[0][0])
             raise EngineError(f"non-finite exp(-C theta) moment at spot {idx}")
         self.w_exp = w
+        self.c_mu = design.matrix @ self.mu
+        self.beta_sq = tuple(_beta_sq_norm(self, design, k) for k in (0, 1))
 
     def e_inv_sigma2(self, k: int) -> float:
         return float(self.a_sig[k] / self.b_sig[k])
@@ -189,6 +201,7 @@ class SampleState:
         """Value copy for iteration snapshots; data and node caches are shared."""
         new = SampleState.__new__(SampleState)
         new.y = self.y
+        new.log_y_fact = self.log_y_fact
         new.a_g = self.a_g.copy()
         new.b_g = self.b_g.copy()
         new.e_g = self.e_g.copy()
@@ -202,6 +215,8 @@ class SampleState:
         new.mu = self.mu.copy()
         new.sigma = self.sigma.copy()
         new.w_exp = self.w_exp.copy()
+        new.c_mu = self.c_mu.copy()
+        new.beta_sq = self.beta_sq
         new.a_sig = self.a_sig.copy()
         new.b_sig = self.b_sig.copy()
         new.u_inv_a = self.u_inv_a.copy()
@@ -289,6 +304,7 @@ def init_state(ys, designs, hp: Hyperparameters):
         u_phi = max(hp.a_phi / hp.b_phi, 1.0)
         ss = SampleState(
             y=y,
+            log_y_fact=gammaln(y + 1.0),
             a_g=np.ones_like(y, dtype=float),
             b_g=np.ones_like(y, dtype=float),
             u_r=u_r,
@@ -373,14 +389,18 @@ def update_theta(ss: SampleState, design, hp: Hyperparameters, damping: float = 
     )
     prec = -2.0 * d_sigma
     prec = 0.5 * (prec + prec.T)
-    if not np.all(np.isfinite(prec)):
+    if not np.isfinite(prec).all():
         raise EngineError("non-finite precision in theta update")
-    if np.min(np.linalg.eigvalsh(prec)) < _EIG_FLOOR:
-        prec = prec + _JITTER * np.eye(design.dim)
+    # One Cholesky factorization P = L L'; a factorization that fails is
+    # retried once with a diagonal jitter.  Sigma = L^-T L^-1.  numpy's
+    # LAPACK is used: scipy's would load a second BLAS into every worker.
     try:
         chol = np.linalg.cholesky(prec)
-    except np.linalg.LinAlgError as exc:
-        raise EngineError("theta precision not invertible after jitter") from exc
+    except np.linalg.LinAlgError:
+        try:
+            chol = np.linalg.cholesky(prec + _JITTER * np.eye(design.dim))
+        except np.linalg.LinAlgError as exc:
+            raise EngineError("theta precision not invertible after jitter") from exc
     inv_chol = np.linalg.inv(chol)
     sigma_new = inv_chol.T @ inv_chol
     sigma_new = 0.5 * (sigma_new + sigma_new.T)
@@ -398,7 +418,7 @@ def update_phi(ss: SampleState, design, hp: Hyperparameters):
     """
     kappa = 1.0 - ss.u_r
     ss.n_pi = float(np.sum(kappa))
-    spot_terms = design.matrix @ ss.mu - ss.e_log_g + ss.e_g * ss.w_exp
+    spot_terms = ss.c_mu - ss.e_log_g + ss.e_g * ss.w_exp
     c1 = hp.b_phi + float(kappa @ spot_terms)
     if not c1 > 0.0:
         raise EngineError(f"non-positive c1 = {c1} in phi update")
@@ -413,9 +433,9 @@ def update_g(ss: SampleState, y):
     kappa = np.maximum(1.0 - ss.u_r, _KAPPA_FLOOR)
     ss.a_g = (y + ss.u_phi - 1.0) * kappa + 1.0
     ss.b_g = kappa * (ss.u_phi * ss.w_exp + 1.0)
-    if not (np.all(np.isfinite(ss.b_g)) and np.all(ss.b_g > 0.0)):
-        idx = int(np.nonzero(~(np.isfinite(ss.b_g) & (ss.b_g > 0.0)))[0][0])
-        raise EngineError(f"invalid q(g) rate at spot {idx}")
+    ok = np.isfinite(ss.b_g) & (ss.b_g > 0.0)
+    if not ok.all():
+        raise EngineError(f"invalid q(g) rate at spot {int(np.argmin(ok))}")
     ss.refresh_g_moments()
 
 
@@ -443,9 +463,8 @@ def _beta_sq_norm(ss: SampleState, design, k: int) -> float:
 
 def update_sigma(ss: SampleState, design, k: int):
     """Gamma update of q(1/sigma_k^2); the shape uses the block length L."""
-    bsq = _beta_sq_norm(ss, design, k)
     ss.a_sig[k] = 0.5 * (design.n_basis * ss.u_alpha[k] + 1.0)
-    ss.b_sig[k] = 0.5 * ss.u_alpha[k] * bsq + ss.u_inv_a[k]
+    ss.b_sig[k] = 0.5 * ss.u_alpha[k] * ss.beta_sq[k] + ss.u_inv_a[k]
 
 
 def update_a(ss: SampleState, k: int, hp: Hyperparameters):
@@ -477,7 +496,7 @@ def alpha_logit(bsq, e_inv_s2, e_log_inv_s2, u_u, e_log_q, e_log_1mq, length, hp
 def update_alpha(ss: SampleState, shared: SharedState, design, k: int, hp: Hyperparameters):
     """Bernoulli update of the per-sample slab indicator, in log space."""
     logit = alpha_logit(
-        _beta_sq_norm(ss, design, k),
+        ss.beta_sq[k],
         ss.e_inv_sigma2(k),
         ss.e_log_inv_sigma2(k),
         float(shared.u_u[k]),
@@ -533,16 +552,15 @@ def update_q(shared: SharedState, states, k: int, hp: Hyperparameters):
 # ---------------------------------------------------------------------------
 
 
-def _xlogx(v):
-    v = np.asarray(v, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(v > 0.0, v * np.log(v), 0.0)
-    return out
-
-
 def _inv_gamma_e_log(shape: float, scale: float):
     """(E[log x], E[1/x]) under InverseGamma(shape, scale)."""
     return math.log(scale) - float(psi(shape)), shape / scale
+
+
+def _binary_entropy(p: float) -> float:
+    """Entropy of a Bernoulli(p) factor, with 0 log 0 = 0 (scalar math)."""
+    q = 1.0 - p
+    return -((p * math.log(p) if p > 0.0 else 0.0) + (q * math.log(q) if q > 0.0 else 0.0))
 
 
 def compute_elbo(states, shared, ys, designs, hp: Hyperparameters) -> float:
@@ -551,12 +569,19 @@ def compute_elbo(states, shared, ys, designs, hp: Hyperparameters) -> float:
     The joint follows the factor derivations: the Poisson likelihood and
     the Gamma prior of g are both gated by (1 - r_i), the r_i prior is the
     per-spot Beta-Bernoulli marginal, and q(phi)'s entropy uses the cached
-    quadrature normalizer.  Raises EngineError on a non-finite term.
+    quadrature normalizer.  C mu, E[beta_k' beta_k] and log(y!) come from
+    the sample state's caches.  Raises EngineError on a non-finite term.
     """
     total = 0.0
     lb_pi = _log_beta_c(hp.a_pi, hp.b_pi)
     lb_pi_r1 = _log_beta_c(hp.a_pi + 1.0, hp.b_pi)
     lb_pi_r0 = _log_beta_c(hp.a_pi, hp.b_pi + 1.0)
+    log_g2 = math.log(hp.gamma2)
+    log_1mg2 = math.log1p(-hp.gamma2)
+    log_gamma1_sq = math.log(hp.gamma1_sq)
+    eta_const = -0.5 * (LOG_2PI + math.log(hp.sigma2_eta))
+    psi_const = -0.5 * (LOG_2PI + math.log(hp.sigma2_psi))
+    phi_prior_const = hp.a_phi * math.log(hp.b_phi) - float(gammaln(hp.a_phi))
 
     for ss, y, design in zip(states, ys, designs):
         if ss.phi_cache is None:
@@ -564,26 +589,24 @@ def compute_elbo(states, shared, ys, designs, hp: Hyperparameters) -> float:
         fac = ss.phi_cache
         e_phi = fac.e_phi
         kappa = 1.0 - ss.u_r
-        c_mu = design.matrix @ ss.mu
-        d = design.dim
         length = design.n_basis
 
         # E log p(y | g, r): the Dirac branch contributes 0 at y = 0.
-        data_term = float(
-            kappa @ (y * ss.e_log_g - ss.e_g - gammaln(y + 1.0))
-        )
+        data_term = float(kappa @ (y * ss.e_log_g - ss.e_g - ss.log_y_fact))
         # E log p(g | theta, phi), gated by (1 - r).
         g_prior = float(
             kappa
             @ (
                 fac.e_self
-                - e_phi * c_mu
+                - e_phi * ss.c_mu
                 + (e_phi - 1.0) * ss.e_log_g
                 - e_phi * ss.e_g * ss.w_exp
             )
         )
         # E log p(r) under the marginalized Beta-Bernoulli prior.
-        r_prior = float(np.sum(ss.u_r * lb_pi_r1 + kappa * lb_pi_r0)) - y.size * lb_pi
+        r_prior = (
+            lb_pi_r1 * float(ss.u_r.sum()) + lb_pi_r0 * float(kappa.sum()) - y.size * lb_pi
+        )
         # Entropies of q(g) and q(r); digamma(a_g) - log(b_g) is the cached
         # E[log g].
         e_log_q_g = (
@@ -592,33 +615,24 @@ def compute_elbo(states, shared, ys, designs, hp: Hyperparameters) -> float:
             + (ss.a_g - 1.0) * ss.e_log_g
             - ss.a_g
         )
-        ent_g = -float(np.sum(e_log_q_g))
-        ent_r = -float(np.sum(_xlogx(ss.u_r) + _xlogx(kappa)))
+        ent_g = -float(e_log_q_g.sum())
+        ent_r = -float((xlogy(ss.u_r, ss.u_r) + xlogy(kappa, kappa)).sum())
 
         # theta prior cross-entropies and Gaussian entropy.
-        eta_term = -0.5 * (LOG_2PI + math.log(hp.sigma2_eta)) - (
-            ss.mu[0] ** 2 + ss.sigma[0, 0]
-        ) / (2.0 * hp.sigma2_eta)
+        eta_term = eta_const - (ss.mu[0] ** 2 + ss.sigma[0, 0]) / (2.0 * hp.sigma2_eta)
         psl = design.psi_slice
         n_cov = design.n_covariates
         psi_term = 0.0
         if n_cov:
             psi_sq = float(ss.mu[psl] @ ss.mu[psl] + np.trace(ss.sigma[psl, psl]))
-            psi_term = -0.5 * n_cov * (LOG_2PI + math.log(hp.sigma2_psi)) - psi_sq / (
-                2.0 * hp.sigma2_psi
-            )
+            psi_term = n_cov * psi_const - psi_sq / (2.0 * hp.sigma2_psi)
         sign, logdet = np.linalg.slogdet(ss.sigma)
         if sign <= 0:
             raise EngineError("theta covariance not positive definite in ELBO")
-        ent_theta = 0.5 * logdet + 0.5 * d * (LOG_2PI + 1.0)
+        ent_theta = 0.5 * logdet + 0.5 * design.dim * (LOG_2PI + 1.0)
 
         # phi prior cross-entropy and q(phi) entropy via the cached normalizer.
-        phi_prior = (
-            hp.a_phi * math.log(hp.b_phi)
-            - gammaln(hp.a_phi)
-            + (hp.a_phi - 1.0) * fac.e_log_phi
-            - hp.b_phi * e_phi
-        )
+        phi_prior = phi_prior_const + (hp.a_phi - 1.0) * fac.e_log_phi - hp.b_phi * e_phi
         ent_phi = -(
             ss.n_pi * fac.e_self
             + (hp.a_phi - 1.0) * fac.e_log_phi
@@ -643,49 +657,34 @@ def compute_elbo(states, shared, ys, designs, hp: Hyperparameters) -> float:
             total += term
 
         for k in (0, 1):
-            bsq = _beta_sq_norm(ss, design, k)
+            bsq = ss.beta_sq[k]
             u_alpha = float(ss.u_alpha[k])
             e_inv_s2 = ss.e_inv_sigma2(k)
             e_log_inv_s2 = ss.e_log_inv_sigma2(k)
-            e_log_s2 = -e_log_inv_s2
             # beta | sigma^2, alpha spike-and-slab cross-entropy.
             beta_term = u_alpha * (
                 -0.5 * length * LOG_2PI + 0.5 * length * e_log_inv_s2 - 0.5 * bsq * e_inv_s2
             ) + (1.0 - u_alpha) * (
-                -0.5 * length * (LOG_2PI + math.log(hp.gamma1_sq))
-                - bsq / (2.0 * hp.gamma1_sq)
+                -0.5 * length * (LOG_2PI + log_gamma1_sq) - bsq / (2.0 * hp.gamma1_sq)
             )
             # sigma^2 | a and a | A Half-Cauchy hierarchy.
             scale_a = 1.0 / float(ss.u_inv_a[k])
             e_log_a, e_inv_a = _inv_gamma_e_log(1.0, scale_a)
-            lg_half = gammaln(0.5)
-            sig_prior = -0.5 * e_log_a - lg_half - 1.5 * e_log_s2 - e_inv_a * e_inv_s2
+            sig_prior = -0.5 * e_log_a - _LGAMMA_HALF + 1.5 * e_log_inv_s2 - e_inv_a * e_inv_s2
             a_sq = hp.a_slab[k] ** 2
-            a_prior = -0.5 * math.log(a_sq) - lg_half - 1.5 * e_log_a - e_inv_a / a_sq
+            a_prior = -0.5 * math.log(a_sq) - _LGAMMA_HALF - 1.5 * e_log_a - e_inv_a / a_sq
             # entropies of q(sigma^2) (inverse gamma) and q(a).
             sa, sb = float(ss.a_sig[k]), float(ss.b_sig[k])
-            e_log_q_sig = (
-                sa * math.log(sb)
-                - gammaln(sa)
-                - (sa + 1.0) * (math.log(sb) - float(psi(sa)))
-                - sa
-            )
-            e_log_q_a = (
-                math.log(scale_a)
-                - (2.0) * e_log_a
-                - scale_a * e_inv_a
-            )
+            e_log_q_sig = sa * math.log(sb) - float(gammaln(sa)) + (sa + 1.0) * e_log_inv_s2 - sa
+            e_log_q_a = math.log(scale_a) - 2.0 * e_log_a - scale_a * e_inv_a
             # alpha | u, q mixture cross-entropy and q(alpha) entropy.
             u_u = float(shared.u_u[k])
             alpha_prior = u_u * (
                 u_alpha * shared.e_log_q[k] + (1.0 - u_alpha) * shared.e_log_1mq[k]
-            ) + (1.0 - u_u) * (
-                u_alpha * math.log(hp.gamma2) + (1.0 - u_alpha) * math.log1p(-hp.gamma2)
-            )
-            ent_alpha = -float(_xlogx(u_alpha) + _xlogx(1.0 - u_alpha))
+            ) + (1.0 - u_u) * (u_alpha * log_g2 + (1.0 - u_alpha) * log_1mg2)
             block = (
                 beta_term + sig_prior + a_prior - e_log_q_sig - e_log_q_a
-                + alpha_prior + ent_alpha
+                + alpha_prior + _binary_entropy(u_alpha)
             )
             if not math.isfinite(block):
                 raise EngineError(f"non-finite ELBO term 'spike-slab block k={k}'")
@@ -695,6 +694,8 @@ def compute_elbo(states, shared, ys, designs, hp: Hyperparameters) -> float:
         u_u = float(shared.u_u[k])
         e_log_p, e_log_1mp = float(shared.e_log_p[k]), float(shared.e_log_1mp[k])
         e_log_q, e_log_1mq = float(shared.e_log_q[k]), float(shared.e_log_1mq[k])
+        a_p, b_p = float(shared.a_p[k]), float(shared.b_p[k])
+        a_q, b_q = float(shared.a_q[k]), float(shared.b_q[k])
         u_prior = u_u * e_log_p + (1.0 - u_u) * e_log_1mp
         p_prior = (
             -_log_beta_c(hp.c_p, hp.d_p)
@@ -706,18 +707,9 @@ def compute_elbo(states, shared, ys, designs, hp: Hyperparameters) -> float:
             + (hp.c_q - 1.0) * e_log_q
             + (hp.d_q - 1.0) * e_log_1mq
         )
-        ent_u = -float(_xlogx(u_u) + _xlogx(1.0 - u_u))
-        e_log_q_p = (
-            -log_beta(shared.a_p[k], shared.b_p[k])
-            + (shared.a_p[k] - 1.0) * e_log_p
-            + (shared.b_p[k] - 1.0) * e_log_1mp
-        )
-        e_log_q_q = (
-            -log_beta(shared.a_q[k], shared.b_q[k])
-            + (shared.a_q[k] - 1.0) * e_log_q
-            + (shared.b_q[k] - 1.0) * e_log_1mq
-        )
-        block = u_prior + p_prior + q_prior + ent_u - e_log_q_p - e_log_q_q
+        e_log_q_p = -log_beta(a_p, b_p) + (a_p - 1.0) * e_log_p + (b_p - 1.0) * e_log_1mp
+        e_log_q_q = -log_beta(a_q, b_q) + (a_q - 1.0) * e_log_q + (b_q - 1.0) * e_log_1mq
+        block = u_prior + p_prior + q_prior + _binary_entropy(u_u) - e_log_q_p - e_log_q_q
         if not math.isfinite(block):
             raise EngineError(f"non-finite ELBO term 'shared gate k={k}'")
         total += block
@@ -756,7 +748,9 @@ def fit_gene(ys, designs, hp: Hyperparameters, opts: FitOptions = FitOptions()):
     change drops below ``opts.elbo_tol`` or ``opts.max_iter`` is reached.
     A numerically failed iteration is retried once from the pre-iteration
     state with halved damping (floor 1/16); a second failure aborts the
-    gene with the last valid state's expectations.
+    gene with the last valid state's expectations.  A gene whose initial
+    state cannot be built returns zero gate expectations, no iterations
+    and an ``init:`` failure.
     """
     ys = [np.asarray(y) for y in ys]
     if len(ys) != len(designs) or not ys:
@@ -765,7 +759,17 @@ def fit_gene(ys, designs, hp: Hyperparameters, opts: FitOptions = FitOptions()):
         if y.shape[0] != design.matrix.shape[0]:
             raise ValueError("count vector and design row counts disagree")
 
-    states, shared = init_state(ys, designs, hp)
+    try:
+        states, shared = init_state(ys, designs, hp)
+    except _FIT_ERRORS as exc:
+        return GeneFitResult(
+            e_u=(0.0, 0.0),
+            alpha=np.zeros((len(ys), 2)),
+            elbo_trace=[],
+            iterations=0,
+            converged=False,
+            failure=f"init: {exc}",
+        )
     trace = []
     damping = 1.0
     converged = False
@@ -780,7 +784,7 @@ def fit_gene(ys, designs, hp: Hyperparameters, opts: FitOptions = FitOptions()):
                 _one_iteration(states, shared, ys, designs, hp, damping)
                 elbo = compute_elbo(states, shared, ys, designs, hp)
                 break
-            except (EngineError, NumericalError, np.linalg.LinAlgError) as exc:
+            except _FIT_ERRORS as exc:
                 if retried:
                     failure = f"iteration {iteration + 1}: {exc}"
                     states, shared = snapshot

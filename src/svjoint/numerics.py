@@ -19,7 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaln
+from scipy.special import gammaln, zeta
+from scipy.special import digamma as psi
 
 __all__ = [
     "NumericalError",
@@ -36,6 +37,16 @@ EULER_GAMMA = 0.5772156649015328606
 # Integrand values this far (in log units) below the peak are treated as zero
 # when sizing the quadrature window.
 _LOG_DROP = 60.0
+# Rungs of the ladder that brackets each window cut (up to 2^43 / 2 away
+# from the mode, for rates as small as p+1 ~ 1e-3), and the even lattice
+# inside a bracket on which the cut is placed.
+_LADDER = 0.5 * 2.0 ** np.arange(44, dtype=float)
+_LATTICE = np.linspace(0.0, 1.0, 129)[1:]
+# Newton search for the mode: iteration cap, largest step in u, and the
+# relative step size at which it stops.
+_NEWTON_ITERATIONS = 100
+_NEWTON_MAX_STEP = 4.0
+_MODE_TOL = 1e-10
 
 
 class NumericalError(RuntimeError):
@@ -66,131 +77,151 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 
 def log_beta(a, b):
     """log B(a, b) = log Gamma(a) + log Gamma(b) - log Gamma(a+b), a, b > 0."""
+    if np.ndim(a) == 0 and np.ndim(b) == 0:
+        # Scalar arguments skip the array checks; the values are the same.
+        if not (a > 0.0 and b > 0.0):
+            raise ValueError("log_beta requires positive arguments")
+        return float(gammaln(a) + gammaln(b) - gammaln(a + b))
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
     if np.any(a_arr <= 0.0) or np.any(b_arr <= 0.0):
         raise ValueError("log_beta requires positive arguments")
-    out = gammaln(a_arr) + gammaln(b_arr) - gammaln(a_arr + b_arr)
-    if np.ndim(a) == 0 and np.ndim(b) == 0:
-        return float(out)
-    return out
+    return gammaln(a_arr) + gammaln(b_arr) - gammaln(a_arr + b_arr)
 
 
-def _xlogx_minus_lgamma_u(u):
+def _xlogx_minus_lgamma_u(u, x):
     """x*log(x) - log Gamma(x) at x = exp(u), the log of x^x / Gamma(x).
 
     For u below -30 the direct formula loses to underflow (exp(u) -> 0,
     Gamma -> inf), so the small-x expansion
     x log x - log Gamma(x) = u + x*(u + gamma) + O(x^2) is used instead.
+    Call under ``np.errstate`` that ignores over/invalid/divide: both
+    branches are evaluated everywhere.
     """
-    u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    small = u < -30.0
-    us = u[small]
-    out[small] = us + np.exp(us) * (us + EULER_GAMMA)
-    ub = u[~small]
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = np.exp(ub)
-        out[~small] = x * ub - gammaln(x)
-    return out
+    return np.where(u < -30.0, u + x * (u + EULER_GAMMA), x * u - gammaln(x))
 
 
-def _log_loglog1p_u(r, u):
-    """log( log(1 + r*exp(u)) ), with the small-argument asymptote log(r) + u."""
-    u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
+def _log_loglog1p_u(r, u, x):
+    """log( log(1 + r*x) ) at x = exp(u), with the small-argument asymptote log(r) + u."""
     log_r = math.log(r)
-    tiny = log_r + u < -18.0
     # log1p(rx) = rx*(1 - rx/2 + ...) so log(log1p(rx)) ~ log(r) + u.
-    out[tiny] = log_r + u[tiny]
-    with np.errstate(over="ignore", invalid="ignore"):
-        rx = r * np.exp(u[~tiny])
-        out[~tiny] = np.log(np.log1p(rx))
-    return out
+    return np.where(log_r + u < -18.0, log_r + u, np.log(np.log1p(r * x)))
 
 
 def _h_log_integrand(u, p, q, r, s, t):
     """Log of the H integrand at x = exp(u), including the Jacobian du."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = np.exp(u)
         val = (p + 1.0) * u - t * x
         if s != 0.0:
-            val = val + s * _xlogx_minus_lgamma_u(u)
+            val = val + s * _xlogx_minus_lgamma_u(u, x)
         if q != 0:
-            val = val + q * _log_loglog1p_u(r, u)
+            val = val + q * _log_loglog1p_u(r, u, x)
     # x overflowing to inf makes inf - inf = nan; the true integrand is 0
     # there because t > s forces the exp(-t*x) factor to win.
     return np.where(np.isnan(val), -np.inf, val)
 
 
-def _h_window(p, q, r, s, t):
-    """Locate the integrand peak in u-space and the window where it matters."""
-    # The mode satisfies roughly (p+1+s) - (t-s)*x = 0 for large x, so it
-    # cannot sit far beyond (p+1+s+2) / (t-s).
-    x_hi = max((p + 2.0 + s + 2.0) / (t - s), 1e-6)
-    u_hi0 = math.log(x_hi) + 5.0
-    grid = np.linspace(min(-60.0, u_hi0 - 1.0), u_hi0, 513)
-    vals = _h_log_integrand(grid, p, q, r, s, t)
-    j = int(np.argmax(vals))
-    lo_b = grid[max(j - 1, 0)]
-    hi_b = grid[min(j + 1, grid.size - 1)]
-    # Two vectorized zoom rounds sharpen the peak location well below the
-    # accuracy the window needs.
-    for _ in range(2):
-        zoom = np.linspace(lo_b, hi_b, 65)
-        zv = _h_log_integrand(zoom, p, q, r, s, t)
-        jz = int(np.argmax(zv))
-        lo_b = zoom[max(jz - 1, 0)]
-        hi_b = zoom[min(jz + 1, zoom.size - 1)]
-    u_mode = 0.5 * (lo_b + hi_b)
-    f_mode = float(_h_log_integrand(np.array([u_mode]), p, q, r, s, t)[0])
+def _h_log_integrand_du(u, p, q, r, s, t):
+    """First and second u-derivatives of ``_h_log_integrand`` at a scalar u.
 
-    def _cut(direction):
-        # Geometric ladder away from the mode: the first rung where the
-        # integrand has dropped _LOG_DROP below the peak brackets the cut,
-        # then a short bisection tightens it so tail panels stay narrow.
-        with np.errstate(over="ignore"):
-            steps = u_mode + direction * 0.5 * 2.0 ** np.arange(44, dtype=float)
-            f = _h_log_integrand(steps, p, q, r, s, t)
-        below = np.nonzero(~(f >= f_mode - _LOG_DROP))[0]
+    Each term's derivative follows the branch its value takes: the small-x
+    expansion below u = -30 and the log(r) + u asymptote for tiny r*x.
+    """
+    x = math.exp(min(u, 700.0))  # math.exp raises on overflow
+    d1 = p + 1.0 - t * x
+    d2 = -t * x
+    if s != 0.0:
+        if u < -30.0:
+            d1 += s * (1.0 + x * (u + EULER_GAMMA + 1.0))
+            d2 += s * x * (u + EULER_GAMMA + 2.0)
+        else:
+            # d/du (x u - log Gamma(x)) = x (u + 1 - psi(x)), psi'(x) = zeta(2, x).
+            g1 = x * (u + 1.0 - float(psi(x)))
+            d1 += s * g1
+            d2 += s * (g1 + x * (1.0 - x * float(zeta(2.0, x))))
+    if q != 0:
+        if math.log(r) + u < -18.0:
+            d1 += q
+        else:
+            rx = r * x
+            lg = math.log1p(rx)
+            g = rx / (1.0 + rx)
+            d1 += q * g / lg
+            d2 += q * g * ((1.0 - g) * lg - g) / (lg * lg)
+    return d1, d2
+
+
+def _h_mode(p, q, r, s, t, u_start=None):
+    """Peak of the log integrand in u-space.
+
+    The u-derivative is (p+1) + s*x*(log x - psi(x)) + (s-t)*x plus, for
+    q = 1, y/((1+y) log(1+y)) at y = r*x.  x*(log x - psi(x)) falls from 1
+    to 1/2, the last term from 1 to 0, and t > s, so the derivative falls
+    monotonically and has one root.  Newton steps start from ``u_start`` (a
+    nearby earlier mode) or from x = (p+1+q+s)/(t-s), are capped at
+    _NEWTON_MAX_STEP, and bisect whenever they would leave the bracket of
+    points already seen on either side of the root.
+    """
+    u = u_start if u_start is not None else math.log((p + 1.0 + q + s) / (t - s))
+    lo, hi = -math.inf, math.inf
+    for _ in range(_NEWTON_ITERATIONS):
+        d1, d2 = _h_log_integrand_du(u, p, q, r, s, t)
+        if d1 == 0.0:
+            return u
+        if d1 > 0.0:
+            lo = u
+        else:
+            hi = u
+        step = -d1 / d2 if d2 < 0.0 else math.copysign(_NEWTON_MAX_STEP, d1)
+        tol = _MODE_TOL * (1.0 + abs(u))
+        if abs(step) <= tol:
+            return u + step
+        u += max(-_NEWTON_MAX_STEP, min(_NEWTON_MAX_STEP, step))
+        if not lo < u < hi:
+            u = 0.5 * (lo + hi)
+            if hi - lo <= tol:
+                return u
+    raise NumericalError(f"H integrand mode not found: p={p} q={q} r={r} s={s} t={t}")
+
+
+def _h_window(p, q, r, s, t, u_start=None):
+    """The integrand peak in u-space and the window where it matters.
+
+    Returns (u_lo, u_mode, u_hi): the integrand is below its peak by
+    _LOG_DROP at both cuts.  A geometric ladder away from the mode on both
+    sides brackets each cut in one evaluation; a second evaluation on an
+    even lattice inside both brackets places each cut at the first lattice
+    point past the drop, so tail panels stay narrow.
+    """
+    u_mode = _h_mode(p, q, r, s, t, u_start)
+    rungs = u_mode + np.array([[-1.0], [1.0]]) * _LADDER
+    f = _h_log_integrand(np.append(rungs, u_mode), p, q, r, s, t)
+    floor = f[-1] - _LOG_DROP
+    brackets = []
+    for side, side_f in zip(rungs, f[:-1].reshape(2, -1)):
+        below = np.flatnonzero(~(side_f >= floor))
         if below.size == 0:
             raise NumericalError(
                 f"H integrand tail does not decay: p={p} q={q} r={r} s={s} t={t}"
             )
         k = int(below[0])
-        inner = u_mode if k == 0 else float(steps[k - 1])
-        outer = float(steps[k])
-        for _ in range(10):
-            mid = 0.5 * (inner + outer)
-            with np.errstate(over="ignore"):
-                fm = float(_h_log_integrand(np.array([mid]), p, q, r, s, t)[0])
-            if fm >= f_mode - _LOG_DROP:
-                inner = mid
-            else:
-                outer = mid
-        return outer
-
-    return _cut(-1.0), u_mode, _cut(+1.0), f_mode
+        inner = u_mode if k == 0 else side[k - 1]
+        brackets.append(inner + (side[k] - inner) * _LATTICE)
+    pts = np.array(brackets)
+    past = ~(_h_log_integrand(pts, p, q, r, s, t) >= floor)
+    # Each bracket ends at its outer rung, already seen past the drop.
+    past[:, -1] = True
+    first = past.argmax(axis=1)
+    return float(pts[0, first[0]]), u_mode, float(pts[1, first[1]])
 
 
-def _h_quadrature(p, q, r, s, t, node_count):
-    u, log_w = _h_nodes(p, q, r, s, t, node_count)
-    all_terms = _h_log_integrand(u, p, q, r, s, t) + log_w
-    m = float(np.max(all_terms))
-    if not math.isfinite(m):
-        raise NumericalError(
-            f"H integrand overflowed in log space: p={p} q={q} r={r} s={s} t={t}"
-        )
-    return m + math.log(float(np.sum(np.exp(all_terms - m))))
-
-
-def _h_nodes(p, q, r, s, t, node_count):
+def _h_nodes(u_lo, u_mode, u_hi, node_count):
     """Composite Gauss-Legendre nodes and log-weights over the integrand window.
 
     The peak region is split off into its own panel so a long thin tail
     (rates as small as p+1 ~ 1e-3) cannot starve it of nodes.
     """
-    u_lo, u_mode, u_hi, _ = _h_window(p, q, r, s, t)
     # Panel edges at mode-30/mode-8 resolve the boundary layer where the
     # exp(-t*x) ramp turns on inside an otherwise pure-exponential tail.
     breaks = [u_lo]
@@ -206,6 +237,17 @@ def _h_nodes(p, q, r, s, t, node_count):
         us.append(0.5 * (a + b) + half * z)
         lws.append(log_w + math.log(half))
     return np.concatenate(us), np.concatenate(lws)
+
+
+def _h_quadrature(p, q, r, s, t, node_count):
+    u, log_w = _h_nodes(*_h_window(p, q, r, s, t), node_count)
+    all_terms = _h_log_integrand(u, p, q, r, s, t) + log_w
+    m = float(np.max(all_terms))
+    if not math.isfinite(m):
+        raise NumericalError(
+            f"H integrand overflowed in log space: p={p} q={q} r={r} s={s} t={t}"
+        )
+    return m + math.log(float(np.sum(np.exp(all_terms - m))))
 
 
 @lru_cache(maxsize=32)
@@ -277,18 +319,22 @@ class PhiQuadCache:
 
     CAVI moves (N_pi, c1) slowly, so the previous window usually still
     covers the mass; staleness is detected by the integrand failing to
-    decay at the window edges, which forces a fresh window.
+    decay at the window edges, which forces a fresh window.  The last mode
+    starts the next window's mode search.
     """
 
-    __slots__ = ("s", "t", "u", "log_w", "x", "self_term")
+    __slots__ = ("s", "t", "u", "log_w", "x", "self_term", "u_mode")
 
     def __init__(self):
         self.s = self.t = self.u = self.log_w = self.x = self.self_term = None
+        self.u_mode = None
 
     def refresh(self, a_phi, s, t, node_count):
-        self.u, self.log_w = _h_nodes(a_phi - 1.0, 0, 1.0, s, t, node_count)
-        self.x = np.exp(self.u)
-        self.self_term = _xlogx_minus_lgamma_u(self.u)
+        u_lo, self.u_mode, u_hi = _h_window(a_phi - 1.0, 0, 1.0, s, t, self.u_mode)
+        self.u, self.log_w = _h_nodes(u_lo, self.u_mode, u_hi, node_count)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            self.x = np.exp(self.u)
+            self.self_term = _xlogx_minus_lgamma_u(self.u, self.x)
         self.s, self.t = s, t
 
     def usable_for(self, s, t) -> bool:
@@ -354,5 +400,5 @@ def mvn_exp_neg_linear(mu, sigma, c):
         raise ValueError(f"c has incompatible trailing dimension {c.shape}")
     if c.ndim == 1:
         return float(np.exp(-c @ mu + 0.5 * c @ sigma @ c))
-    quad = np.einsum("ij,jk,ik->i", c, sigma, c)
+    quad = ((c @ sigma) * c).sum(axis=1)
     return np.exp(-c @ mu + 0.5 * quad)

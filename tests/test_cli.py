@@ -70,6 +70,32 @@ class TestDetect:
         assert first["converged"] is True
         assert first["selected"] is False
 
+    def test_init_failure_writes_report(self, tmp_path, caplog):
+        # A library-size covariate near 2000 in one sample makes every gene's
+        # initial state fail; each becomes a converged=0 row with a logged
+        # reason, and the run exits 1 under the failure budget.
+        out = tmp_path / "sim"
+        assert run([
+            "simulate", "--out", str(out), "--grid", "10x10", "--genes", "10",
+            "--sv-genes", "2", "--dropout", "0.2", "--seed", "3",
+        ]) == 0
+        path = out / "covariates_s1.tsv"
+        lines = path.read_text().strip().split("\n")
+        lines = [lines[0] + "\tlibsize"] + [
+            f"{ln}\t{2000 + i}" for i, ln in enumerate(lines[1:])
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "rep.tsv"
+        code = run([
+            "detect", "--manifest", str(out / "manifest.ini"), "--out", str(report),
+            "--degree", "1", "--min-spots-per-gene", "0", "--min-genes-per-spot", "0",
+        ])
+        assert code == 1
+        _, rows = read_report(report)
+        assert len(rows) == 10
+        assert all(not r["converged"] and not r["selected"] for r in rows)
+        assert "failed: init: non-finite exp(-C theta) moment" in caplog.text
+
     def test_missing_coords_file_fails_without_report(self, sim_dir, tmp_path):
         bad_manifest = tmp_path / "manifest.ini"
         text = (sim_dir / "manifest.ini").read_text()

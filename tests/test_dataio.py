@@ -14,6 +14,7 @@ from svjoint.dataio import (
     filter_dataset,
     load_dataset,
     read_report,
+    read_truth,
     write_dataset,
     write_report,
 )
@@ -285,9 +286,26 @@ class TestWriteReport:
         with pytest.raises(DataError, match=match):
             read_report(path)
 
+    def test_read_rejects_non_numeric_value(self, tmp_path):
+        path = tmp_path / "r.tsv"
+        path.write_text(
+            "# degree=3\n\ngene_id\te_u1\te_u2\tu_tilde\tselected\n"
+            "g1\t0.9\t0.1\t0.9\t1\ng2\t0.2\t0.1\tabc\t0\n"
+        )
+        with pytest.raises(DataError, match=r"r\.tsv: line 5: u_tilde value 'abc'"):
+            read_report(path)
+
     def test_empty_report(self, tmp_path):
         report = build_report([], [], bfdr_level=0.05)
         path = tmp_path / "r.tsv"
         write_report(report, path)
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 2  # header only, no data rows
+
+
+class TestReadTruth:
+    def test_rejects_row_without_flag(self, tmp_path):
+        path = tmp_path / "truth.tsv"
+        path.write_text("# seed=1\ngene_id\tis_sv\tpattern\ng1\t1\tlinear\ng2\n")
+        with pytest.raises(DataError, match=r"truth\.tsv: line 4 has no is_sv field"):
+            read_truth(path)

@@ -105,6 +105,32 @@ class TestFitGene:
         with pytest.raises(ValueError):
             fit_gene([s.counts[0][:-1] for s in ds.samples], designs, hp, FitOptions())
 
+    def test_init_failure_is_a_failed_gene(self):
+        # A covariate near 2000 (a library size) overflows E[exp(-C theta)]
+        # at the initial state; the gene fails on its own, unselectable.
+        ds, _, _ = sim_inputs(13, g=1, m=2, grid=(8, 8))
+        designs = []
+        for m, s in enumerate(ds.samples):
+            covs = s.covariates
+            if m == 0:
+                covs = np.column_stack([covs, np.full(covs.shape[0], 2000.0)])
+            designs.append(make_design(normalize_coords(s.coords), covs, 3))
+        hp = Hyperparameters.default(2, 3)
+        with np.errstate(over="ignore"):
+            res = fit_gene([s.counts[0] for s in ds.samples], designs, hp, FitOptions())
+        assert res.failure.startswith("init: ")
+        assert not res.converged
+        assert res.iterations == 0 and res.elbo_trace == []
+        assert res.e_u == (0.0, 0.0)
+        assert res.alpha.shape == (2, 2)
+
+    def test_bad_counts_still_raise(self):
+        ds, _, designs = sim_inputs(9)
+        hp = Hyperparameters.default(4, 3)
+        ys = [s.counts[0].astype(float) + 0.5 for s in ds.samples]
+        with pytest.raises(ValueError, match="non-negative integers"):
+            fit_gene(ys, designs, hp, FitOptions())
+
 
 class TestInvariantsEveryIteration:
     def test_invariants_hold_throughout(self):

@@ -173,6 +173,7 @@ class TestUpdateSigma:
         ss.mu = np.zeros(design.dim)
         ss.mu[blk] = [2.0, 0.0]  # |mu|^2 = 4
         ss.sigma = np.zeros((design.dim, design.dim))
+        ss.refresh_theta_cache(design)
         ss.u_alpha[0] = 1.0
         ss.u_inv_a[0] = 1.0
         update_sigma(ss, design, 0)
@@ -184,6 +185,7 @@ class TestUpdateSigma:
         ss, _, design, hp = single_state([1, 2, 3], degree=2)
         ss.mu = np.zeros(design.dim)
         ss.sigma = np.zeros((design.dim, design.dim))
+        ss.refresh_theta_cache(design)
         ss.u_alpha[0] = 1.0
         ss.u_inv_a[0] = 2.0
         update_sigma(ss, design, 0)
@@ -352,6 +354,64 @@ class TestUpdateTheta:
         update_theta(states[0], designs[0], hp)
         assert np.linalg.eigvalsh(states[0].sigma).min() > 0.0
 
+    @staticmethod
+    def expected_precision(ss, design, hp):
+        # P = u_phi C' diag[(1 - u_r) E[g] E[exp(-C theta)]] C + M_prior.
+        c = design.matrix
+        w = (1.0 - ss.u_r) * ss.e_g * ss.w_exp
+        return ss.u_phi * (c.T @ np.diag(w) @ c) + np.diag(m_prior_diag(ss, design, hp))
+
+    def test_sigma_is_inverse_precision(self, five_spot_state):
+        states, shared, ys, designs, hp = five_spot_state
+        ss, design = states[0], designs[0]
+        want = np.linalg.inv(self.expected_precision(ss, design, hp))
+        update_theta(ss, design, hp)
+        np.testing.assert_allclose(ss.sigma, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_rejected_factorization_retried_once_with_jitter(self, five_spot_state,
+                                                              monkeypatch):
+        states, shared, ys, designs, hp = five_spot_state
+        ss, design = states[0], designs[0]
+        prec = self.expected_precision(ss, design, hp)
+        real = np.linalg.cholesky
+        calls = []
+
+        def reject_first(a):
+            calls.append(np.array(a))
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", reject_first)
+        update_theta(ss, design, hp)
+        assert len(calls) == 2
+        np.testing.assert_array_equal(calls[1], calls[0] + engine._JITTER * np.eye(design.dim))
+        want = np.linalg.inv(prec + engine._JITTER * np.eye(design.dim))
+        np.testing.assert_allclose(ss.sigma, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_indefinite_precision_raises_after_one_retry(self, five_spot_state,
+                                                         monkeypatch):
+        states, shared, ys, designs, hp = five_spot_state
+        ss, design = states[0], designs[0]
+        ss.u_phi = -1e3  # makes u_phi C' diag[w] C + M_prior indefinite
+        real = np.linalg.cholesky
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        with pytest.raises(EngineError, match="not invertible after jitter"):
+            update_theta(ss, design, hp)
+        assert len(calls) == 2
+
+    def test_non_finite_precision_raises(self, five_spot_state):
+        states, shared, ys, designs, hp = five_spot_state
+        states[0].w_exp = np.full_like(states[0].w_exp, np.inf)
+        with np.errstate(invalid="ignore"), pytest.raises(EngineError, match="non-finite precision"):
+            update_theta(states[0], designs[0], hp)
+
     def test_one_moment_evaluation_per_sample(self, five_spot_state, monkeypatch):
         # The step reads the cached E[exp(-C theta)]; only the refresh at the
         # new (mu, Sigma) evaluates it.
@@ -379,6 +439,44 @@ class TestElbo:
         ss.phi_cache = None
         with pytest.raises(EngineError, match="phi factor cache"):
             compute_elbo([ss], shared, [ss.y], [design], hp)
+
+
+class TestThetaCaches:
+    @staticmethod
+    def assert_caches_match(ss, design):
+        # Every cached function of (mu, Sigma), recomputed from first principles.
+        c = design.matrix
+        quad = np.array([row @ ss.sigma @ row for row in c])
+        np.testing.assert_allclose(ss.w_exp, np.exp(-c @ ss.mu + 0.5 * quad), rtol=1e-12)
+        np.testing.assert_allclose(ss.c_mu, c @ ss.mu, rtol=1e-12, atol=1e-14)
+        for k in (0, 1):
+            blk = design.beta_slice(k)
+            want = np.sum(ss.mu[blk] ** 2) + np.sum(np.diag(ss.sigma)[blk])
+            assert ss.beta_sq[k] == pytest.approx(want, rel=1e-12)
+
+    def test_fresh_after_every_update(self, five_spot_state):
+        states, shared, ys, designs, hp = five_spot_state
+        for _ in range(3):
+            _one_iteration(states, shared, ys, designs, hp, 1.0)
+            self.assert_caches_match(states[0], designs[0])
+
+    def test_elbo_after_perturbation_matches_from_scratch(self, five_spot_state):
+        states, shared, ys, designs, hp = five_spot_state
+        ss, design = states[0], designs[0]
+        before = compute_elbo(states, shared, ys, designs, hp)
+        ss.mu = ss.mu + 0.05 * np.arange(1, design.dim + 1)
+        ss.sigma = 1.3 * ss.sigma
+        ss.refresh_theta_cache(design)
+        self.assert_caches_match(ss, design)
+        got = compute_elbo(states, shared, ys, designs, hp)
+        # From scratch: a state built only from the perturbed (mu, Sigma),
+        # whose caches are filled without reading the old ones.
+        fresh = ss.clone()
+        fresh.w_exp = fresh.c_mu = fresh.beta_sq = None
+        fresh.refresh_theta_cache(design)
+        want = compute_elbo([fresh], shared, ys, designs, hp)
+        assert got == want
+        assert got != before
 
 
 class TestHyperparameters:

@@ -165,6 +165,21 @@ class TestPhiFactor:
         with pytest.raises(NumericalError):
             phi_factor(0.001, 5.0, 4.0)
 
+    @pytest.mark.parametrize("s", [0.0, 100.0, 136.0, 180.0, 227.0, 300.0])
+    def test_against_high_node_quadrature(self, s):
+        # (N_pi, c1) around what the benchmark fits reach (N_pi 136-227,
+        # c1 / N_pi 1.04-2.37) and the all-dropout N_pi = 0, fresh and
+        # through a cache that walks the grid.
+        ref = QuadratureSpec(node_count=384)
+        cache = PhiQuadCache()
+        for ratio in (1.02, 1.04, 1.2, 1.6, 2.37, 3.0):
+            t = s * ratio + 0.01
+            want = phi_factor(0.001, s, t, ref)
+            for got in (phi_factor(0.001, s, t), phi_factor(0.001, s, t, cache=cache)):
+                for name in ("log_h0", "log_h1", "e_phi", "e_log_phi", "e_self"):
+                    w = getattr(want, name)
+                    assert abs(getattr(got, name) - w) <= 1e-10 * max(1.0, abs(w)), (name, s, t)
+
 
 class TestMvnExpNegLinear:
     def test_lognormal_mean(self):
@@ -185,6 +200,21 @@ class TestMvnExpNegLinear:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             mvn_exp_neg_linear(np.zeros(3), np.eye(2), np.zeros(3))
+
+    def test_rows_against_per_row_quadratic_form(self):
+        # The row-wise form may reassociate sums; the exponent -c.mu + c'Sc/2
+        # of each row may move by a few rounding errors of its d-term sums.
+        rng = np.random.default_rng(3)
+        n, d = 1024, 13
+        mu = rng.normal(scale=0.3, size=d)
+        a = rng.normal(size=(d, d))
+        sigma = 0.05 * a @ a.T / d
+        c = rng.uniform(size=(n, d))
+        got = mvn_exp_neg_linear(mu, sigma, c)
+        want = np.array([math.exp(-row @ mu + 0.5 * (row @ sigma @ row)) for row in c])
+        scale = np.abs(c) @ np.abs(mu) + 0.5 * np.einsum("ij,jk,ik->i", np.abs(c), np.abs(sigma), np.abs(c))
+        tol = 4 * d * np.finfo(float).eps * scale
+        assert np.all(np.abs(np.log(got) - np.log(want)) <= tol)
 
     def test_matrix_rows(self):
         rng = np.random.default_rng(0)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svjoint.engine import GeneFitResult
 from svjoint.selection import (
@@ -89,6 +91,49 @@ class TestBfdrThreshold:
 
     def test_default_level(self):
         assert default_bfdr_level(100) == pytest.approx(0.05 / 200.0)
+
+
+def brute_force_threshold(u_tilde_all, level):
+    """The original O(G^2) search: one BFDR evaluation per candidate."""
+    u = np.asarray(u_tilde_all, dtype=float)
+    candidates = np.unique(np.concatenate([1.0 - u, [level]]))
+    candidates = candidates[(candidates > 0.0) & (candidates <= 1.0)]
+    best = 0.0
+    one_minus = 1.0 - u
+    for u0 in candidates:
+        if not np.any(one_minus < u0):
+            continue
+        if bfdr(u, float(u0)) <= level:
+            best = max(best, float(u0))
+    return best
+
+
+# Scores mix arbitrary values with repeats, exact 0/1 and near-1 values, as
+# fitted gates produce; levels span the default 0.05 / (2G) up to 0.5.
+scores = st.lists(
+    st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.0, 0.5, 0.9, 0.99, 0.999, 1.0]),
+        st.floats(0.999, 1.0),
+    ),
+    max_size=60,
+)
+levels = st.one_of(st.floats(1e-6, 0.5, exclude_min=True), st.sampled_from([0.01, 0.1]))
+
+
+class TestBfdrSearchProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(scores, levels)
+    def test_matches_brute_force(self, u, level):
+        assert bfdr_threshold(u, level) == brute_force_threshold(u, level)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scores, st.floats(0.0, 1.0, exclude_min=True))
+    def test_bfdr_is_mean_of_selected(self, u, u0):
+        one_minus = 1.0 - np.asarray(u, dtype=float)
+        picked = one_minus[one_minus < u0]
+        want = float(np.mean(picked)) if picked.size else 0.0
+        assert bfdr(u, u0) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 class TestBuildReport:
