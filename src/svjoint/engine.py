@@ -558,9 +558,9 @@ def _inv_gamma_e_log(shape: float, scale: float):
 
 
 def _binary_entropy(p: float) -> float:
-    """Entropy of a Bernoulli(p) factor, with 0 log 0 = 0 (scalar math)."""
+    """Entropy of a Bernoulli(p) factor, with 0 log 0 = 0."""
     q = 1.0 - p
-    return -((p * math.log(p) if p > 0.0 else 0.0) + (q * math.log(q) if q > 0.0 else 0.0))
+    return -float(xlogy(p, p) + xlogy(q, q))
 
 
 def compute_elbo(states, shared, ys, designs, hp: Hyperparameters) -> float:

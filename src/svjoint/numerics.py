@@ -75,18 +75,11 @@ class QuadratureSpec:
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
-def log_beta(a, b):
+def log_beta(a: float, b: float) -> float:
     """log B(a, b) = log Gamma(a) + log Gamma(b) - log Gamma(a+b), a, b > 0."""
-    if np.ndim(a) == 0 and np.ndim(b) == 0:
-        # Scalar arguments skip the array checks; the values are the same.
-        if not (a > 0.0 and b > 0.0):
-            raise ValueError("log_beta requires positive arguments")
-        return float(gammaln(a) + gammaln(b) - gammaln(a + b))
-    a_arr = np.asarray(a, dtype=float)
-    b_arr = np.asarray(b, dtype=float)
-    if np.any(a_arr <= 0.0) or np.any(b_arr <= 0.0):
+    if not (a > 0.0 and b > 0.0):
         raise ValueError("log_beta requires positive arguments")
-    return gammaln(a_arr) + gammaln(b_arr) - gammaln(a_arr + b_arr)
+    return float(gammaln(a) + gammaln(b) - gammaln(a + b))
 
 
 def _xlogx_minus_lgamma_u(u, x):

@@ -59,54 +59,54 @@ def compute_u_tilde(result) -> float:
     return max(e1, e2)
 
 
-def _check_u(u_tilde_all):
+def bfdr(u_tilde_all, u0: float) -> float:
+    """Bayesian FDR at threshold u0; 0 when nothing is selected."""
     u = np.asarray(u_tilde_all, dtype=float)
     if np.any(u < 0.0) or np.any(u > 1.0):
         raise ValueError("u_tilde values must lie in [0, 1]")
-    return u
-
-
-def _prefix_bfdr(u):
-    """Ascending (1 - u) and the BFDR of selecting each prefix of it.
-
-    The BFDR of the first k values is their running mean, summed in
-    ascending order; ``bfdr`` and ``bfdr_threshold`` both read it here, so
-    they agree to the last bit.
-    """
-    one_minus = np.sort(1.0 - u)
-    return one_minus, np.cumsum(one_minus) / np.arange(1, one_minus.size + 1)
-
-
-def bfdr(u_tilde_all, u0: float) -> float:
-    """Bayesian FDR at threshold u0; 0 when nothing is selected."""
-    u = _check_u(u_tilde_all)
     if not 0.0 < u0 <= 1.0:
         raise ValueError(f"u0 must lie in (0, 1], got {u0}")
-    one_minus, means = _prefix_bfdr(u)
-    # Genes with 1 - u_tilde strictly below u0 form the first k.
-    k = int(np.searchsorted(one_minus, u0, side="left"))
-    return float(means[k - 1]) if k else 0.0
+    one_minus = 1.0 - u
+    picked = one_minus < u0
+    if not picked.any():
+        return 0.0
+    return float(np.sum(one_minus[picked]) / np.count_nonzero(picked))
 
 
 def bfdr_threshold(u_tilde_all, level: float) -> float:
     """Largest threshold on the candidate grid meeting the BFDR level.
 
     Candidates are the observed (1 - u_tilde) values plus the level itself;
-    BFDR is a step function of u0 so this grid search is exact.  One sort
-    gives every candidate's selected prefix, so the search is O(G log G).
-    Returns 0 (select nothing) when no candidate selects a non-empty set
-    within the level.
+    BFDR is a step function of u0 so this grid search is exact.  Returns 0
+    (select nothing) when no candidate selects a non-empty set within the
+    level.
+
+    One sort gives every candidate's selected set as a prefix of the sorted
+    (1 - u_tilde), and a cumulative sum gives its BFDR, so the search is
+    O(G log G).  The prefix means differ from ``bfdr`` (which sums in input
+    order) by at most about k rounding errors for a k-gene set, so the few
+    candidates whose prefix mean lies within that band of the level are
+    decided by ``bfdr`` itself: the result is the threshold ``bfdr`` picks.
     """
-    u = _check_u(u_tilde_all)
+    u = np.asarray(u_tilde_all, dtype=float)
+    if np.any(u < 0.0) or np.any(u > 1.0):
+        raise ValueError("u_tilde values must lie in [0, 1]")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
-    one_minus, means = _prefix_bfdr(u)
+    one_minus = np.sort(1.0 - u)
     candidates = np.unique(np.append(one_minus, level))
     candidates = candidates[(candidates > 0.0) & (candidates <= 1.0)]
     k = np.searchsorted(one_minus, candidates, side="left")
-    ok = k > 0
-    ok[ok] = means[k[ok] - 1] <= level
-    return float(candidates[ok].max()) if ok.any() else 0.0
+    candidates, k = candidates[k > 0], k[k > 0]
+    means = np.cumsum(one_minus)[k - 1] / k
+    band = (k + 2) * np.finfo(float).eps * np.maximum(means, level)
+    sure = means <= level - band
+    best = float(candidates[sure].max()) if sure.any() else 0.0
+    near = (means <= level + band) & ~sure & (candidates > best)
+    for u0 in candidates[near][::-1]:
+        if bfdr(u, float(u0)) <= level:
+            return float(u0)
+    return best
 
 
 def default_bfdr_level(n_genes: int) -> float:
