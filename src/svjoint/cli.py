@@ -7,6 +7,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -82,12 +83,16 @@ def run_detect(args) -> int:
         results = [_fit_gene_task(i) for i in indices]
     else:
         chunk = max(1, ds.n_genes // (workers * 8))
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(counts, designs, hp, opts),
-        ) as pool:
-            results = list(pool.map(_fit_gene_task, indices, chunksize=chunk))
+        try:
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=_init_worker,
+                initargs=(counts, designs, hp, opts),
+            ) as pool:
+                results = list(pool.map(_fit_gene_task, indices, chunksize=chunk))
+        except BrokenProcessPool as exc:
+            log.error("a gene-fit worker process died; no report written: %s", exc)
+            return 1
 
     n_failed = 0
     for gid, res in zip(ds.gene_ids, results):

@@ -224,6 +224,12 @@ class SampleState:
         return new
 
 
+def _beta_e_logs(a, b):
+    """(E[log x], E[log(1 - x)]) under Beta(a, b), elementwise."""
+    total = psi(a + b)
+    return psi(a) - total, psi(b) - total
+
+
 @dataclass
 class SharedState:
     """Cross-sample gate factors, indexed by spatial axis k in {0, 1}.
@@ -246,12 +252,8 @@ class SharedState:
         self.refresh_moments()
 
     def refresh_moments(self):
-        tp = psi(self.a_p + self.b_p)
-        tq = psi(self.a_q + self.b_q)
-        self.e_log_p = psi(self.a_p) - tp
-        self.e_log_1mp = psi(self.b_p) - tp
-        self.e_log_q = psi(self.a_q) - tq
-        self.e_log_1mq = psi(self.b_q) - tq
+        self.e_log_p, self.e_log_1mp = _beta_e_logs(self.a_p, self.b_p)
+        self.e_log_q, self.e_log_1mq = _beta_e_logs(self.a_q, self.b_q)
 
     def clone(self) -> "SharedState":
         new = SharedState.__new__(SharedState)
@@ -536,7 +538,7 @@ def update_u(shared: SharedState, states, k: int, hp: Hyperparameters):
 def update_p(shared: SharedState, k: int, hp: Hyperparameters):
     shared.a_p[k] = shared.u_u[k] + hp.c_p
     shared.b_p[k] = hp.d_p - shared.u_u[k] + 1.0
-    shared.refresh_moments()
+    shared.e_log_p[k], shared.e_log_1mp[k] = _beta_e_logs(shared.a_p[k], shared.b_p[k])
 
 
 def update_q(shared: SharedState, states, k: int, hp: Hyperparameters):
@@ -544,7 +546,7 @@ def update_q(shared: SharedState, states, k: int, hp: Hyperparameters):
     u_u = shared.u_u[k]
     shared.a_q[k] = u_u * sum_alpha + hp.c_q
     shared.b_q[k] = len(states) * u_u + hp.d_q - u_u * sum_alpha
-    shared.refresh_moments()
+    shared.e_log_q[k], shared.e_log_1mq[k] = _beta_e_logs(shared.a_q[k], shared.b_q[k])
 
 
 # ---------------------------------------------------------------------------

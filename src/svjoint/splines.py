@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import digamma as _sp_digamma
 from scipy.special import expit, gammaln
 
@@ -137,71 +136,94 @@ def build_design(coords, covariates, spec: BasisSpec) -> DesignMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _zinb_nll_grad(params, y, x, is_zero):
+def _zinb_nll_grad(params, x, n_nz, y_nz, u, n_u, log_y_fact):
     """Negative log-likelihood and gradient of the ZINB regression.
 
     Parameter layout: (logit pi, log phi, coefficient vector c) with
     log mean = x @ c.  NB parameterized by mean lambda and dispersion phi,
-    Var = lambda + lambda^2/phi.
+    Var = lambda + lambda^2/phi.  The rows of ``x`` hold the ``n_nz`` spots
+    with a nonzero count ``y_nz`` first and the zero-count spots after them;
+    ``u`` are the distinct values of ``y_nz`` with multiplicities ``n_u``,
+    and ``log_y_fact`` is the constant sum of log y!.
     """
     zeta, rho = params[0], params[1]
     coef = params[2:]
     pi = expit(zeta)
     phi = math.exp(rho)
-    eta = x @ coef
-    eta = np.clip(eta, -30.0, 30.0)
+    eta = np.clip(x @ coef, -30.0, 30.0)
     lam = np.exp(eta)
-    log_ratio = np.log(phi) - np.log(phi + lam)  # log(phi/(phi+lam))
+    log_phi_lam = np.log(phi + lam)
+    log_ratio = math.log(phi) - log_phi_lam  # log(phi/(phi+lam))
+    inv_phi_lam = 1.0 / (phi + lam)
+    log_ratio_nz, log_ratio_z = log_ratio[:n_nz], log_ratio[n_nz:]
 
-    nz = ~is_zero
-    y_nz = y[nz]
-    lam_nz = lam[nz]
-    ll = np.sum(
-        gammaln(y_nz + phi)
-        - gammaln(phi)
-        - gammaln(y_nz + 1.0)
-        + phi * log_ratio[nz]
-        + y_nz * (np.log(lam_nz) - np.log(phi + lam_nz))
-    ) + np.count_nonzero(nz) * math.log1p(-pi)
+    ll = (
+        float(n_u @ gammaln(u + phi))
+        - n_nz * float(gammaln(phi))
+        - log_y_fact
+        + phi * float(log_ratio_nz.sum())
+        + float(y_nz @ (eta[:n_nz] - log_phi_lam[:n_nz]))
+        + n_nz * math.log1p(-pi)
+    )
 
     # P(0) = pi + (1-pi) * (phi/(phi+lam))^phi
-    log_a = phi * log_ratio[is_zero]
-    a = np.exp(log_a)
+    a = np.exp(phi * log_ratio_z)
     p0 = pi + (1.0 - pi) * a
-    ll += np.sum(np.log(p0))
+    ll += float(np.log(p0).sum())
 
-    grad = np.zeros_like(params)
+    grad = np.empty_like(params)
     # dropout probability, via zeta
-    grad[0] = np.sum(pi * (1.0 - pi) * (1.0 - a) / p0) - np.count_nonzero(nz) * pi
+    grad[0] = pi * (1.0 - pi) * float(((1.0 - a) / p0).sum()) - n_nz * pi
     # dispersion, via rho
-    dll_dphi_nz = np.sum(
-        _sp_digamma(y_nz + phi)
-        - _sp_digamma(phi)
-        + log_ratio[nz]
-        + 1.0
-        - (phi + y_nz) / (phi + lam_nz)
+    phi_y_inv = (phi + y_nz) * inv_phi_lam[:n_nz]
+    dll_dphi_nz = (
+        float(n_u @ _sp_digamma(u + phi))
+        - n_nz * float(_sp_digamma(phi))
+        + float(log_ratio_nz.sum())
+        + n_nz
+        - float(phi_y_inv.sum())
     )
-    da_dphi = a * (log_ratio[is_zero] + 1.0 - phi / (phi + lam[is_zero]))
-    dll_dphi_z = np.sum((1.0 - pi) * da_dphi / p0)
+    phi_inv_z = phi * inv_phi_lam[n_nz:]
+    a_p0 = (1.0 - pi) * a / p0
+    dll_dphi_z = float(a_p0 @ (log_ratio_z + 1.0 - phi_inv_z))
     grad[1] = phi * (dll_dphi_nz + dll_dphi_z)
-    # regression coefficients, via lambda = exp(x @ c)
-    dll_dlam = np.zeros_like(lam)
-    dll_dlam[nz] = y_nz / lam_nz - (phi + y_nz) / (phi + lam_nz)
-    dll_dlam[is_zero] = (1.0 - pi) * a * (-phi / (phi + lam[is_zero])) / p0
-    grad[2:] = x.T @ (dll_dlam * lam)
+    # regression coefficients, via lambda = exp(x @ c): dll/deta
+    dll_deta = np.concatenate((y_nz - phi_y_inv * lam[:n_nz], -a_p0 * phi_inv_z * lam[n_nz:]))
+    grad[2:] = x.T @ dll_deta
     return -ll, -grad
+
+
+def _zinb_stats(y, matrix):
+    """The per-fit statistics of counts y (see ``zinb_mle``), in the order
+    ``_zinb_nll_grad`` takes them after ``params``."""
+    nz = y != 0
+    y_nz = y[nz]
+    u, n_u = np.unique(y_nz, return_counts=True)
+    n_u = n_u.astype(float)
+    x = np.concatenate((matrix[nz], matrix[~nz]))
+    return x, y_nz.size, y_nz, u, n_u, float(n_u @ gammaln(u + 1.0))
 
 
 def zinb_mle(y, design: DesignMatrix, max_iter: int = 200):
     """Fit the zero-inflated NB regression by quasi-Newton maximum likelihood.
 
+    The objective is evaluated on statistics built once per fit: the design
+    rows reordered so that the spots with a nonzero count come first (both
+    parts are then basic slices of one matrix), the distinct nonzero counts
+    u with their multiplicities n_u, and the constant sum of log y!.  The
+    count terms of the nonzero part are sums over u, n_u gammaln(u + phi)
+    and n_u digamma(u + phi), instead of sums over spots.  The returned
+    log-likelihood includes the log y! term.
+
     Returns (log_likelihood, n_params) or None when the optimizer fails to
     converge.
     """
+    # Imported here so that a fixed --degree never loads scipy.optimize
+    # (and the scipy.linalg and scipy.sparse it pulls in).
+    from scipy.optimize import minimize
+
     y = np.asarray(y, dtype=float)
-    x = design.matrix
-    is_zero = y == 0
-    zero_frac = float(np.mean(is_zero))
+    zero_frac = float(np.mean(y == 0))
     mean_pos = float(np.mean(y)) + 0.01
     start = np.zeros(2 + design.dim)
     start[0] = math.log((zero_frac * 0.5 + 0.01) / (1.0 - zero_frac * 0.5 - 0.01))
@@ -211,7 +233,7 @@ def zinb_mle(y, design: DesignMatrix, max_iter: int = 200):
     res = minimize(
         _zinb_nll_grad,
         start,
-        args=(y, x, is_zero),
+        args=_zinb_stats(y, design.matrix),
         jac=True,
         method="L-BFGS-B",
         bounds=bounds,

@@ -1,7 +1,12 @@
 """End-to-end command-line runs on small datasets."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+from svjoint import cli
 from svjoint.cli import main
 from svjoint.dataio import read_report
 
@@ -110,6 +115,33 @@ class TestDetect:
         report = tmp_path / "never.tsv"
         code = run(["detect", "--manifest", str(bad_manifest), "--out", str(report)])
         assert code != 0
+        assert not report.exists()
+
+    def test_dead_worker_exits_cleanly(self, sim_dir, tmp_path):
+        # Every pool worker exits without a result: detect must log the
+        # crash and return 1, not escape with a traceback.
+        report = tmp_path / "never.tsv"
+        code = (
+            "import os, sys\n"
+            "from svjoint import cli\n"
+            "def exit_now(gene_index):\n"
+            "    os._exit(3)\n"
+            "cli._fit_gene_task = exit_now\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        argv = [
+            "detect", "--manifest", str(sim_dir / "manifest.ini"), "--out", str(report),
+            "--degree", "2", "--workers", "2",
+            "--min-spots-per-gene", "0", "--min-genes-per-spot", "0",
+        ]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "worker process died" in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert not report.exists()
 
 

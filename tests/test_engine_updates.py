@@ -333,6 +333,29 @@ class TestUpdatePQ:
         assert shared.a_q[0] == pytest.approx(hp.c_q)
         assert shared.b_q[0] == pytest.approx(3.0 + hp.d_q)
 
+    def test_moments_fresh_after_every_update(self):
+        # update_p/update_q refresh only the axis-k moments of the factor
+        # they change; all four arrays must equal a full refresh exactly.
+        hp = Hyperparameters.default(3, 1)
+        rng = np.random.default_rng(4)
+        states = []
+        for _ in range(3):
+            ss, shared, _, _ = single_state([1, 2, 0], hp=hp)
+            states.append(ss)
+        names = ("e_log_p", "e_log_1mp", "e_log_q", "e_log_1mq")
+        for _ in range(5):
+            shared.u_u[:] = rng.uniform(size=2)
+            for ss in states:
+                ss.u_alpha[:] = rng.uniform(size=2)
+            for k in (0, 1):
+                for update in (lambda: update_q(shared, states, k, hp),
+                               lambda: update_p(shared, k, hp)):
+                    update()
+                    fresh = shared.clone()
+                    fresh.refresh_moments()
+                    for name in names:
+                        np.testing.assert_array_equal(getattr(shared, name), getattr(fresh, name))
+
 
 class TestUpdateTheta:
     def test_no_data_collapses_to_prior(self):

@@ -1,10 +1,15 @@
 """Basis, design-matrix, and degree-selection tests."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
+from scipy.special import digamma, expit, gammaln
 
 from svjoint import splines
 from svjoint.simulate import SimConfig, generate
@@ -127,6 +132,93 @@ def _flat_sample(pattern, degree_true, seed, n_side=14, dropout=0.0):
     return ds
 
 
+def _reference_nll_grad(params, y, x, is_zero):
+    """Reference for ``splines._zinb_nll_grad``: the same objective and
+    parameter layout, with every term evaluated once per spot in the spots'
+    input order."""
+    zeta, rho = params[0], params[1]
+    coef = params[2:]
+    pi = expit(zeta)
+    phi = math.exp(rho)
+    eta = x @ coef
+    eta = np.clip(eta, -30.0, 30.0)
+    lam = np.exp(eta)
+    log_ratio = np.log(phi) - np.log(phi + lam)
+
+    nz = ~is_zero
+    y_nz = y[nz]
+    lam_nz = lam[nz]
+    ll = np.sum(
+        gammaln(y_nz + phi)
+        - gammaln(phi)
+        - gammaln(y_nz + 1.0)
+        + phi * log_ratio[nz]
+        + y_nz * (np.log(lam_nz) - np.log(phi + lam_nz))
+    ) + np.count_nonzero(nz) * math.log1p(-pi)
+
+    log_a = phi * log_ratio[is_zero]
+    a = np.exp(log_a)
+    p0 = pi + (1.0 - pi) * a
+    ll += np.sum(np.log(p0))
+
+    grad = np.zeros_like(params)
+    grad[0] = np.sum(pi * (1.0 - pi) * (1.0 - a) / p0) - np.count_nonzero(nz) * pi
+    dll_dphi_nz = np.sum(
+        digamma(y_nz + phi)
+        - digamma(phi)
+        + log_ratio[nz]
+        + 1.0
+        - (phi + y_nz) / (phi + lam_nz)
+    )
+    da_dphi = a * (log_ratio[is_zero] + 1.0 - phi / (phi + lam[is_zero]))
+    dll_dphi_z = np.sum((1.0 - pi) * da_dphi / p0)
+    grad[1] = phi * (dll_dphi_nz + dll_dphi_z)
+    dll_dlam = np.zeros_like(lam)
+    dll_dlam[nz] = y_nz / lam_nz - (phi + y_nz) / (phi + lam_nz)
+    dll_dlam[is_zero] = (1.0 - pi) * a * (-phi / (phi + lam[is_zero])) / p0
+    grad[2:] = x.T @ (dll_dlam * lam)
+    return -ll, -grad
+
+
+def _reference_mle(y, design, max_iter=200):
+    """``zinb_mle`` with the reference objective: same start, bounds and rule."""
+    y = np.asarray(y, dtype=float)
+    is_zero = y == 0
+    zero_frac = float(np.mean(is_zero))
+    start = np.zeros(2 + design.dim)
+    start[0] = math.log((zero_frac * 0.5 + 0.01) / (1.0 - zero_frac * 0.5 - 0.01))
+    start[1] = math.log(10.0)
+    start[2] = math.log(float(np.mean(y)) + 0.01)
+    bounds = [(-15.0, 15.0), (math.log(1e-3), math.log(1e5))] + [(-30.0, 30.0)] * design.dim
+    res = minimize(
+        _reference_nll_grad,
+        start,
+        args=(y, design.matrix, is_zero),
+        jac=True,
+        method="L-BFGS-B",
+        bounds=bounds,
+        options={"maxiter": max_iter},
+    )
+    if not np.isfinite(res.fun):
+        return None
+    if not res.success and np.linalg.norm(res.jac, ord=np.inf) > 1e-1 * max(1.0, abs(res.fun)):
+        return None
+    return -float(res.fun), 2 + design.dim
+
+
+def _count_vectors(rng, n):
+    """Mixed, all-zero, no-zero and heavy-tailed count vectors of length n."""
+    mixed = rng.poisson(3.0, n)
+    mixed[rng.random(n) < 0.4] = 0
+    heavy = rng.negative_binomial(0.3, 0.3 / (0.3 + 200.0), n)
+    return {
+        "mixed": mixed.astype(float),
+        "all-zero": np.zeros(n),
+        "no-zero": (rng.poisson(5.0, n) + 1).astype(float),
+        "heavy-tailed": heavy.astype(float),
+    }
+
+
 class TestSelectDegree:
     def test_singleton(self):
         ds = _flat_sample("linear", 1, seed=0)
@@ -188,8 +280,8 @@ class TestZinbMle:
         y = rng.poisson(lam)
         y[rng.random(40) < 0.3] = 0
         params = np.concatenate([[0.2, math.log(8.0)], rng.normal(0, 0.3, design.dim)])
-        is_zero = y == 0
-        nll, grad = splines._zinb_nll_grad(params, y.astype(float), design.matrix, is_zero)
+        stats = splines._zinb_stats(y.astype(float), design.matrix)
+        nll, grad = splines._zinb_nll_grad(params, *stats)
         eps = 1e-6
         for j in range(params.size):
             up = params.copy()
@@ -197,8 +289,8 @@ class TestZinbMle:
             dn = params.copy()
             dn[j] -= eps
             fd = (
-                splines._zinb_nll_grad(up, y.astype(float), design.matrix, is_zero)[0]
-                - splines._zinb_nll_grad(dn, y.astype(float), design.matrix, is_zero)[0]
+                splines._zinb_nll_grad(up, *stats)[0]
+                - splines._zinb_nll_grad(dn, *stats)[0]
             ) / (2 * eps)
             assert grad[j] == pytest.approx(fd, rel=2e-4, abs=1e-5)
 
@@ -214,3 +306,54 @@ class TestZinbMle:
         logl, k = fit
         assert k == 2 + design.dim
         assert math.isfinite(logl)
+
+    @pytest.mark.parametrize("case", ["mixed", "all-zero", "no-zero", "heavy-tailed"])
+    def test_objective_matches_reference(self, case):
+        # Sums run over distinct counts and in another order than the
+        # reference's, so agreement is to rounding: 1e-12 of the larger of
+        # 1, |value| and the largest gradient component.
+        rng = np.random.default_rng(21)
+        n = 300
+        design = make_design(rng.uniform(size=(n, 2)), rng.uniform(size=(n, 1)), degree=3)
+        for _ in range(25):
+            y = _count_vectors(rng, n)[case]
+            params = np.concatenate(
+                [
+                    [rng.uniform(-4.0, 4.0), rng.uniform(math.log(0.05), math.log(200.0))],
+                    rng.normal(0.0, 0.5, design.dim),
+                ]
+            )
+            params[2] += math.log(y.mean() + 0.5)
+            ref_nll, ref_grad = _reference_nll_grad(params, y, design.matrix, y == 0)
+            nll, grad = splines._zinb_nll_grad(params, *splines._zinb_stats(y, design.matrix))
+            tol = 1e-12 * max(1.0, abs(ref_nll), float(np.abs(ref_grad).max()))
+            assert abs(nll - ref_nll) <= tol
+            np.testing.assert_allclose(grad, ref_grad, rtol=0.0, atol=tol)
+
+    def test_fit_matches_reference_fit(self):
+        rng = np.random.default_rng(33)
+        n = 300
+        design = make_design(rng.uniform(size=(n, 2)), rng.uniform(size=(n, 1)), degree=2)
+        for case, y in _count_vectors(rng, n).items():
+            fit = zinb_mle(y, design)
+            ref = _reference_mle(y, design)
+            assert fit is not None and ref is not None, case
+            assert fit[1] == ref[1]
+            # The all-zero fit has logL near 0, hence the floor of 1.
+            assert abs(fit[0] - ref[0]) <= 1e-8 * max(1.0, abs(ref[0])), case
+
+    def test_select_degree_matches_reference(self, monkeypatch):
+        ds = _flat_sample("poly2", 3, seed=104, dropout=0.3)
+        got = select_degree(ds, {1, 2, 3, 4}, list(range(10)))
+        monkeypatch.setattr(splines, "zinb_mle", _reference_mle)
+        assert got == select_degree(ds, {1, 2, 3, 4}, list(range(10)))
+
+    def test_cli_import_leaves_optimizer_unloaded(self):
+        src = os.path.dirname(os.path.dirname(splines.__file__))
+        code = "import sys, svjoint.cli; print('scipy.optimize' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "False"
