@@ -261,7 +261,7 @@ def _load_counts_dense(path):
 def _load_counts_triplet(path, gene_ids, n_spots):
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    dims = lines[0].split()
+    dims = lines[0].split() if lines else []
     if len(dims) != 2 or not all(d.isdigit() for d in dims):
         raise DataError(f"{path}: triplet file needs a 'G N' dimension header")
     n_genes, n = int(dims[0]), int(dims[1])

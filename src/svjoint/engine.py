@@ -32,6 +32,7 @@ from .numerics import (
     mvn_exp_neg_linear,
     phi_factor,
 )
+from .splines import DesignMatrix
 
 __all__ = [
     "A_BY_DEGREE",
@@ -141,55 +142,59 @@ class Hyperparameters:
 
 @dataclass
 class SampleState:
-    """Variational factor parameters and caches for one sample.
+    """Data, variational factor parameters and caches for one sample.
 
-    Conventions: ``e_g``/``e_log_g`` are moments of q(g); ``u_r`` is
+    Conventions: ``y`` and ``design`` are the sample's counts and design,
+    read by every update; ``a_g``/``b_g`` parametrize q(g) and
+    ``e_g``/``e_log_g`` are its moments, all set by ``update_g``; ``u_r`` is
     E[r_i], exactly 0 wherever y_i > 0; ``w_exp``, ``c_mu`` and
     ``beta_sq`` cache E[exp(-C_i theta)], C mu and E[beta_k' beta_k] for
     the current (mu, Sigma) and are refreshed together by
     ``refresh_theta_cache``; ``log_y_fact`` is log(y_i!); ``phi_cache``
     carries the quadrature normalizer and moments of q(phi) at (n_pi, c1).
+
+    Updates replace the arrays they change, except the per-axis slab
+    arrays ``a_sig``, ``b_sig``, ``u_inv_a`` and ``u_alpha``, which they
+    write in place.
     """
 
     y: np.ndarray
+    design: DesignMatrix
     log_y_fact: np.ndarray
-    a_g: np.ndarray
-    b_g: np.ndarray
-    e_g: np.ndarray = field(init=False)
-    e_log_g: np.ndarray = field(init=False)
-    u_r: np.ndarray = None
-    u_phi: float = 1.0
-    n_pi: float = 0.0
-    c1: float = 0.0
-    phi_cache: PhiFactor | None = None
-    phi_quad: PhiQuadCache = field(default_factory=PhiQuadCache)
-    mu: np.ndarray = None
-    sigma: np.ndarray = None
+    u_r: np.ndarray
+    u_phi: float
+    n_pi: float
+    c1: float
+    mu: np.ndarray
+    sigma: np.ndarray
+    a_sig: np.ndarray
+    b_sig: np.ndarray
+    u_inv_a: np.ndarray
+    u_alpha: np.ndarray
+    a_g: np.ndarray = None
+    b_g: np.ndarray = None
+    e_g: np.ndarray = None
+    e_log_g: np.ndarray = None
     w_exp: np.ndarray = None
     c_mu: np.ndarray = None
     beta_sq: tuple = None
-    a_sig: np.ndarray = None
-    b_sig: np.ndarray = None
-    u_inv_a: np.ndarray = None
-    u_alpha: np.ndarray = None
-
-    def __post_init__(self):
-        self.refresh_g_moments()
+    phi_cache: PhiFactor | None = None
+    phi_quad: PhiQuadCache = field(default_factory=PhiQuadCache)
 
     def refresh_g_moments(self):
         self.e_g = self.a_g / self.b_g
         self.e_log_g = psi(self.a_g) - np.log(self.b_g)
 
-    def refresh_theta_cache(self, design):
+    def refresh_theta_cache(self):
         """Recompute every cached function of (mu, Sigma); call after changing either."""
-        w = mvn_exp_neg_linear(self.mu, self.sigma, design.matrix)
+        w = mvn_exp_neg_linear(self.mu, self.sigma, self.design.matrix)
         bad = ~np.isfinite(w)
         if bad.any():
             idx = int(np.nonzero(bad)[0][0])
             raise EngineError(f"non-finite exp(-C theta) moment at spot {idx}")
         self.w_exp = w
-        self.c_mu = design.matrix @ self.mu
-        self.beta_sq = tuple(_beta_sq_norm(self, design, k) for k in (0, 1))
+        self.c_mu = self.design.matrix @ self.mu
+        self.beta_sq = tuple(_beta_sq_norm(self, k) for k in (0, 1))
 
     def e_inv_sigma2(self, k: int) -> float:
         return float(self.a_sig[k] / self.b_sig[k])
@@ -198,29 +203,12 @@ class SampleState:
         return float(psi(self.a_sig[k]) - math.log(self.b_sig[k]))
 
     def clone(self) -> "SampleState":
-        """Value copy for iteration snapshots; data and node caches are shared."""
+        """Snapshot for a retry: a shallow copy that owns the arrays updates write in place."""
         new = SampleState.__new__(SampleState)
-        new.y = self.y
-        new.log_y_fact = self.log_y_fact
-        new.a_g = self.a_g.copy()
-        new.b_g = self.b_g.copy()
-        new.e_g = self.e_g.copy()
-        new.e_log_g = self.e_log_g.copy()
-        new.u_r = self.u_r.copy()
-        new.u_phi = self.u_phi
-        new.n_pi = self.n_pi
-        new.c1 = self.c1
-        new.phi_cache = self.phi_cache
-        new.phi_quad = self.phi_quad
-        new.mu = self.mu.copy()
-        new.sigma = self.sigma.copy()
-        new.w_exp = self.w_exp.copy()
-        new.c_mu = self.c_mu.copy()
-        new.beta_sq = self.beta_sq
-        new.a_sig = self.a_sig.copy()
-        new.b_sig = self.b_sig.copy()
-        new.u_inv_a = self.u_inv_a.copy()
-        new.u_alpha = self.u_alpha.copy()
+        new.__dict__.update(
+            vars(self), a_sig=self.a_sig.copy(), b_sig=self.b_sig.copy(),
+            u_inv_a=self.u_inv_a.copy(), u_alpha=self.u_alpha.copy(),
+        )
         return new
 
 
@@ -256,10 +244,9 @@ class SharedState:
         self.e_log_q, self.e_log_1mq = _beta_e_logs(self.a_q, self.b_q)
 
     def clone(self) -> "SharedState":
+        """Snapshot for a retry; every array here is written in place."""
         new = SharedState.__new__(SharedState)
-        for name in ("u_u", "a_p", "b_p", "a_q", "b_q",
-                     "e_log_p", "e_log_1mp", "e_log_q", "e_log_1mq"):
-            setattr(new, name, getattr(self, name).copy())
+        new.__dict__.update((name, arr.copy()) for name, arr in vars(self).items())
         return new
 
 
@@ -298,30 +285,26 @@ def init_state(ys, designs, hp: Hyperparameters):
         if np.any(y < 0) or not np.issubdtype(y.dtype, np.integer):
             raise ValueError("counts must be non-negative integers")
         y = y.astype(np.int64)
-        d = design.dim
-        mu = np.zeros(d)
+        mu = np.zeros(design.dim)
         mu[0] = math.log(float(np.mean(y)) + 0.01)
-        sigma = 0.01 * np.eye(d)
         u_r = np.where(y == 0, 0.5, 0.0)
-        u_phi = max(hp.a_phi / hp.b_phi, 1.0)
         ss = SampleState(
             y=y,
+            design=design,
             log_y_fact=gammaln(y + 1.0),
-            a_g=np.ones_like(y, dtype=float),
-            b_g=np.ones_like(y, dtype=float),
             u_r=u_r,
-            u_phi=u_phi,
+            u_phi=max(hp.a_phi / hp.b_phi, 1.0),
             n_pi=float(np.sum(1.0 - u_r)),
             c1=hp.b_phi + float(np.sum(1.0 - u_r)),
             mu=mu,
-            sigma=sigma,
+            sigma=0.01 * np.eye(design.dim),
             a_sig=np.full(2, 0.5),
             b_sig=np.full(2, 1.0),
             u_inv_a=np.array([1.0 / (1.0 + 1.0 / a**2) for a in hp.a_slab]),
             u_alpha=np.full(2, 0.5),
         )
-        ss.refresh_theta_cache(design)
-        update_g(ss, y)
+        ss.refresh_theta_cache()
+        update_g(ss)
         states.append(ss)
     shared = SharedState(
         u_u=np.full(2, 0.5),
@@ -338,10 +321,10 @@ def init_state(ys, designs, hp: Hyperparameters):
 # ---------------------------------------------------------------------------
 
 
-def m_prior_diag(ss: SampleState, design, hp: Hyperparameters):
+def m_prior_diag(ss: SampleState, hp: Hyperparameters):
     """Diagonal of the prior precision of theta under current q(sigma), q(alpha)."""
-    d = design.dim
-    diag = np.empty(d)
+    design = ss.design
+    diag = np.empty(design.dim)
     diag[0] = 1.0 / hp.sigma2_eta
     for k in (0, 1):
         prec = ss.u_alpha[k] * ss.e_inv_sigma2(k) + (1.0 - ss.u_alpha[k]) / hp.gamma1_sq
@@ -377,17 +360,17 @@ def theta_derivatives(mu, w_exp, design, u_phi, one_minus_ur, e_g, m_prior):
     return grad_mu, d_sigma
 
 
-def update_theta(ss: SampleState, design, hp: Hyperparameters, damping: float = 1.0):
+def update_theta(ss: SampleState, hp: Hyperparameters, damping: float = 1.0):
     """One fixed-point Gaussian step for the regression block.
 
     The new covariance is the inverse of P = u_phi C' diag[w] C + M_prior
     evaluated at the old moments; the mean moves damped along Sigma_new
     times the gradient.
     """
-    m_prior = m_prior_diag(ss, design, hp)
+    m_prior = m_prior_diag(ss, hp)
     one_minus_ur = 1.0 - ss.u_r
     grad_mu, d_sigma = theta_derivatives(
-        ss.mu, ss.w_exp, design, ss.u_phi, one_minus_ur, ss.e_g, m_prior
+        ss.mu, ss.w_exp, ss.design, ss.u_phi, one_minus_ur, ss.e_g, m_prior
     )
     prec = -2.0 * d_sigma
     prec = 0.5 * (prec + prec.T)
@@ -400,7 +383,7 @@ def update_theta(ss: SampleState, design, hp: Hyperparameters, damping: float = 
         chol = np.linalg.cholesky(prec)
     except np.linalg.LinAlgError:
         try:
-            chol = np.linalg.cholesky(prec + _JITTER * np.eye(design.dim))
+            chol = np.linalg.cholesky(prec + _JITTER * np.eye(ss.design.dim))
         except np.linalg.LinAlgError as exc:
             raise EngineError("theta precision not invertible after jitter") from exc
     inv_chol = np.linalg.inv(chol)
@@ -408,10 +391,10 @@ def update_theta(ss: SampleState, design, hp: Hyperparameters, damping: float = 
     sigma_new = 0.5 * (sigma_new + sigma_new.T)
     ss.mu = ss.mu + damping * (sigma_new @ grad_mu)
     ss.sigma = sigma_new
-    ss.refresh_theta_cache(design)
+    ss.refresh_theta_cache()
 
 
-def update_phi(ss: SampleState, design, hp: Hyperparameters):
+def update_phi(ss: SampleState, hp: Hyperparameters):
     """Refresh the dispersion factor's (N_pi, c1) and its mean u_phi.
 
     b_phi enters c1 once, outside the spot sum.  The mean is the ratio of
@@ -430,10 +413,10 @@ def update_phi(ss: SampleState, design, hp: Hyperparameters):
     ss.u_phi = float(np.clip(fac.e_phi, *_U_PHI_BOUNDS))
 
 
-def update_g(ss: SampleState, y):
+def update_g(ss: SampleState):
     """Conjugate Gamma update of the per-spot Poisson rates."""
     kappa = np.maximum(1.0 - ss.u_r, _KAPPA_FLOOR)
-    ss.a_g = (y + ss.u_phi - 1.0) * kappa + 1.0
+    ss.a_g = (ss.y + ss.u_phi - 1.0) * kappa + 1.0
     ss.b_g = kappa * (ss.u_phi * ss.w_exp + 1.0)
     ok = np.isfinite(ss.b_g) & (ss.b_g > 0.0)
     if not ok.all():
@@ -441,7 +424,7 @@ def update_g(ss: SampleState, y):
     ss.refresh_g_moments()
 
 
-def update_r(ss: SampleState, y, hp: Hyperparameters):
+def update_r(ss: SampleState, hp: Hyperparameters):
     """Bernoulli update of the dropout indicators; structural 0 at y > 0.
 
     The probability is capped at 1 - 1e-8: letting it reach 1 exactly makes
@@ -451,21 +434,20 @@ def update_r(ss: SampleState, y, hp: Hyperparameters):
     """
     log_num = _log_beta_c(hp.a_pi + 1.0, hp.b_pi)
     log_alt = _log_beta_c(hp.a_pi, hp.b_pi + 1.0)
-    zero = y == 0
     prob = np.minimum(expit(log_num - (log_alt - ss.e_g)), 1.0 - _KAPPA_FLOOR)
-    ss.u_r = np.where(zero, prob, 0.0)
+    ss.u_r = np.where(ss.y == 0, prob, 0.0)
 
 
-def _beta_sq_norm(ss: SampleState, design, k: int) -> float:
+def _beta_sq_norm(ss: SampleState, k: int) -> float:
     """E[beta_k' beta_k] = |mu_k|^2 + tr(Sigma_k block)."""
-    blk = design.beta_slice(k)
+    blk = ss.design.beta_slice(k)
     mu_b = ss.mu[blk]
     return float(mu_b @ mu_b + np.trace(ss.sigma[blk, blk]))
 
 
-def update_sigma(ss: SampleState, design, k: int):
+def update_sigma(ss: SampleState, k: int):
     """Gamma update of q(1/sigma_k^2); the shape uses the block length L."""
-    ss.a_sig[k] = 0.5 * (design.n_basis * ss.u_alpha[k] + 1.0)
+    ss.a_sig[k] = 0.5 * (ss.design.n_basis * ss.u_alpha[k] + 1.0)
     ss.b_sig[k] = 0.5 * ss.u_alpha[k] * ss.beta_sq[k] + ss.u_inv_a[k]
 
 
@@ -495,7 +477,7 @@ def alpha_logit(bsq, e_inv_s2, e_log_inv_s2, u_u, e_log_q, e_log_1mq, length, hp
     return lp_slab - lp_spike
 
 
-def update_alpha(ss: SampleState, shared: SharedState, design, k: int, hp: Hyperparameters):
+def update_alpha(ss: SampleState, shared: SharedState, k: int, hp: Hyperparameters):
     """Bernoulli update of the per-sample slab indicator, in log space."""
     logit = alpha_logit(
         ss.beta_sq[k],
@@ -504,7 +486,7 @@ def update_alpha(ss: SampleState, shared: SharedState, design, k: int, hp: Hyper
         float(shared.u_u[k]),
         float(shared.e_log_q[k]),
         float(shared.e_log_1mq[k]),
-        design.n_basis,
+        ss.design.n_basis,
         hp,
     )
     ss.u_alpha[k] = float(expit(logit))
@@ -565,7 +547,7 @@ def _binary_entropy(p: float) -> float:
     return -float(xlogy(p, p) + xlogy(q, q))
 
 
-def compute_elbo(states, shared, ys, designs, hp: Hyperparameters) -> float:
+def compute_elbo(states, shared, hp: Hyperparameters) -> float:
     """Evidence lower bound at the current variational state.
 
     The joint follows the factor derivations: the Poisson likelihood and
@@ -585,10 +567,10 @@ def compute_elbo(states, shared, ys, designs, hp: Hyperparameters) -> float:
     psi_const = -0.5 * (LOG_2PI + math.log(hp.sigma2_psi))
     phi_prior_const = hp.a_phi * math.log(hp.b_phi) - float(gammaln(hp.a_phi))
 
-    for ss, y, design in zip(states, ys, designs):
+    for ss in states:
         if ss.phi_cache is None:
             raise EngineError("phi factor cache missing; run update_phi first")
-        fac = ss.phi_cache
+        y, design, fac = ss.y, ss.design, ss.phi_cache
         e_phi = fac.e_phi
         kappa = 1.0 - ss.u_r
         length = design.n_basis
@@ -726,16 +708,16 @@ def compute_elbo(states, shared, ys, designs, hp: Hyperparameters) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _one_iteration(states, shared, ys, designs, hp, damping):
-    for ss, y, design in zip(states, ys, designs):
-        update_theta(ss, design, hp, damping)
-        update_phi(ss, design, hp)
-        update_g(ss, y)
-        update_r(ss, y, hp)
+def _one_iteration(states, shared, hp, damping):
+    for ss in states:
+        update_theta(ss, hp, damping)
+        update_phi(ss, hp)
+        update_g(ss)
+        update_r(ss, hp)
         for k in (0, 1):
-            update_sigma(ss, design, k)
+            update_sigma(ss, k)
             update_a(ss, k, hp)
-            update_alpha(ss, shared, design, k, hp)
+            update_alpha(ss, shared, k, hp)
     for k in (0, 1):
         update_q(shared, states, k, hp)
         update_p(shared, k, hp)
@@ -783,8 +765,8 @@ def fit_gene(ys, designs, hp: Hyperparameters, opts: FitOptions = FitOptions()):
         retried = False
         while True:
             try:
-                _one_iteration(states, shared, ys, designs, hp, damping)
-                elbo = compute_elbo(states, shared, ys, designs, hp)
+                _one_iteration(states, shared, hp, damping)
+                elbo = compute_elbo(states, shared, hp)
                 break
             except _FIT_ERRORS as exc:
                 if retried:

@@ -25,7 +25,6 @@ from scipy.special import digamma as psi
 __all__ = [
     "NumericalError",
     "PhiFactor",
-    "QuadratureSpec",
     "log_beta",
     "h_integral",
     "phi_factor",
@@ -53,26 +52,9 @@ class NumericalError(RuntimeError):
     """Raised when a quadrature or special-function evaluation cannot succeed."""
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Evaluation scheme for the H integral.
-
-    ``node_count`` Gauss-Legendre nodes are spread over a window found from
-    the integrand's peak after the log substitution.  With ``self_check``
-    set, every evaluation is repeated at twice the node count and a mismatch
-    beyond ``target_rel_tol`` raises :class:`NumericalError`.
-    """
-
-    node_count: int = 96
-    target_rel_tol: float = 1e-8
-    self_check: bool = False
-
-    def __post_init__(self):
-        if self.node_count < 16:
-            raise ValueError(f"node_count must be >= 16, got {self.node_count}")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
+def _check_node_count(node_count):
+    if node_count < 16:
+        raise ValueError(f"node_count must be >= 16, got {node_count}")
 
 
 def log_beta(a: float, b: float) -> float:
@@ -269,24 +251,19 @@ def _validate_h_args(p, q, r, s, t):
         )
 
 
-def h_integral(p, q, r, s, t, spec: QuadratureSpec = DEFAULT_QUADRATURE):
+def h_integral(p, q, r, s, t, node_count: int = 96):
     """Log of H(p, q, r, s, t); see the module docstring for the integral.
 
-    For s = 0, q = 0 the integral is a Gamma integral and is returned
-    exactly as log Gamma(p+1) - (p+1) log t.
+    ``node_count`` (at least 16) Gauss-Legendre nodes are spread over a
+    window found from the integrand's peak after the log substitution.  For
+    s = 0, q = 0 the integral is a Gamma integral and is returned exactly as
+    log Gamma(p+1) - (p+1) log t.
     """
+    _check_node_count(node_count)
     _validate_h_args(p, q, r, s, t)
     if s == 0.0 and q == 0:
         return float(gammaln(p + 1.0) - (p + 1.0) * math.log(t))
-    value = _h_quadrature(p, q, r, s, t, spec.node_count)
-    if spec.self_check:
-        check = _h_quadrature(p, q, r, s, t, 2 * spec.node_count)
-        if abs(check - value) > spec.target_rel_tol * max(1.0, abs(value)):
-            raise NumericalError(
-                f"H quadrature self-check failed: {value} vs {check} "
-                f"(p={p} q={q} r={r} s={s} t={t})"
-            )
-    return value
+    return _h_quadrature(p, q, r, s, t, node_count)
 
 
 @dataclass(frozen=True)
@@ -336,14 +313,15 @@ class PhiQuadCache:
         return abs(math.log(t / self.t)) <= 0.35 and abs(s - self.s) <= 0.1 * (self.s + 1.0)
 
 
-def phi_factor(a_phi, s, t, spec: QuadratureSpec = DEFAULT_QUADRATURE,
-               cache: PhiQuadCache | None = None):
+def phi_factor(a_phi, s, t, node_count: int = 96, cache: PhiQuadCache | None = None):
     """Evaluate the dispersion factor's normalizer and moments in one pass.
 
-    A single quadrature window (sized for the density) serves both H values
-    and all moments; the x-weighted integrand's peak shifts by at most
-    log((a_phi+s+1)/(a_phi+s)) and stays inside the peak panel.
+    A single ``node_count``-node quadrature window (sized for the density,
+    as in ``h_integral``) serves both H values and all moments; the
+    x-weighted integrand's peak shifts by at most log((a_phi+s+1)/(a_phi+s))
+    and stays inside the peak panel.
     """
+    _check_node_count(node_count)
     if t <= 0.0 or s < 0.0:
         raise ValueError("phi_factor requires t > 0 and s >= 0")
     if a_phi + s <= 0.0:
@@ -353,7 +331,7 @@ def phi_factor(a_phi, s, t, spec: QuadratureSpec = DEFAULT_QUADRATURE,
     own = cache if cache is not None else PhiQuadCache()
     fresh = not own.usable_for(s, t)
     if fresh:
-        own.refresh(a_phi, s, t, spec.node_count)
+        own.refresh(a_phi, s, t, node_count)
     while True:
         f = a_phi * own.u - t * own.x  # (p+1)*u with p = a_phi - 1
         if s != 0.0:
@@ -365,7 +343,7 @@ def phi_factor(a_phi, s, t, spec: QuadratureSpec = DEFAULT_QUADRATURE,
         edges_ok = base[0] < m - 40.0 and base[-1] < m - 40.0
         if edges_ok or fresh:
             break
-        own.refresh(a_phi, s, t, spec.node_count)
+        own.refresh(a_phi, s, t, node_count)
         fresh = True
     wts = np.exp(base - m)
     total = float(np.sum(wts))

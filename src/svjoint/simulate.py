@@ -20,7 +20,6 @@ __all__ = [
     "PATTERN_KINDS",
     "SIGNAL_TIERS",
     "SETTING_TIERS",
-    "SpatialPattern",
     "SimConfig",
     "GroundTruth",
     "spatial_effect",
@@ -93,21 +92,6 @@ def _axis_range(kind: str, axis: int):
     return PERIODIC_RANGE if _axis_form(kind, axis) == "periodic" else PATTERN_RANGE
 
 
-@dataclass(frozen=True)
-class SpatialPattern:
-    kind: str
-    beta0: float
-    nngp_params: tuple = (1.0, 1.0, 0.1)  # (sigma^2, length scale, tau^2)
-
-    def __post_init__(self):
-        if self.kind not in PATTERN_KINDS:
-            raise ValueError(f"unknown pattern kind {self.kind!r}")
-        if not math.isfinite(self.beta0):
-            raise ValueError("beta0 must be finite")
-        if self.kind == "none" and self.beta0 != 0.0:
-            raise ValueError("kind 'none' requires beta0 = 0")
-
-
 def _base_effect(kind: str, beta0: float, s):
     s = np.asarray(s, dtype=float)
     if kind == "linear":
@@ -137,15 +121,13 @@ def spatial_effect(kind: str, beta0: float, s, axis: int = 1):
     Hybrid kinds apply their first named form on axis 1 and the second on
     axis 2; plain kinds use the same form on both axes.
     """
-    if kind not in PATTERN_KINDS or kind == "nngp":
-        if kind == "nngp":
-            raise ValueError("nngp has no pointwise axis effect; see generate()")
+    if kind == "nngp":
+        raise ValueError("nngp has no pointwise axis effect; see generate()")
+    if kind not in PATTERN_KINDS:
         raise ValueError(f"unknown pattern kind {kind!r}")
     if axis not in (1, 2):
         raise ValueError(f"axis must be 1 or 2, got {axis}")
-    if kind in _HYBRID_PARTS:
-        kind = _HYBRID_PARTS[kind][axis - 1]
-    return _base_effect(kind, beta0, s)
+    return _base_effect(_axis_form(kind, axis), beta0, s)
 
 
 @dataclass(frozen=True)

@@ -44,5 +44,5 @@ def five_spot_state():
     hp = Hyperparameters.default(1, 1)
     states, shared = init_state([y], [design], hp)
     for _ in range(4):
-        _one_iteration(states, shared, [y], [design], hp, 1.0)
+        _one_iteration(states, shared, hp, 1.0)
     return states, shared, [y], [design], hp

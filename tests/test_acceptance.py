@@ -112,7 +112,7 @@ def test_criterion_1_quadrature_oracle():
 
 
 def _elbo(states, shared, ys, designs, hp):
-    return compute_elbo(states, shared, ys, designs, hp)
+    return compute_elbo(states, shared, hp)
 
 
 def _perturb_check(label, states, shared, ys, designs, hp, apply_perturbation, gains):
@@ -130,7 +130,7 @@ def test_criterion_2_local_optimality(eight_spot_fixture, five_spot_state):
     ys, designs, hp = eight_spot_fixture
     states, shared = init_state(ys, designs, hp)
     for _ in range(6):
-        _one_iteration(states, shared, ys, designs, hp, 1.0)
+        _one_iteration(states, shared, hp, 1.0)
 
     gains = []
 
@@ -153,20 +153,20 @@ def test_criterion_2_local_optimality(eight_spot_fixture, five_spot_state):
         return apply
 
     for m, (ss, y, design) in enumerate(zip(states, ys, designs)):
-        update_g(ss, y)
+        update_g(ss)
         for name in ("a_g", "b_g"):
             _perturb_check(
                 f"g.{name}[m{m}]", states, shared, ys, designs, hp,
                 scale_arrays([(ss, name)], refresh=ss.refresh_g_moments), gains,
             )
-        update_r(ss, y, hp)
+        update_r(ss, hp)
         assert np.all(ss.u_r == 0.0), "fixture must have positive counts"
         _perturb_check(
             f"r[m{m}]", states, shared, ys, designs, hp,
             scale_arrays([(ss, "u_r")]), gains,
         )
         for k in (0, 1):
-            update_sigma(ss, design, k)
+            update_sigma(ss, k)
             for name in ("a_sig", "b_sig"):
                 _perturb_check(
                     f"sigma.{name}[m{m},k{k}]", states, shared, ys, designs, hp,
@@ -177,7 +177,7 @@ def test_criterion_2_local_optimality(eight_spot_fixture, five_spot_state):
                 f"a[m{m},k{k}]", states, shared, ys, designs, hp,
                 scale_arrays([(ss, "u_inv_a")]), gains,
             )
-            update_alpha(ss, shared, design, k, hp)
+            update_alpha(ss, shared, k, hp)
             _perturb_check(
                 f"alpha[m{m},k{k}]", states, shared, ys, designs, hp,
                 scale_arrays([(ss, "u_alpha")]), gains,
@@ -205,7 +205,7 @@ def test_criterion_2_local_optimality(eight_spot_fixture, five_spot_state):
     states5, shared5, ys5, designs5, hp5 = five_spot_state
     ss = states5[0]
     design = designs5[0]
-    m_prior = m_prior_diag(ss, design, hp5)
+    m_prior = m_prior_diag(ss, hp5)
     one_minus_ur = 1.0 - ss.u_r
     args = (design, ss.u_phi, one_minus_ur, ss.e_g, m_prior)
     w_exp = mvn_exp_neg_linear(ss.mu, ss.sigma, design.matrix)
@@ -258,9 +258,9 @@ def test_criterion_3_monte_carlo_elbo():
     hp = Hyperparameters.default(1, 1)
     states, shared = init_state([y], [design], hp)
     for _ in range(6):
-        _one_iteration(states, shared, [y], [design], hp, 1.0)
+        _one_iteration(states, shared, hp, 1.0)
     ss = states[0]
-    closed_form = compute_elbo(states, shared, [y], [design], hp)
+    closed_form = compute_elbo(states, shared, hp)
 
     rng = np.random.default_rng(2024)
     n_draws = 1_000_000
@@ -534,7 +534,7 @@ def test_criterion_7_invariant_suites(tmp_path):
         ys = [s.counts[g] for s in ds.samples]
         states, shared = init_state(ys, designs, hp)
         for _ in range(20):
-            _one_iteration(states, shared, ys, designs, hp, 1.0)
+            _one_iteration(states, shared, hp, 1.0)
             check_state_invariants(states, shared, ys)
     checks.append(("state invariants each iteration", True))
 
@@ -577,7 +577,7 @@ def test_criterion_7_invariant_suites(tmp_path):
     ys3 = [s.counts[0] for s in ds.samples]
     states3, shared3 = init_state(ys3, designs, hp)
     for _ in range(10):
-        _one_iteration(states3, shared3, ys3, designs, hp, 1.0)
+        _one_iteration(states3, shared3, hp, 1.0)
     structural = all(np.all(ss.u_r[y > 0] == 0.0) for ss, y in zip(states3, ys3))
     checks.append(("structural u_r zeros", structural))
 

@@ -161,6 +161,12 @@ class TestCountParseErrors:
         with pytest.raises(DataError, match="non-negative integer"):
             load_dataset(triplet_manifest(tmp_path, "1 1 4\n2 3 0.5\n"))
 
+    def test_empty_triplet_file(self, tmp_path):
+        manifest = triplet_manifest(tmp_path, "")
+        (tmp_path / manifest.entries[0].counts).write_text("")
+        with pytest.raises(DataError, match="counts_A.tsv"):
+            load_dataset(manifest)
+
 
 class TestFilterDataset:
     def make_ds(self, counts):

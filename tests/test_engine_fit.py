@@ -1,9 +1,13 @@
 """Whole-fit behavior: convergence, determinism, invariances."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from svjoint import engine
 from svjoint.engine import (
+    EngineError,
     FitOptions,
     Hyperparameters,
     _one_iteration,
@@ -132,6 +136,93 @@ class TestFitGene:
             fit_gene(ys, designs, hp, FitOptions())
 
 
+def assert_same_values(a, b):
+    """Every field of two states is equal, array by array.
+
+    The q(phi) node cache is shared by a state and its retry snapshot and
+    only decides where the quadrature nodes sit, so it is not compared.
+    """
+    assert vars(a).keys() == vars(b).keys()
+    for name in vars(a):
+        if name == "phi_quad":
+            continue
+        got, want = getattr(a, name), getattr(b, name)
+        if name == "design":
+            got, want = got.matrix, want.matrix
+        np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+class TestRetry:
+    K = 3  # the iteration made to fail
+
+    @staticmethod
+    def inputs():
+        ds, _, designs = sim_inputs(5, m=2, grid=(8, 8))
+        return [s.counts[0] for s in ds.samples], designs, Hyperparameters.default(2, 3)
+
+    def test_second_failure_returns_last_completed_iteration(self, monkeypatch):
+        ys, designs, hp = self.inputs()
+        clean = fit_gene(ys, designs, hp, FitOptions(max_iter=self.K - 1, elbo_tol=1e-12))
+        assert clean.iterations == self.K - 1
+        real = engine._one_iteration
+        dampings = []
+
+        def failing(states, shared, hp, damping):
+            # Iteration K and its retry run every update, writing into the
+            # state, and then fail.
+            real(states, shared, hp, damping)
+            dampings.append(damping)
+            if len(dampings) in (self.K, self.K + 1):
+                raise EngineError("injected")
+
+        monkeypatch.setattr(engine, "_one_iteration", failing)
+        res = fit_gene(ys, designs, hp, FitOptions(elbo_tol=1e-12))
+        assert dampings == [1.0] * self.K + [0.5]
+        assert res.failure == f"iteration {self.K}: injected"
+        assert not res.converged
+        assert res.iterations == self.K - 1
+        assert res.elbo_trace == clean.elbo_trace
+        assert res.e_u == clean.e_u
+        np.testing.assert_array_equal(res.alpha, clean.alpha)
+
+    def test_retry_starts_from_pre_attempt_state(self, monkeypatch):
+        ys, designs, hp = self.inputs()
+        real_iteration, real_theta, real_elbo = (
+            engine._one_iteration, engine.update_theta, engine.compute_elbo)
+        entries, thetas, elbo_calls = [], [], []
+
+        def spy_iteration(states, shared, hp, damping):
+            entries.append(copy.deepcopy((states, shared)))
+            real_iteration(states, shared, hp, damping)
+
+        def spy_theta(ss, hp, damping):
+            thetas.append((damping, copy.deepcopy(ss)))
+            real_theta(ss, hp, damping)
+
+        def flaky_elbo(states, shared, hp):
+            # Fails once, after every update of iteration K has run.
+            elbo_calls.append(None)
+            if len(elbo_calls) == self.K:
+                raise EngineError("injected")
+            return real_elbo(states, shared, hp)
+
+        monkeypatch.setattr(engine, "_one_iteration", spy_iteration)
+        monkeypatch.setattr(engine, "update_theta", spy_theta)
+        monkeypatch.setattr(engine, "compute_elbo", flaky_elbo)
+        res = fit_gene(ys, designs, hp, FitOptions(max_iter=self.K + 1, elbo_tol=1e-12))
+        assert res.failure is None and res.iterations == self.K + 1
+        # Attempt K (index K - 1) failed; attempt K + 1 is its retry.
+        (before_states, before_shared), (retry_states, retry_shared) = entries[self.K - 1:self.K + 1]
+        m = len(ys)
+        failed_damping, _ = thetas[(self.K - 1) * m]
+        retry_damping, retry_first = thetas[self.K * m]
+        assert (failed_damping, retry_damping) == (1.0, 0.5)
+        assert_same_values(retry_first, before_states[0])
+        for got, want in zip(retry_states, before_states):
+            assert_same_values(got, want)
+        assert_same_values(retry_shared, before_shared)
+
+
 class TestInvariantsEveryIteration:
     def test_invariants_hold_throughout(self):
         ds, _, designs = sim_inputs(10, g=2, n_sv=1, grid=(8, 8))
@@ -140,7 +231,7 @@ class TestInvariantsEveryIteration:
             ys = [s.counts[g] for s in ds.samples]
             states, shared = init_state(ys, designs, hp)
             for _ in range(25):
-                _one_iteration(states, shared, ys, designs, hp, 1.0)
+                _one_iteration(states, shared, hp, 1.0)
                 check_state_invariants(states, shared, ys)
 
 
@@ -165,8 +256,8 @@ class TestElboAgainstIterations:
         states, shared = init_state(ys, designs, hp)
         vals = []
         for _ in range(10):
-            _one_iteration(states, shared, ys, designs, hp, 1.0)
-            vals.append(compute_elbo(states, shared, ys, designs, hp))
+            _one_iteration(states, shared, hp, 1.0)
+            vals.append(compute_elbo(states, shared, hp))
         assert np.all(np.isfinite(vals))
         # After the first few moves the objective should improve overall.
         assert vals[-1] > vals[0]

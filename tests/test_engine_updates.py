@@ -75,8 +75,8 @@ class TestUpdateG:
         ss.u_r = np.array([0.0])
         ss.mu = np.zeros(design.dim)
         ss.sigma = np.zeros((design.dim, design.dim))
-        ss.refresh_theta_cache(design)
-        update_g(ss, ss.y)
+        ss.refresh_theta_cache()
+        update_g(ss)
         assert ss.a_g[0] == pytest.approx(5.0)
         assert ss.b_g[0] == pytest.approx(3.0)
         assert ss.e_g[0] == pytest.approx(5.0 / 3.0)
@@ -87,8 +87,8 @@ class TestUpdateG:
         ss.u_r = np.array([1.0])
         ss.mu = np.zeros(design.dim)
         ss.sigma = np.zeros((design.dim, design.dim))
-        ss.refresh_theta_cache(design)
-        update_g(ss, ss.y)
+        ss.refresh_theta_cache()
+        update_g(ss)
         assert abs(ss.a_g[0] - 1.0) < 1e-7
         assert ss.b_g[0] > 0.0
 
@@ -98,8 +98,8 @@ class TestUpdateG:
         ss.u_r = np.array([0.0])
         ss.mu = np.zeros(design.dim)
         ss.sigma = np.zeros((design.dim, design.dim))
-        ss.refresh_theta_cache(design)
-        update_g(ss, ss.y)
+        ss.refresh_theta_cache()
+        update_g(ss)
         assert ss.a_g[0] == pytest.approx(1.0)
         assert ss.b_g[0] == pytest.approx(2.0)
 
@@ -108,18 +108,18 @@ class TestUpdateR:
     def test_symmetric_at_zero_rate(self):
         ss, _, design, hp = single_state([0])
         ss.e_g = np.array([0.0])
-        update_r(ss, ss.y, hp)
+        update_r(ss, hp)
         assert ss.u_r[0] == pytest.approx(0.5)
 
     def test_positive_count_structural(self):
         ss, _, design, hp = single_state([4])
-        update_r(ss, ss.y, hp)
+        update_r(ss, hp)
         assert ss.u_r[0] == 0.0
 
     def test_log_two_rate(self):
         ss, _, design, hp = single_state([0])
         ss.e_g = np.array([math.log(2.0)])
-        update_r(ss, ss.y, hp)
+        update_r(ss, hp)
         assert ss.u_r[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
@@ -127,7 +127,7 @@ class TestUpdatePhi:
     def test_all_dropout_reduces_to_prior_mean(self):
         ss, _, design, hp = single_state([0, 0])
         ss.u_r = np.array([1.0, 1.0])
-        update_phi(ss, design, hp)
+        update_phi(ss, hp)
         assert ss.n_pi == 0.0
         assert ss.c1 == pytest.approx(hp.b_phi)
         assert ss.u_phi == pytest.approx(hp.a_phi / hp.b_phi, rel=1e-8)
@@ -141,8 +141,8 @@ class TestUpdatePhi:
         ss.e_g = np.ones(2)
         ss.mu = np.zeros(design.dim)
         ss.sigma = np.zeros((design.dim, design.dim))
-        ss.refresh_theta_cache(design)
-        update_phi(ss, design, hp)
+        ss.refresh_theta_cache()
+        update_phi(ss, hp)
         assert ss.c1 == pytest.approx(0.001 + 2.0, rel=1e-12)
 
     def test_negative_c1_rejected(self):
@@ -153,9 +153,9 @@ class TestUpdatePhi:
         ss.e_g = np.full(2, 1e-8)
         ss.mu = np.zeros(design.dim)
         ss.sigma = np.zeros((design.dim, design.dim))
-        ss.refresh_theta_cache(design)
+        ss.refresh_theta_cache()
         with pytest.raises(EngineError, match="c1"):
-            update_phi(ss, design, hp)
+            update_phi(ss, hp)
 
 
 class TestUpdateSigma:
@@ -163,7 +163,7 @@ class TestUpdateSigma:
         ss, _, design, hp = single_state([1, 2, 3])
         ss.u_alpha[0] = 0.0
         ss.u_inv_a[0] = 0.7
-        update_sigma(ss, design, 0)
+        update_sigma(ss, 0)
         assert ss.a_sig[0] == pytest.approx(0.5)
         assert ss.b_sig[0] == pytest.approx(0.7)
 
@@ -173,10 +173,10 @@ class TestUpdateSigma:
         ss.mu = np.zeros(design.dim)
         ss.mu[blk] = [2.0, 0.0]  # |mu|^2 = 4
         ss.sigma = np.zeros((design.dim, design.dim))
-        ss.refresh_theta_cache(design)
+        ss.refresh_theta_cache()
         ss.u_alpha[0] = 1.0
         ss.u_inv_a[0] = 1.0
-        update_sigma(ss, design, 0)
+        update_sigma(ss, 0)
         assert ss.a_sig[0] == pytest.approx(1.5)
         assert ss.b_sig[0] == pytest.approx(3.0)
         assert ss.e_inv_sigma2(0) == pytest.approx(0.5)
@@ -185,10 +185,10 @@ class TestUpdateSigma:
         ss, _, design, hp = single_state([1, 2, 3], degree=2)
         ss.mu = np.zeros(design.dim)
         ss.sigma = np.zeros((design.dim, design.dim))
-        ss.refresh_theta_cache(design)
+        ss.refresh_theta_cache()
         ss.u_alpha[0] = 1.0
         ss.u_inv_a[0] = 2.0
-        update_sigma(ss, design, 0)
+        update_sigma(ss, 0)
         assert ss.a_sig[0] == pytest.approx(1.5)
         assert ss.b_sig[0] == pytest.approx(2.0)
 
@@ -362,19 +362,19 @@ class TestUpdateTheta:
         ss, shared, design, hp = single_state([0, 0, 0, 0])
         ss.u_r = np.ones(4)
         ss.mu = np.array([0.5, -0.3, 0.2, 0.1])
-        update_theta(ss, design, hp, damping=1.0)
-        m_prior = m_prior_diag(ss, design, hp)
+        update_theta(ss, hp, damping=1.0)
+        m_prior = m_prior_diag(ss, hp)
         np.testing.assert_allclose(ss.mu, 0.0, atol=1e-12)
         np.testing.assert_allclose(ss.sigma, np.diag(1.0 / m_prior), atol=1e-12)
 
     def test_dimensions(self):
         ss, _, design, hp = single_state([1] * 10, degree=3, j_cov=2, n=10)
-        update_theta(ss, design, hp)
+        update_theta(ss, hp)
         assert ss.sigma.shape == (9, 9)
 
     def test_covariance_positive_definite(self, five_spot_state):
         states, shared, ys, designs, hp = five_spot_state
-        update_theta(states[0], designs[0], hp)
+        update_theta(states[0], hp)
         assert np.linalg.eigvalsh(states[0].sigma).min() > 0.0
 
     @staticmethod
@@ -382,13 +382,13 @@ class TestUpdateTheta:
         # P = u_phi C' diag[(1 - u_r) E[g] E[exp(-C theta)]] C + M_prior.
         c = design.matrix
         w = (1.0 - ss.u_r) * ss.e_g * ss.w_exp
-        return ss.u_phi * (c.T @ np.diag(w) @ c) + np.diag(m_prior_diag(ss, design, hp))
+        return ss.u_phi * (c.T @ np.diag(w) @ c) + np.diag(m_prior_diag(ss, hp))
 
     def test_sigma_is_inverse_precision(self, five_spot_state):
         states, shared, ys, designs, hp = five_spot_state
         ss, design = states[0], designs[0]
         want = np.linalg.inv(self.expected_precision(ss, design, hp))
-        update_theta(ss, design, hp)
+        update_theta(ss, hp)
         np.testing.assert_allclose(ss.sigma, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_rejected_factorization_retried_once_with_jitter(self, five_spot_state,
@@ -406,7 +406,7 @@ class TestUpdateTheta:
             return real(a)
 
         monkeypatch.setattr(np.linalg, "cholesky", reject_first)
-        update_theta(ss, design, hp)
+        update_theta(ss, hp)
         assert len(calls) == 2
         np.testing.assert_array_equal(calls[1], calls[0] + engine._JITTER * np.eye(design.dim))
         want = np.linalg.inv(prec + engine._JITTER * np.eye(design.dim))
@@ -426,14 +426,14 @@ class TestUpdateTheta:
 
         monkeypatch.setattr(np.linalg, "cholesky", counting)
         with pytest.raises(EngineError, match="not invertible after jitter"):
-            update_theta(ss, design, hp)
+            update_theta(ss, hp)
         assert len(calls) == 2
 
     def test_non_finite_precision_raises(self, five_spot_state):
         states, shared, ys, designs, hp = five_spot_state
         states[0].w_exp = np.full_like(states[0].w_exp, np.inf)
         with np.errstate(invalid="ignore"), pytest.raises(EngineError, match="non-finite precision"):
-            update_theta(states[0], designs[0], hp)
+            update_theta(states[0], hp)
 
     def test_one_moment_evaluation_per_sample(self, five_spot_state, monkeypatch):
         # The step reads the cached E[exp(-C theta)]; only the refresh at the
@@ -447,21 +447,21 @@ class TestUpdateTheta:
             return real(*args)
 
         monkeypatch.setattr(engine, "mvn_exp_neg_linear", counting)
-        _one_iteration(states, shared, ys, designs, hp, 1.0)
+        _one_iteration(states, shared, hp, 1.0)
         assert len(calls) == len(states)
 
 
 class TestElbo:
     def test_finite_on_fixture(self, five_spot_state):
         states, shared, ys, designs, hp = five_spot_state
-        val = compute_elbo(states, shared, ys, designs, hp)
+        val = compute_elbo(states, shared, hp)
         assert math.isfinite(val)
 
     def test_requires_phi_cache(self):
         ss, shared, design, hp = single_state([1, 2])
         ss.phi_cache = None
         with pytest.raises(EngineError, match="phi factor cache"):
-            compute_elbo([ss], shared, [ss.y], [design], hp)
+            compute_elbo([ss], shared, hp)
 
 
 class TestThetaCaches:
@@ -480,24 +480,24 @@ class TestThetaCaches:
     def test_fresh_after_every_update(self, five_spot_state):
         states, shared, ys, designs, hp = five_spot_state
         for _ in range(3):
-            _one_iteration(states, shared, ys, designs, hp, 1.0)
+            _one_iteration(states, shared, hp, 1.0)
             self.assert_caches_match(states[0], designs[0])
 
     def test_elbo_after_perturbation_matches_from_scratch(self, five_spot_state):
         states, shared, ys, designs, hp = five_spot_state
         ss, design = states[0], designs[0]
-        before = compute_elbo(states, shared, ys, designs, hp)
+        before = compute_elbo(states, shared, hp)
         ss.mu = ss.mu + 0.05 * np.arange(1, design.dim + 1)
         ss.sigma = 1.3 * ss.sigma
-        ss.refresh_theta_cache(design)
+        ss.refresh_theta_cache()
         self.assert_caches_match(ss, design)
-        got = compute_elbo(states, shared, ys, designs, hp)
+        got = compute_elbo(states, shared, hp)
         # From scratch: a state built only from the perturbed (mu, Sigma),
         # whose caches are filled without reading the old ones.
         fresh = ss.clone()
         fresh.w_exp = fresh.c_mu = fresh.beta_sq = None
-        fresh.refresh_theta_cache(design)
-        want = compute_elbo([fresh], shared, ys, designs, hp)
+        fresh.refresh_theta_cache()
+        want = compute_elbo([fresh], shared, hp)
         assert got == want
         assert got != before
 

@@ -10,7 +10,6 @@ from scipy.integrate import quad
 from svjoint.numerics import (
     NumericalError,
     PhiQuadCache,
-    QuadratureSpec,
     h_integral,
     log_beta,
     mvn_exp_neg_linear,
@@ -120,12 +119,7 @@ class TestHIntegral:
         with pytest.raises(ValueError):
             h_integral(0.0, 0, -1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
-            QuadratureSpec(node_count=8)
-
-    def test_self_check_flag(self):
-        spec = QuadratureSpec(self_check=True)
-        val = h_integral(0.5, 0, 1.0, 3.0, 7.0, spec)
-        assert math.isfinite(val)
+            h_integral(0.5, 0, 1.0, 3.0, 7.0, node_count=8)
 
 
 class TestPhiFactor:
@@ -170,11 +164,10 @@ class TestPhiFactor:
         # (N_pi, c1) around what the benchmark fits reach (N_pi 136-227,
         # c1 / N_pi 1.04-2.37) and the all-dropout N_pi = 0, fresh and
         # through a cache that walks the grid.
-        ref = QuadratureSpec(node_count=384)
         cache = PhiQuadCache()
         for ratio in (1.02, 1.04, 1.2, 1.6, 2.37, 3.0):
             t = s * ratio + 0.01
-            want = phi_factor(0.001, s, t, ref)
+            want = phi_factor(0.001, s, t, node_count=384)
             for got in (phi_factor(0.001, s, t), phi_factor(0.001, s, t, cache=cache)):
                 for name in ("log_h0", "log_h1", "e_phi", "e_log_phi", "e_self"):
                     w = getattr(want, name)

@@ -7,7 +7,6 @@ from svjoint.simulate import (
     SETTING_TIERS,
     SIGNAL_TIERS,
     SimConfig,
-    SpatialPattern,
     generate,
     spatial_effect,
 )
@@ -45,10 +44,6 @@ class TestSpatialEffect:
     def test_nngp_has_no_pointwise_form(self):
         with pytest.raises(ValueError):
             spatial_effect("nngp", 1.0, 0.0)
-
-    def test_pattern_validation(self):
-        with pytest.raises(ValueError):
-            SpatialPattern(kind="none", beta0=0.3)
 
 
 class TestGenerate:
