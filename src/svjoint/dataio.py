@@ -155,8 +155,12 @@ class Manifest:
 
     @classmethod
     def read(cls, path) -> "Manifest":
-        parser = configparser.ConfigParser()
-        read_ok = parser.read(path)
+        # No interpolation: '%' is a legal filename character.
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            read_ok = parser.read(path)
+        except configparser.Error as exc:
+            raise DataError(f"manifest {path}: {exc}") from exc
         if not read_ok:
             raise DataError(f"manifest not found or unreadable: {path}")
         entries = []
@@ -178,7 +182,7 @@ class Manifest:
         return cls(entries=tuple(entries), base_dir=os.path.dirname(os.path.abspath(path)))
 
     def write(self, path):
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         for e in self.entries:
             parser[e.sample_id] = {
                 "counts": e.counts,

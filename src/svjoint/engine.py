@@ -4,9 +4,16 @@ One gene is fit at a time against M samples.  The model is a zero-inflated
 negative binomial regression with the NB written as a Poisson-Gamma
 mixture; the variational family factorizes over per-spot Poisson rates g_i
 and dropout indicators r_i, the regression block theta = (eta, beta_1,
-beta_2, psi), the dispersion phi, the slab variances and their Half-Cauchy
-auxiliaries, per-sample spike-and-slab indicators alpha_k, and the shared
-cross-sample gate (u_k, p_k, q_k).
+beta_2, psi), the dispersion phi, the spike-and-slab block (slab variances
+sigma^2_mk, their Half-Cauchy auxiliaries a_mk and the slab indicators
+alpha_mk for every sample m and spatial axis k), and the cross-sample gate
+(u_k, p_k, q_k) that ties the indicators together.
+
+A ``SampleState`` owns one sample's data, q(g), q(r), q(theta), q(phi) and
+caches; the ``SharedState`` owns the (M, 2) spike-and-slab block and the
+per-axis gate.  Updates assign new arrays and never write into existing
+ones, so a snapshot is a shallow copy of each state plus a copy of each
+q(phi) node cache, the only object mutated in place.
 
 All factor updates are conjugate closed forms except theta, which takes a
 fixed-point Gaussian step (non-conjugate variational message passing), and
@@ -16,6 +23,7 @@ the absolute ELBO change.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -44,7 +52,10 @@ __all__ = [
     "GeneFitResult",
     "gamma2_for_samples",
     "init_state",
+    "gamma_moments",
+    "beta_prior_precision",
     "m_prior_diag",
+    "slab_statistics",
     "alpha_logit",
     "u_logit",
     "theta_expected_logp",
@@ -85,7 +96,7 @@ _FIT_ERRORS = (EngineError, NumericalError, np.linalg.LinAlgError)
 
 @lru_cache(maxsize=256)
 def _log_beta_c(a: float, b: float) -> float:
-    return log_beta(a, b)
+    return float(log_beta(a, b))
 
 
 def gamma2_for_samples(m: int) -> float:
@@ -142,20 +153,20 @@ class Hyperparameters:
 
 @dataclass
 class SampleState:
-    """Data, variational factor parameters and caches for one sample.
+    """Data, q(g), q(r), q(theta), q(phi) and their caches for one sample.
 
+    The sample's slab factors are its row of ``SharedState``'s (M, 2) block.
     Conventions: ``y`` and ``design`` are the sample's counts and design,
     read by every update; ``a_g``/``b_g`` parametrize q(g) and
     ``e_g``/``e_log_g`` are its moments, all set by ``update_g``; ``u_r`` is
-    E[r_i], exactly 0 wherever y_i > 0; ``w_exp``, ``c_mu`` and
+    E[r_i], exactly 0 wherever y_i > 0; ``w_exp``, ``c_mu`` and the (2,)
     ``beta_sq`` cache E[exp(-C_i theta)], C mu and E[beta_k' beta_k] for
     the current (mu, Sigma) and are refreshed together by
     ``refresh_theta_cache``; ``log_y_fact`` is log(y_i!); ``phi_cache``
     carries the quadrature normalizer and moments of q(phi) at (n_pi, c1).
 
-    Updates replace the arrays they change, except the per-axis slab
-    arrays ``a_sig``, ``b_sig``, ``u_inv_a`` and ``u_alpha``, which they
-    write in place.
+    Updates assign new arrays and never write into existing ones; the q(phi)
+    node cache ``phi_quad`` is the only object refreshed in place.
     """
 
     y: np.ndarray
@@ -167,23 +178,18 @@ class SampleState:
     c1: float
     mu: np.ndarray
     sigma: np.ndarray
-    a_sig: np.ndarray
-    b_sig: np.ndarray
-    u_inv_a: np.ndarray
-    u_alpha: np.ndarray
     a_g: np.ndarray = None
     b_g: np.ndarray = None
     e_g: np.ndarray = None
     e_log_g: np.ndarray = None
     w_exp: np.ndarray = None
     c_mu: np.ndarray = None
-    beta_sq: tuple = None
+    beta_sq: np.ndarray = None
     phi_cache: PhiFactor | None = None
     phi_quad: PhiQuadCache = field(default_factory=PhiQuadCache)
 
     def refresh_g_moments(self):
-        self.e_g = self.a_g / self.b_g
-        self.e_log_g = psi(self.a_g) - np.log(self.b_g)
+        self.e_g, self.e_log_g = gamma_moments(self.a_g, self.b_g)
 
     def refresh_theta_cache(self):
         """Recompute every cached function of (mu, Sigma); call after changing either."""
@@ -194,22 +200,16 @@ class SampleState:
             raise EngineError(f"non-finite exp(-C theta) moment at spot {idx}")
         self.w_exp = w
         self.c_mu = self.design.matrix @ self.mu
-        self.beta_sq = tuple(_beta_sq_norm(self, k) for k in (0, 1))
-
-    def e_inv_sigma2(self, k: int) -> float:
-        return float(self.a_sig[k] / self.b_sig[k])
-
-    def e_log_inv_sigma2(self, k: int) -> float:
-        return float(psi(self.a_sig[k]) - math.log(self.b_sig[k]))
-
-    def clone(self) -> "SampleState":
-        """Snapshot for a retry: a shallow copy that owns the arrays updates write in place."""
-        new = SampleState.__new__(SampleState)
-        new.__dict__.update(
-            vars(self), a_sig=self.a_sig.copy(), b_sig=self.b_sig.copy(),
-            u_inv_a=self.u_inv_a.copy(), u_alpha=self.u_alpha.copy(),
+        # E[beta_k' beta_k] = |mu_k|^2 + tr(Sigma_k block) for k = 0, 1.
+        blocks = (self.design.beta_slice(0), self.design.beta_slice(1))
+        self.beta_sq = np.array(
+            [float(self.mu[b] @ self.mu[b] + np.trace(self.sigma[b, b])) for b in blocks]
         )
-        return new
+
+
+def gamma_moments(a, b):
+    """(E[x], E[log x]) under Gamma(a, b) with rate b, elementwise."""
+    return a / b, psi(a) - np.log(b)
 
 
 def _beta_e_logs(a, b):
@@ -220,12 +220,20 @@ def _beta_e_logs(a, b):
 
 @dataclass
 class SharedState:
-    """Cross-sample gate factors, indexed by spatial axis k in {0, 1}.
+    """The (M, 2) spike-and-slab block and the per-axis cross-sample gate.
 
-    The digamma moments of the Beta factors are cached; call
-    ``refresh_moments`` after changing any Beta parameter by hand.
+    Row m, column k of ``a_sig``/``b_sig`` (q(1/sigma^2_mk)), ``u_inv_a``
+    (E[1/a_mk]) and ``u_alpha`` (E[alpha_mk]) belong to sample m and axis k;
+    the gate factors ``u_u``, ``a_p``/``b_p`` and ``a_q``/``b_q`` are indexed
+    by k.  Updates assign new arrays.  The digamma moments of the Beta
+    factors are cached; call ``refresh_moments`` after changing any Beta
+    parameter by hand.
     """
 
+    a_sig: np.ndarray
+    b_sig: np.ndarray
+    u_inv_a: np.ndarray
+    u_alpha: np.ndarray
     u_u: np.ndarray
     a_p: np.ndarray
     b_p: np.ndarray
@@ -242,12 +250,6 @@ class SharedState:
     def refresh_moments(self):
         self.e_log_p, self.e_log_1mp = _beta_e_logs(self.a_p, self.b_p)
         self.e_log_q, self.e_log_1mq = _beta_e_logs(self.a_q, self.b_q)
-
-    def clone(self) -> "SharedState":
-        """Snapshot for a retry; every array here is written in place."""
-        new = SharedState.__new__(SharedState)
-        new.__dict__.update((name, arr.copy()) for name, arr in vars(self).items())
-        return new
 
 
 @dataclass(frozen=True)
@@ -285,8 +287,7 @@ def init_state(ys, designs, hp: Hyperparameters):
         if np.any(y < 0) or not np.issubdtype(y.dtype, np.integer):
             raise ValueError("counts must be non-negative integers")
         y = y.astype(np.int64)
-        mu = np.zeros(design.dim)
-        mu[0] = math.log(float(np.mean(y)) + 0.01)
+        mu = np.concatenate(([math.log(float(np.mean(y)) + 0.01)], np.zeros(design.dim - 1)))
         u_r = np.where(y == 0, 0.5, 0.0)
         ss = SampleState(
             y=y,
@@ -298,15 +299,16 @@ def init_state(ys, designs, hp: Hyperparameters):
             c1=hp.b_phi + float(np.sum(1.0 - u_r)),
             mu=mu,
             sigma=0.01 * np.eye(design.dim),
-            a_sig=np.full(2, 0.5),
-            b_sig=np.full(2, 1.0),
-            u_inv_a=np.array([1.0 / (1.0 + 1.0 / a**2) for a in hp.a_slab]),
-            u_alpha=np.full(2, 0.5),
         )
         ss.refresh_theta_cache()
         update_g(ss)
         states.append(ss)
+    block = (len(states), 2)
     shared = SharedState(
+        a_sig=np.full(block, 0.5),
+        b_sig=np.full(block, 1.0),
+        u_inv_a=np.tile(1.0 / (1.0 + 1.0 / np.square(hp.a_slab)), (len(states), 1)),
+        u_alpha=np.full(block, 0.5),
         u_u=np.full(2, 0.5),
         a_p=np.full(2, hp.c_p),
         b_p=np.full(2, hp.d_p),
@@ -321,16 +323,26 @@ def init_state(ys, designs, hp: Hyperparameters):
 # ---------------------------------------------------------------------------
 
 
-def m_prior_diag(ss: SampleState, hp: Hyperparameters):
-    """Diagonal of the prior precision of theta under current q(sigma), q(alpha)."""
-    design = ss.design
-    diag = np.empty(design.dim)
-    diag[0] = 1.0 / hp.sigma2_eta
-    for k in (0, 1):
-        prec = ss.u_alpha[k] * ss.e_inv_sigma2(k) + (1.0 - ss.u_alpha[k]) / hp.gamma1_sq
-        diag[design.beta_slice(k)] = prec
-    diag[design.psi_slice] = 1.0 / hp.sigma2_psi
-    return diag
+def beta_prior_precision(shared: SharedState, hp: Hyperparameters):
+    """(M, 2) prior precision of each beta_mk under current q(sigma), q(alpha)."""
+    e_inv_s2 = shared.a_sig / shared.b_sig
+    return shared.u_alpha * e_inv_s2 + (1.0 - shared.u_alpha) / hp.gamma1_sq
+
+
+def m_prior_diag(design: DesignMatrix, beta_prec, hp: Hyperparameters):
+    """Diagonal of theta's prior precision, given one sample's (2,) beta precisions."""
+    return np.concatenate((
+        [1.0 / hp.sigma2_eta],
+        np.repeat(beta_prec, design.n_basis),
+        np.full(design.n_covariates, 1.0 / hp.sigma2_psi),
+    ))
+
+
+def slab_statistics(states):
+    """(M, 2) E[beta_mk' beta_mk] and (M, 1) block lengths L_m: the data the slab block reads."""
+    beta_sq = np.array([ss.beta_sq for ss in states])
+    length = np.array([[ss.design.n_basis] for ss in states], dtype=float)
+    return beta_sq, length
 
 
 def theta_expected_logp(mu, sigma, design, u_phi, one_minus_ur, e_g, m_prior):
@@ -360,14 +372,15 @@ def theta_derivatives(mu, w_exp, design, u_phi, one_minus_ur, e_g, m_prior):
     return grad_mu, d_sigma
 
 
-def update_theta(ss: SampleState, hp: Hyperparameters, damping: float = 1.0):
+def update_theta(ss: SampleState, beta_prec, hp: Hyperparameters, damping: float = 1.0):
     """One fixed-point Gaussian step for the regression block.
 
-    The new covariance is the inverse of P = u_phi C' diag[w] C + M_prior
-    evaluated at the old moments; the mean moves damped along Sigma_new
-    times the gradient.
+    ``beta_prec`` is the sample's row of ``beta_prior_precision``.  The new
+    covariance is the inverse of P = u_phi C' diag[w] C + M_prior evaluated
+    at the old moments; the mean moves damped along Sigma_new times the
+    gradient.
     """
-    m_prior = m_prior_diag(ss, hp)
+    m_prior = m_prior_diag(ss.design, beta_prec, hp)
     one_minus_ur = 1.0 - ss.u_r
     grad_mu, d_sigma = theta_derivatives(
         ss.mu, ss.w_exp, ss.design, ss.u_phi, one_minus_ur, ss.e_g, m_prior
@@ -438,22 +451,16 @@ def update_r(ss: SampleState, hp: Hyperparameters):
     ss.u_r = np.where(ss.y == 0, prob, 0.0)
 
 
-def _beta_sq_norm(ss: SampleState, k: int) -> float:
-    """E[beta_k' beta_k] = |mu_k|^2 + tr(Sigma_k block)."""
-    blk = ss.design.beta_slice(k)
-    mu_b = ss.mu[blk]
-    return float(mu_b @ mu_b + np.trace(ss.sigma[blk, blk]))
+def update_sigma(shared: SharedState, beta_sq, length):
+    """Gamma update of every q(1/sigma_mk^2); the shape uses the block length L_m."""
+    shared.a_sig = 0.5 * (length * shared.u_alpha + 1.0)
+    shared.b_sig = 0.5 * shared.u_alpha * beta_sq + shared.u_inv_a
 
 
-def update_sigma(ss: SampleState, k: int):
-    """Gamma update of q(1/sigma_k^2); the shape uses the block length L."""
-    ss.a_sig[k] = 0.5 * (ss.design.n_basis * ss.u_alpha[k] + 1.0)
-    ss.b_sig[k] = 0.5 * ss.u_alpha[k] * ss.beta_sq[k] + ss.u_inv_a[k]
-
-
-def update_a(ss: SampleState, k: int, hp: Hyperparameters):
-    """Half-Cauchy auxiliary: E[1/a_k] = 1 / (E[1/sigma_k^2] + 1/A_k^2)."""
-    ss.u_inv_a[k] = 1.0 / (ss.e_inv_sigma2(k) + 1.0 / hp.a_slab[k] ** 2)
+def update_a(shared: SharedState, hp: Hyperparameters):
+    """Half-Cauchy auxiliaries: E[1/a_mk] = 1 / (E[1/sigma_mk^2] + 1/A_k^2)."""
+    e_inv_s2 = shared.a_sig / shared.b_sig
+    shared.u_inv_a = 1.0 / (e_inv_s2 + 1.0 / np.square(hp.a_slab))
 
 
 def alpha_logit(bsq, e_inv_s2, e_log_inv_s2, u_u, e_log_q, e_log_1mq, length, hp):
@@ -461,6 +468,7 @@ def alpha_logit(bsq, e_inv_s2, e_log_inv_s2, u_u, e_log_q, e_log_1mq, length, hp
 
     The slab side pays the adaptive-variance quadratic penalty plus the
     gate-weighted mixture terms; the spike side the fixed Gamma1^2 penalty.
+    Arguments broadcast elementwise.
     """
     lp_slab = (
         -0.5 * bsq * e_inv_s2
@@ -477,58 +485,51 @@ def alpha_logit(bsq, e_inv_s2, e_log_inv_s2, u_u, e_log_q, e_log_1mq, length, hp
     return lp_slab - lp_spike
 
 
-def update_alpha(ss: SampleState, shared: SharedState, k: int, hp: Hyperparameters):
-    """Bernoulli update of the per-sample slab indicator, in log space."""
+def update_alpha(shared: SharedState, beta_sq, length, hp: Hyperparameters):
+    """Bernoulli update of every slab indicator alpha_mk, in log space."""
+    e_inv_s2, e_log_inv_s2 = gamma_moments(shared.a_sig, shared.b_sig)
     logit = alpha_logit(
-        ss.beta_sq[k],
-        ss.e_inv_sigma2(k),
-        ss.e_log_inv_sigma2(k),
-        float(shared.u_u[k]),
-        float(shared.e_log_q[k]),
-        float(shared.e_log_1mq[k]),
-        ss.design.n_basis,
-        hp,
+        beta_sq, e_inv_s2, e_log_inv_s2, shared.u_u, shared.e_log_q, shared.e_log_1mq,
+        length, hp,
     )
-    ss.u_alpha[k] = float(expit(logit))
+    shared.u_alpha = expit(logit)
 
 
 def u_logit(u_alphas, e_log_q, e_log_1mq, e_log_p, e_log_1mp, hp):
-    """Log-odds of the shared gate from the per-sample indicator expectations."""
-    log_g2 = math.log(hp.gamma2)
-    log_1mg2 = math.log1p(-hp.gamma2)
+    """Log-odds of the shared gate from the per-sample indicator expectations, in sample order."""
+    u_alphas = np.asarray(u_alphas)
     lp_on = e_log_p
     lp_off = e_log_1mp
-    for ua in u_alphas:
-        lp_on += ua * e_log_q + (1.0 - ua) * e_log_1mq
-        lp_off += ua * log_g2 + (1.0 - ua) * log_1mg2
+    for on, off in zip(
+        u_alphas * e_log_q + (1.0 - u_alphas) * e_log_1mq,
+        u_alphas * math.log(hp.gamma2) + (1.0 - u_alphas) * math.log1p(-hp.gamma2),
+    ):
+        lp_on = lp_on + on
+        lp_off = lp_off + off
     return lp_on - lp_off
 
 
-def update_u(shared: SharedState, states, k: int, hp: Hyperparameters):
+def update_u(shared: SharedState, hp: Hyperparameters):
     """Bernoulli update of the shared gate from all samples' indicators."""
     logit = u_logit(
-        [float(ss.u_alpha[k]) for ss in states],
-        float(shared.e_log_q[k]),
-        float(shared.e_log_1mq[k]),
-        float(shared.e_log_p[k]),
-        float(shared.e_log_1mp[k]),
-        hp,
+        shared.u_alpha, shared.e_log_q, shared.e_log_1mq, shared.e_log_p, shared.e_log_1mp, hp
     )
-    shared.u_u[k] = float(expit(logit))
+    shared.u_u = expit(logit)
 
 
-def update_p(shared: SharedState, k: int, hp: Hyperparameters):
-    shared.a_p[k] = shared.u_u[k] + hp.c_p
-    shared.b_p[k] = hp.d_p - shared.u_u[k] + 1.0
-    shared.e_log_p[k], shared.e_log_1mp[k] = _beta_e_logs(shared.a_p[k], shared.b_p[k])
+def update_p(shared: SharedState, hp: Hyperparameters):
+    shared.a_p = shared.u_u + hp.c_p
+    shared.b_p = hp.d_p - shared.u_u + 1.0
+    shared.e_log_p, shared.e_log_1mp = _beta_e_logs(shared.a_p, shared.b_p)
 
 
-def update_q(shared: SharedState, states, k: int, hp: Hyperparameters):
-    sum_alpha = float(sum(ss.u_alpha[k] for ss in states))
-    u_u = shared.u_u[k]
-    shared.a_q[k] = u_u * sum_alpha + hp.c_q
-    shared.b_q[k] = len(states) * u_u + hp.d_q - u_u * sum_alpha
-    shared.e_log_q[k], shared.e_log_1mq[k] = _beta_e_logs(shared.a_q[k], shared.b_q[k])
+def update_q(shared: SharedState, hp: Hyperparameters):
+    # Rows are added in sample order.
+    sum_alpha = shared.u_alpha.sum(axis=0)
+    u_u = shared.u_u
+    shared.a_q = u_u * sum_alpha + hp.c_q
+    shared.b_q = shared.u_alpha.shape[0] * u_u + hp.d_q - u_u * sum_alpha
+    shared.e_log_q, shared.e_log_1mq = _beta_e_logs(shared.a_q, shared.b_q)
 
 
 # ---------------------------------------------------------------------------
@@ -536,15 +537,66 @@ def update_q(shared: SharedState, states, k: int, hp: Hyperparameters):
 # ---------------------------------------------------------------------------
 
 
-def _inv_gamma_e_log(shape: float, scale: float):
-    """(E[log x], E[1/x]) under InverseGamma(shape, scale)."""
-    return math.log(scale) - float(psi(shape)), shape / scale
-
-
-def _binary_entropy(p: float) -> float:
-    """Entropy of a Bernoulli(p) factor, with 0 log 0 = 0."""
+def _binary_entropy(p):
+    """Entropy of Bernoulli(p) factors, elementwise, with 0 log 0 = 0."""
     q = 1.0 - p
-    return -float(xlogy(p, p) + xlogy(q, q))
+    return -(xlogy(p, p) + xlogy(q, q))
+
+
+def _slab_elbo(shared: SharedState, beta_sq, length, hp: Hyperparameters):
+    """(M, 2) ELBO terms of the spike-and-slab block, one per (sample, axis)."""
+    u_alpha = shared.u_alpha
+    e_inv_s2, e_log_inv_s2 = gamma_moments(shared.a_sig, shared.b_sig)
+    # beta | sigma^2, alpha spike-and-slab cross-entropy.
+    beta_term = u_alpha * (
+        -0.5 * length * LOG_2PI + 0.5 * length * e_log_inv_s2 - 0.5 * beta_sq * e_inv_s2
+    ) + (1.0 - u_alpha) * (
+        -0.5 * length * (LOG_2PI + math.log(hp.gamma1_sq)) - beta_sq / (2.0 * hp.gamma1_sq)
+    )
+    # sigma^2 | a and a | A Half-Cauchy hierarchy; q(a) is InverseGamma(1, scale_a),
+    # so 1/a is Gamma(1, scale_a).
+    scale_a = 1.0 / shared.u_inv_a
+    e_inv_a, e_log_inv_a = gamma_moments(1.0, scale_a)
+    e_log_a = -e_log_inv_a
+    sig_prior = -0.5 * e_log_a - _LGAMMA_HALF + 1.5 * e_log_inv_s2 - e_inv_a * e_inv_s2
+    a_sq = np.square(hp.a_slab)
+    a_prior = -0.5 * np.log(a_sq) - _LGAMMA_HALF - 1.5 * e_log_a - e_inv_a / a_sq
+    # entropies of q(sigma^2) (inverse gamma) and q(a).
+    sa, sb = shared.a_sig, shared.b_sig
+    e_log_q_sig = sa * np.log(sb) - gammaln(sa) + (sa + 1.0) * e_log_inv_s2 - sa
+    e_log_q_a = np.log(scale_a) - 2.0 * e_log_a - scale_a * e_inv_a
+    # alpha | u, q mixture cross-entropy and q(alpha) entropy.
+    u_u = shared.u_u
+    alpha_prior = u_u * (
+        u_alpha * shared.e_log_q + (1.0 - u_alpha) * shared.e_log_1mq
+    ) + (1.0 - u_u) * (
+        u_alpha * math.log(hp.gamma2) + (1.0 - u_alpha) * math.log1p(-hp.gamma2)
+    )
+    return (
+        beta_term + sig_prior + a_prior - e_log_q_sig - e_log_q_a
+        + alpha_prior + _binary_entropy(u_alpha)
+    )
+
+
+def _e_log_beta_pdf(log_norm, a, b, e_log_x, e_log_1mx):
+    """E[log Beta(x; a, b)] from log B(a, b), E[log x] and E[log(1 - x)], elementwise."""
+    return -log_norm + (a - 1.0) * e_log_x + (b - 1.0) * e_log_1mx
+
+
+def _gate_elbo(shared: SharedState, hp: Hyperparameters):
+    """(2,) ELBO terms of the cross-sample gate (u_k, p_k, q_k), one per axis."""
+    u_u = shared.u_u
+    logs_p = shared.e_log_p, shared.e_log_1mp
+    logs_q = shared.e_log_q, shared.e_log_1mq
+    a_p, b_p, a_q, b_q = shared.a_p, shared.b_p, shared.a_q, shared.b_q
+    return (
+        u_u * logs_p[0] + (1.0 - u_u) * logs_p[1]
+        + _e_log_beta_pdf(_log_beta_c(hp.c_p, hp.d_p), hp.c_p, hp.d_p, *logs_p)
+        + _e_log_beta_pdf(_log_beta_c(hp.c_q, hp.d_q), hp.c_q, hp.d_q, *logs_q)
+        + _binary_entropy(u_u)
+        - _e_log_beta_pdf(log_beta(a_p, b_p), a_p, b_p, *logs_p)
+        - _e_log_beta_pdf(log_beta(a_q, b_q), a_q, b_q, *logs_q)
+    )
 
 
 def compute_elbo(states, shared, hp: Hyperparameters) -> float:
@@ -556,24 +608,22 @@ def compute_elbo(states, shared, hp: Hyperparameters) -> float:
     quadrature normalizer.  C mu, E[beta_k' beta_k] and log(y!) come from
     the sample state's caches.  Raises EngineError on a non-finite term.
     """
+    slab = _slab_elbo(shared, *slab_statistics(states), hp)
+    gate = _gate_elbo(shared, hp)
     total = 0.0
     lb_pi = _log_beta_c(hp.a_pi, hp.b_pi)
     lb_pi_r1 = _log_beta_c(hp.a_pi + 1.0, hp.b_pi)
     lb_pi_r0 = _log_beta_c(hp.a_pi, hp.b_pi + 1.0)
-    log_g2 = math.log(hp.gamma2)
-    log_1mg2 = math.log1p(-hp.gamma2)
-    log_gamma1_sq = math.log(hp.gamma1_sq)
     eta_const = -0.5 * (LOG_2PI + math.log(hp.sigma2_eta))
     psi_const = -0.5 * (LOG_2PI + math.log(hp.sigma2_psi))
     phi_prior_const = hp.a_phi * math.log(hp.b_phi) - float(gammaln(hp.a_phi))
 
-    for ss in states:
+    for ss, slab_row in zip(states, slab):
         if ss.phi_cache is None:
             raise EngineError("phi factor cache missing; run update_phi first")
         y, design, fac = ss.y, ss.design, ss.phi_cache
         e_phi = fac.e_phi
         kappa = 1.0 - ss.u_r
-        length = design.n_basis
 
         # E log p(y | g, r): the Dirac branch contributes 0 at y = 0.
         data_term = float(kappa @ (y * ss.e_log_g - ss.e_g - ss.log_y_fact))
@@ -635,68 +685,17 @@ def compute_elbo(states, shared, hp: Hyperparameters) -> float:
             ("theta-entropy", ent_theta),
             ("phi-prior", phi_prior),
             ("phi-entropy", ent_phi),
+            ("spike-slab block k=0", slab_row[0]),
+            ("spike-slab block k=1", slab_row[1]),
         ):
             if not math.isfinite(term):
                 raise EngineError(f"non-finite ELBO term {name!r}")
             total += term
 
-        for k in (0, 1):
-            bsq = ss.beta_sq[k]
-            u_alpha = float(ss.u_alpha[k])
-            e_inv_s2 = ss.e_inv_sigma2(k)
-            e_log_inv_s2 = ss.e_log_inv_sigma2(k)
-            # beta | sigma^2, alpha spike-and-slab cross-entropy.
-            beta_term = u_alpha * (
-                -0.5 * length * LOG_2PI + 0.5 * length * e_log_inv_s2 - 0.5 * bsq * e_inv_s2
-            ) + (1.0 - u_alpha) * (
-                -0.5 * length * (LOG_2PI + log_gamma1_sq) - bsq / (2.0 * hp.gamma1_sq)
-            )
-            # sigma^2 | a and a | A Half-Cauchy hierarchy.
-            scale_a = 1.0 / float(ss.u_inv_a[k])
-            e_log_a, e_inv_a = _inv_gamma_e_log(1.0, scale_a)
-            sig_prior = -0.5 * e_log_a - _LGAMMA_HALF + 1.5 * e_log_inv_s2 - e_inv_a * e_inv_s2
-            a_sq = hp.a_slab[k] ** 2
-            a_prior = -0.5 * math.log(a_sq) - _LGAMMA_HALF - 1.5 * e_log_a - e_inv_a / a_sq
-            # entropies of q(sigma^2) (inverse gamma) and q(a).
-            sa, sb = float(ss.a_sig[k]), float(ss.b_sig[k])
-            e_log_q_sig = sa * math.log(sb) - float(gammaln(sa)) + (sa + 1.0) * e_log_inv_s2 - sa
-            e_log_q_a = math.log(scale_a) - 2.0 * e_log_a - scale_a * e_inv_a
-            # alpha | u, q mixture cross-entropy and q(alpha) entropy.
-            u_u = float(shared.u_u[k])
-            alpha_prior = u_u * (
-                u_alpha * shared.e_log_q[k] + (1.0 - u_alpha) * shared.e_log_1mq[k]
-            ) + (1.0 - u_u) * (u_alpha * log_g2 + (1.0 - u_alpha) * log_1mg2)
-            block = (
-                beta_term + sig_prior + a_prior - e_log_q_sig - e_log_q_a
-                + alpha_prior + _binary_entropy(u_alpha)
-            )
-            if not math.isfinite(block):
-                raise EngineError(f"non-finite ELBO term 'spike-slab block k={k}'")
-            total += block
-
-    for k in (0, 1):
-        u_u = float(shared.u_u[k])
-        e_log_p, e_log_1mp = float(shared.e_log_p[k]), float(shared.e_log_1mp[k])
-        e_log_q, e_log_1mq = float(shared.e_log_q[k]), float(shared.e_log_1mq[k])
-        a_p, b_p = float(shared.a_p[k]), float(shared.b_p[k])
-        a_q, b_q = float(shared.a_q[k]), float(shared.b_q[k])
-        u_prior = u_u * e_log_p + (1.0 - u_u) * e_log_1mp
-        p_prior = (
-            -_log_beta_c(hp.c_p, hp.d_p)
-            + (hp.c_p - 1.0) * e_log_p
-            + (hp.d_p - 1.0) * e_log_1mp
-        )
-        q_prior = (
-            -_log_beta_c(hp.c_q, hp.d_q)
-            + (hp.c_q - 1.0) * e_log_q
-            + (hp.d_q - 1.0) * e_log_1mq
-        )
-        e_log_q_p = -log_beta(a_p, b_p) + (a_p - 1.0) * e_log_p + (b_p - 1.0) * e_log_1mp
-        e_log_q_q = -log_beta(a_q, b_q) + (a_q - 1.0) * e_log_q + (b_q - 1.0) * e_log_1mq
-        block = u_prior + p_prior + q_prior + _binary_entropy(u_u) - e_log_q_p - e_log_q_q
-        if not math.isfinite(block):
+    for k, term in enumerate(gate):
+        if not math.isfinite(term):
             raise EngineError(f"non-finite ELBO term 'shared gate k={k}'")
-        total += block
+        total += term
 
     if not math.isfinite(total):
         raise EngineError("non-finite ELBO")
@@ -709,20 +708,32 @@ def compute_elbo(states, shared, hp: Hyperparameters) -> float:
 
 
 def _one_iteration(states, shared, hp, damping):
-    for ss in states:
-        update_theta(ss, hp, damping)
+    # A sample's theta/phi/g/r steps read only its own slab row, and the
+    # slab block reads only the samples' beta moments and the gate.
+    for ss, beta_prec in zip(states, beta_prior_precision(shared, hp)):
+        update_theta(ss, beta_prec, hp, damping)
         update_phi(ss, hp)
         update_g(ss)
         update_r(ss, hp)
-        for k in (0, 1):
-            update_sigma(ss, k)
-            update_a(ss, k, hp)
-            update_alpha(ss, shared, k, hp)
-    for k in (0, 1):
-        update_q(shared, states, k, hp)
-        update_p(shared, k, hp)
-    for k in (0, 1):
-        update_u(shared, states, k, hp)
+    beta_sq, length = slab_statistics(states)
+    update_sigma(shared, beta_sq, length)
+    update_a(shared, hp)
+    update_alpha(shared, beta_sq, length, hp)
+    update_q(shared, hp)
+    update_p(shared, hp)
+    update_u(shared, hp)
+
+
+def _snapshot(states, shared):
+    """Copies of a fit's states that no later update can change.
+
+    Updates assign new arrays, so shallow copies suffice, with each q(phi)
+    node cache copied too: a refresh rebinds its slots in place.
+    """
+    copies = [copy.copy(ss) for ss in states]
+    for ss in copies:
+        ss.phi_quad = copy.copy(ss.phi_quad)
+    return copies, copy.copy(shared)
 
 
 def fit_gene(ys, designs, hp: Hyperparameters, opts: FitOptions = FitOptions()):
@@ -761,7 +772,7 @@ def fit_gene(ys, designs, hp: Hyperparameters, opts: FitOptions = FitOptions()):
     prev_elbo = None
     iteration = 0
     while iteration < opts.max_iter:
-        snapshot = ([ss.clone() for ss in states], shared.clone())
+        snapshot = _snapshot(states, shared)
         retried = False
         while True:
             try:
@@ -775,8 +786,7 @@ def fit_gene(ys, designs, hp: Hyperparameters, opts: FitOptions = FitOptions()):
                     break
                 retried = True
                 damping = max(damping / 2.0, _MIN_DAMPING)
-                states = [ss.clone() for ss in snapshot[0]]
-                shared = snapshot[1].clone()
+                states, shared = _snapshot(*snapshot)
         if failure is not None:
             break
         iteration += 1
@@ -786,10 +796,9 @@ def fit_gene(ys, designs, hp: Hyperparameters, opts: FitOptions = FitOptions()):
             break
         prev_elbo = elbo
 
-    alpha = np.array([[float(ss.u_alpha[k]) for k in (0, 1)] for ss in states])
     return GeneFitResult(
         e_u=(float(shared.u_u[0]), float(shared.u_u[1])),
-        alpha=alpha,
+        alpha=shared.u_alpha,
         elbo_trace=trace,
         iterations=iteration,
         converged=converged,

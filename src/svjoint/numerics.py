@@ -57,11 +57,11 @@ def _check_node_count(node_count):
         raise ValueError(f"node_count must be >= 16, got {node_count}")
 
 
-def log_beta(a: float, b: float) -> float:
-    """log B(a, b) = log Gamma(a) + log Gamma(b) - log Gamma(a+b), a, b > 0."""
-    if not (a > 0.0 and b > 0.0):
+def log_beta(a, b):
+    """log B(a, b) = log Gamma(a) + log Gamma(b) - log Gamma(a+b), a, b > 0, elementwise."""
+    if not (np.greater(a, 0.0).all() and np.greater(b, 0.0).all()):
         raise ValueError("log_beta requires positive arguments")
-    return float(gammaln(a) + gammaln(b) - gammaln(a + b))
+    return gammaln(a) + gammaln(b) - gammaln(a + b)
 
 
 def _xlogx_minus_lgamma_u(u, x):

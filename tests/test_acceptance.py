@@ -18,7 +18,9 @@ from svjoint.engine import (
     compute_elbo,
     fit_gene,
     init_state,
+    beta_prior_precision,
     m_prior_diag,
+    slab_statistics,
     theta_derivatives,
     theta_expected_logp,
     update_a,
@@ -134,11 +136,14 @@ def test_criterion_2_local_optimality(eight_spot_fixture, five_spot_state):
 
     gains = []
 
-    def scale_arrays(ss_attr_pairs, refresh=None):
+    def scale_arrays(ss_attr_pairs, refresh=None, row=None):
+        # ``row`` scales only that sample's row of a shared (M, 2) array.
         def apply(eps):
             saved = [(obj, name, getattr(obj, name).copy()) for obj, name in ss_attr_pairs]
             for obj, name in ss_attr_pairs:
-                setattr(obj, name, getattr(obj, name) * eps)
+                arr = getattr(obj, name)
+                factor = eps if row is None else np.where(np.arange(len(arr)) == row, eps, 1.0)[:, None]
+                setattr(obj, name, arr * factor)
             if refresh:
                 refresh()
 
@@ -165,33 +170,34 @@ def test_criterion_2_local_optimality(eight_spot_fixture, five_spot_state):
             f"r[m{m}]", states, shared, ys, designs, hp,
             scale_arrays([(ss, "u_r")]), gains,
         )
-        for k in (0, 1):
-            update_sigma(ss, k)
-            for name in ("a_sig", "b_sig"):
-                _perturb_check(
-                    f"sigma.{name}[m{m},k{k}]", states, shared, ys, designs, hp,
-                    scale_arrays([(ss, name)]), gains,
-                )
-            update_a(ss, k, hp)
+    beta_sq, length = slab_statistics(states)
+    update_sigma(shared, beta_sq, length)
+    for m in range(len(states)):
+        for name in ("a_sig", "b_sig"):
             _perturb_check(
-                f"a[m{m},k{k}]", states, shared, ys, designs, hp,
-                scale_arrays([(ss, "u_inv_a")]), gains,
+                f"sigma.{name}[m{m}]", states, shared, ys, designs, hp,
+                scale_arrays([(shared, name)], row=m), gains,
             )
-            update_alpha(ss, shared, k, hp)
-            _perturb_check(
-                f"alpha[m{m},k{k}]", states, shared, ys, designs, hp,
-                scale_arrays([(ss, "u_alpha")]), gains,
-            )
-    for k in (0, 1):
-        update_q(shared, states, k, hp)
-        update_p(shared, k, hp)
+    update_a(shared, hp)
+    for m in range(len(states)):
+        _perturb_check(
+            f"a[m{m}]", states, shared, ys, designs, hp,
+            scale_arrays([(shared, "u_inv_a")], row=m), gains,
+        )
+    update_alpha(shared, beta_sq, length, hp)
+    for m in range(len(states)):
+        _perturb_check(
+            f"alpha[m{m}]", states, shared, ys, designs, hp,
+            scale_arrays([(shared, "u_alpha")], row=m), gains,
+        )
+    update_q(shared, hp)
+    update_p(shared, hp)
     for name in ("a_q", "b_q", "a_p", "b_p"):
         _perturb_check(
             f"pq.{name}", states, shared, ys, designs, hp,
             scale_arrays([(shared, name)], refresh=shared.refresh_moments), gains,
         )
-    for k in (0, 1):
-        update_u(shared, states, k, hp)
+    update_u(shared, hp)
     _perturb_check(
         "u", states, shared, ys, designs, hp,
         scale_arrays([(shared, "u_u")]), gains,
@@ -205,7 +211,7 @@ def test_criterion_2_local_optimality(eight_spot_fixture, five_spot_state):
     states5, shared5, ys5, designs5, hp5 = five_spot_state
     ss = states5[0]
     design = designs5[0]
-    m_prior = m_prior_diag(ss, hp5)
+    m_prior = m_prior_diag(design, beta_prior_precision(shared5, hp5)[0], hp5)
     one_minus_ur = 1.0 - ss.u_r
     args = (design, ss.u_phi, one_minus_ur, ss.e_g, m_prior)
     w_exp = mvn_exp_neg_linear(ss.mu, ss.sigma, design.matrix)
@@ -283,10 +289,13 @@ def test_criterion_3_monte_carlo_elbo():
     cdf /= cdf[-1]
     phi = np.exp(np.interp(rng.random(n_draws), cdf, grid_u))
 
-    sig2 = ss.b_sig[:, None] / rng.gamma(ss.a_sig[:, None], 1.0, size=(2, n_draws))
-    scale_a = 1.0 / ss.u_inv_a
+    # The slab block's only row is this sample's.
+    a_sig, b_sig, u_inv_a, u_alpha = (
+        shared.a_sig[0], shared.b_sig[0], shared.u_inv_a[0], shared.u_alpha[0])
+    sig2 = b_sig[:, None] / rng.gamma(a_sig[:, None], 1.0, size=(2, n_draws))
+    scale_a = 1.0 / u_inv_a
     a_aux = scale_a[:, None] / rng.gamma(1.0, 1.0, size=(2, n_draws))
-    alpha = (rng.random((2, n_draws)) < ss.u_alpha[:, None]).astype(float)
+    alpha = (rng.random((2, n_draws)) < u_alpha[:, None]).astype(float)
     u_gate = (rng.random((2, n_draws)) < shared.u_u[:, None]).astype(float)
     p_draw = rng.beta(shared.a_p[:, None], shared.b_p[:, None], size=(2, n_draws))
     q_draw = rng.beta(shared.a_q[:, None], shared.b_q[:, None], size=(2, n_draws))
@@ -356,9 +365,9 @@ def test_criterion_3_monte_carlo_elbo():
         - log_norm_phi
     )
     for k in (0, 1):
-        log_q += log_inv_gamma_pdf(sig2[k], float(ss.a_sig[k]), float(ss.b_sig[k]))
+        log_q += log_inv_gamma_pdf(sig2[k], float(a_sig[k]), float(b_sig[k]))
         log_q += log_inv_gamma_pdf(a_aux[k], 1.0, float(scale_a[k]))
-        ua = float(ss.u_alpha[k])
+        ua = float(u_alpha[k])
         log_q += np.where(alpha[k] > 0, math.log(ua), math.log1p(-ua))
         uu = float(shared.u_u[k])
         log_q += np.where(u_gate[k] > 0, math.log(uu), math.log1p(-uu))

@@ -168,6 +168,37 @@ class TestCountParseErrors:
             load_dataset(manifest)
 
 
+class TestManifestRead:
+    SECTION = "[A]\ncounts = c.tsv\ncoords = x.tsv\ncovariates = v.tsv\n"
+
+    def test_percent_in_path(self, tmp_path):
+        entry = simple_manifest(tmp_path).entries[0]
+        counts = tmp_path / "counts_50%.tsv"
+        (tmp_path / entry.counts).rename(counts)
+        path = tmp_path / "manifest.ini"
+        path.write_text(
+            f"[A]\ncounts = {counts.name}\ncoords = {entry.coords}\n"
+            f"covariates = {entry.covariates}\n"
+        )
+        manifest = Manifest.read(str(path))
+        assert manifest.entries[0].counts == "counts_50%.tsv"
+        assert load_dataset(manifest).n_genes == 2
+        manifest.write(str(path))
+        assert Manifest.read(str(path)).entries == manifest.entries
+
+    def test_key_before_first_section(self, tmp_path):
+        path = tmp_path / "manifest.ini"
+        path.write_text("counts = c.tsv\n" + self.SECTION)
+        with pytest.raises(DataError, match="manifest.ini"):
+            Manifest.read(str(path))
+
+    def test_repeated_section(self, tmp_path):
+        path = tmp_path / "manifest.ini"
+        path.write_text(self.SECTION + self.SECTION)
+        with pytest.raises(DataError, match="manifest.ini"):
+            Manifest.read(str(path))
+
+
 class TestFilterDataset:
     def make_ds(self, counts):
         counts = np.asarray(counts)

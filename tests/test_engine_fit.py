@@ -15,6 +15,7 @@ from svjoint.engine import (
     fit_gene,
     init_state,
 )
+from svjoint.numerics import PhiQuadCache
 from svjoint.simulate import SimConfig, generate
 from svjoint.splines import normalize_coords
 
@@ -36,13 +37,13 @@ def sim_inputs(seed, n_sv=1, g=2, m=4, grid=(16, 16), dropout=0.3, pattern="line
 
 
 def check_state_invariants(states, shared, ys):
+    assert np.all(shared.a_sig > 0) and np.all(shared.b_sig > 0)
+    assert np.all(shared.u_inv_a > 0)
+    assert np.all((shared.u_alpha >= 0) & (shared.u_alpha <= 1))
     for ss, y in zip(states, ys):
         assert np.all(ss.a_g > 0) and np.all(ss.b_g > 0)
-        assert np.all(ss.a_sig > 0) and np.all(ss.b_sig > 0)
-        assert np.all(ss.u_inv_a > 0)
         assert ss.u_phi > 0
         assert np.all((ss.u_r >= 0) & (ss.u_r <= 1))
-        assert np.all((ss.u_alpha >= 0) & (ss.u_alpha <= 1))
         assert np.all(ss.u_r[y > 0] == 0.0)
         assert np.all(np.isfinite(ss.mu))
         sym_err = np.abs(ss.sigma - ss.sigma.T).max()
@@ -139,16 +140,18 @@ class TestFitGene:
 def assert_same_values(a, b):
     """Every field of two states is equal, array by array.
 
-    The q(phi) node cache is shared by a state and its retry snapshot and
-    only decides where the quadrature nodes sit, so it is not compared.
+    The q(phi) node cache is compared slot by slot.
     """
     assert vars(a).keys() == vars(b).keys()
     for name in vars(a):
-        if name == "phi_quad":
-            continue
         got, want = getattr(a, name), getattr(b, name)
         if name == "design":
             got, want = got.matrix, want.matrix
+        if name == "phi_quad":
+            for slot in PhiQuadCache.__slots__:
+                np.testing.assert_array_equal(
+                    getattr(got, slot), getattr(want, slot), err_msg=f"phi_quad.{slot}")
+            continue
         np.testing.assert_array_equal(got, want, err_msg=name)
 
 
@@ -195,9 +198,9 @@ class TestRetry:
             entries.append(copy.deepcopy((states, shared)))
             real_iteration(states, shared, hp, damping)
 
-        def spy_theta(ss, hp, damping):
+        def spy_theta(ss, beta_prec, hp, damping):
             thetas.append((damping, copy.deepcopy(ss)))
-            real_theta(ss, hp, damping)
+            real_theta(ss, beta_prec, hp, damping)
 
         def flaky_elbo(states, shared, hp):
             # Fails once, after every update of iteration K has run.
@@ -236,16 +239,25 @@ class TestInvariantsEveryIteration:
 
 
 class TestPermutationInvariance:
-    def test_two_sample_swap(self):
-        ds, _, designs = sim_inputs(11, m=2, grid=(8, 8))
-        hp = Hyperparameters.default(2, 3)
+    @staticmethod
+    def check_permutation(perm):
+        # Sample m of the permuted fit is sample perm[m] of the original one.
+        m = len(perm)
+        ds, _, designs = sim_inputs(11, m=m, grid=(8, 8))
+        hp = Hyperparameters.default(m, 3)
         ys = [s.counts[0] for s in ds.samples]
         opts = FitOptions(max_iter=400, elbo_tol=1e-9)
         fwd = fit_gene(ys, designs, hp, opts)
-        rev = fit_gene(ys[::-1], designs[::-1], hp, opts)
+        rev = fit_gene([ys[i] for i in perm], [designs[i] for i in perm], hp, opts)
         assert abs(fwd.e_u[0] - rev.e_u[0]) < 1e-10
         assert abs(fwd.e_u[1] - rev.e_u[1]) < 1e-10
-        np.testing.assert_allclose(fwd.alpha, rev.alpha[::-1], atol=1e-10)
+        np.testing.assert_allclose(fwd.alpha[list(perm)], rev.alpha, atol=1e-10)
+
+    def test_two_sample_swap(self):
+        self.check_permutation((1, 0))
+
+    def test_four_sample_cycle(self):
+        self.check_permutation((1, 2, 3, 0))
 
 
 class TestElboAgainstIterations:

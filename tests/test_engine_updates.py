@@ -1,11 +1,12 @@
 """Single-update checks against hand-derived values and closed forms."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 from scipy.special import digamma as psi
-from scipy.special import expit
+from scipy.special import expit, gammaln, xlogy
 
 from svjoint import engine
 from svjoint.engine import (
@@ -14,11 +15,15 @@ from svjoint.engine import (
     Hyperparameters,
     _one_iteration,
     alpha_logit,
+    beta_prior_precision,
     compute_elbo,
+    gamma_moments,
     init_state,
     m_prior_diag,
+    slab_statistics,
     u_logit,
     update_a,
+    update_alpha,
     update_g,
     update_p,
     update_phi,
@@ -26,9 +31,11 @@ from svjoint.engine import (
     update_r,
     update_sigma,
     update_theta,
+    update_u,
 )
 
 from conftest import make_design
+from test_engine_fit import sim_inputs
 
 
 def single_state(y, degree=1, j_cov=1, hp=None, n=None):
@@ -41,6 +48,11 @@ def single_state(y, degree=1, j_cov=1, hp=None, n=None):
     hp = hp or Hyperparameters.default(1, degree)
     states, shared = init_state([y], [design], hp)
     return states[0], shared, design, hp
+
+
+def first_beta_prec(shared, hp):
+    """The first sample's beta prior precisions, as ``_one_iteration`` passes them."""
+    return beta_prior_precision(shared, hp)[0]
 
 
 class TestInitState:
@@ -58,10 +70,10 @@ class TestInitState:
 
     def test_symmetric_gates(self):
         ss, shared, _, _ = single_state([1, 2, 3])
-        assert np.all(ss.u_alpha == 0.5)
+        assert np.all(shared.u_alpha == 0.5)
         assert np.all(shared.u_u == 0.5)
-        np.testing.assert_allclose(ss.a_sig, 0.5)
-        np.testing.assert_allclose(ss.b_sig, 1.0)
+        np.testing.assert_allclose(shared.a_sig, 0.5)
+        np.testing.assert_allclose(shared.b_sig, 1.0)
 
     def test_rejects_negative_counts(self):
         with pytest.raises(ValueError):
@@ -160,61 +172,62 @@ class TestUpdatePhi:
 
 class TestUpdateSigma:
     def test_spike_drops_beta_term(self):
-        ss, _, design, hp = single_state([1, 2, 3])
-        ss.u_alpha[0] = 0.0
-        ss.u_inv_a[0] = 0.7
-        update_sigma(ss, 0)
-        assert ss.a_sig[0] == pytest.approx(0.5)
-        assert ss.b_sig[0] == pytest.approx(0.7)
+        ss, shared, design, hp = single_state([1, 2, 3])
+        shared.u_alpha[0, 0] = 0.0
+        shared.u_inv_a[0, 0] = 0.7
+        update_sigma(shared, *slab_statistics([ss]))
+        assert shared.a_sig[0, 0] == pytest.approx(0.5)
+        assert shared.b_sig[0, 0] == pytest.approx(0.7)
 
     def test_slab_substitution(self):
-        ss, _, design, hp = single_state([1, 2, 3], degree=2)
+        ss, shared, design, hp = single_state([1, 2, 3], degree=2)
         blk = design.beta_slice(0)
         ss.mu = np.zeros(design.dim)
         ss.mu[blk] = [2.0, 0.0]  # |mu|^2 = 4
         ss.sigma = np.zeros((design.dim, design.dim))
         ss.refresh_theta_cache()
-        ss.u_alpha[0] = 1.0
-        ss.u_inv_a[0] = 1.0
-        update_sigma(ss, 0)
-        assert ss.a_sig[0] == pytest.approx(1.5)
-        assert ss.b_sig[0] == pytest.approx(3.0)
-        assert ss.e_inv_sigma2(0) == pytest.approx(0.5)
+        shared.u_alpha[0, 0] = 1.0
+        shared.u_inv_a[0, 0] = 1.0
+        update_sigma(shared, *slab_statistics([ss]))
+        assert shared.a_sig[0, 0] == pytest.approx(1.5)
+        assert shared.b_sig[0, 0] == pytest.approx(3.0)
+        e_inv_s2, _ = gamma_moments(shared.a_sig, shared.b_sig)
+        assert e_inv_s2[0, 0] == pytest.approx(0.5)
 
     def test_slab_zero_beta(self):
-        ss, _, design, hp = single_state([1, 2, 3], degree=2)
+        ss, shared, design, hp = single_state([1, 2, 3], degree=2)
         ss.mu = np.zeros(design.dim)
         ss.sigma = np.zeros((design.dim, design.dim))
         ss.refresh_theta_cache()
-        ss.u_alpha[0] = 1.0
-        ss.u_inv_a[0] = 2.0
-        update_sigma(ss, 0)
-        assert ss.a_sig[0] == pytest.approx(1.5)
-        assert ss.b_sig[0] == pytest.approx(2.0)
+        shared.u_alpha[0, 0] = 1.0
+        shared.u_inv_a[0, 0] = 2.0
+        update_sigma(shared, *slab_statistics([ss]))
+        assert shared.a_sig[0, 0] == pytest.approx(1.5)
+        assert shared.b_sig[0, 0] == pytest.approx(2.0)
 
 
 class TestUpdateA:
     def test_substitution(self):
         hp = Hyperparameters.default(1, 1, gamma2=0.01)
         hp = Hyperparameters(**{**hp.__dict__, "a_slab": (0.5, 0.5)})
-        ss, _, design, _ = single_state([1, 2], hp=hp)
-        ss.a_sig[0], ss.b_sig[0] = 9.0, 1.0
-        update_a(ss, 0, hp)
-        assert ss.u_inv_a[0] == pytest.approx(1.0 / 13.0)
+        ss, shared, design, _ = single_state([1, 2], hp=hp)
+        shared.a_sig[0, 0], shared.b_sig[0, 0] = 9.0, 1.0
+        update_a(shared, hp)
+        assert shared.u_inv_a[0, 0] == pytest.approx(1.0 / 13.0)
 
     def test_vanishing_precision_limit(self):
         hp = Hyperparameters(a_slab=(1.0, 1.0))
-        ss, _, design, _ = single_state([1, 2], hp=hp)
-        ss.a_sig[0], ss.b_sig[0] = 1e-14, 1.0
-        update_a(ss, 0, hp)
-        assert ss.u_inv_a[0] == pytest.approx(1.0, rel=1e-10)
+        ss, shared, design, _ = single_state([1, 2], hp=hp)
+        shared.a_sig[0, 0], shared.b_sig[0, 0] = 1e-14, 1.0
+        update_a(shared, hp)
+        assert shared.u_inv_a[0, 0] == pytest.approx(1.0, rel=1e-10)
 
     def test_wide_slab_limit(self):
         hp = Hyperparameters(a_slab=(1e9, 1e9))
-        ss, _, design, _ = single_state([1, 2], hp=hp)
-        ss.a_sig[0], ss.b_sig[0] = 2.0, 1.0
-        update_a(ss, 0, hp)
-        assert ss.u_inv_a[0] == pytest.approx(0.5, rel=1e-10)
+        ss, shared, design, _ = single_state([1, 2], hp=hp)
+        shared.a_sig[0, 0], shared.b_sig[0, 0] = 2.0, 1.0
+        update_a(shared, hp)
+        assert shared.u_inv_a[0, 0] == pytest.approx(0.5, rel=1e-10)
 
 
 class TestAlphaLogit:
@@ -278,7 +291,7 @@ class TestUpdatePQ:
         hp = Hyperparameters()
         ss, shared, design, _ = single_state([1, 2], hp=hp)
         shared.u_u[0] = 1.0
-        update_p(shared, 0, hp)
+        update_p(shared, hp)
         assert shared.a_p[0] == pytest.approx(1.2)
         assert shared.b_p[0] == pytest.approx(1.8)
         assert shared.a_p[0] / (shared.a_p[0] + shared.b_p[0]) == pytest.approx(0.4)
@@ -287,7 +300,7 @@ class TestUpdatePQ:
         hp = Hyperparameters()
         _, shared, _, _ = single_state([1, 2], hp=hp)
         shared.u_u[0] = 0.0
-        update_p(shared, 0, hp)
+        update_p(shared, hp)
         assert shared.a_p[0] == pytest.approx(0.2)
         assert shared.b_p[0] == pytest.approx(2.8)
         assert shared.a_p[0] / (shared.a_p[0] + shared.b_p[0]) == pytest.approx(1.0 / 15.0)
@@ -296,7 +309,7 @@ class TestUpdatePQ:
         hp = Hyperparameters(c_p=1.0, d_p=1.0)
         _, shared, _, _ = single_state([1, 2], hp=hp)
         shared.u_u[0] = 0.5
-        update_p(shared, 0, hp)
+        update_p(shared, hp)
         assert shared.a_p[0] == pytest.approx(1.5)
         assert shared.b_p[0] == pytest.approx(1.5)
 
@@ -304,57 +317,134 @@ class TestUpdatePQ:
         hp = Hyperparameters()
         ss, shared, design, _ = single_state([1, 2], hp=hp)
         shared.u_u[0] = 0.0
-        ss.u_alpha[0] = 0.9
-        update_q(shared, [ss], 0, hp)
+        shared.u_alpha[0, 0] = 0.9
+        update_q(shared, hp)
         assert shared.a_q[0] == pytest.approx(hp.c_q)
         assert shared.b_q[0] == pytest.approx(hp.d_q)
 
     def test_q_substitution_four_samples(self):
         hp = Hyperparameters(c_q=1.0, d_q=1.0)
-        states = []
-        for ua in (1.0, 1.0, 1.0, 0.0):
-            ss, shared, design, _ = single_state([1, 2], hp=hp)
-            ss.u_alpha[0] = ua
-            states.append(ss)
+        _, shared, _, _ = single_state([1, 2], hp=hp)
+        # Four samples' indicators on axis 0.
+        shared.u_alpha = np.array([[ua, 0.5] for ua in (1.0, 1.0, 1.0, 0.0)])
         shared.u_u[0] = 1.0
-        update_q(shared, states, 0, hp)
+        update_q(shared, hp)
         assert shared.a_q[0] == pytest.approx(4.0)
         assert shared.b_q[0] == pytest.approx(2.0)
 
     def test_q_all_off(self):
         hp = Hyperparameters(c_q=1.0, d_q=1.0)
-        states = []
-        for _ in range(3):
-            ss, shared, design, _ = single_state([1, 2], hp=hp)
-            ss.u_alpha[0] = 0.0
-            states.append(ss)
+        _, shared, _, _ = single_state([1, 2], hp=hp)
+        # Three samples' indicators on axis 0.
+        shared.u_alpha = np.array([[0.0, 0.5]] * 3)
         shared.u_u[0] = 1.0
-        update_q(shared, states, 0, hp)
+        update_q(shared, hp)
         assert shared.a_q[0] == pytest.approx(hp.c_q)
         assert shared.b_q[0] == pytest.approx(3.0 + hp.d_q)
 
     def test_moments_fresh_after_every_update(self):
-        # update_p/update_q refresh only the axis-k moments of the factor
-        # they change; all four arrays must equal a full refresh exactly.
+        # update_p/update_q refresh the moments of the factor they change;
+        # all four arrays must equal a full refresh exactly.
         hp = Hyperparameters.default(3, 1)
         rng = np.random.default_rng(4)
-        states = []
-        for _ in range(3):
-            ss, shared, _, _ = single_state([1, 2, 0], hp=hp)
-            states.append(ss)
+        _, shared, _, _ = single_state([1, 2, 0], hp=hp)
         names = ("e_log_p", "e_log_1mp", "e_log_q", "e_log_1mq")
         for _ in range(5):
-            shared.u_u[:] = rng.uniform(size=2)
-            for ss in states:
-                ss.u_alpha[:] = rng.uniform(size=2)
+            shared.u_u = rng.uniform(size=2)
+            shared.u_alpha = rng.uniform(size=(3, 2))  # three samples
+            for update in (lambda: update_q(shared, hp), lambda: update_p(shared, hp)):
+                update()
+                fresh = copy.copy(shared)
+                fresh.refresh_moments()
+                for name in names:
+                    np.testing.assert_array_equal(getattr(shared, name), getattr(fresh, name))
+
+
+class TestSlabBlockAgainstScalarLoop:
+    """The (M, 2) slab block and gate against one (m, k) entry at a time.
+
+    The reference applies the same formulas to Python floats with
+    ``math.log``; numpy's vectorized log may differ from it in the last
+    bit, hence the 1e-12 relative tolerance.
+    """
+
+    @staticmethod
+    def fitted(m=3):
+        ds, _, designs = sim_inputs(14, m=m, grid=(8, 8))
+        hp = Hyperparameters.default(m, 3)
+        states, shared = init_state([s.counts[0] for s in ds.samples], designs, hp)
+        for _ in range(3):
+            _one_iteration(states, shared, hp, 1.0)
+        return states, shared, hp
+
+    def test_slab_and_gate_updates(self):
+        states, shared, hp = self.fitted()
+        beta_sq, length = slab_statistics(states)
+        old = copy.copy(shared)
+        want = {name: np.empty_like(getattr(old, name))
+                for name in ("a_sig", "b_sig", "u_inv_a", "u_alpha")}
+        for m in range(len(states)):
             for k in (0, 1):
-                for update in (lambda: update_q(shared, states, k, hp),
-                               lambda: update_p(shared, k, hp)):
-                    update()
-                    fresh = shared.clone()
-                    fresh.refresh_moments()
-                    for name in names:
-                        np.testing.assert_array_equal(getattr(shared, name), getattr(fresh, name))
+                ua, bsq, n_basis = float(old.u_alpha[m, k]), float(beta_sq[m, k]), int(length[m, 0])
+                a_sig = 0.5 * (n_basis * ua + 1.0)
+                b_sig = 0.5 * ua * bsq + float(old.u_inv_a[m, k])
+                e_inv = a_sig / b_sig
+                want["a_sig"][m, k], want["b_sig"][m, k] = a_sig, b_sig
+                want["u_inv_a"][m, k] = 1.0 / (e_inv + 1.0 / hp.a_slab[k] ** 2)
+                want["u_alpha"][m, k] = expit(alpha_logit(
+                    bsq, e_inv, float(psi(a_sig)) - math.log(b_sig), float(old.u_u[k]),
+                    float(old.e_log_q[k]), float(old.e_log_1mq[k]), n_basis, hp))
+        want_u = []
+        for k in (0, 1):
+            sum_alpha, u_u = sum(want["u_alpha"][:, k]), float(old.u_u[k])
+            a_q, b_q = u_u * sum_alpha + hp.c_q, len(states) * u_u + hp.d_q - u_u * sum_alpha
+            a_p, b_p = u_u + hp.c_p, hp.d_p - u_u + 1.0
+            e_q = (psi(a_q) - psi(a_q + b_q), psi(b_q) - psi(a_q + b_q))
+            e_p = (psi(a_p) - psi(a_p + b_p), psi(b_p) - psi(a_p + b_p))
+            want_u.append(expit(u_logit(want["u_alpha"][:, k], *e_q, *e_p, hp)))
+
+        update_sigma(shared, beta_sq, length)
+        update_a(shared, hp)
+        update_alpha(shared, beta_sq, length, hp)
+        update_q(shared, hp)
+        update_p(shared, hp)
+        update_u(shared, hp)
+        for name, arr in want.items():
+            np.testing.assert_allclose(getattr(shared, name), arr, rtol=1e-12, err_msg=name)
+        np.testing.assert_allclose(shared.u_u, want_u, rtol=1e-12)
+
+    def test_slab_elbo_terms(self):
+        states, shared, hp = self.fitted()
+        beta_sq, length = slab_statistics(states)
+        want = np.empty_like(shared.u_alpha)
+        for m in range(len(states)):
+            for k in (0, 1):
+                ua, bsq, n_basis = float(shared.u_alpha[m, k]), float(beta_sq[m, k]), int(length[m, 0])
+                sa, sb = float(shared.a_sig[m, k]), float(shared.b_sig[m, k])
+                e_inv_s2, e_log_inv_s2 = sa / sb, float(psi(sa)) - math.log(sb)
+                beta_term = ua * (
+                    -0.5 * n_basis * math.log(2 * math.pi) + 0.5 * n_basis * e_log_inv_s2
+                    - 0.5 * bsq * e_inv_s2
+                ) + (1.0 - ua) * (
+                    -0.5 * n_basis * math.log(2 * math.pi * hp.gamma1_sq) - bsq / (2.0 * hp.gamma1_sq)
+                )
+                scale_a = 1.0 / float(shared.u_inv_a[m, k])
+                e_log_a, e_inv_a = math.log(scale_a) - float(psi(1.0)), 1.0 / scale_a
+                lg_half = float(gammaln(0.5))
+                sig_prior = -0.5 * e_log_a - lg_half + 1.5 * e_log_inv_s2 - e_inv_a * e_inv_s2
+                a_sq = hp.a_slab[k] ** 2
+                a_prior = -0.5 * math.log(a_sq) - lg_half - 1.5 * e_log_a - e_inv_a / a_sq
+                e_log_q_sig = sa * math.log(sb) - float(gammaln(sa)) + (sa + 1.0) * e_log_inv_s2 - sa
+                e_log_q_a = math.log(scale_a) - 2.0 * e_log_a - scale_a * e_inv_a
+                u_u = float(shared.u_u[k])
+                alpha_prior = u_u * (
+                    ua * shared.e_log_q[k] + (1.0 - ua) * shared.e_log_1mq[k]
+                ) + (1.0 - u_u) * (ua * math.log(hp.gamma2) + (1.0 - ua) * math.log1p(-hp.gamma2))
+                entropy = -float(xlogy(ua, ua) + xlogy(1.0 - ua, 1.0 - ua))
+                want[m, k] = (beta_term + sig_prior + a_prior - e_log_q_sig - e_log_q_a
+                              + alpha_prior + entropy)
+        got = engine._slab_elbo(shared, beta_sq, length, hp)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 class TestUpdateTheta:
@@ -362,40 +452,41 @@ class TestUpdateTheta:
         ss, shared, design, hp = single_state([0, 0, 0, 0])
         ss.u_r = np.ones(4)
         ss.mu = np.array([0.5, -0.3, 0.2, 0.1])
-        update_theta(ss, hp, damping=1.0)
-        m_prior = m_prior_diag(ss, hp)
+        update_theta(ss, first_beta_prec(shared, hp), hp, damping=1.0)
+        m_prior = m_prior_diag(design, first_beta_prec(shared, hp), hp)
         np.testing.assert_allclose(ss.mu, 0.0, atol=1e-12)
         np.testing.assert_allclose(ss.sigma, np.diag(1.0 / m_prior), atol=1e-12)
 
     def test_dimensions(self):
-        ss, _, design, hp = single_state([1] * 10, degree=3, j_cov=2, n=10)
-        update_theta(ss, hp)
+        ss, shared, design, hp = single_state([1] * 10, degree=3, j_cov=2, n=10)
+        update_theta(ss, first_beta_prec(shared, hp), hp)
         assert ss.sigma.shape == (9, 9)
 
     def test_covariance_positive_definite(self, five_spot_state):
         states, shared, ys, designs, hp = five_spot_state
-        update_theta(states[0], hp)
+        update_theta(states[0], first_beta_prec(shared, hp), hp)
         assert np.linalg.eigvalsh(states[0].sigma).min() > 0.0
 
     @staticmethod
-    def expected_precision(ss, design, hp):
+    def expected_precision(ss, shared, design, hp):
         # P = u_phi C' diag[(1 - u_r) E[g] E[exp(-C theta)]] C + M_prior.
         c = design.matrix
         w = (1.0 - ss.u_r) * ss.e_g * ss.w_exp
-        return ss.u_phi * (c.T @ np.diag(w) @ c) + np.diag(m_prior_diag(ss, hp))
+        m_prior = m_prior_diag(design, first_beta_prec(shared, hp), hp)
+        return ss.u_phi * (c.T @ np.diag(w) @ c) + np.diag(m_prior)
 
     def test_sigma_is_inverse_precision(self, five_spot_state):
         states, shared, ys, designs, hp = five_spot_state
         ss, design = states[0], designs[0]
-        want = np.linalg.inv(self.expected_precision(ss, design, hp))
-        update_theta(ss, hp)
+        want = np.linalg.inv(self.expected_precision(ss, shared, design, hp))
+        update_theta(ss, first_beta_prec(shared, hp), hp)
         np.testing.assert_allclose(ss.sigma, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_rejected_factorization_retried_once_with_jitter(self, five_spot_state,
                                                               monkeypatch):
         states, shared, ys, designs, hp = five_spot_state
         ss, design = states[0], designs[0]
-        prec = self.expected_precision(ss, design, hp)
+        prec = self.expected_precision(ss, shared, design, hp)
         real = np.linalg.cholesky
         calls = []
 
@@ -406,7 +497,7 @@ class TestUpdateTheta:
             return real(a)
 
         monkeypatch.setattr(np.linalg, "cholesky", reject_first)
-        update_theta(ss, hp)
+        update_theta(ss, first_beta_prec(shared, hp), hp)
         assert len(calls) == 2
         np.testing.assert_array_equal(calls[1], calls[0] + engine._JITTER * np.eye(design.dim))
         want = np.linalg.inv(prec + engine._JITTER * np.eye(design.dim))
@@ -426,14 +517,14 @@ class TestUpdateTheta:
 
         monkeypatch.setattr(np.linalg, "cholesky", counting)
         with pytest.raises(EngineError, match="not invertible after jitter"):
-            update_theta(ss, hp)
+            update_theta(ss, first_beta_prec(shared, hp), hp)
         assert len(calls) == 2
 
     def test_non_finite_precision_raises(self, five_spot_state):
         states, shared, ys, designs, hp = five_spot_state
         states[0].w_exp = np.full_like(states[0].w_exp, np.inf)
         with np.errstate(invalid="ignore"), pytest.raises(EngineError, match="non-finite precision"):
-            update_theta(states[0], hp)
+            update_theta(states[0], first_beta_prec(shared, hp), hp)
 
     def test_one_moment_evaluation_per_sample(self, five_spot_state, monkeypatch):
         # The step reads the cached E[exp(-C theta)]; only the refresh at the
@@ -494,7 +585,7 @@ class TestThetaCaches:
         got = compute_elbo(states, shared, hp)
         # From scratch: a state built only from the perturbed (mu, Sigma),
         # whose caches are filled without reading the old ones.
-        fresh = ss.clone()
+        fresh = copy.copy(ss)
         fresh.w_exp = fresh.c_mu = fresh.beta_sq = None
         fresh.refresh_theta_cache()
         want = compute_elbo([fresh], shared, hp)
