@@ -11,6 +11,7 @@ referring to coordinate-file row order).
 from __future__ import annotations
 
 import configparser
+import contextlib
 import math
 import os
 from dataclasses import dataclass, replace
@@ -158,11 +159,12 @@ class Manifest:
         # No interpolation: '%' is a legal filename character.
         parser = configparser.ConfigParser(interpolation=None)
         try:
-            read_ok = parser.read(path)
+            with _open_text(path) as fh:
+                parser.read_file(fh)
+        except OSError:
+            raise DataError(f"manifest not found or unreadable: {path}") from None
         except configparser.Error as exc:
             raise DataError(f"manifest {path}: {exc}") from exc
-        if not read_ok:
-            raise DataError(f"manifest not found or unreadable: {path}")
         entries = []
         for section in parser.sections():
             sec = parser[section]
@@ -197,6 +199,16 @@ class Manifest:
             parser.write(fh)
 
 
+@contextlib.contextmanager
+def _open_text(path):
+    """Open a text file to read; undecodable text is a DataError naming the file."""
+    try:
+        with open(path) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid {exc.encoding} text ({exc.reason})") from exc
+
+
 def _resolve(base_dir, path):
     full = path if os.path.isabs(path) else os.path.join(base_dir, path)
     if not os.path.exists(full):
@@ -205,7 +217,7 @@ def _resolve(base_dir, path):
 
 
 def _read_tsv_table(path, expected_cols=None):
-    with open(path) as fh:
+    with _open_text(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines:
         raise DataError(f"empty file: {path}")
@@ -244,7 +256,7 @@ def _load_covariates(path):
 
 
 def _sniff_counts_format(path):
-    with open(path) as fh:
+    with _open_text(path) as fh:
         first = fh.readline()
     tokens = first.strip().split()
     if len(tokens) == 2 and all(t.isdigit() for t in tokens):
@@ -263,7 +275,7 @@ def _load_counts_dense(path):
 
 
 def _load_counts_triplet(path, gene_ids, n_spots):
-    with open(path) as fh:
+    with _open_text(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     dims = lines[0].split() if lines else []
     if len(dims) != 2 or not all(d.isdigit() for d in dims):
@@ -310,7 +322,7 @@ def _load_sample(entry: ManifestEntry, base_dir) -> SpatialSample:
                 f"sample {entry.sample_id}: triplet counts need a 'genes' sidecar"
             )
         genes_path = _resolve(base_dir, entry.genes)
-        with open(genes_path) as fh:
+        with _open_text(genes_path) as fh:
             gene_ids = [ln.strip() for ln in fh if ln.strip()]
         counts = _load_counts_triplet(counts_path, gene_ids, len(spot_ids))
         count_spots = list(spot_ids)
@@ -541,7 +553,7 @@ def read_report(path):
 
 def _nonblank_lines(path):
     """(1-based line number, text) of each non-blank line of a text file."""
-    with open(path) as fh:
+    with _open_text(path) as fh:
         return [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, 1) if ln.strip()]
 
 

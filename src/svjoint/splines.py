@@ -5,6 +5,10 @@ with boundary-only knots on [0, 1] and degrees of freedom equal to the
 spline degree, which makes the basis exactly the Bernstein polynomials
 xi_l(t) = C(d, l) t^l (1-t)^(d-l) for l = 1..d (the l = 0 term is dropped
 because the model carries a separate intercept).
+
+Degree selection fits a zero-inflated NB regression per (sample, degree) to
+a block of genes at once, by damped Newton steps on closed-form derivatives
+(see ``zinb_mle``); no numerical optimizer library is loaded.
 """
 
 from __future__ import annotations
@@ -14,8 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma as _sp_digamma
-from scipy.special import expit, gammaln
+from scipy.special import digamma, expit, gammaln, zeta
 
 __all__ = [
     "BasisSpec",
@@ -136,122 +139,284 @@ def build_design(coords, covariates, spec: BasisSpec) -> DesignMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _zinb_nll_grad(params, x, n_nz, y_nz, u, n_u, log_y_fact):
-    """Negative log-likelihood and gradient of the ZINB regression.
+# Box bounds of (logit pi, log phi, coefficients) and the clip of the log mean.
+_LOGIT_PI_BOUND = 15.0
+_LOG_PHI_BOUNDS = (math.log(1e-3), math.log(1e5))
+_COEF_BOUND = 30.0
+_ETA_CLIP = 30.0
+# Newton step control: the largest change of one parameter in a step, the
+# floor of the modified Hessian's |eigenvalues| relative to the largest, the
+# Armijo constant, and the step halvings after which a gene is frozen.
+_MAX_STEP = 5.0
+_EIG_FLOOR = 1e-10
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 30
+# A fit has converged when the infinity norm of its projected gradient is at
+# most _GRAD_TOL * max(1, |logL|), and fails when it is still above
+# _FAIL_TOL * max(1, |logL|) after the last step.
+_GRAD_TOL = 1e-8
+_FAIL_TOL = 1e-1
 
-    Parameter layout: (logit pi, log phi, coefficient vector c) with
-    log mean = x @ c.  NB parameterized by mean lambda and dispersion phi,
-    Var = lambda + lambda^2/phi.  The rows of ``x`` hold the ``n_nz`` spots
-    with a nonzero count ``y_nz`` first and the zero-count spots after them;
-    ``u`` are the distinct values of ``y_nz`` with multiplicities ``n_u``,
-    and ``log_y_fact`` is the constant sum of log y!.
+
+class _ZinbBlock:
+    """The ZINB negative log-likelihood of B count vectors against one design.
+
+    Parameter layout per gene: (logit pi, log phi, coefficient vector c) with
+    log mean eta = clip(x @ c); NB with mean lambda and dispersion phi,
+    Var = lambda + lambda^2/phi.  The count-only terms of the nonzero spots
+    are sums over each gene's distinct nonzero counts u with multiplicities
+    n_u, found with one 1-D ``np.unique`` over (gene, count) keys and summed
+    per gene with ``np.bincount``; ``log_y_fact`` is the constant sum of
+    log y! per gene.
     """
-    zeta, rho = params[0], params[1]
-    coef = params[2:]
-    pi = expit(zeta)
-    phi = math.exp(rho)
-    eta = np.clip(x @ coef, -30.0, 30.0)
-    lam = np.exp(eta)
-    log_phi_lam = np.log(phi + lam)
-    log_ratio = math.log(phi) - log_phi_lam  # log(phi/(phi+lam))
-    inv_phi_lam = 1.0 / (phi + lam)
-    log_ratio_nz, log_ratio_z = log_ratio[:n_nz], log_ratio[n_nz:]
 
-    ll = (
-        float(n_u @ gammaln(u + phi))
-        - n_nz * float(gammaln(phi))
-        - log_y_fact
-        + phi * float(log_ratio_nz.sum())
-        + float(y_nz @ (eta[:n_nz] - log_phi_lam[:n_nz]))
-        + n_nz * math.log1p(-pi)
-    )
+    def __init__(self, counts, matrix):
+        self.y = counts
+        self.zero = (counts == 0).astype(float)  # a mask to multiply by
+        self.n_nz = counts.shape[1] - self.zero.sum(axis=1)
+        gene, spot = np.nonzero(counts)
+        values = counts[gene, spot]
+        span = float(values.max()) + 1.0 if values.size else 1.0
+        keys, n_u = np.unique(gene * span + values, return_counts=True)
+        self.u_gene = (keys // span).astype(np.intp)
+        self.u = keys - self.u_gene * span
+        self.n_u = n_u.astype(float)
+        self.log_y_fact = np.bincount(
+            self.u_gene, self.n_u * gammaln(self.u + 1.0), minlength=counts.shape[0]
+        )
+        self.x = matrix
+        # Products of the design column pairs i <= j, one row per pair in
+        # the order of np.triu_indices: X' diag(h) X of every gene is one
+        # GEMM of the (B, N) weights h against them.
+        p = matrix.shape[1]
+        x_t = np.ascontiguousarray(matrix.T)
+        self.pairs = np.triu_indices(p)
+        self.xx_t = np.vstack([x_t[i] * x_t[i:] for i in range(p)])
 
-    # P(0) = pi + (1-pi) * (phi/(phi+lam))^phi
-    a = np.exp(phi * log_ratio_z)
-    p0 = pi + (1.0 - pi) * a
-    ll += float(np.log(p0).sum())
+    def evaluate(self, rows, params):
+        """Objective, gradient and Hessian of the genes ``rows`` at ``params``.
 
-    grad = np.empty_like(params)
-    # dropout probability, via zeta
-    grad[0] = pi * (1.0 - pi) * float(((1.0 - a) / p0).sum()) - n_nz * pi
-    # dispersion, via rho
-    phi_y_inv = (phi + y_nz) * inv_phi_lam[:n_nz]
-    dll_dphi_nz = (
-        float(n_u @ _sp_digamma(u + phi))
-        - n_nz * float(_sp_digamma(phi))
-        + float(log_ratio_nz.sum())
-        + n_nz
-        - float(phi_y_inv.sum())
-    )
-    phi_inv_z = phi * inv_phi_lam[n_nz:]
-    a_p0 = (1.0 - pi) * a / p0
-    dll_dphi_z = float(a_p0 @ (log_ratio_z + 1.0 - phi_inv_z))
-    grad[1] = phi * (dll_dphi_nz + dll_dphi_z)
-    # regression coefficients, via lambda = exp(x @ c): dll/deta
-    dll_deta = np.concatenate((y_nz - phi_y_inv * lam[:n_nz], -a_p0 * phi_inv_z * lam[n_nz:]))
-    grad[2:] = x.T @ dll_deta
-    return -ll, -grad
+        ``params`` is (R, 2 + P), one row per entry of ``rows``; returns
+        arrays of shape (R,), (R, 2 + P) and (R, 2 + P, 2 + P).  Derivatives
+        in eta are taken as if the clip were not there.  The (R, N) arrays
+        are updated in place where they can be, since every new one costs
+        about as much as the arithmetic on it.
+        """
+        r, p = params.shape
+        y, zero = self.y[rows], self.zero[rows]
+        owner = np.full(self.y.shape[0], -1)
+        owner[rows] = np.arange(r)
+        owner = owner[self.u_gene]
+        keep = owner >= 0
+        u_gene, u, n_u = owner[keep], self.u[keep], self.n_u[keep]
+        n_nz = self.n_nz[rows]
+
+        rho = params[:, 1:2]
+        pi, phi = expit(params[:, :1]), np.exp(rho)
+        eta = params[:, 2:] @ self.x.T
+        np.clip(eta, -_ETA_CLIP, _ETA_CLIP, out=eta)
+        lam = np.exp(eta)
+        inv_s = lam + phi
+        log_r = np.log(inv_s)
+        np.subtract(rho, log_r, out=log_r)  # log(phi / (phi + lam))
+        np.reciprocal(inv_s, out=inv_s)
+        # The NB log-probability without its count-only terms,
+        # phi log_r + y (eta - log(phi + lam)); at a zero count it is log a
+        # with a = P_NB(0).
+        nb = eta
+        nb -= rho
+        nb += log_r
+        nb *= y
+        nb += phi * log_r
+        # P(0) = pi + (1 - pi) a.  w is the posterior weight of the NB part
+        # of a zero count, 1 - pi / P(0), and 1 at a nonzero count.
+        p0 = np.exp(nb)
+        p0 *= 1.0 - pi
+        p0 += pi
+        w = pi / p0
+        w *= zero
+        np.subtract(1.0, w, out=w)
+        v = w * (1.0 - w)
+        np.log(p0, out=p0)
+        p0 -= nb
+        p0 *= zero
+        nb += p0  # per-spot log-likelihood (log(1 - pi) aside)
+        # NB derivatives, with q = (y - lam)/s and t = lam/s for s = phi + lam:
+        # d/deta = phi q, d/dphi = log_r - q, d2/deta2 = -phi (phi + y) t / s,
+        # d2/dphi2 = t^2/phi + y/s^2 and d2/dphi deta = q t.  Those of the
+        # mixture are w d2 + v d d' (v = 0 at a nonzero count).
+        q = y - lam
+        q *= inv_s
+        t = lam
+        t *= inv_s
+        l_phi = log_r
+        l_phi -= q
+        v_l_phi = v * l_phi
+        h_eta = y + phi
+        h_eta *= inv_s
+        h_eta *= t
+        h_eta *= -phi * w
+        l_phi_phi = t * t
+        l_phi_phi /= phi
+        inv_s *= inv_s
+        l_phi_phi += y * inv_s
+        q *= phi  # now d/deta
+        # Per-spot terms that map to the coefficients through x: the eta
+        # gradient, and the Hessian's cross terms of eta with logit pi and
+        # with log phi (the chain rule's factor phi included).
+        per_spot = np.empty((3,) + y.shape)
+        g_eta, h_pi_eta, h_phi_eta = per_spot
+        np.multiply(w, q, out=g_eta)
+        np.multiply(v, q, out=h_pi_eta)
+        h_eta += h_pi_eta * q
+        h_pi_eta *= -1.0
+        np.multiply(phi, v_l_phi, out=h_phi_eta)
+        h_phi_eta += w * t
+        h_phi_eta *= q
+        coef = (per_spot.reshape(3 * r, y.shape[1]) @ self.x).reshape(3, r, p - 2)
+
+        phi_g, phi_u, pi_g = phi[:, 0], phi[u_gene, 0], pi[:, 0]
+        n_spots = y.shape[1]
+        ll = (
+            nb.sum(axis=1)
+            + n_nz * np.log1p(-pi_g)
+            + np.bincount(u_gene, n_u * gammaln(u + phi_u), minlength=r)
+            - n_nz * gammaln(phi_g)
+            - self.log_y_fact[rows]
+        )
+        d_phi = (
+            np.einsum("ij,ij->i", w, l_phi)
+            + np.bincount(u_gene, n_u * digamma(u + phi_u), minlength=r)
+            - n_nz * digamma(phi_g)
+        )
+        d2_phi = (
+            np.einsum("ij,ij->i", w, l_phi_phi)
+            + np.einsum("ij,ij->i", v_l_phi, l_phi)
+            + np.bincount(u_gene, n_u * zeta(2.0, u + phi_u), minlength=r)
+            - n_nz * zeta(2.0, phi_g)
+        )
+
+        grad = np.empty((r, p))
+        grad[:, 0] = n_spots * (1.0 - pi_g) - w.sum(axis=1)
+        grad[:, 1] = phi_g * d_phi
+        grad[:, 2:] = coef[0]
+        hess = np.empty((r, p, p))
+        h_cc = h_eta @ self.xx_t.T
+        i, j = self.pairs[0] + 2, self.pairs[1] + 2
+        hess[:, i, j] = h_cc
+        hess[:, j, i] = h_cc
+        hess[:, 0, 0] = v.sum(axis=1) - n_spots * pi_g * (1.0 - pi_g)
+        hess[:, 1, 1] = phi_g * phi_g * d2_phi + phi_g * d_phi
+        hess[:, 0, 1] = hess[:, 1, 0] = -phi_g * v_l_phi.sum(axis=1)
+        hess[:, :2, 2:] = coef[1:].transpose(1, 0, 2)
+        hess[:, 2:, :2] = coef[1:].transpose(1, 2, 0)
+        return -ll, -grad, -hess
 
 
-def _zinb_stats(y, matrix):
-    """The per-fit statistics of counts y (see ``zinb_mle``), in the order
-    ``_zinb_nll_grad`` takes them after ``params``."""
-    nz = y != 0
-    y_nz = y[nz]
-    u, n_u = np.unique(y_nz, return_counts=True)
-    n_u = n_u.astype(float)
-    x = np.concatenate((matrix[nz], matrix[~nz]))
-    return x, y_nz.size, y_nz, u, n_u, float(n_u @ gammaln(u + 1.0))
+def _relative_gradient(params, grad, nll, lo, hi):
+    """Infinity norm of the projected gradient over max(1, |logL|), per gene.
 
-
-def zinb_mle(y, design: DesignMatrix, max_iter: int = 200):
-    """Fit the zero-inflated NB regression by quasi-Newton maximum likelihood.
-
-    The objective is evaluated on statistics built once per fit: the design
-    rows reordered so that the spots with a nonzero count come first (both
-    parts are then basic slices of one matrix), the distinct nonzero counts
-    u with their multiplicities n_u, and the constant sum of log y!.  The
-    count terms of the nonzero part are sums over u, n_u gammaln(u + phi)
-    and n_u digamma(u + phi), instead of sums over spots.  The returned
-    log-likelihood includes the log y! term.
-
-    Returns (log_likelihood, n_params) or None when the optimizer fails to
-    converge.
+    The projected gradient is the step from params to the projection of
+    params - grad onto the box; the ratio is NaN where logL is not finite.
     """
-    # Imported here so that a fixed --degree never loads scipy.optimize
-    # (and the scipy.linalg and scipy.sparse it pulls in).
-    from scipy.optimize import minimize
-
-    y = np.asarray(y, dtype=float)
-    zero_frac = float(np.mean(y == 0))
-    mean_pos = float(np.mean(y)) + 0.01
-    start = np.zeros(2 + design.dim)
-    start[0] = math.log((zero_frac * 0.5 + 0.01) / (1.0 - zero_frac * 0.5 - 0.01))
-    start[1] = math.log(10.0)
-    start[2] = math.log(mean_pos)
-    bounds = [(-15.0, 15.0), (math.log(1e-3), math.log(1e5))] + [(-30.0, 30.0)] * design.dim
-    res = minimize(
-        _zinb_nll_grad,
-        start,
-        args=_zinb_stats(y, design.matrix),
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        options={"maxiter": max_iter},
-    )
-    if not np.isfinite(res.fun):
-        return None
-    if not res.success and np.linalg.norm(res.jac, ord=np.inf) > 1e-1 * max(1.0, abs(res.fun)):
-        return None
-    return -float(res.fun), 2 + design.dim
+    pg = np.abs(np.clip(params - grad, lo, hi) - params).max(axis=1)
+    return np.where(np.isfinite(nll), pg / np.maximum(1.0, np.abs(nll)), np.nan)
 
 
-def select_degree(dataset, candidates, gene_subset, max_iter: int = 200) -> int:
+def _newton_step(params, grad, hess, lo, hi):
+    """Damped Newton directions for a stack of genes, one row each.
+
+    A parameter on a bound whose gradient points out of the box is held
+    fixed.  The Hessian of the free parameters is made positive definite by
+    replacing its eigenvalues with their absolute values, floored at
+    _EIG_FLOOR times the largest, and each step is scaled so that no
+    parameter moves by more than _MAX_STEP.
+    """
+    free = ~(((params <= lo) & (grad > 0.0)) | ((params >= hi) & (grad < 0.0)))
+    h = np.where(free[:, :, None] & free[:, None, :], hess, 0.0)
+    diag = np.arange(params.shape[1])
+    h[:, diag, diag] += ~free
+    eig, vec = np.linalg.eigh(h)
+    eig = np.abs(eig)
+    eig = np.maximum(eig, _EIG_FLOOR * eig.max(axis=1, keepdims=True))
+    g = np.where(free, grad, 0.0)
+    step = -(vec @ ((vec.transpose(0, 2, 1) @ g[:, :, None]) / eig[:, :, None]))[:, :, 0]
+    longest = np.abs(step).max(axis=1, keepdims=True)
+    return step * np.minimum(1.0, _MAX_STEP / np.maximum(longest, _MAX_STEP))
+
+
+def zinb_mle(counts, design: DesignMatrix, max_iter: int = 200):
+    """Fit the zero-inflated NB regression to each row of a count block.
+
+    ``counts`` is (B, N): B genes on the N spots of ``design``.  All genes
+    are fit at once by damped Newton maximum likelihood over (logit pi,
+    log phi, coefficients) within the box |logit pi| <= 15,
+    1e-3 <= phi <= 1e5 and |c_j| <= 30, from the start pi = zero
+    fraction / 2 + 0.01, phi = 10, intercept = log(mean + 0.01).  Each step
+    solves with the stacked, eigenvalue-modified Hessian (``_newton_step``),
+    projects onto the box and halves the step until the Armijo condition
+    holds or the trial point passes the convergence test; only genes still
+    active are evaluated.  A gene is frozen once it has converged, that is,
+    once the infinity norm of its projected gradient is at most
+    1e-8 * max(1, |logL|), or when 30 halvings give no decrease.
+
+    Returns one (log_likelihood, n_params) per gene, log y! term included,
+    or None for a gene whose logL is not finite or whose projected gradient
+    norm is still above 0.1 * max(1, |logL|) after at most ``max_iter``
+    steps.
+    """
+    y = np.asarray(counts, dtype=float)
+    if y.ndim != 2:
+        raise ValueError(f"counts must be a (genes, spots) block, got shape {y.shape}")
+    block = _ZinbBlock(y, design.matrix)
+    n_params = 2 + design.dim
+    lo = np.array([-_LOGIT_PI_BOUND, _LOG_PHI_BOUNDS[0]] + [-_COEF_BOUND] * design.dim)
+    hi = np.array([_LOGIT_PI_BOUND, _LOG_PHI_BOUNDS[1]] + [_COEF_BOUND] * design.dim)
+    zero_frac = block.zero.mean(axis=1)
+    params = np.zeros((y.shape[0], n_params))
+    params[:, 0] = np.log((zero_frac * 0.5 + 0.01) / (1.0 - zero_frac * 0.5 - 0.01))
+    params[:, 1] = math.log(10.0)
+    params[:, 2] = np.log(y.mean(axis=1) + 0.01)
+    params = np.clip(params, lo, hi)
+
+    nll, grad, hess = block.evaluate(np.arange(y.shape[0]), params)
+    rel_grad = _relative_gradient(params, grad, nll, lo, hi)
+    active = rel_grad > _GRAD_TOL
+    for _ in range(max_iter):
+        rows = np.flatnonzero(active)
+        if not rows.size:
+            break
+        step = _newton_step(params[rows], grad[rows], hess[rows], lo, hi)
+        pending, t = rows, 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = np.clip(params[pending] + t * step, lo, hi)
+            f, g, h = block.evaluate(pending, trial)
+            decrease = np.einsum("ij,ij->i", grad[pending], trial - params[pending])
+            # Near the optimum the decrease can be below the rounding of the
+            # objective, so a trial that passes the convergence test is taken.
+            ok = (f <= nll[pending] + _ARMIJO * decrease) | (
+                _relative_gradient(trial, g, f, lo, hi) <= _GRAD_TOL
+            )
+            done = pending[ok]
+            params[done], nll[done], grad[done], hess[done] = trial[ok], f[ok], g[ok], h[ok]
+            pending, step, t = pending[~ok], step[~ok], 0.5 * t
+            if not pending.size:
+                break
+        rel_grad[rows] = _relative_gradient(params[rows], grad[rows], nll[rows], lo, hi)
+        active[rows] = rel_grad[rows] > _GRAD_TOL
+        active[pending] = False  # no decrease found: frozen where it is
+
+    ok = rel_grad <= _FAIL_TOL  # False where logL is not finite
+    return [(-float(f), n_params) if good else None for f, good in zip(nll, ok)]
+
+
+def select_degree(dataset, candidates, gene_subset) -> int:
     """Pick the spline degree by per-sample AIC, maximized across samples.
 
     For each sample and candidate degree, the ZINB regression is fit by
-    maximum likelihood on every gene in ``gene_subset`` and the AICs
-    (2k - 2 logL with k = 3 + 2L + J) are averaged; the per-sample optimum
+    maximum likelihood to every gene in ``gene_subset``, as one
+    ``zinb_mle`` block, and the AICs (2k - 2 logL with k = 3 + 2L + J) of
+    the fits that are not None are averaged; the per-sample optimum
     is the AIC-minimizing degree and the returned degree is the maximum of
     the per-sample optima.  A sample on which no gene fit converges votes
     for the default degree and a warning is recorded.
@@ -271,12 +436,8 @@ def select_degree(dataset, candidates, gene_subset, max_iter: int = 200) -> int:
         mean_aic = {}
         for degree in candidates:
             design = build_design(coords, sample.covariates, BasisSpec(degree))
-            aics = []
-            for g in gene_subset:
-                fit = zinb_mle(sample.counts[g], design, max_iter=max_iter)
-                if fit is not None:
-                    logl, k = fit
-                    aics.append(2.0 * k - 2.0 * logl)
+            fits = zinb_mle(sample.counts[gene_subset], design)
+            aics = [2.0 * k - 2.0 * logl for logl, k in filter(None, fits)]
             if aics:
                 mean_aic[degree] = float(np.mean(aics))
         if mean_aic:

@@ -199,6 +199,54 @@ class TestManifestRead:
             Manifest.read(str(path))
 
 
+class TestUndecodableInput:
+    """A byte that does not decode, in any file detect or evaluate reads,
+    is a DataError that names the file."""
+
+    @staticmethod
+    def append_bad_byte(path):
+        with open(path, "ab") as fh:
+            fh.write(b"\xff")
+
+    def test_manifest(self, tmp_path):
+        entry = simple_manifest(tmp_path).entries[0]
+        path = tmp_path / "manifest.ini"
+        Manifest(entries=(entry,), base_dir=str(tmp_path)).write(str(path))
+        self.append_bad_byte(path)
+        with pytest.raises(DataError, match="manifest.ini"):
+            Manifest.read(str(path))
+
+    @pytest.mark.parametrize("field", ["coords", "covariates", "counts"])
+    def test_sample_tsv(self, tmp_path, field):
+        manifest = simple_manifest(tmp_path)
+        name = getattr(manifest.entries[0], field)
+        self.append_bad_byte(tmp_path / name)
+        with pytest.raises(DataError, match=name):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize("field", ["counts", "genes"])
+    def test_triplet_files(self, tmp_path, field):
+        manifest = triplet_manifest(tmp_path, "1 1 4\n2 3 7\n")
+        name = getattr(manifest.entries[0], field)
+        self.append_bad_byte(tmp_path / name)
+        with pytest.raises(DataError, match=name):
+            load_dataset(manifest)
+
+    def test_report(self, tmp_path):
+        path = tmp_path / "r.tsv"
+        write_report(build_report(["g1"], [_result(0.9, 0.2)]), path)
+        self.append_bad_byte(path)
+        with pytest.raises(DataError, match="r.tsv"):
+            read_report(path)
+
+    def test_truth(self, tmp_path):
+        path = tmp_path / "truth.tsv"
+        path.write_text("# seed=1\ngene_id\tis_sv\tpattern\ng1\t1\tlinear\n")
+        self.append_bad_byte(path)
+        with pytest.raises(DataError, match="truth.tsv"):
+            read_truth(path)
+
+
 class TestFilterDataset:
     def make_ds(self, counts):
         counts = np.asarray(counts)

@@ -133,7 +133,7 @@ def _flat_sample(pattern, degree_true, seed, n_side=14, dropout=0.0):
 
 
 def _reference_nll_grad(params, y, x, is_zero):
-    """Reference for ``splines._zinb_nll_grad``: the same objective and
+    """Reference for ``splines._ZinbBlock.evaluate``: the same objective and
     parameter layout, with every term evaluated once per spot in the spots'
     input order."""
     zeta, rho = params[0], params[1]
@@ -181,7 +181,10 @@ def _reference_nll_grad(params, y, x, is_zero):
 
 
 def _reference_mle(y, design, max_iter=200):
-    """``zinb_mle`` with the reference objective: same start, bounds and rule."""
+    """The per-gene L-BFGS-B fit ``zinb_mle`` replaced, on the reference
+    objective: same start, bounds and failure rule.  Its stopping tolerances
+    are tighter than scipy's defaults, which stop an all-zero fit (optimum on
+    a bound, logL near 0) about 6e-6 short of the optimum."""
     y = np.asarray(y, dtype=float)
     is_zero = y == 0
     zero_frac = float(np.mean(is_zero))
@@ -197,13 +200,24 @@ def _reference_mle(y, design, max_iter=200):
         jac=True,
         method="L-BFGS-B",
         bounds=bounds,
-        options={"maxiter": max_iter},
+        options={"maxiter": max_iter, "ftol": 1e-12, "gtol": 1e-8},
     )
     if not np.isfinite(res.fun):
         return None
     if not res.success and np.linalg.norm(res.jac, ord=np.inf) > 1e-1 * max(1.0, abs(res.fun)):
         return None
     return -float(res.fun), 2 + design.dim
+
+
+def _reference_block(counts, design):
+    """``_reference_mle`` of every row of a count block."""
+    return [_reference_mle(y, design) for y in counts]
+
+
+def _block_objective(params, y, matrix):
+    """Objective and gradient of one gene as a block of one."""
+    nll, grad, _ = splines._ZinbBlock(y[None], matrix).evaluate(np.arange(1), params[None])
+    return nll[0], grad[0]
 
 
 def _count_vectors(rng, n):
@@ -262,7 +276,7 @@ class TestSelectDegree:
 
     def test_fallback_vote_on_total_failure(self, monkeypatch):
         ds = _flat_sample("linear", 1, seed=0)
-        monkeypatch.setattr(splines, "zinb_mle", lambda *a, **k: None)
+        monkeypatch.setattr(splines, "zinb_mle", lambda counts, design: [None] * len(counts))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             got = select_degree(ds, {1, 2}, [0, 1])
@@ -280,8 +294,7 @@ class TestZinbMle:
         y = rng.poisson(lam)
         y[rng.random(40) < 0.3] = 0
         params = np.concatenate([[0.2, math.log(8.0)], rng.normal(0, 0.3, design.dim)])
-        stats = splines._zinb_stats(y.astype(float), design.matrix)
-        nll, grad = splines._zinb_nll_grad(params, *stats)
+        nll, grad = _block_objective(params, y.astype(float), design.matrix)
         eps = 1e-6
         for j in range(params.size):
             up = params.copy()
@@ -289,8 +302,8 @@ class TestZinbMle:
             dn = params.copy()
             dn[j] -= eps
             fd = (
-                splines._zinb_nll_grad(up, *stats)[0]
-                - splines._zinb_nll_grad(dn, *stats)[0]
+                _block_objective(up, y.astype(float), design.matrix)[0]
+                - _block_objective(dn, y.astype(float), design.matrix)[0]
             ) / (2 * eps)
             assert grad[j] == pytest.approx(fd, rel=2e-4, abs=1e-5)
 
@@ -301,7 +314,7 @@ class TestZinbMle:
         lam = np.exp(2.0 + 1.0 * design.matrix[:, 1])
         phi_true = 5.0
         y = rng.poisson(rng.gamma(phi_true, lam / phi_true))
-        fit = zinb_mle(y, design)
+        fit = zinb_mle(y[None], design)[0]
         assert fit is not None
         logl, k = fit
         assert k == 2 + design.dim
@@ -325,7 +338,7 @@ class TestZinbMle:
             )
             params[2] += math.log(y.mean() + 0.5)
             ref_nll, ref_grad = _reference_nll_grad(params, y, design.matrix, y == 0)
-            nll, grad = splines._zinb_nll_grad(params, *splines._zinb_stats(y, design.matrix))
+            nll, grad = _block_objective(params, y, design.matrix)
             tol = 1e-12 * max(1.0, abs(ref_nll), float(np.abs(ref_grad).max()))
             assert abs(nll - ref_nll) <= tol
             np.testing.assert_allclose(grad, ref_grad, rtol=0.0, atol=tol)
@@ -335,7 +348,7 @@ class TestZinbMle:
         n = 300
         design = make_design(rng.uniform(size=(n, 2)), rng.uniform(size=(n, 1)), degree=2)
         for case, y in _count_vectors(rng, n).items():
-            fit = zinb_mle(y, design)
+            fit = zinb_mle(y[None], design)[0]
             ref = _reference_mle(y, design)
             assert fit is not None and ref is not None, case
             assert fit[1] == ref[1]
@@ -345,12 +358,126 @@ class TestZinbMle:
     def test_select_degree_matches_reference(self, monkeypatch):
         ds = _flat_sample("poly2", 3, seed=104, dropout=0.3)
         got = select_degree(ds, {1, 2, 3, 4}, list(range(10)))
-        monkeypatch.setattr(splines, "zinb_mle", _reference_mle)
+        monkeypatch.setattr(splines, "zinb_mle", _reference_block)
         assert got == select_degree(ds, {1, 2, 3, 4}, list(range(10)))
 
+    def test_hessian_matches_finite_differences(self):
+        # One block of the four count-vector kinds, each gene at its own
+        # parameters: every Hessian column against central differences of
+        # the block gradient.
+        rng = np.random.default_rng(8)
+        n = 80
+        design = make_design(rng.uniform(size=(n, 2)), rng.uniform(size=(n, 1)), degree=2)
+        y = np.stack(list(_count_vectors(rng, n).values()))
+        params = np.column_stack(
+            [
+                rng.uniform(-2.0, 2.0, len(y)),
+                rng.uniform(math.log(0.5), math.log(50.0), len(y)),
+                rng.normal(0.0, 0.3, (len(y), design.dim)),
+            ]
+        )
+        params[:, 2] += np.log(y.mean(axis=1) + 0.5)
+        block = splines._ZinbBlock(y, design.matrix)
+        rows = np.arange(len(y))
+        _, _, hess = block.evaluate(rows, params)
+        np.testing.assert_allclose(hess, hess.transpose(0, 2, 1), rtol=1e-12, atol=0.0)
+        eps = 1e-5
+        for j in range(params.shape[1]):
+            up, dn = params.copy(), params.copy()
+            up[:, j] += eps
+            dn[:, j] -= eps
+            fd = (block.evaluate(rows, up)[1] - block.evaluate(rows, dn)[1]) / (2 * eps)
+            scale = np.maximum(1.0, np.abs(hess).max(axis=(1, 2)))[:, None]
+            assert np.all(np.abs(hess[:, :, j] - fd) <= 1e-6 * scale), j
+
+    def test_block_fit_equals_single_gene_fits(self):
+        # Ten simulated genes and the four count-vector kinds plus one more
+        # mixed vector: each gene's fit in the 15-gene block equals its fit
+        # as a block of one.
+        ds = _flat_sample("poly2", 3, seed=104, dropout=0.3)
+        sample = ds.samples[0]
+        rng = np.random.default_rng(2)
+        n = sample.counts.shape[1]
+        extra = list(_count_vectors(rng, n).values()) + [_count_vectors(rng, n)["mixed"]]
+        counts = np.vstack([sample.counts.astype(float), np.stack(extra)])
+        assert counts.shape[0] == 15
+        design = splines.build_design(
+            normalize_coords(sample.coords), sample.covariates, BasisSpec(3)
+        )
+        block = zinb_mle(counts, design)
+        for y, fit in zip(counts, block):
+            single = zinb_mle(y[None], design)[0]
+            assert fit is not None and single is not None
+            assert fit[1] == single[1]
+            assert abs(fit[0] - single[0]) <= 1e-10 * max(1.0, abs(single[0]))
+
+    def test_block_fit_not_below_reference(self):
+        # Newton stops at the tighter test, so no fit may end below the
+        # L-BFGS-B reference by more than 1e-8 of max(1, |logL|).
+        ds = _flat_sample("poly2", 3, seed=104, dropout=0.3)
+        sample = ds.samples[0]
+        coords = normalize_coords(sample.coords)
+        for degree in (1, 2, 3, 4):
+            design = splines.build_design(coords, sample.covariates, BasisSpec(degree))
+            fits = zinb_mle(sample.counts, design)
+            for y, fit in zip(sample.counts.astype(float), fits):
+                ref = _reference_mle(y, design)
+                assert fit is not None and ref is not None
+                assert fit[0] >= ref[0] - 1e-8 * max(1.0, abs(ref[0])), degree
+
+    def test_all_zero_gene_converges_on_bound(self):
+        # All-zero counts: the likelihood grows towards pi -> 1 and a mean
+        # -> 0, so the optimum lies on the box; the fit must still count as
+        # converged and match the reference.
+        rng = np.random.default_rng(34)
+        n = 200
+        design = make_design(rng.uniform(size=(n, 2)), rng.uniform(size=(n, 1)), degree=3)
+        y = np.zeros(n)
+        fit = zinb_mle(y[None], design)[0]
+        ref = _reference_mle(y, design)
+        assert fit is not None and ref is not None
+        assert math.isfinite(fit[0]) and fit[0] <= 0.0
+        assert abs(fit[0] - ref[0]) <= 1e-8 * max(1.0, abs(ref[0]))
+
+    def test_unconverged_fit_is_none(self):
+        rng = np.random.default_rng(33)
+        n = 300
+        design = make_design(rng.uniform(size=(n, 2)), rng.uniform(size=(n, 1)), degree=2)
+        vectors = _count_vectors(rng, n)
+        # The all-zero gene has logL near 0, so one step leaves its projected
+        # gradient far above 0.1 * max(1, |logL|); more steps converge.
+        zero = vectors["all-zero"][None]
+        assert zinb_mle(zero, design, max_iter=1)[0] is None
+        assert zinb_mle(zero, design)[0] is not None
+        # With no step the fit stays at the documented start: None exactly
+        # when the reference's projected gradient there breaks the rule.
+        lo = np.array([-15.0, math.log(1e-3)] + [-30.0] * design.dim)
+        hi = np.array([15.0, math.log(1e5)] + [30.0] * design.dim)
+        for case, y in vectors.items():
+            zero_frac = float(np.mean(y == 0))
+            start = np.zeros(2 + design.dim)
+            start[0] = math.log((zero_frac * 0.5 + 0.01) / (1.0 - zero_frac * 0.5 - 0.01))
+            start[1] = math.log(10.0)
+            start[2] = math.log(float(np.mean(y)) + 0.01)
+            nll, grad = _reference_nll_grad(start, y, design.matrix, y == 0)
+            pg = np.abs(np.clip(start - grad, lo, hi) - start).max()
+            fit = zinb_mle(y[None], design, max_iter=0)[0]
+            assert (fit is None) == (pg > 0.1 * max(1.0, abs(nll))), case
+            if fit is not None:
+                assert fit[0] == pytest.approx(-nll, rel=1e-12)
+
     def test_cli_import_leaves_optimizer_unloaded(self):
+        # Importing the CLI and selecting a degree by ZINB fits must not load
+        # scipy.optimize (nor the scipy.linalg and scipy.sparse it pulls in).
         src = os.path.dirname(os.path.dirname(splines.__file__))
-        code = "import sys, svjoint.cli; print('scipy.optimize' in sys.modules)"
+        code = (
+            "import sys, svjoint.cli\n"
+            "from svjoint.simulate import SimConfig, generate\n"
+            "from svjoint.splines import select_degree\n"
+            "ds, _ = generate(SimConfig(M=2, grid=(8, 8), G=4, n_sv=2, seed=5))\n"
+            "assert select_degree(ds, (1, 2), [0, 1, 2, 3]) in (1, 2)\n"
+            "print('scipy.optimize' in sys.modules)"
+        )
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True,
