@@ -524,7 +524,7 @@ def filter_dataset(
                 counts=s.counts.take_spots(keep),
                 coords=s.coords[keep],
                 covariates=s.covariates[keep],
-                spot_ids=tuple(np.asarray(s.spot_ids)[keep]),
+                spot_ids=tuple(s.spot_ids[i] for i in np.flatnonzero(keep)),
             )
         )
     keep_gene = np.ones(len(ds.gene_ids), dtype=bool)
@@ -532,8 +532,8 @@ def filter_dataset(
         keep_gene &= np.diff(s.counts.indptr) >= min_spots_per_gene
     if not keep_gene.any():
         raise DataError("all genes removed by filtering")
-    gene_ids = tuple(np.asarray(ds.gene_ids)[keep_gene])
     rows = np.flatnonzero(keep_gene)
+    gene_ids = tuple(ds.gene_ids[i] for i in rows)
     final = [replace(s, counts=s.counts.take_genes(rows), gene_ids=gene_ids) for s in trimmed]
     return MultiSampleDataset(samples=final, gene_ids=gene_ids)
 

@@ -9,11 +9,20 @@ sigma^2_mk, their Half-Cauchy auxiliaries a_mk and the slab indicators
 alpha_mk for every sample m and spatial axis k), and the cross-sample gate
 (u_k, p_k, q_k) that ties the indicators together.
 
-A ``SampleState`` owns one sample's data, q(g), q(r), q(theta), q(phi) and
-caches; the ``SharedState`` owns the (M, 2) spike-and-slab block and the
-per-axis gate.  Updates assign new arrays and never write into existing
-ones, so a snapshot is a shallow copy of each state plus a copy of each
-q(phi) node cache, the only object mutated in place.
+A ``GeneState`` owns the gene's data, q(g), q(r), q(theta), q(phi) and
+caches for all M samples at once: every per-spot array is the samples'
+sections concatenated, split by ``offsets``; per-sample sums (N_pi, the
+ELBO's spot terms) are one reduction over those offsets; the per-sample
+scalars u_phi, N_pi and c1 are (M,) arrays.  So the q(g) and q(r) updates,
+the spot parts of the theta and phi steps and the per-spot ELBO terms run
+once per iteration for all samples.  The d x d work of the theta step (the
+weighted Gram matrix, its Cholesky factor and inverse, E[exp(-C theta)]),
+the q(phi) quadrature and the theta terms of the ELBO stay a loop over
+samples, so samples may differ in spot and covariate counts.  The
+``SharedState`` owns the (M, 2) spike-and-slab block and the per-axis gate.
+Updates assign new arrays and never write into existing ones, so a
+snapshot is a shallow copy of each state plus a copy of the list of q(phi)
+node caches and of each cache in it, the only objects mutated in place.
 
 All factor updates are conjugate closed forms except theta, which takes a
 fixed-point Gaussian step (non-conjugate variational message passing), and
@@ -46,7 +55,7 @@ __all__ = [
     "A_BY_DEGREE",
     "EngineError",
     "Hyperparameters",
-    "SampleState",
+    "GeneState",
     "SharedState",
     "FitOptions",
     "GeneFitResult",
@@ -152,32 +161,45 @@ class Hyperparameters:
 
 
 @dataclass
-class SampleState:
-    """Data, q(g), q(r), q(theta), q(phi) and their caches for one sample.
+class GeneState:
+    """One gene's data, q(g), q(r), q(theta), q(phi) and caches, for all M samples.
+
+    Layout: the samples' spots are concatenated in sample order, and sample m
+    owns spots ``offsets[m]:offsets[m + 1]`` (``sections[m]``) of every
+    per-spot array: the counts ``y``, ``log_y_fact`` = log(y_i!), ``u_r`` =
+    E[r_i] (exactly 0 wherever y_i > 0), ``a_g``/``b_g`` parametrizing q(g)
+    and its moments ``e_g``/``e_log_g`` (set by ``update_g``), and ``w_exp``
+    and ``c_mu``, E[exp(-C_i theta)] and C_i mu.  ``owner`` maps each spot
+    to its sample.  Per-sample sums are one reduction over the offsets.
+
+    ``u_phi``, ``n_pi`` and ``c1`` are (M,) arrays; ``update_phi`` sets
+    ``n_pi``, ``c1`` and ``phi_cache``, the M q(phi) normalizers and
+    moments at (n_pi[m], c1[m]); ``phi_quad`` holds the M node caches.  The
+    regression blocks differ in size between samples, so ``mu`` and
+    ``sigma`` are tuples of M arrays, one theta block per sample with its
+    own ``designs[m]``; the (M, 2) ``beta_sq`` is E[beta_mk' beta_mk].
+    ``w_exp``, ``c_mu`` and ``beta_sq`` are functions of (mu, Sigma),
+    refreshed together by ``refresh_theta_cache``.
 
     The sample's slab factors are its row of ``SharedState``'s (M, 2) block.
-    Conventions: ``y`` and ``design`` are the sample's counts and design,
-    read by every update; ``a_g``/``b_g`` parametrize q(g) and
-    ``e_g``/``e_log_g`` are its moments, all set by ``update_g``; ``u_r`` is
-    E[r_i], exactly 0 wherever y_i > 0; ``w_exp``, ``c_mu`` and the (2,)
-    ``beta_sq`` cache E[exp(-C_i theta)], C mu and E[beta_k' beta_k] for
-    the current (mu, Sigma) and are refreshed together by
-    ``refresh_theta_cache``; ``log_y_fact`` is log(y_i!); ``phi_cache``
-    carries the quadrature normalizer and moments of q(phi) at (n_pi, c1).
-
-    Updates assign new arrays and never write into existing ones; the q(phi)
-    node cache ``phi_quad`` is the only object refreshed in place.
+    Updates assign new arrays and tuples and never write into existing ones;
+    the q(phi) node caches in ``phi_quad`` are the only objects refreshed in
+    place.  So a snapshot of the state (``_snapshot``) is a shallow copy
+    with a new ``phi_quad`` list holding a copy of each cache: a retried
+    iteration then starts from exactly the pre-attempt nodes.
     """
 
     y: np.ndarray
-    design: DesignMatrix
+    designs: tuple
+    offsets: np.ndarray
     log_y_fact: np.ndarray
     u_r: np.ndarray
-    u_phi: float
-    n_pi: float
-    c1: float
-    mu: np.ndarray
-    sigma: np.ndarray
+    u_phi: np.ndarray
+    mu: tuple
+    sigma: tuple
+    phi_quad: list
+    n_pi: np.ndarray = None
+    c1: np.ndarray = None
     a_g: np.ndarray = None
     b_g: np.ndarray = None
     e_g: np.ndarray = None
@@ -185,26 +207,49 @@ class SampleState:
     w_exp: np.ndarray = None
     c_mu: np.ndarray = None
     beta_sq: np.ndarray = None
-    phi_cache: PhiFactor | None = None
-    phi_quad: PhiQuadCache = field(default_factory=PhiQuadCache)
+    phi_cache: tuple[PhiFactor, ...] | None = None
+    sections: tuple = field(init=False)
+    owner: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        bounds = self.offsets.tolist()
+        self.sections = tuple(slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
+        self.owner = np.repeat(np.arange(len(self.designs)), np.diff(self.offsets))
+
+    def per_sample_sum(self, x):
+        """(M,) sums of a per-spot array over each sample's spots."""
+        return np.add.reduceat(x, self.offsets[:-1])
+
+    def per_spot(self, v):
+        """A per-sample (M,) array repeated over each sample's spots."""
+        return v.take(self.owner)
+
+    def locate(self, spot):
+        """'sample m spot i' for an index into the concatenated spots."""
+        m = int(self.owner[spot])
+        return f"sample {m} spot {spot - self.sections[m].start}"
 
     def refresh_g_moments(self):
         self.e_g, self.e_log_g = gamma_moments(self.a_g, self.b_g)
 
     def refresh_theta_cache(self):
         """Recompute every cached function of (mu, Sigma); call after changing either."""
-        w = mvn_exp_neg_linear(self.mu, self.sigma, self.design.matrix)
+        w, c_mu, beta_sq = [], [], []
+        for design, mu, sigma in zip(self.designs, self.mu, self.sigma):
+            w.append(mvn_exp_neg_linear(mu, sigma, design.matrix))
+            c_mu.append(design.matrix @ mu)
+            # E[beta_k' beta_k] = |mu_k|^2 + tr(Sigma_k block) for k = 0, 1.
+            var = sigma.diagonal()
+            blocks = (design.beta_slice(0), design.beta_slice(1))
+            beta_sq.append([float(mu[b] @ mu[b] + var[b].sum()) for b in blocks])
+        w = np.concatenate(w)
         bad = ~np.isfinite(w)
         if bad.any():
-            idx = int(np.nonzero(bad)[0][0])
-            raise EngineError(f"non-finite exp(-C theta) moment at spot {idx}")
+            spot = self.locate(int(np.argmax(bad)))
+            raise EngineError(f"non-finite exp(-C theta) moment at {spot}")
         self.w_exp = w
-        self.c_mu = self.design.matrix @ self.mu
-        # E[beta_k' beta_k] = |mu_k|^2 + tr(Sigma_k block) for k = 0, 1.
-        blocks = (self.design.beta_slice(0), self.design.beta_slice(1))
-        self.beta_sq = np.array(
-            [float(self.mu[b] @ self.mu[b] + np.trace(self.sigma[b, b])) for b in blocks]
-        )
+        self.c_mu = np.concatenate(c_mu)
+        self.beta_sq = np.array(beta_sq)
 
 
 def gamma_moments(a, b):
@@ -275,39 +320,43 @@ class GeneFitResult:
 
 
 def init_state(ys, designs, hp: Hyperparameters):
-    """Initial variational state for one gene across samples.
+    """Initial variational state for one gene across samples: (GeneState, SharedState).
 
     The regression mean starts at the log count mean (intercept only) with
     an isotropic 0.01 covariance; indicators start symmetric at 0.5; the
     q(g) factor is seeded from its own update at those values.
     """
-    states = []
-    for y, design in zip(ys, designs):
-        y = np.asarray(y)
+    ys = [np.asarray(y) for y in ys]
+    for y in ys:
         if np.any(y < 0) or not np.issubdtype(y.dtype, np.integer):
             raise ValueError("counts must be non-negative integers")
-        y = y.astype(np.int64)
-        mu = np.concatenate(([math.log(float(np.mean(y)) + 0.01)], np.zeros(design.dim - 1)))
-        u_r = np.where(y == 0, 0.5, 0.0)
-        ss = SampleState(
-            y=y,
-            design=design,
-            log_y_fact=gammaln(y + 1.0),
-            u_r=u_r,
-            u_phi=max(hp.a_phi / hp.b_phi, 1.0),
-            n_pi=float(np.sum(1.0 - u_r)),
-            c1=hp.b_phi + float(np.sum(1.0 - u_r)),
-            mu=mu,
-            sigma=0.01 * np.eye(design.dim),
-        )
-        ss.refresh_theta_cache()
-        update_g(ss)
-        states.append(ss)
-    block = (len(states), 2)
+        if y.size == 0:
+            raise ValueError("every sample needs at least one spot")
+    ys = [y.astype(np.int64) for y in ys]
+    y = np.concatenate(ys)
+    n_samples = len(ys)
+    offsets = np.cumsum([0] + [y_m.size for y_m in ys])
+    state = GeneState(
+        y=y,
+        designs=tuple(designs),
+        offsets=offsets,
+        log_y_fact=gammaln(y + 1.0),
+        u_r=np.where(y == 0, 0.5, 0.0),
+        u_phi=np.full(n_samples, max(hp.a_phi / hp.b_phi, 1.0)),
+        mu=tuple(
+            np.concatenate(([math.log(float(np.mean(y_m)) + 0.01)], np.zeros(design.dim - 1)))
+            for y_m, design in zip(ys, designs)
+        ),
+        sigma=tuple(0.01 * np.eye(design.dim) for design in designs),
+        phi_quad=[PhiQuadCache() for _ in ys],
+    )
+    state.refresh_theta_cache()
+    update_g(state)
+    block = (n_samples, 2)
     shared = SharedState(
         a_sig=np.full(block, 0.5),
         b_sig=np.full(block, 1.0),
-        u_inv_a=np.tile(1.0 / (1.0 + 1.0 / np.square(hp.a_slab)), (len(states), 1)),
+        u_inv_a=np.tile(1.0 / (1.0 + 1.0 / np.square(hp.a_slab)), (n_samples, 1)),
         u_alpha=np.full(block, 0.5),
         u_u=np.full(2, 0.5),
         a_p=np.full(2, hp.c_p),
@@ -315,7 +364,7 @@ def init_state(ys, designs, hp: Hyperparameters):
         a_q=np.full(2, hp.c_q),
         b_q=np.full(2, hp.d_q),
     )
-    return states, shared
+    return state, shared
 
 
 # ---------------------------------------------------------------------------
@@ -331,18 +380,16 @@ def beta_prior_precision(shared: SharedState, hp: Hyperparameters):
 
 def m_prior_diag(design: DesignMatrix, beta_prec, hp: Hyperparameters):
     """Diagonal of theta's prior precision, given one sample's (2,) beta precisions."""
-    return np.concatenate((
-        [1.0 / hp.sigma2_eta],
-        np.repeat(beta_prec, design.n_basis),
-        np.full(design.n_covariates, 1.0 / hp.sigma2_psi),
-    ))
+    return np.repeat(
+        [1.0 / hp.sigma2_eta, beta_prec[0], beta_prec[1], 1.0 / hp.sigma2_psi],
+        [1, design.n_basis, design.n_basis, design.n_covariates],
+    )
 
 
-def slab_statistics(states):
+def slab_statistics(state: GeneState):
     """(M, 2) E[beta_mk' beta_mk] and (M, 1) block lengths L_m: the data the slab block reads."""
-    beta_sq = np.array([ss.beta_sq for ss in states])
-    length = np.array([[ss.design.n_basis] for ss in states], dtype=float)
-    return beta_sq, length
+    length = np.array([[design.n_basis] for design in state.designs], dtype=float)
+    return state.beta_sq, length
 
 
 def theta_expected_logp(mu, sigma, design, u_phi, one_minus_ur, e_g, m_prior):
@@ -372,72 +419,85 @@ def theta_derivatives(mu, w_exp, design, u_phi, one_minus_ur, e_g, m_prior):
     return grad_mu, d_sigma
 
 
-def update_theta(ss: SampleState, beta_prec, hp: Hyperparameters, damping: float = 1.0):
-    """One fixed-point Gaussian step for the regression block.
+def update_theta(state: GeneState, beta_prec, hp: Hyperparameters, damping: float = 1.0):
+    """One fixed-point Gaussian step for every sample's regression block.
 
-    ``beta_prec`` is the sample's row of ``beta_prior_precision``.  The new
-    covariance is the inverse of P = u_phi C' diag[w] C + M_prior evaluated
-    at the old moments; the mean moves damped along Sigma_new times the
-    gradient.
+    ``beta_prec`` is the (M, 2) ``beta_prior_precision``; sample m reads
+    its row.  The new covariance is the inverse of P = u_phi C' diag[w] C +
+    M_prior evaluated at the old moments; the mean moves damped along
+    Sigma_new times the gradient.
     """
-    m_prior = m_prior_diag(ss.design, beta_prec, hp)
-    one_minus_ur = 1.0 - ss.u_r
-    grad_mu, d_sigma = theta_derivatives(
-        ss.mu, ss.w_exp, ss.design, ss.u_phi, one_minus_ur, ss.e_g, m_prior
-    )
-    prec = -2.0 * d_sigma
-    prec = 0.5 * (prec + prec.T)
-    if not np.isfinite(prec).all():
-        raise EngineError("non-finite precision in theta update")
-    # One Cholesky factorization P = L L'; a factorization that fails is
-    # retried once with a diagonal jitter.  Sigma = L^-T L^-1.  numpy's
-    # LAPACK is used: scipy's would load a second BLAS into every worker.
-    try:
-        chol = np.linalg.cholesky(prec)
-    except np.linalg.LinAlgError:
+    one_minus_ur = 1.0 - state.u_r
+    mus, sigmas = [], []
+    for m, (design, spots) in enumerate(zip(state.designs, state.sections)):
+        m_prior = m_prior_diag(design, beta_prec[m], hp)
+        grad_mu, d_sigma = theta_derivatives(
+            state.mu[m], state.w_exp[spots], design, state.u_phi[m], one_minus_ur[spots],
+            state.e_g[spots], m_prior,
+        )
+        prec = -2.0 * d_sigma
+        prec = 0.5 * (prec + prec.T)
+        if not np.isfinite(prec).all():
+            raise EngineError(f"non-finite precision in theta update of sample {m}")
+        # One Cholesky factorization P = L L'; a factorization that fails is
+        # retried once with a diagonal jitter.  Sigma = L^-T L^-1.  numpy's
+        # LAPACK is used: scipy's would load a second BLAS into every worker.
         try:
-            chol = np.linalg.cholesky(prec + _JITTER * np.eye(ss.design.dim))
-        except np.linalg.LinAlgError as exc:
-            raise EngineError("theta precision not invertible after jitter") from exc
-    inv_chol = np.linalg.inv(chol)
-    sigma_new = inv_chol.T @ inv_chol
-    sigma_new = 0.5 * (sigma_new + sigma_new.T)
-    ss.mu = ss.mu + damping * (sigma_new @ grad_mu)
-    ss.sigma = sigma_new
-    ss.refresh_theta_cache()
+            chol = np.linalg.cholesky(prec)
+        except np.linalg.LinAlgError:
+            try:
+                chol = np.linalg.cholesky(prec + _JITTER * np.eye(design.dim))
+            except np.linalg.LinAlgError as exc:
+                raise EngineError(
+                    f"theta precision of sample {m} not invertible after jitter") from exc
+        inv_chol = np.linalg.inv(chol)
+        sigma_new = inv_chol.T @ inv_chol
+        sigma_new = 0.5 * (sigma_new + sigma_new.T)
+        mus.append(state.mu[m] + damping * (sigma_new @ grad_mu))
+        sigmas.append(sigma_new)
+    state.mu, state.sigma = tuple(mus), tuple(sigmas)
+    state.refresh_theta_cache()
 
 
-def update_phi(ss: SampleState, hp: Hyperparameters):
-    """Refresh the dispersion factor's (N_pi, c1) and its mean u_phi.
+def update_phi(state: GeneState, hp: Hyperparameters):
+    """Refresh each sample's dispersion factor: its (N_pi, c1) and mean u_phi.
 
     b_phi enters c1 once, outside the spot sum.  The mean is the ratio of
     shifted-power normalizers, exp(logH(a_phi, ...) - logH(a_phi-1, ...)),
     clamped to a wide stability interval.
     """
-    kappa = 1.0 - ss.u_r
-    ss.n_pi = float(np.sum(kappa))
-    spot_terms = ss.c_mu - ss.e_log_g + ss.e_g * ss.w_exp
-    c1 = hp.b_phi + float(kappa @ spot_terms)
-    if not c1 > 0.0:
-        raise EngineError(f"non-positive c1 = {c1} in phi update")
-    ss.c1 = c1
-    fac = phi_factor(hp.a_phi, ss.n_pi, c1, cache=ss.phi_quad)
-    ss.phi_cache = fac
-    ss.u_phi = float(np.clip(fac.e_phi, *_U_PHI_BOUNDS))
+    kappa = 1.0 - state.u_r
+    n_pi = state.per_sample_sum(kappa)
+    spot_terms = state.c_mu - state.e_log_g + state.e_g * state.w_exp
+    # c1 stays one dot product per sample, not a segment sum: the fit is
+    # sensitive to its rounding, and a segment sum's summation order changes
+    # printed digits of reports written by earlier versions.
+    c1 = hp.b_phi + np.array([kappa[s] @ spot_terms[s] for s in state.sections])
+    bad = ~(c1 > 0.0)
+    if bad.any():
+        m = int(np.argmax(bad))
+        raise EngineError(f"non-positive c1 = {c1[m]} in phi update of sample {m}")
+    state.n_pi, state.c1 = n_pi, c1
+    state.phi_cache = tuple(
+        phi_factor(hp.a_phi, s, t, cache=cache)
+        for s, t, cache in zip(n_pi.tolist(), c1.tolist(), state.phi_quad)
+    )
+    state.u_phi = np.clip([fac.e_phi for fac in state.phi_cache], *_U_PHI_BOUNDS)
 
 
-def update_g(ss: SampleState):
+def update_g(state: GeneState):
     """Conjugate Gamma update of the per-spot Poisson rates."""
-    kappa = np.maximum(1.0 - ss.u_r, _KAPPA_FLOOR)
-    ss.a_g = (ss.y + ss.u_phi - 1.0) * kappa + 1.0
-    ss.b_g = kappa * (ss.u_phi * ss.w_exp + 1.0)
-    ok = np.isfinite(ss.b_g) & (ss.b_g > 0.0)
+    kappa = np.maximum(1.0 - state.u_r, _KAPPA_FLOOR)
+    u_phi = state.per_spot(state.u_phi)
+    state.a_g = (state.y + u_phi - 1.0) * kappa + 1.0
+    state.b_g = kappa * (u_phi * state.w_exp + 1.0)
+    ok = np.isfinite(state.b_g) & (state.b_g > 0.0)
     if not ok.all():
-        raise EngineError(f"invalid q(g) rate at spot {int(np.argmin(ok))}")
-    ss.refresh_g_moments()
+        raise EngineError(f"invalid q(g) rate at {state.locate(int(np.argmin(ok)))}")
+    state.refresh_g_moments()
 
 
-def update_r(ss: SampleState, hp: Hyperparameters):
+def update_r(state: GeneState, hp: Hyperparameters):
     """Bernoulli update of the dropout indicators; structural 0 at y > 0.
 
     The probability is capped at 1 - 1e-8: letting it reach 1 exactly makes
@@ -447,8 +507,8 @@ def update_r(ss: SampleState, hp: Hyperparameters):
     """
     log_num = _log_beta_c(hp.a_pi + 1.0, hp.b_pi)
     log_alt = _log_beta_c(hp.a_pi, hp.b_pi + 1.0)
-    prob = np.minimum(expit(log_num - (log_alt - ss.e_g)), 1.0 - _KAPPA_FLOOR)
-    ss.u_r = np.where(ss.y == 0, prob, 0.0)
+    prob = np.minimum(expit(log_num - (log_alt - state.e_g)), 1.0 - _KAPPA_FLOOR)
+    state.u_r = np.where(state.y == 0, prob, 0.0)
 
 
 def update_sigma(shared: SharedState, beta_sq, length):
@@ -599,18 +659,28 @@ def _gate_elbo(shared: SharedState, hp: Hyperparameters):
     )
 
 
-def compute_elbo(states, shared, hp: Hyperparameters) -> float:
+_ELBO_TERMS = (
+    "poisson-likelihood", "g-prior", "r-prior", "g-entropy", "r-entropy", "eta-prior",
+    "psi-prior", "theta-entropy", "phi-prior", "phi-entropy", "spike-slab block k=0",
+    "spike-slab block k=1",
+)
+
+
+def compute_elbo(state: GeneState, shared: SharedState, hp: Hyperparameters) -> float:
     """Evidence lower bound at the current variational state.
 
     The joint follows the factor derivations: the Poisson likelihood and
     the Gamma prior of g are both gated by (1 - r_i), the r_i prior is the
     per-spot Beta-Bernoulli marginal, and q(phi)'s entropy uses the cached
     quadrature normalizer.  C mu, E[beta_k' beta_k] and log(y!) come from
-    the sample state's caches.  Raises EngineError on a non-finite term.
+    the state's caches.  The per-spot terms are summed per sample, and the
+    total adds each sample's terms in turn, then the gate's.  Raises
+    EngineError on a non-finite term.
     """
-    slab = _slab_elbo(shared, *slab_statistics(states), hp)
+    if state.phi_cache is None:
+        raise EngineError("phi factor cache missing; run update_phi first")
+    slab = _slab_elbo(shared, *slab_statistics(state), hp)
     gate = _gate_elbo(shared, hp)
-    total = 0.0
     lb_pi = _log_beta_c(hp.a_pi, hp.b_pi)
     lb_pi_r1 = _log_beta_c(hp.a_pi + 1.0, hp.b_pi)
     lb_pi_r0 = _log_beta_c(hp.a_pi, hp.b_pi + 1.0)
@@ -618,79 +688,69 @@ def compute_elbo(states, shared, hp: Hyperparameters) -> float:
     psi_const = -0.5 * (LOG_2PI + math.log(hp.sigma2_psi))
     phi_prior_const = hp.a_phi * math.log(hp.b_phi) - float(gammaln(hp.a_phi))
 
-    for ss, slab_row in zip(states, slab):
-        if ss.phi_cache is None:
-            raise EngineError("phi factor cache missing; run update_phi first")
-        y, design, fac = ss.y, ss.design, ss.phi_cache
-        e_phi = fac.e_phi
-        kappa = 1.0 - ss.u_r
+    e_phi, e_log_phi, e_self, log_h0 = np.array(
+        [(fac.e_phi, fac.e_log_phi, fac.e_self, fac.log_h0) for fac in state.phi_cache]
+    ).T
+    y, u_r, a_g, e_g, e_log_g = state.y, state.u_r, state.a_g, state.e_g, state.e_log_g
+    kappa = 1.0 - u_r
+    spot_e_phi = state.per_spot(e_phi)
 
-        # E log p(y | g, r): the Dirac branch contributes 0 at y = 0.
-        data_term = float(kappa @ (y * ss.e_log_g - ss.e_g - ss.log_y_fact))
-        # E log p(g | theta, phi), gated by (1 - r).
-        g_prior = float(
-            kappa
-            @ (
-                fac.e_self
-                - e_phi * ss.c_mu
-                + (e_phi - 1.0) * ss.e_log_g
-                - e_phi * ss.e_g * ss.w_exp
-            )
+    # E log p(y | g, r): the Dirac branch contributes 0 at y = 0.
+    data_term = state.per_sample_sum(kappa * (y * e_log_g - e_g - state.log_y_fact))
+    # E log p(g | theta, phi), gated by (1 - r).
+    g_prior = state.per_sample_sum(
+        kappa
+        * (
+            state.per_spot(e_self)
+            - spot_e_phi * state.c_mu
+            + (spot_e_phi - 1.0) * e_log_g
+            - spot_e_phi * e_g * state.w_exp
         )
-        # E log p(r) under the marginalized Beta-Bernoulli prior.
-        r_prior = (
-            lb_pi_r1 * float(ss.u_r.sum()) + lb_pi_r0 * float(kappa.sum()) - y.size * lb_pi
-        )
-        # Entropies of q(g) and q(r); digamma(a_g) - log(b_g) is the cached
-        # E[log g].
-        e_log_q_g = (
-            ss.a_g * np.log(ss.b_g)
-            - gammaln(ss.a_g)
-            + (ss.a_g - 1.0) * ss.e_log_g
-            - ss.a_g
-        )
-        ent_g = -float(e_log_q_g.sum())
-        ent_r = -float((xlogy(ss.u_r, ss.u_r) + xlogy(kappa, kappa)).sum())
+    )
+    # E log p(r) under the marginalized Beta-Bernoulli prior.
+    r_prior = (
+        lb_pi_r1 * state.per_sample_sum(u_r) + lb_pi_r0 * state.per_sample_sum(kappa)
+        - np.diff(state.offsets) * lb_pi
+    )
+    # Entropies of q(g) and q(r); digamma(a_g) - log(b_g) is the cached
+    # E[log g].
+    e_log_q_g = a_g * np.log(state.b_g) - gammaln(a_g) + (a_g - 1.0) * e_log_g - a_g
+    ent_g = -state.per_sample_sum(e_log_q_g)
+    ent_r = -state.per_sample_sum(xlogy(u_r, u_r) + xlogy(kappa, kappa))
 
-        # theta prior cross-entropies and Gaussian entropy.
-        eta_term = eta_const - (ss.mu[0] ** 2 + ss.sigma[0, 0]) / (2.0 * hp.sigma2_eta)
+    # theta prior cross-entropies and Gaussian entropy, one block per sample.
+    theta_terms = []
+    for design, mu, sigma in zip(state.designs, state.mu, state.sigma):
+        eta_term = eta_const - (mu[0] ** 2 + sigma[0, 0]) / (2.0 * hp.sigma2_eta)
         psl = design.psi_slice
         n_cov = design.n_covariates
         psi_term = 0.0
         if n_cov:
-            psi_sq = float(ss.mu[psl] @ ss.mu[psl] + np.trace(ss.sigma[psl, psl]))
+            psi_sq = float(mu[psl] @ mu[psl] + np.trace(sigma[psl, psl]))
             psi_term = n_cov * psi_const - psi_sq / (2.0 * hp.sigma2_psi)
-        sign, logdet = np.linalg.slogdet(ss.sigma)
+        sign, logdet = np.linalg.slogdet(sigma)
         if sign <= 0:
             raise EngineError("theta covariance not positive definite in ELBO")
         ent_theta = 0.5 * logdet + 0.5 * design.dim * (LOG_2PI + 1.0)
+        theta_terms.append((eta_term, psi_term, ent_theta))
 
-        # phi prior cross-entropy and q(phi) entropy via the cached normalizer.
-        phi_prior = phi_prior_const + (hp.a_phi - 1.0) * fac.e_log_phi - hp.b_phi * e_phi
-        ent_phi = -(
-            ss.n_pi * fac.e_self
-            + (hp.a_phi - 1.0) * fac.e_log_phi
-            - ss.c1 * e_phi
-            - fac.log_h0
-        )
+    # phi prior cross-entropy and q(phi) entropy via the cached normalizer.
+    phi_prior = phi_prior_const + (hp.a_phi - 1.0) * e_log_phi - hp.b_phi * e_phi
+    ent_phi = -(
+        state.n_pi * e_self + (hp.a_phi - 1.0) * e_log_phi - state.c1 * e_phi - log_h0
+    )
 
-        for name, term in (
-            ("poisson-likelihood", data_term),
-            ("g-prior", g_prior),
-            ("r-prior", r_prior),
-            ("g-entropy", ent_g),
-            ("r-entropy", ent_r),
-            ("eta-prior", eta_term),
-            ("psi-prior", psi_term),
-            ("theta-entropy", ent_theta),
-            ("phi-prior", phi_prior),
-            ("phi-entropy", ent_phi),
-            ("spike-slab block k=0", slab_row[0]),
-            ("spike-slab block k=1", slab_row[1]),
-        ):
-            if not math.isfinite(term):
-                raise EngineError(f"non-finite ELBO term {name!r}")
-            total += term
+    # (M, 12) terms in the order of _ELBO_TERMS.
+    terms = np.column_stack(
+        (data_term, g_prior, r_prior, ent_g, ent_r, theta_terms, phi_prior, ent_phi, slab)
+    )
+    bad = ~np.isfinite(terms)
+    if bad.any():
+        m, j = np.argwhere(bad)[0]
+        raise EngineError(f"non-finite ELBO term {_ELBO_TERMS[j]!r} of sample {m}")
+    total = 0.0
+    for term in terms.ravel().tolist():
+        total += term
 
     for k, term in enumerate(gate):
         if not math.isfinite(term):
@@ -707,15 +767,15 @@ def compute_elbo(states, shared, hp: Hyperparameters) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _one_iteration(states, shared, hp, damping):
-    # A sample's theta/phi/g/r steps read only its own slab row, and the
-    # slab block reads only the samples' beta moments and the gate.
-    for ss, beta_prec in zip(states, beta_prior_precision(shared, hp)):
-        update_theta(ss, beta_prec, hp, damping)
-        update_phi(ss, hp)
-        update_g(ss)
-        update_r(ss, hp)
-    beta_sq, length = slab_statistics(states)
+def _one_iteration(state, shared, hp, damping):
+    # A sample's theta/phi/g/r steps read only its own spots, theta block
+    # and slab row, and the slab block reads only the samples' beta moments
+    # and the gate.
+    update_theta(state, beta_prior_precision(shared, hp), hp, damping)
+    update_phi(state, hp)
+    update_g(state)
+    update_r(state, hp)
+    beta_sq, length = slab_statistics(state)
     update_sigma(shared, beta_sq, length)
     update_a(shared, hp)
     update_alpha(shared, beta_sq, length, hp)
@@ -724,16 +784,16 @@ def _one_iteration(states, shared, hp, damping):
     update_u(shared, hp)
 
 
-def _snapshot(states, shared):
+def _snapshot(state, shared):
     """Copies of a fit's states that no later update can change.
 
-    Updates assign new arrays, so shallow copies suffice, with each q(phi)
-    node cache copied too: a refresh rebinds its slots in place.
+    Updates assign new arrays and tuples, so shallow copies suffice, except
+    for the q(phi) node caches, which a refresh rebinds in place: the list
+    is copied and so is each cache in it.
     """
-    copies = [copy.copy(ss) for ss in states]
-    for ss in copies:
-        ss.phi_quad = copy.copy(ss.phi_quad)
-    return copies, copy.copy(shared)
+    copied = copy.copy(state)
+    copied.phi_quad = [copy.copy(cache) for cache in state.phi_quad]
+    return copied, copy.copy(shared)
 
 
 def fit_gene(ys, designs, hp: Hyperparameters, opts: FitOptions = FitOptions()):
@@ -755,7 +815,7 @@ def fit_gene(ys, designs, hp: Hyperparameters, opts: FitOptions = FitOptions()):
             raise ValueError("count vector and design row counts disagree")
 
     try:
-        states, shared = init_state(ys, designs, hp)
+        state, shared = init_state(ys, designs, hp)
     except _FIT_ERRORS as exc:
         return GeneFitResult(
             e_u=(0.0, 0.0),
@@ -772,21 +832,21 @@ def fit_gene(ys, designs, hp: Hyperparameters, opts: FitOptions = FitOptions()):
     prev_elbo = None
     iteration = 0
     while iteration < opts.max_iter:
-        snapshot = _snapshot(states, shared)
+        snapshot = _snapshot(state, shared)
         retried = False
         while True:
             try:
-                _one_iteration(states, shared, hp, damping)
-                elbo = compute_elbo(states, shared, hp)
+                _one_iteration(state, shared, hp, damping)
+                elbo = compute_elbo(state, shared, hp)
                 break
             except _FIT_ERRORS as exc:
                 if retried:
                     failure = f"iteration {iteration + 1}: {exc}"
-                    states, shared = snapshot
+                    state, shared = snapshot
                     break
                 retried = True
                 damping = max(damping / 2.0, _MIN_DAMPING)
-                states, shared = _snapshot(*snapshot)
+                state, shared = _snapshot(*snapshot)
         if failure is not None:
             break
         iteration += 1

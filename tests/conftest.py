@@ -42,7 +42,7 @@ def five_spot_state():
     design = make_design(coords, covs, degree=1)
     y = np.array([0, 2, 0, 5, 3], dtype=np.int64)
     hp = Hyperparameters.default(1, 1)
-    states, shared = init_state([y], [design], hp)
+    state, shared = init_state([y], [design], hp)
     for _ in range(4):
-        _one_iteration(states, shared, hp, 1.0)
-    return states, shared, [y], [design], hp
+        _one_iteration(state, shared, hp, 1.0)
+    return state, shared, [y], [design], hp

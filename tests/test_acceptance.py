@@ -113,16 +113,16 @@ def test_criterion_1_quadrature_oracle():
 # ---------------------------------------------------------------------------
 
 
-def _elbo(states, shared, ys, designs, hp):
-    return compute_elbo(states, shared, hp)
+def _elbo(state, shared, ys, designs, hp):
+    return compute_elbo(state, shared, hp)
 
 
-def _perturb_check(label, states, shared, ys, designs, hp, apply_perturbation, gains):
-    base = _elbo(states, shared, ys, designs, hp)
+def _perturb_check(label, state, shared, ys, designs, hp, apply_perturbation, gains):
+    base = _elbo(state, shared, ys, designs, hp)
     for eps in (0.99, 1.01):
         undo = apply_perturbation(eps)
         try:
-            val = _elbo(states, shared, ys, designs, hp)
+            val = _elbo(state, shared, ys, designs, hp)
         finally:
             undo()
         gains.append((label, eps, val - base))
@@ -130,19 +130,22 @@ def _perturb_check(label, states, shared, ys, designs, hp, apply_perturbation, g
 
 def test_criterion_2_local_optimality(eight_spot_fixture, five_spot_state):
     ys, designs, hp = eight_spot_fixture
-    states, shared = init_state(ys, designs, hp)
+    state, shared = init_state(ys, designs, hp)
     for _ in range(6):
-        _one_iteration(states, shared, hp, 1.0)
+        _one_iteration(state, shared, hp, 1.0)
 
     gains = []
 
-    def scale_arrays(ss_attr_pairs, refresh=None, row=None):
-        # ``row`` scales only that sample's row of a shared (M, 2) array.
+    def scale_arrays(ss_attr_pairs, refresh=None, row=None, spots=None):
+        # ``row`` scales only that sample's row of a shared (M, 2) array,
+        # ``spots`` only that sample's spots of a per-spot array.
         def apply(eps):
             saved = [(obj, name, getattr(obj, name).copy()) for obj, name in ss_attr_pairs]
             for obj, name in ss_attr_pairs:
                 arr = getattr(obj, name)
                 factor = eps if row is None else np.where(np.arange(len(arr)) == row, eps, 1.0)[:, None]
+                if spots is not None:
+                    factor = np.where(state.owner == spots, eps, 1.0)
                 setattr(obj, name, arr * factor)
             if refresh:
                 refresh()
@@ -157,49 +160,50 @@ def test_criterion_2_local_optimality(eight_spot_fixture, five_spot_state):
 
         return apply
 
-    for m, (ss, y, design) in enumerate(zip(states, ys, designs)):
-        update_g(ss)
+    update_g(state)
+    for m in range(len(ys)):
         for name in ("a_g", "b_g"):
             _perturb_check(
-                f"g.{name}[m{m}]", states, shared, ys, designs, hp,
-                scale_arrays([(ss, name)], refresh=ss.refresh_g_moments), gains,
+                f"g.{name}[m{m}]", state, shared, ys, designs, hp,
+                scale_arrays([(state, name)], refresh=state.refresh_g_moments, spots=m), gains,
             )
-        update_r(ss, hp)
-        assert np.all(ss.u_r == 0.0), "fixture must have positive counts"
+    update_r(state, hp)
+    assert np.all(state.u_r == 0.0), "fixture must have positive counts"
+    for m in range(len(ys)):
         _perturb_check(
-            f"r[m{m}]", states, shared, ys, designs, hp,
-            scale_arrays([(ss, "u_r")]), gains,
+            f"r[m{m}]", state, shared, ys, designs, hp,
+            scale_arrays([(state, "u_r")], spots=m), gains,
         )
-    beta_sq, length = slab_statistics(states)
+    beta_sq, length = slab_statistics(state)
     update_sigma(shared, beta_sq, length)
-    for m in range(len(states)):
+    for m in range(len(ys)):
         for name in ("a_sig", "b_sig"):
             _perturb_check(
-                f"sigma.{name}[m{m}]", states, shared, ys, designs, hp,
+                f"sigma.{name}[m{m}]", state, shared, ys, designs, hp,
                 scale_arrays([(shared, name)], row=m), gains,
             )
     update_a(shared, hp)
-    for m in range(len(states)):
+    for m in range(len(ys)):
         _perturb_check(
-            f"a[m{m}]", states, shared, ys, designs, hp,
+            f"a[m{m}]", state, shared, ys, designs, hp,
             scale_arrays([(shared, "u_inv_a")], row=m), gains,
         )
     update_alpha(shared, beta_sq, length, hp)
-    for m in range(len(states)):
+    for m in range(len(ys)):
         _perturb_check(
-            f"alpha[m{m}]", states, shared, ys, designs, hp,
+            f"alpha[m{m}]", state, shared, ys, designs, hp,
             scale_arrays([(shared, "u_alpha")], row=m), gains,
         )
     update_q(shared, hp)
     update_p(shared, hp)
     for name in ("a_q", "b_q", "a_p", "b_p"):
         _perturb_check(
-            f"pq.{name}", states, shared, ys, designs, hp,
+            f"pq.{name}", state, shared, ys, designs, hp,
             scale_arrays([(shared, name)], refresh=shared.refresh_moments), gains,
         )
     update_u(shared, hp)
     _perturb_check(
-        "u", states, shared, ys, designs, hp,
+        "u", state, shared, ys, designs, hp,
         scale_arrays([(shared, "u_u")]), gains,
     )
 
@@ -208,35 +212,35 @@ def test_criterion_2_local_optimality(eight_spot_fixture, five_spot_state):
 
     # NCVMP analytic derivatives against central finite differences of the
     # expected log joint (the fixed 5-spot instance).
-    states5, shared5, ys5, designs5, hp5 = five_spot_state
-    ss = states5[0]
+    ss, shared5, ys5, designs5, hp5 = five_spot_state
+    mu, sigma = ss.mu[0], ss.sigma[0]
     design = designs5[0]
     m_prior = m_prior_diag(design, beta_prior_precision(shared5, hp5)[0], hp5)
     one_minus_ur = 1.0 - ss.u_r
-    args = (design, ss.u_phi, one_minus_ur, ss.e_g, m_prior)
-    w_exp = mvn_exp_neg_linear(ss.mu, ss.sigma, design.matrix)
-    grad_mu, d_sigma = theta_derivatives(ss.mu, w_exp, *args)
+    args = (design, ss.u_phi[0], one_minus_ur, ss.e_g, m_prior)
+    w_exp = mvn_exp_neg_linear(mu, sigma, design.matrix)
+    grad_mu, d_sigma = theta_derivatives(mu, w_exp, *args)
     h = 1e-6
     worst_rel = 0.0
-    for j in range(ss.mu.size):
-        up, dn = ss.mu.copy(), ss.mu.copy()
+    for j in range(mu.size):
+        up, dn = mu.copy(), mu.copy()
         up[j] += h
         dn[j] -= h
         fd = (
-            theta_expected_logp(up, ss.sigma, *args)
-            - theta_expected_logp(dn, ss.sigma, *args)
+            theta_expected_logp(up, sigma, *args)
+            - theta_expected_logp(dn, sigma, *args)
         ) / (2 * h)
         rel = abs(fd - grad_mu[j]) / max(abs(fd), 1e-8)
         worst_rel = max(worst_rel, rel)
-    d = ss.mu.size
+    d = mu.size
     for i in range(d):
         for j in range(d):
-            up, dn = ss.sigma.copy(), ss.sigma.copy()
+            up, dn = sigma.copy(), sigma.copy()
             up[i, j] += h
             dn[i, j] -= h
             fd = (
-                theta_expected_logp(ss.mu, up, *args)
-                - theta_expected_logp(ss.mu, dn, *args)
+                theta_expected_logp(mu, up, *args)
+                - theta_expected_logp(mu, dn, *args)
             ) / (2 * h)
             rel = abs(fd - d_sigma[i, j]) / max(abs(fd), 1e-8)
             worst_rel = max(worst_rel, rel)
@@ -262,11 +266,11 @@ def test_criterion_3_monte_carlo_elbo():
     y = np.array([3], dtype=np.int64)
     design = make_design([[0.5, 0.5]], np.zeros((1, 0)), degree=1)
     hp = Hyperparameters.default(1, 1)
-    states, shared = init_state([y], [design], hp)
+    ss, shared = init_state([y], [design], hp)
     for _ in range(6):
-        _one_iteration(states, shared, hp, 1.0)
-    ss = states[0]
-    closed_form = compute_elbo(states, shared, hp)
+        _one_iteration(ss, shared, hp, 1.0)
+    closed_form = compute_elbo(ss, shared, hp)
+    mu, sigma, n_pi, c1 = ss.mu[0], ss.sigma[0], ss.n_pi[0], ss.c1[0]
 
     rng = np.random.default_rng(2024)
     n_draws = 1_000_000
@@ -274,15 +278,15 @@ def test_criterion_3_monte_carlo_elbo():
 
     g = rng.gamma(ss.a_g[0], 1.0 / ss.b_g[0], size=n_draws)
     r = (rng.random(n_draws) < ss.u_r[0]).astype(float)
-    chol = np.linalg.cholesky(ss.sigma)
-    theta = ss.mu + rng.standard_normal((n_draws, 3)) @ chol.T
+    chol = np.linalg.cholesky(sigma)
+    theta = mu + rng.standard_normal((n_draws, 3)) @ chol.T
 
     # q(phi) by inverse-CDF on a dense log-grid.
     grid_u = np.linspace(-60.0, 20.0, 200_001)
     log_pdf = (
         hp.a_phi * grid_u
-        - ss.c1 * np.exp(grid_u)
-        + ss.n_pi * (np.exp(grid_u) * grid_u - gammaln(np.exp(grid_u)))
+        - c1 * np.exp(grid_u)
+        + n_pi * (np.exp(grid_u) * grid_u - gammaln(np.exp(grid_u)))
     )
     pdf = np.exp(log_pdf - log_pdf.max())
     cdf = np.cumsum(pdf)
@@ -351,17 +355,17 @@ def test_criterion_3_monte_carlo_elbo():
     ) * log_g - ss.b_g[0] * g
     with np.errstate(divide="ignore"):
         log_q += np.where(r > 0, math.log(max(ss.u_r[0], 1e-300)), math.log1p(-ss.u_r[0]))
-    dev = theta - ss.mu
-    prec = np.linalg.inv(ss.sigma)
-    _, logdet = np.linalg.slogdet(ss.sigma)
+    dev = theta - mu
+    prec = np.linalg.inv(sigma)
+    _, logdet = np.linalg.slogdet(sigma)
     log_q += -0.5 * (3 * math.log(2 * math.pi) + logdet) - 0.5 * np.einsum(
         "ij,jk,ik->i", dev, prec, dev
     )
-    log_norm_phi = mp_log_h(hp.a_phi - 1.0, 0, ss.n_pi, ss.c1)
+    log_norm_phi = mp_log_h(hp.a_phi - 1.0, 0, n_pi, c1)
     log_q += (
-        ss.n_pi * (phi * np.log(phi) - gammaln(phi))
+        n_pi * (phi * np.log(phi) - gammaln(phi))
         + (hp.a_phi - 1.0) * np.log(phi)
-        - ss.c1 * phi
+        - c1 * phi
         - log_norm_phi
     )
     for k in (0, 1):
@@ -541,10 +545,10 @@ def test_criterion_7_invariant_suites(tmp_path):
     hp = Hyperparameters.default(4, 3)
     for g in range(2):
         ys = [s.counts[g] for s in ds.samples]
-        states, shared = init_state(ys, designs, hp)
+        state, shared = init_state(ys, designs, hp)
         for _ in range(20):
-            _one_iteration(states, shared, hp, 1.0)
-            check_state_invariants(states, shared, ys)
+            _one_iteration(state, shared, hp, 1.0)
+            check_state_invariants(state, shared, ys)
     checks.append(("state invariants each iteration", True))
 
     # Sample-permutation invariance of e_u at 1e-10.
@@ -584,10 +588,11 @@ def test_criterion_7_invariant_suites(tmp_path):
     # Structural u_r = 0 on positive counts at every iteration is covered by
     # check_state_invariants above; assert once more explicitly at the end.
     ys3 = [s.counts[0] for s in ds.samples]
-    states3, shared3 = init_state(ys3, designs, hp)
+    state3, shared3 = init_state(ys3, designs, hp)
     for _ in range(10):
-        _one_iteration(states3, shared3, hp, 1.0)
-    structural = all(np.all(ss.u_r[y > 0] == 0.0) for ss, y in zip(states3, ys3))
+        _one_iteration(state3, shared3, hp, 1.0)
+    structural = all(np.all(state3.u_r[spots][y > 0] == 0.0)
+                     for spots, y in zip(state3.sections, ys3))
     checks.append(("structural u_r zeros", structural))
 
     ok = all(flag for _, flag in checks)

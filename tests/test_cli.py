@@ -9,7 +9,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from svjoint import cli
+from svjoint import cli, dataio
 from svjoint.cli import main
 from svjoint.dataio import read_report
 
@@ -111,10 +111,11 @@ class TestDetect:
         ]
         path.write_text("\n".join(lines) + "\n")
         report = tmp_path / "rep.tsv"
-        code = run([
-            "detect", "--manifest", str(out / "manifest.ini"), "--out", str(report),
-            "--degree", "1", "--min-spots-per-gene", "0", "--min-genes-per-spot", "0",
-        ])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = run([
+                "detect", "--manifest", str(out / "manifest.ini"), "--out", str(report),
+                "--degree", "1", "--min-spots-per-gene", "0", "--min-genes-per-spot", "0",
+            ])
         assert code == 1
         _, rows = read_report(report)
         assert len(rows) == 10
@@ -163,6 +164,61 @@ class TestDetect:
         assert "worker process died" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not report.exists()
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "detect_golden.tsv")
+
+
+class TestGoldenReport:
+    """detect on a fixed 3-sample simulation against a stored report.
+
+    ``tests/data/detect_golden.tsv`` was written by an earlier version of
+    detect with the arguments below.  The spot filter leaves a different
+    spot count in each section.  Gene order, iterations, convergence and
+    selection must match exactly; every float within 1e-8 relative, enough
+    for values printed with %.10g.
+    """
+
+    SIMULATE = ["--samples", "3", "--grid", "12x12", "--genes", "30", "--sv-genes", "8",
+                "--dropout", "0.3", "--seed", "21"]
+    DETECT = ["--degree", "2", "--seed", "4", "--workers", "1",
+              "--min-spots-per-gene", "20", "--min-genes-per-spot", "18"]
+    EXACT = ("gene_id", "selected", "iterations", "converged")
+
+    @staticmethod
+    def table(path):
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        meta = dict(token.split("=", 1) for token in lines[0][1:].split())
+        header = lines[1].split("\t")
+        return meta, header, [dict(zip(header, ln.split("\t"))) for ln in lines[2:]]
+
+    def test_detect_matches_stored_report(self, tmp_path):
+        sim = tmp_path / "sim"
+        assert run(["simulate", "--out", str(sim)] + self.SIMULATE) == 0
+        manifest = str(sim / "manifest.ini")
+        ds = dataio.filter_dataset(dataio.load_dataset(dataio.Manifest.read(manifest)), 20, 18)
+        assert [s.n_spots for s in ds.samples] == [117, 129, 132]
+        out = tmp_path / "report.tsv"
+        assert run(["detect", "--manifest", manifest, "--out", str(out)] + self.DETECT) == 0
+
+        meta, header, rows = self.table(out)
+        want_meta, want_header, want_rows = self.table(GOLDEN)
+        assert header == want_header
+        assert meta.keys() == want_meta.keys()
+        for key, value in meta.items():
+            if key in ("degree", "seed", "max_iter", "n_genes", "n_converged", "n_failed"):
+                assert value == want_meta[key], key
+            else:
+                assert float(value) == pytest.approx(float(want_meta[key]), rel=1e-8), key
+        assert [r["gene_id"] for r in rows] == [r["gene_id"] for r in want_rows]
+        for got, want in zip(rows, want_rows):
+            for column in header:
+                if column in self.EXACT:
+                    assert got[column] == want[column], (got["gene_id"], column)
+                else:
+                    assert float(got[column]) == pytest.approx(
+                        float(want[column]), rel=1e-8), (got["gene_id"], column)
 
 
 @pytest.fixture(scope="module")

@@ -296,6 +296,14 @@ class TestFilterDataset:
         assert once.gene_ids == twice.gene_ids
         np.testing.assert_array_equal(once.samples[0].counts, twice.samples[0].counts)
 
+    def test_ids_stay_plain_str(self):
+        ds = self.make_ds([[1, 0, 2, 1], [0, 0, 1, 3], [2, 0, 0, 0]])
+        out = filter_dataset(ds, 2, 1)
+        assert out.gene_ids == ("g0", "g1")
+        assert out.samples[0].spot_ids == ("s0", "s2", "s3")
+        ids = out.gene_ids + out.samples[0].gene_ids + out.samples[0].spot_ids
+        assert all(type(x) is str for x in ids)
+
     def test_all_removed(self):
         ds = self.make_ds([[1, 0], [0, 1]])
         with pytest.raises(DataError, match="all genes removed"):

@@ -1,6 +1,7 @@
 """Whole-fit behavior: convergence, determinism, invariances."""
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,19 +37,21 @@ def sim_inputs(seed, n_sv=1, g=2, m=4, grid=(16, 16), dropout=0.3, pattern="line
     return ds, truth, designs
 
 
-def check_state_invariants(states, shared, ys):
+def check_state_invariants(state, shared, ys):
     assert np.all(shared.a_sig > 0) and np.all(shared.b_sig > 0)
     assert np.all(shared.u_inv_a > 0)
     assert np.all((shared.u_alpha >= 0) & (shared.u_alpha <= 1))
-    for ss, y in zip(states, ys):
-        assert np.all(ss.a_g > 0) and np.all(ss.b_g > 0)
-        assert ss.u_phi > 0
-        assert np.all((ss.u_r >= 0) & (ss.u_r <= 1))
-        assert np.all(ss.u_r[y > 0] == 0.0)
-        assert np.all(np.isfinite(ss.mu))
-        sym_err = np.abs(ss.sigma - ss.sigma.T).max()
+    for m, (spots, y) in enumerate(zip(state.sections, ys)):
+        assert np.all(state.a_g[spots] > 0) and np.all(state.b_g[spots] > 0)
+        assert state.u_phi[m] > 0
+        u_r = state.u_r[spots]
+        assert np.all((u_r >= 0) & (u_r <= 1))
+        assert np.all(u_r[y > 0] == 0.0)
+        mu, sigma = state.mu[m], state.sigma[m]
+        assert np.all(np.isfinite(mu))
+        sym_err = np.abs(sigma - sigma.T).max()
         assert sym_err < 1e-12
-        assert np.linalg.eigvalsh(ss.sigma).min() > 0.0
+        assert np.linalg.eigvalsh(sigma).min() > 0.0
     assert np.all((shared.u_u >= 0) & (shared.u_u <= 1))
     assert np.all(shared.a_p > 0) and np.all(shared.b_p > 0)
     assert np.all(shared.a_q > 0) and np.all(shared.b_q > 0)
@@ -140,19 +143,28 @@ class TestFitGene:
 def assert_same_values(a, b):
     """Every field of two states is equal, array by array.
 
-    The q(phi) node cache is compared slot by slot.
+    Per-sample tuples and lists are compared item by item, designs by their
+    matrices and each q(phi) node cache slot by slot.
     """
     assert vars(a).keys() == vars(b).keys()
     for name in vars(a):
         got, want = getattr(a, name), getattr(b, name)
-        if name == "design":
-            got, want = got.matrix, want.matrix
-        if name == "phi_quad":
-            for slot in PhiQuadCache.__slots__:
-                np.testing.assert_array_equal(
-                    getattr(got, slot), getattr(want, slot), err_msg=f"phi_quad.{slot}")
+        if name == "sections":
+            assert got == want
             continue
-        np.testing.assert_array_equal(got, want, err_msg=name)
+        if not isinstance(got, (tuple, list)):
+            got, want = [got], [want]
+        assert len(got) == len(want), name
+        for m, (got_m, want_m) in enumerate(zip(got, want)):
+            if name == "designs":
+                got_m, want_m = got_m.matrix, want_m.matrix
+            if name == "phi_quad":
+                for slot in PhiQuadCache.__slots__:
+                    np.testing.assert_array_equal(
+                        getattr(got_m, slot), getattr(want_m, slot),
+                        err_msg=f"phi_quad[{m}].{slot}")
+                continue
+            np.testing.assert_array_equal(got_m, want_m, err_msg=f"{name}[{m}]")
 
 
 class TestRetry:
@@ -170,10 +182,10 @@ class TestRetry:
         real = engine._one_iteration
         dampings = []
 
-        def failing(states, shared, hp, damping):
+        def failing(state, shared, hp, damping):
             # Iteration K and its retry run every update, writing into the
             # state, and then fail.
-            real(states, shared, hp, damping)
+            real(state, shared, hp, damping)
             dampings.append(damping)
             if len(dampings) in (self.K, self.K + 1):
                 raise EngineError("injected")
@@ -194,20 +206,20 @@ class TestRetry:
             engine._one_iteration, engine.update_theta, engine.compute_elbo)
         entries, thetas, elbo_calls = [], [], []
 
-        def spy_iteration(states, shared, hp, damping):
-            entries.append(copy.deepcopy((states, shared)))
-            real_iteration(states, shared, hp, damping)
+        def spy_iteration(state, shared, hp, damping):
+            entries.append(copy.deepcopy((state, shared)))
+            real_iteration(state, shared, hp, damping)
 
-        def spy_theta(ss, beta_prec, hp, damping):
-            thetas.append((damping, copy.deepcopy(ss)))
-            real_theta(ss, beta_prec, hp, damping)
+        def spy_theta(state, beta_prec, hp, damping):
+            thetas.append((damping, copy.deepcopy(state)))
+            real_theta(state, beta_prec, hp, damping)
 
-        def flaky_elbo(states, shared, hp):
+        def flaky_elbo(state, shared, hp):
             # Fails once, after every update of iteration K has run.
             elbo_calls.append(None)
             if len(elbo_calls) == self.K:
                 raise EngineError("injected")
-            return real_elbo(states, shared, hp)
+            return real_elbo(state, shared, hp)
 
         monkeypatch.setattr(engine, "_one_iteration", spy_iteration)
         monkeypatch.setattr(engine, "update_theta", spy_theta)
@@ -215,14 +227,12 @@ class TestRetry:
         res = fit_gene(ys, designs, hp, FitOptions(max_iter=self.K + 1, elbo_tol=1e-12))
         assert res.failure is None and res.iterations == self.K + 1
         # Attempt K (index K - 1) failed; attempt K + 1 is its retry.
-        (before_states, before_shared), (retry_states, retry_shared) = entries[self.K - 1:self.K + 1]
-        m = len(ys)
-        failed_damping, _ = thetas[(self.K - 1) * m]
-        retry_damping, retry_first = thetas[self.K * m]
+        (before_state, before_shared), (retry_state, retry_shared) = entries[self.K - 1:self.K + 1]
+        failed_damping, _ = thetas[self.K - 1]
+        retry_damping, retry_first = thetas[self.K]
         assert (failed_damping, retry_damping) == (1.0, 0.5)
-        assert_same_values(retry_first, before_states[0])
-        for got, want in zip(retry_states, before_states):
-            assert_same_values(got, want)
+        assert_same_values(retry_first, before_state)
+        assert_same_values(retry_state, before_state)
         assert_same_values(retry_shared, before_shared)
 
 
@@ -232,20 +242,25 @@ class TestInvariantsEveryIteration:
         hp = Hyperparameters.default(4, 3)
         for g in range(2):
             ys = [s.counts[g] for s in ds.samples]
-            states, shared = init_state(ys, designs, hp)
+            state, shared = init_state(ys, designs, hp)
             for _ in range(25):
-                _one_iteration(states, shared, hp, 1.0)
-                check_state_invariants(states, shared, ys)
+                _one_iteration(state, shared, hp, 1.0)
+                check_state_invariants(state, shared, ys)
 
 
 class TestPermutationInvariance:
     @staticmethod
-    def check_permutation(perm):
+    def check_permutation(perm, unequal=False):
         # Sample m of the permuted fit is sample perm[m] of the original one.
+        # With ``unequal``, sample i keeps only its first 64 - 9 i spots.
         m = len(perm)
         ds, _, designs = sim_inputs(11, m=m, grid=(8, 8))
         hp = Hyperparameters.default(m, 3)
         ys = [s.counts[0] for s in ds.samples]
+        if unequal:
+            keep = [slice(0, 64 - 9 * i) for i in range(m)]
+            ys = [y[k] for y, k in zip(ys, keep)]
+            designs = [replace(d, matrix=d.matrix[k]) for d, k in zip(designs, keep)]
         opts = FitOptions(max_iter=400, elbo_tol=1e-9)
         fwd = fit_gene(ys, designs, hp, opts)
         rev = fit_gene([ys[i] for i in perm], [designs[i] for i in perm], hp, opts)
@@ -259,17 +274,23 @@ class TestPermutationInvariance:
     def test_four_sample_cycle(self):
         self.check_permutation((1, 2, 3, 0))
 
+    def test_two_sample_swap_unequal_spots(self):
+        self.check_permutation((1, 0), unequal=True)
+
+    def test_four_sample_cycle_unequal_spots(self):
+        self.check_permutation((1, 2, 3, 0), unequal=True)
+
 
 class TestElboAgainstIterations:
     def test_elbo_recomputable_after_iterations(self):
         ds, _, designs = sim_inputs(12, grid=(8, 8))
         hp = Hyperparameters.default(4, 3)
         ys = [s.counts[0] for s in ds.samples]
-        states, shared = init_state(ys, designs, hp)
+        state, shared = init_state(ys, designs, hp)
         vals = []
         for _ in range(10):
-            _one_iteration(states, shared, hp, 1.0)
-            vals.append(compute_elbo(states, shared, hp))
+            _one_iteration(state, shared, hp, 1.0)
+            vals.append(compute_elbo(state, shared, hp))
         assert np.all(np.isfinite(vals))
         # After the first few moves the objective should improve overall.
         assert vals[-1] > vals[0]

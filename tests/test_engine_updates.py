@@ -46,23 +46,23 @@ def single_state(y, degree=1, j_cov=1, hp=None, n=None):
     covs = rng.uniform(size=(n, j_cov))
     design = make_design(coords, covs, degree)
     hp = hp or Hyperparameters.default(1, degree)
-    states, shared = init_state([y], [design], hp)
-    return states[0], shared, design, hp
+    state, shared = init_state([y], [design], hp)
+    return state, shared, design, hp
 
 
 def first_beta_prec(shared, hp):
-    """The first sample's beta prior precisions, as ``_one_iteration`` passes them."""
+    """The first sample's beta prior precisions, the row ``update_theta`` reads for it."""
     return beta_prior_precision(shared, hp)[0]
 
 
 class TestInitState:
     def test_all_zero_gene_intercept(self):
         ss, _, _, _ = single_state([0, 0, 0])
-        assert ss.mu[0] == pytest.approx(math.log(0.01))
+        assert ss.mu[0][0] == pytest.approx(math.log(0.01))
 
     def test_unit_mean_intercept(self):
         ss, _, _, _ = single_state([1, 1, 1])
-        assert ss.mu[0] == pytest.approx(math.log(1.01))
+        assert ss.mu[0][0] == pytest.approx(math.log(1.01))
 
     def test_structural_zero_indicator(self):
         ss, _, _, _ = single_state([0, 4, 0])
@@ -83,10 +83,10 @@ class TestInitState:
 class TestUpdateG:
     def test_hand_substitution(self):
         ss, _, design, _ = single_state([3])
-        ss.u_phi = 2.0
+        ss.u_phi = np.array([2.0])
         ss.u_r = np.array([0.0])
-        ss.mu = np.zeros(design.dim)
-        ss.sigma = np.zeros((design.dim, design.dim))
+        ss.mu = (np.zeros(design.dim),)
+        ss.sigma = (np.zeros((design.dim, design.dim)),)
         ss.refresh_theta_cache()
         update_g(ss)
         assert ss.a_g[0] == pytest.approx(5.0)
@@ -95,10 +95,10 @@ class TestUpdateG:
 
     def test_dropout_decoupling(self):
         ss, _, design, _ = single_state([0])
-        ss.u_phi = 2.0
+        ss.u_phi = np.array([2.0])
         ss.u_r = np.array([1.0])
-        ss.mu = np.zeros(design.dim)
-        ss.sigma = np.zeros((design.dim, design.dim))
+        ss.mu = (np.zeros(design.dim),)
+        ss.sigma = (np.zeros((design.dim, design.dim)),)
         ss.refresh_theta_cache()
         update_g(ss)
         assert abs(ss.a_g[0] - 1.0) < 1e-7
@@ -106,10 +106,10 @@ class TestUpdateG:
 
     def test_zero_count_unit_phi(self):
         ss, _, design, _ = single_state([0])
-        ss.u_phi = 1.0
+        ss.u_phi = np.array([1.0])
         ss.u_r = np.array([0.0])
-        ss.mu = np.zeros(design.dim)
-        ss.sigma = np.zeros((design.dim, design.dim))
+        ss.mu = (np.zeros(design.dim),)
+        ss.sigma = (np.zeros((design.dim, design.dim)),)
         ss.refresh_theta_cache()
         update_g(ss)
         assert ss.a_g[0] == pytest.approx(1.0)
@@ -140,9 +140,9 @@ class TestUpdatePhi:
         ss, _, design, hp = single_state([0, 0])
         ss.u_r = np.array([1.0, 1.0])
         update_phi(ss, hp)
-        assert ss.n_pi == 0.0
-        assert ss.c1 == pytest.approx(hp.b_phi)
-        assert ss.u_phi == pytest.approx(hp.a_phi / hp.b_phi, rel=1e-8)
+        assert ss.n_pi[0] == 0.0
+        assert ss.c1[0] == pytest.approx(hp.b_phi)
+        assert ss.u_phi[0] == pytest.approx(hp.a_phi / hp.b_phi, rel=1e-8)
 
     def test_c1_two_spot_toy(self):
         ss, _, design, hp = single_state([1, 1])
@@ -151,11 +151,11 @@ class TestUpdatePhi:
         ss.a_g = np.ones(2)
         ss.b_g = np.ones(2)
         ss.e_g = np.ones(2)
-        ss.mu = np.zeros(design.dim)
-        ss.sigma = np.zeros((design.dim, design.dim))
+        ss.mu = (np.zeros(design.dim),)
+        ss.sigma = (np.zeros((design.dim, design.dim)),)
         ss.refresh_theta_cache()
         update_phi(ss, hp)
-        assert ss.c1 == pytest.approx(0.001 + 2.0, rel=1e-12)
+        assert ss.c1[0] == pytest.approx(0.001 + 2.0, rel=1e-12)
 
     def test_negative_c1_rejected(self):
         ss, _, design, hp = single_state([1, 1])
@@ -163,8 +163,8 @@ class TestUpdatePhi:
         ss.u_r = np.zeros(2)
         ss.e_log_g = np.full(2, 50.0)
         ss.e_g = np.full(2, 1e-8)
-        ss.mu = np.zeros(design.dim)
-        ss.sigma = np.zeros((design.dim, design.dim))
+        ss.mu = (np.zeros(design.dim),)
+        ss.sigma = (np.zeros((design.dim, design.dim)),)
         ss.refresh_theta_cache()
         with pytest.raises(EngineError, match="c1"):
             update_phi(ss, hp)
@@ -175,20 +175,21 @@ class TestUpdateSigma:
         ss, shared, design, hp = single_state([1, 2, 3])
         shared.u_alpha[0, 0] = 0.0
         shared.u_inv_a[0, 0] = 0.7
-        update_sigma(shared, *slab_statistics([ss]))
+        update_sigma(shared, *slab_statistics(ss))
         assert shared.a_sig[0, 0] == pytest.approx(0.5)
         assert shared.b_sig[0, 0] == pytest.approx(0.7)
 
     def test_slab_substitution(self):
         ss, shared, design, hp = single_state([1, 2, 3], degree=2)
         blk = design.beta_slice(0)
-        ss.mu = np.zeros(design.dim)
-        ss.mu[blk] = [2.0, 0.0]  # |mu|^2 = 4
-        ss.sigma = np.zeros((design.dim, design.dim))
+        mu = np.zeros(design.dim)
+        mu[blk] = [2.0, 0.0]  # |mu|^2 = 4
+        ss.mu = (mu,)
+        ss.sigma = (np.zeros((design.dim, design.dim)),)
         ss.refresh_theta_cache()
         shared.u_alpha[0, 0] = 1.0
         shared.u_inv_a[0, 0] = 1.0
-        update_sigma(shared, *slab_statistics([ss]))
+        update_sigma(shared, *slab_statistics(ss))
         assert shared.a_sig[0, 0] == pytest.approx(1.5)
         assert shared.b_sig[0, 0] == pytest.approx(3.0)
         e_inv_s2, _ = gamma_moments(shared.a_sig, shared.b_sig)
@@ -196,12 +197,12 @@ class TestUpdateSigma:
 
     def test_slab_zero_beta(self):
         ss, shared, design, hp = single_state([1, 2, 3], degree=2)
-        ss.mu = np.zeros(design.dim)
-        ss.sigma = np.zeros((design.dim, design.dim))
+        ss.mu = (np.zeros(design.dim),)
+        ss.sigma = (np.zeros((design.dim, design.dim)),)
         ss.refresh_theta_cache()
         shared.u_alpha[0, 0] = 1.0
         shared.u_inv_a[0, 0] = 2.0
-        update_sigma(shared, *slab_statistics([ss]))
+        update_sigma(shared, *slab_statistics(ss))
         assert shared.a_sig[0, 0] == pytest.approx(1.5)
         assert shared.b_sig[0, 0] == pytest.approx(2.0)
 
@@ -372,18 +373,18 @@ class TestSlabBlockAgainstScalarLoop:
     def fitted(m=3):
         ds, _, designs = sim_inputs(14, m=m, grid=(8, 8))
         hp = Hyperparameters.default(m, 3)
-        states, shared = init_state([s.counts[0] for s in ds.samples], designs, hp)
+        state, shared = init_state([s.counts[0] for s in ds.samples], designs, hp)
         for _ in range(3):
-            _one_iteration(states, shared, hp, 1.0)
-        return states, shared, hp
+            _one_iteration(state, shared, hp, 1.0)
+        return state, shared, hp
 
     def test_slab_and_gate_updates(self):
-        states, shared, hp = self.fitted()
-        beta_sq, length = slab_statistics(states)
+        state, shared, hp = self.fitted()
+        beta_sq, length = slab_statistics(state)
         old = copy.copy(shared)
         want = {name: np.empty_like(getattr(old, name))
                 for name in ("a_sig", "b_sig", "u_inv_a", "u_alpha")}
-        for m in range(len(states)):
+        for m in range(len(state.designs)):
             for k in (0, 1):
                 ua, bsq, n_basis = float(old.u_alpha[m, k]), float(beta_sq[m, k]), int(length[m, 0])
                 a_sig = 0.5 * (n_basis * ua + 1.0)
@@ -397,7 +398,7 @@ class TestSlabBlockAgainstScalarLoop:
         want_u = []
         for k in (0, 1):
             sum_alpha, u_u = sum(want["u_alpha"][:, k]), float(old.u_u[k])
-            a_q, b_q = u_u * sum_alpha + hp.c_q, len(states) * u_u + hp.d_q - u_u * sum_alpha
+            a_q, b_q = u_u * sum_alpha + hp.c_q, len(state.designs) * u_u + hp.d_q - u_u * sum_alpha
             a_p, b_p = u_u + hp.c_p, hp.d_p - u_u + 1.0
             e_q = (psi(a_q) - psi(a_q + b_q), psi(b_q) - psi(a_q + b_q))
             e_p = (psi(a_p) - psi(a_p + b_p), psi(b_p) - psi(a_p + b_p))
@@ -414,10 +415,10 @@ class TestSlabBlockAgainstScalarLoop:
         np.testing.assert_allclose(shared.u_u, want_u, rtol=1e-12)
 
     def test_slab_elbo_terms(self):
-        states, shared, hp = self.fitted()
-        beta_sq, length = slab_statistics(states)
+        state, shared, hp = self.fitted()
+        beta_sq, length = slab_statistics(state)
         want = np.empty_like(shared.u_alpha)
-        for m in range(len(states)):
+        for m in range(len(state.designs)):
             for k in (0, 1):
                 ua, bsq, n_basis = float(shared.u_alpha[m, k]), float(beta_sq[m, k]), int(length[m, 0])
                 sa, sb = float(shared.a_sig[m, k]), float(shared.b_sig[m, k])
@@ -447,25 +448,166 @@ class TestSlabBlockAgainstScalarLoop:
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
+class TestStackedAgainstPerSample:
+    """The concatenated-spot updates and ELBO against one sample at a time.
+
+    The references below are the single-sample formulas, applied to each
+    sample's own spots, theta block and (N_pi, c1, u_phi).  The gene's three
+    sections differ in spot count (5, 8, 13) and covariate count (0, 1, 2),
+    so a spot attributed to the wrong sample changes some sample's result.
+    """
+
+    SPOTS = (5, 8, 13)
+
+    @classmethod
+    def fitted(cls):
+        rng = np.random.default_rng(21)
+        ys, designs = [], []
+        for m, n in enumerate(cls.SPOTS):
+            coords = rng.uniform(size=(n, 2))
+            designs.append(make_design(coords, rng.uniform(size=(n, m)), degree=2))
+            ys.append(rng.poisson(3.0 + 4.0 * coords[:, 0]) * (rng.random(n) > 0.3))
+        hp = Hyperparameters.default(len(ys), 2)
+        state, shared = init_state(ys, designs, hp)
+        for _ in range(3):
+            _one_iteration(state, shared, hp, 1.0)
+        return state, shared, ys, hp
+
+    @staticmethod
+    def per_sample(state):
+        """(spots, mu, sigma, u_phi, n_pi, c1) of each sample, copied."""
+        return [
+            (spots, state.mu[m].copy(), state.sigma[m].copy(), float(state.u_phi[m]),
+             float(state.n_pi[m]), float(state.c1[m]))
+            for m, spots in enumerate(state.sections)
+        ]
+
+    def test_sections_follow_the_samples(self):
+        state, _, ys, _ = self.fitted()
+        np.testing.assert_array_equal(state.offsets, [0, 5, 13, 26])
+        for spots, y in zip(state.sections, ys):
+            np.testing.assert_array_equal(state.y[spots], y)
+        assert [d.dim for d in state.designs] == [5, 6, 7]
+
+    def test_theta(self):
+        state, shared, _, hp = self.fitted()
+        old = copy.copy(state)
+        beta_prec = beta_prior_precision(shared, hp)
+        update_theta(state, beta_prec, hp, damping=0.7)
+        for m, (spots, mu, sigma, u_phi, _, _) in enumerate(self.per_sample(old)):
+            design = old.designs[m]
+            c = design.matrix
+            kappa = 1.0 - old.u_r[spots]
+            w = kappa * old.e_g[spots] * old.w_exp[spots]
+            m_prior = np.concatenate((
+                [1.0 / hp.sigma2_eta], np.repeat(beta_prec[m], design.n_basis),
+                np.full(design.n_covariates, 1.0 / hp.sigma2_psi)))
+            grad = u_phi * (c.T @ (w - kappa)) - m_prior * mu
+            inv_chol = np.linalg.inv(np.linalg.cholesky(u_phi * (c.T * w) @ c + np.diag(m_prior)))
+            want_sigma = inv_chol.T @ inv_chol
+            want_mu = mu + 0.7 * (want_sigma @ grad)
+            np.testing.assert_allclose(state.sigma[m], want_sigma, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(state.mu[m], want_mu, rtol=1e-12, atol=1e-15)
+            quad = np.array([row @ want_sigma @ row for row in c])
+            np.testing.assert_allclose(
+                state.w_exp[spots], np.exp(-c @ want_mu + 0.5 * quad), rtol=1e-12)
+            np.testing.assert_allclose(state.c_mu[spots], c @ want_mu, rtol=1e-12, atol=1e-14)
+            for k in (0, 1):
+                blk = design.beta_slice(k)
+                want = want_mu[blk] @ want_mu[blk] + np.trace(want_sigma[blk, blk])
+                assert state.beta_sq[m, k] == pytest.approx(want, rel=1e-12)
+
+    def test_phi(self):
+        state, _, _, hp = self.fitted()
+        old = copy.copy(state)
+        caches = [copy.copy(cache) for cache in state.phi_quad]
+        update_phi(state, hp)
+        for m, (spots, _, _, _, _, _) in enumerate(self.per_sample(old)):
+            kappa = 1.0 - old.u_r[spots]
+            n_pi = float(np.sum(kappa))
+            spot_terms = old.c_mu[spots] - old.e_log_g[spots] + old.e_g[spots] * old.w_exp[spots]
+            c1 = hp.b_phi + float(kappa @ spot_terms)
+            fac = engine.phi_factor(hp.a_phi, n_pi, c1, cache=caches[m])
+            assert state.n_pi[m] == pytest.approx(n_pi, rel=1e-12)
+            assert state.c1[m] == pytest.approx(c1, rel=1e-12)
+            assert state.u_phi[m] == pytest.approx(
+                float(np.clip(fac.e_phi, *engine._U_PHI_BOUNDS)), rel=1e-12)
+            for name in ("log_h0", "e_log_phi", "e_self"):
+                assert getattr(state.phi_cache[m], name) == pytest.approx(
+                    getattr(fac, name), rel=1e-12), name
+
+    def test_g_and_r(self):
+        state, _, ys, hp = self.fitted()
+        old = copy.copy(state)
+        update_g(state)
+        update_r(state, hp)
+        log_num = math.log(0.5)  # log B(a_pi + 1, b_pi) at a_pi = b_pi = 1
+        for m, (spots, _, _, u_phi, _, _) in enumerate(self.per_sample(old)):
+            kappa = np.maximum(1.0 - old.u_r[spots], 1e-8)
+            a_g = (ys[m] + u_phi - 1.0) * kappa + 1.0
+            b_g = kappa * (u_phi * old.w_exp[spots] + 1.0)
+            np.testing.assert_allclose(state.a_g[spots], a_g, rtol=1e-12)
+            np.testing.assert_allclose(state.b_g[spots], b_g, rtol=1e-12)
+            np.testing.assert_allclose(state.e_g[spots], a_g / b_g, rtol=1e-12)
+            np.testing.assert_allclose(
+                state.e_log_g[spots], psi(a_g) - np.log(b_g), rtol=1e-12, atol=1e-14)
+            prob = np.minimum(expit(log_num - (log_num - a_g / b_g)), 1.0 - 1e-8)
+            np.testing.assert_allclose(
+                state.u_r[spots], np.where(ys[m] == 0, prob, 0.0), rtol=1e-12)
+
+    def test_elbo(self):
+        state, shared, ys, hp = self.fitted()
+        lb = lambda a, b: float(gammaln(a) + gammaln(b) - gammaln(a + b))
+        want = 0.0
+        for m, (spots, mu, sigma, _, n_pi, c1) in enumerate(self.per_sample(state)):
+            design, fac = state.designs[m], state.phi_cache[m]
+            y = ys[m]
+            kappa = 1.0 - state.u_r[spots]
+            a_g, b_g = state.a_g[spots], state.b_g[spots]
+            e_g, e_log_g = state.e_g[spots], state.e_log_g[spots]
+            c_mu, w_exp = design.matrix @ mu, state.w_exp[spots]
+            want += float(kappa @ (y * e_log_g - e_g - gammaln(y + 1.0)))
+            want += float(kappa @ (fac.e_self - fac.e_phi * c_mu + (fac.e_phi - 1.0) * e_log_g
+                                   - fac.e_phi * e_g * w_exp))
+            want += (lb(hp.a_pi + 1.0, hp.b_pi) * state.u_r[spots].sum()
+                     + lb(hp.a_pi, hp.b_pi + 1.0) * kappa.sum() - y.size * lb(hp.a_pi, hp.b_pi))
+            want -= float((a_g * np.log(b_g) - gammaln(a_g) + (a_g - 1.0) * e_log_g - a_g).sum())
+            want -= float((xlogy(state.u_r[spots], state.u_r[spots]) + xlogy(kappa, kappa)).sum())
+            want += -0.5 * math.log(2 * math.pi * hp.sigma2_eta) - (
+                mu[0] ** 2 + sigma[0, 0]) / (2.0 * hp.sigma2_eta)
+            psl, n_cov = design.psi_slice, design.n_covariates
+            want += n_cov * -0.5 * math.log(2 * math.pi * hp.sigma2_psi) - float(
+                mu[psl] @ mu[psl] + np.trace(sigma[psl, psl])) / (2.0 * hp.sigma2_psi)
+            want += 0.5 * np.linalg.slogdet(sigma)[1] + 0.5 * design.dim * (
+                math.log(2 * math.pi) + 1.0)
+            want += (hp.a_phi * math.log(hp.b_phi) - float(gammaln(hp.a_phi))
+                     + (hp.a_phi - 1.0) * fac.e_log_phi - hp.b_phi * fac.e_phi)
+            want -= (n_pi * fac.e_self + (hp.a_phi - 1.0) * fac.e_log_phi - c1 * fac.e_phi
+                     - fac.log_h0)
+        want += engine._slab_elbo(shared, *slab_statistics(state), hp).sum()
+        want += engine._gate_elbo(shared, hp).sum()
+        assert compute_elbo(state, shared, hp) == pytest.approx(want, rel=1e-12)
+
+
 class TestUpdateTheta:
     def test_no_data_collapses_to_prior(self):
         ss, shared, design, hp = single_state([0, 0, 0, 0])
         ss.u_r = np.ones(4)
-        ss.mu = np.array([0.5, -0.3, 0.2, 0.1])
-        update_theta(ss, first_beta_prec(shared, hp), hp, damping=1.0)
+        ss.mu = (np.array([0.5, -0.3, 0.2, 0.1]),)
+        update_theta(ss, beta_prior_precision(shared, hp), hp, damping=1.0)
         m_prior = m_prior_diag(design, first_beta_prec(shared, hp), hp)
-        np.testing.assert_allclose(ss.mu, 0.0, atol=1e-12)
-        np.testing.assert_allclose(ss.sigma, np.diag(1.0 / m_prior), atol=1e-12)
+        np.testing.assert_allclose(ss.mu[0], 0.0, atol=1e-12)
+        np.testing.assert_allclose(ss.sigma[0], np.diag(1.0 / m_prior), atol=1e-12)
 
     def test_dimensions(self):
         ss, shared, design, hp = single_state([1] * 10, degree=3, j_cov=2, n=10)
-        update_theta(ss, first_beta_prec(shared, hp), hp)
-        assert ss.sigma.shape == (9, 9)
+        update_theta(ss, beta_prior_precision(shared, hp), hp)
+        assert ss.sigma[0].shape == (9, 9)
 
     def test_covariance_positive_definite(self, five_spot_state):
-        states, shared, ys, designs, hp = five_spot_state
-        update_theta(states[0], first_beta_prec(shared, hp), hp)
-        assert np.linalg.eigvalsh(states[0].sigma).min() > 0.0
+        ss, shared, ys, designs, hp = five_spot_state
+        update_theta(ss, beta_prior_precision(shared, hp), hp)
+        assert np.linalg.eigvalsh(ss.sigma[0]).min() > 0.0
 
     @staticmethod
     def expected_precision(ss, shared, design, hp):
@@ -473,19 +615,19 @@ class TestUpdateTheta:
         c = design.matrix
         w = (1.0 - ss.u_r) * ss.e_g * ss.w_exp
         m_prior = m_prior_diag(design, first_beta_prec(shared, hp), hp)
-        return ss.u_phi * (c.T @ np.diag(w) @ c) + np.diag(m_prior)
+        return ss.u_phi[0] * (c.T @ np.diag(w) @ c) + np.diag(m_prior)
 
     def test_sigma_is_inverse_precision(self, five_spot_state):
-        states, shared, ys, designs, hp = five_spot_state
-        ss, design = states[0], designs[0]
+        ss, shared, ys, designs, hp = five_spot_state
+        design = designs[0]
         want = np.linalg.inv(self.expected_precision(ss, shared, design, hp))
-        update_theta(ss, first_beta_prec(shared, hp), hp)
-        np.testing.assert_allclose(ss.sigma, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        update_theta(ss, beta_prior_precision(shared, hp), hp)
+        np.testing.assert_allclose(ss.sigma[0], want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_rejected_factorization_retried_once_with_jitter(self, five_spot_state,
                                                               monkeypatch):
-        states, shared, ys, designs, hp = five_spot_state
-        ss, design = states[0], designs[0]
+        ss, shared, ys, designs, hp = five_spot_state
+        design = designs[0]
         prec = self.expected_precision(ss, shared, design, hp)
         real = np.linalg.cholesky
         calls = []
@@ -497,17 +639,16 @@ class TestUpdateTheta:
             return real(a)
 
         monkeypatch.setattr(np.linalg, "cholesky", reject_first)
-        update_theta(ss, first_beta_prec(shared, hp), hp)
+        update_theta(ss, beta_prior_precision(shared, hp), hp)
         assert len(calls) == 2
         np.testing.assert_array_equal(calls[1], calls[0] + engine._JITTER * np.eye(design.dim))
         want = np.linalg.inv(prec + engine._JITTER * np.eye(design.dim))
-        np.testing.assert_allclose(ss.sigma, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        np.testing.assert_allclose(ss.sigma[0], want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_indefinite_precision_raises_after_one_retry(self, five_spot_state,
                                                          monkeypatch):
-        states, shared, ys, designs, hp = five_spot_state
-        ss, design = states[0], designs[0]
-        ss.u_phi = -1e3  # makes u_phi C' diag[w] C + M_prior indefinite
+        ss, shared, ys, designs, hp = five_spot_state
+        ss.u_phi = np.array([-1e3])  # makes u_phi C' diag[w] C + M_prior indefinite
         real = np.linalg.cholesky
         calls = []
 
@@ -517,19 +658,19 @@ class TestUpdateTheta:
 
         monkeypatch.setattr(np.linalg, "cholesky", counting)
         with pytest.raises(EngineError, match="not invertible after jitter"):
-            update_theta(ss, first_beta_prec(shared, hp), hp)
+            update_theta(ss, beta_prior_precision(shared, hp), hp)
         assert len(calls) == 2
 
     def test_non_finite_precision_raises(self, five_spot_state):
-        states, shared, ys, designs, hp = five_spot_state
-        states[0].w_exp = np.full_like(states[0].w_exp, np.inf)
+        ss, shared, ys, designs, hp = five_spot_state
+        ss.w_exp = np.full_like(ss.w_exp, np.inf)
         with np.errstate(invalid="ignore"), pytest.raises(EngineError, match="non-finite precision"):
-            update_theta(states[0], first_beta_prec(shared, hp), hp)
+            update_theta(ss, beta_prior_precision(shared, hp), hp)
 
     def test_one_moment_evaluation_per_sample(self, five_spot_state, monkeypatch):
         # The step reads the cached E[exp(-C theta)]; only the refresh at the
         # new (mu, Sigma) evaluates it.
-        states, shared, ys, designs, hp = five_spot_state
+        ss, shared, ys, designs, hp = five_spot_state
         real = engine.mvn_exp_neg_linear
         calls = []
 
@@ -538,21 +679,21 @@ class TestUpdateTheta:
             return real(*args)
 
         monkeypatch.setattr(engine, "mvn_exp_neg_linear", counting)
-        _one_iteration(states, shared, hp, 1.0)
-        assert len(calls) == len(states)
+        _one_iteration(ss, shared, hp, 1.0)
+        assert len(calls) == len(ys)
 
 
 class TestElbo:
     def test_finite_on_fixture(self, five_spot_state):
-        states, shared, ys, designs, hp = five_spot_state
-        val = compute_elbo(states, shared, hp)
+        ss, shared, ys, designs, hp = five_spot_state
+        val = compute_elbo(ss, shared, hp)
         assert math.isfinite(val)
 
     def test_requires_phi_cache(self):
         ss, shared, design, hp = single_state([1, 2])
         ss.phi_cache = None
         with pytest.raises(EngineError, match="phi factor cache"):
-            compute_elbo([ss], shared, hp)
+            compute_elbo(ss, shared, hp)
 
 
 class TestThetaCaches:
@@ -560,35 +701,36 @@ class TestThetaCaches:
     def assert_caches_match(ss, design):
         # Every cached function of (mu, Sigma), recomputed from first principles.
         c = design.matrix
-        quad = np.array([row @ ss.sigma @ row for row in c])
-        np.testing.assert_allclose(ss.w_exp, np.exp(-c @ ss.mu + 0.5 * quad), rtol=1e-12)
-        np.testing.assert_allclose(ss.c_mu, c @ ss.mu, rtol=1e-12, atol=1e-14)
+        mu, sigma = ss.mu[0], ss.sigma[0]
+        quad = np.array([row @ sigma @ row for row in c])
+        np.testing.assert_allclose(ss.w_exp, np.exp(-c @ mu + 0.5 * quad), rtol=1e-12)
+        np.testing.assert_allclose(ss.c_mu, c @ mu, rtol=1e-12, atol=1e-14)
         for k in (0, 1):
             blk = design.beta_slice(k)
-            want = np.sum(ss.mu[blk] ** 2) + np.sum(np.diag(ss.sigma)[blk])
-            assert ss.beta_sq[k] == pytest.approx(want, rel=1e-12)
+            want = np.sum(mu[blk] ** 2) + np.sum(np.diag(sigma)[blk])
+            assert ss.beta_sq[0, k] == pytest.approx(want, rel=1e-12)
 
     def test_fresh_after_every_update(self, five_spot_state):
-        states, shared, ys, designs, hp = five_spot_state
+        ss, shared, ys, designs, hp = five_spot_state
         for _ in range(3):
-            _one_iteration(states, shared, hp, 1.0)
-            self.assert_caches_match(states[0], designs[0])
+            _one_iteration(ss, shared, hp, 1.0)
+            self.assert_caches_match(ss, designs[0])
 
     def test_elbo_after_perturbation_matches_from_scratch(self, five_spot_state):
-        states, shared, ys, designs, hp = five_spot_state
-        ss, design = states[0], designs[0]
-        before = compute_elbo(states, shared, hp)
-        ss.mu = ss.mu + 0.05 * np.arange(1, design.dim + 1)
-        ss.sigma = 1.3 * ss.sigma
+        ss, shared, ys, designs, hp = five_spot_state
+        design = designs[0]
+        before = compute_elbo(ss, shared, hp)
+        ss.mu = (ss.mu[0] + 0.05 * np.arange(1, design.dim + 1),)
+        ss.sigma = (1.3 * ss.sigma[0],)
         ss.refresh_theta_cache()
         self.assert_caches_match(ss, design)
-        got = compute_elbo(states, shared, hp)
+        got = compute_elbo(ss, shared, hp)
         # From scratch: a state built only from the perturbed (mu, Sigma),
         # whose caches are filled without reading the old ones.
         fresh = copy.copy(ss)
         fresh.w_exp = fresh.c_mu = fresh.beta_sq = None
         fresh.refresh_theta_cache()
-        want = compute_elbo([fresh], shared, hp)
+        want = compute_elbo(fresh, shared, hp)
         assert got == want
         assert got != before
 
