@@ -8,6 +8,8 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
@@ -51,7 +53,29 @@ def _default_workers() -> int:
     return 1
 
 
+@contextmanager
+def _option(flag):
+    """Re-raise a ValueError from the block with ``flag`` in front of its message."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def run_detect(args) -> int:
+    # Option values are checked before any data is read.
+    with _option("--max-iter"):
+        opts = FitOptions(max_iter=args.max_iter)
+    with _option("--tol"):
+        opts = replace(opts, elbo_tol=args.tol)
+    gamma2 = None
+    with _option("--gamma2"):
+        if args.gamma2 != "auto":
+            gamma2 = Hyperparameters(gamma2=float(args.gamma2)).gamma2
+    with _option("--bfdr-level"):
+        if args.bfdr_level is not None:
+            selection.check_level(args.bfdr_level)
+
     manifest = dataio.Manifest.read(args.manifest)
     ds = dataio.load_dataset(manifest)
     log.info(
@@ -69,7 +93,6 @@ def run_detect(args) -> int:
     else:
         degree = int(args.degree)
 
-    gamma2 = None if args.gamma2 == "auto" else float(args.gamma2)
     hp = Hyperparameters.default(ds.n_samples, degree, gamma2=gamma2)
     spec = BasisSpec(degree)
     designs = [
@@ -77,7 +100,6 @@ def run_detect(args) -> int:
     ]
     counts = [s.counts for s in ds.samples]
 
-    opts = FitOptions(max_iter=args.max_iter, elbo_tol=args.tol)
     workers = args.workers
     indices = list(range(ds.n_genes))
     if workers <= 1:

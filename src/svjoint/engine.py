@@ -20,9 +20,8 @@ weighted Gram matrix, its Cholesky factor and inverse, E[exp(-C theta)]),
 the q(phi) quadrature and the theta terms of the ELBO stay a loop over
 samples, so samples may differ in spot and covariate counts.  The
 ``SharedState`` owns the (M, 2) spike-and-slab block and the per-axis gate.
-Updates assign new arrays and never write into existing ones, so a
-snapshot is a shallow copy of each state plus a copy of the list of q(phi)
-node caches and of each cache in it, the only objects mutated in place.
+Every part of both states is set once at init or replaced whole by an
+update, so a retry snapshot is a shallow copy of each state.
 
 All factor updates are conjugate closed forms except theta, which takes a
 fixed-point Gaussian step (non-conjugate variational message passing), and
@@ -44,7 +43,6 @@ from scipy.special import expit, gammaln, xlogy
 from .numerics import (
     NumericalError,
     PhiFactor,
-    PhiQuadCache,
     log_beta,
     mvn_exp_neg_linear,
     phi_factor,
@@ -64,7 +62,6 @@ __all__ = [
     "gamma_moments",
     "beta_prior_precision",
     "m_prior_diag",
-    "slab_statistics",
     "alpha_logit",
     "u_logit",
     "theta_expected_logp",
@@ -174,19 +171,14 @@ class GeneState:
 
     ``u_phi``, ``n_pi`` and ``c1`` are (M,) arrays; ``update_phi`` sets
     ``n_pi``, ``c1`` and ``phi_cache``, the M q(phi) normalizers and
-    moments at (n_pi[m], c1[m]); ``phi_quad`` holds the M node caches.  The
-    regression blocks differ in size between samples, so ``mu`` and
-    ``sigma`` are tuples of M arrays, one theta block per sample with its
-    own ``designs[m]``; the (M, 2) ``beta_sq`` is E[beta_mk' beta_mk].
+    moments at (n_pi[m], c1[m]), each with the quadrature window it was
+    evaluated on.  The regression blocks differ in size between samples, so
+    ``mu`` and ``sigma`` are tuples of M arrays, one theta block per sample
+    with its own ``designs[m]``; the (M, 2) ``beta_sq`` is E[beta_mk'
+    beta_mk] and the (M, 1) ``length`` the slab block lengths L_m.
     ``w_exp``, ``c_mu`` and ``beta_sq`` are functions of (mu, Sigma),
-    refreshed together by ``refresh_theta_cache``.
-
-    The sample's slab factors are its row of ``SharedState``'s (M, 2) block.
-    Updates assign new arrays and tuples and never write into existing ones;
-    the q(phi) node caches in ``phi_quad`` are the only objects refreshed in
-    place.  So a snapshot of the state (``_snapshot``) is a shallow copy
-    with a new ``phi_quad`` list holding a copy of each cache: a retried
-    iteration then starts from exactly the pre-attempt nodes.
+    refreshed together by ``refresh_theta_cache``.  The sample's slab
+    factors are its row of ``SharedState``'s (M, 2) block.
     """
 
     y: np.ndarray
@@ -197,7 +189,6 @@ class GeneState:
     u_phi: np.ndarray
     mu: tuple
     sigma: tuple
-    phi_quad: list
     n_pi: np.ndarray = None
     c1: np.ndarray = None
     a_g: np.ndarray = None
@@ -210,11 +201,13 @@ class GeneState:
     phi_cache: tuple[PhiFactor, ...] | None = None
     sections: tuple = field(init=False)
     owner: np.ndarray = field(init=False)
+    length: np.ndarray = field(init=False)
 
     def __post_init__(self):
         bounds = self.offsets.tolist()
         self.sections = tuple(slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
         self.owner = np.repeat(np.arange(len(self.designs)), np.diff(self.offsets))
+        self.length = np.array([[design.n_basis] for design in self.designs], dtype=float)
 
     def per_sample_sum(self, x):
         """(M,) sums of a per-spot array over each sample's spots."""
@@ -324,10 +317,15 @@ def init_state(ys, designs, hp: Hyperparameters):
 
     The regression mean starts at the log count mean (intercept only) with
     an isotropic 0.01 covariance; indicators start symmetric at 0.5; the
-    q(g) factor is seeded from its own update at those values.
+    q(g) factor is seeded from its own update at those values.  Counts that
+    do not fit the designs, or are not non-negative integers, raise ValueError.
     """
     ys = [np.asarray(y) for y in ys]
-    for y in ys:
+    if len(ys) != len(designs) or not ys:
+        raise ValueError("need one design per sample and at least one sample")
+    for y, design in zip(ys, designs):
+        if y.shape[0] != design.matrix.shape[0]:
+            raise ValueError("count vector and design row counts disagree")
         if np.any(y < 0) or not np.issubdtype(y.dtype, np.integer):
             raise ValueError("counts must be non-negative integers")
         if y.size == 0:
@@ -348,7 +346,6 @@ def init_state(ys, designs, hp: Hyperparameters):
             for y_m, design in zip(ys, designs)
         ),
         sigma=tuple(0.01 * np.eye(design.dim) for design in designs),
-        phi_quad=[PhiQuadCache() for _ in ys],
     )
     state.refresh_theta_cache()
     update_g(state)
@@ -384,12 +381,6 @@ def m_prior_diag(design: DesignMatrix, beta_prec, hp: Hyperparameters):
         [1.0 / hp.sigma2_eta, beta_prec[0], beta_prec[1], 1.0 / hp.sigma2_psi],
         [1, design.n_basis, design.n_basis, design.n_covariates],
     )
-
-
-def slab_statistics(state: GeneState):
-    """(M, 2) E[beta_mk' beta_mk] and (M, 1) block lengths L_m: the data the slab block reads."""
-    length = np.array([[design.n_basis] for design in state.designs], dtype=float)
-    return state.beta_sq, length
 
 
 def theta_expected_logp(mu, sigma, design, u_phi, one_minus_ur, e_g, m_prior):
@@ -477,10 +468,11 @@ def update_phi(state: GeneState, hp: Hyperparameters):
     if bad.any():
         m = int(np.argmax(bad))
         raise EngineError(f"non-positive c1 = {c1[m]} in phi update of sample {m}")
+    prevs = state.phi_cache or (None,) * len(state.designs)
     state.n_pi, state.c1 = n_pi, c1
     state.phi_cache = tuple(
-        phi_factor(hp.a_phi, s, t, cache=cache)
-        for s, t, cache in zip(n_pi.tolist(), c1.tolist(), state.phi_quad)
+        phi_factor(hp.a_phi, s, t, prev=prev)
+        for s, t, prev in zip(n_pi.tolist(), c1.tolist(), prevs)
     )
     state.u_phi = np.clip([fac.e_phi for fac in state.phi_cache], *_U_PHI_BOUNDS)
 
@@ -679,7 +671,7 @@ def compute_elbo(state: GeneState, shared: SharedState, hp: Hyperparameters) -> 
     """
     if state.phi_cache is None:
         raise EngineError("phi factor cache missing; run update_phi first")
-    slab = _slab_elbo(shared, *slab_statistics(state), hp)
+    slab = _slab_elbo(shared, state.beta_sq, state.length, hp)
     gate = _gate_elbo(shared, hp)
     lb_pi = _log_beta_c(hp.a_pi, hp.b_pi)
     lb_pi_r1 = _log_beta_c(hp.a_pi + 1.0, hp.b_pi)
@@ -775,25 +767,12 @@ def _one_iteration(state, shared, hp, damping):
     update_phi(state, hp)
     update_g(state)
     update_r(state, hp)
-    beta_sq, length = slab_statistics(state)
-    update_sigma(shared, beta_sq, length)
+    update_sigma(shared, state.beta_sq, state.length)
     update_a(shared, hp)
-    update_alpha(shared, beta_sq, length, hp)
+    update_alpha(shared, state.beta_sq, state.length, hp)
     update_q(shared, hp)
     update_p(shared, hp)
     update_u(shared, hp)
-
-
-def _snapshot(state, shared):
-    """Copies of a fit's states that no later update can change.
-
-    Updates assign new arrays and tuples, so shallow copies suffice, except
-    for the q(phi) node caches, which a refresh rebinds in place: the list
-    is copied and so is each cache in it.
-    """
-    copied = copy.copy(state)
-    copied.phi_quad = [copy.copy(cache) for cache in state.phi_quad]
-    return copied, copy.copy(shared)
 
 
 def fit_gene(ys, designs, hp: Hyperparameters, opts: FitOptions = FitOptions()):
@@ -807,19 +786,12 @@ def fit_gene(ys, designs, hp: Hyperparameters, opts: FitOptions = FitOptions()):
     state cannot be built returns zero gate expectations, no iterations
     and an ``init:`` failure.
     """
-    ys = [np.asarray(y) for y in ys]
-    if len(ys) != len(designs) or not ys:
-        raise ValueError("need one design per sample and at least one sample")
-    for y, design in zip(ys, designs):
-        if y.shape[0] != design.matrix.shape[0]:
-            raise ValueError("count vector and design row counts disagree")
-
     try:
         state, shared = init_state(ys, designs, hp)
     except _FIT_ERRORS as exc:
         return GeneFitResult(
             e_u=(0.0, 0.0),
-            alpha=np.zeros((len(ys), 2)),
+            alpha=np.zeros((len(designs), 2)),
             elbo_trace=[],
             iterations=0,
             converged=False,
@@ -832,21 +804,20 @@ def fit_gene(ys, designs, hp: Hyperparameters, opts: FitOptions = FitOptions()):
     prev_elbo = None
     iteration = 0
     while iteration < opts.max_iter:
-        snapshot = _snapshot(state, shared)
-        retried = False
-        while True:
+        before = state, shared
+        for attempt in (1, 2):
+            # Updates replace fields whole, so shallow copies leave ``before`` intact.
+            state, shared = map(copy.copy, before)
             try:
                 _one_iteration(state, shared, hp, damping)
                 elbo = compute_elbo(state, shared, hp)
                 break
             except _FIT_ERRORS as exc:
-                if retried:
+                if attempt == 2:
                     failure = f"iteration {iteration + 1}: {exc}"
-                    state, shared = snapshot
-                    break
-                retried = True
-                damping = max(damping / 2.0, _MIN_DAMPING)
-                state, shared = _snapshot(*snapshot)
+                    state, shared = before
+                else:
+                    damping = max(damping / 2.0, _MIN_DAMPING)
         if failure is not None:
             break
         iteration += 1

@@ -14,7 +14,7 @@ are carried as logs; ratios of H values are formed as exp(logH1 - logH2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -266,6 +266,36 @@ def h_integral(p, q, r, s, t, node_count: int = 96):
     return _h_quadrature(p, q, r, s, t, node_count)
 
 
+class PhiQuadCache:
+    """A q(phi) quadrature window at (s, t): a value, never changed once built.
+
+    CAVI moves (N_pi, c1) slowly, so a window usually still covers the mass
+    at the next (s, t); staleness is detected by the integrand failing to
+    decay at the window edges.  ``refresh`` returns a new window whose mode
+    search starts from this one's mode; ``PhiQuadCache()`` is empty.
+    """
+
+    __slots__ = ("s", "t", "u", "log_w", "x", "self_term", "u_mode")
+
+    def __init__(self, s=None, t=None, u=None, log_w=None, x=None, self_term=None, u_mode=None):
+        self.s, self.t, self.u, self.log_w = s, t, u, log_w
+        self.x, self.self_term, self.u_mode = x, self_term, u_mode
+
+    def refresh(self, a_phi, s, t, node_count):
+        """A new window fitted to q(phi) at (a_phi, s, t)."""
+        u_lo, u_mode, u_hi = _h_window(a_phi - 1.0, 0, 1.0, s, t, self.u_mode)
+        u, log_w = _h_nodes(u_lo, u_mode, u_hi, node_count)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            x = np.exp(u)
+            self_term = _xlogx_minus_lgamma_u(u, x)
+        return PhiQuadCache(s, t, u, log_w, x, self_term, u_mode)
+
+    def usable_for(self, s, t) -> bool:
+        if self.u is None:
+            return False
+        return abs(math.log(t / self.t)) <= 0.35 and abs(s - self.s) <= 0.1 * (self.s + 1.0)
+
+
 @dataclass(frozen=True)
 class PhiFactor:
     """Normalizer and moments of the dispersion factor q(phi).
@@ -274,7 +304,8 @@ class PhiFactor:
     {phi^phi/Gamma(phi)}^s * phi^(a_phi-1) * exp(-t*phi); ``log_h0`` is the
     log normalizer logH(a_phi-1, 0, 1, s, t), ``log_h1`` the shifted-power
     logH(a_phi, 0, 1, s, t), ``e_phi`` = exp(log_h1 - log_h0), and
-    ``e_self`` = E[phi*log(phi) - log Gamma(phi)].
+    ``e_self`` = E[phi*log(phi) - log Gamma(phi)].  ``window``, the
+    quadrature window they were evaluated on, is not part of the value.
     """
 
     log_h0: float
@@ -282,44 +313,17 @@ class PhiFactor:
     e_phi: float
     e_log_phi: float
     e_self: float
+    window: PhiQuadCache = field(default=None, repr=False, compare=False)
 
 
-class PhiQuadCache:
-    """Node-set reuse between successive q(phi) evaluations of one gene fit.
-
-    CAVI moves (N_pi, c1) slowly, so the previous window usually still
-    covers the mass; staleness is detected by the integrand failing to
-    decay at the window edges, which forces a fresh window.  The last mode
-    starts the next window's mode search.
-    """
-
-    __slots__ = ("s", "t", "u", "log_w", "x", "self_term", "u_mode")
-
-    def __init__(self):
-        self.s = self.t = self.u = self.log_w = self.x = self.self_term = None
-        self.u_mode = None
-
-    def refresh(self, a_phi, s, t, node_count):
-        u_lo, self.u_mode, u_hi = _h_window(a_phi - 1.0, 0, 1.0, s, t, self.u_mode)
-        self.u, self.log_w = _h_nodes(u_lo, self.u_mode, u_hi, node_count)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            self.x = np.exp(self.u)
-            self.self_term = _xlogx_minus_lgamma_u(self.u, self.x)
-        self.s, self.t = s, t
-
-    def usable_for(self, s, t) -> bool:
-        if self.u is None:
-            return False
-        return abs(math.log(t / self.t)) <= 0.35 and abs(s - self.s) <= 0.1 * (self.s + 1.0)
-
-
-def phi_factor(a_phi, s, t, node_count: int = 96, cache: PhiQuadCache | None = None):
+def phi_factor(a_phi, s, t, node_count: int = 96, prev: PhiFactor | None = None):
     """Evaluate the dispersion factor's normalizer and moments in one pass.
 
     A single ``node_count``-node quadrature window (sized for the density,
     as in ``h_integral``) serves both H values and all moments; the
     x-weighted integrand's peak shifts by at most log((a_phi+s+1)/(a_phi+s))
-    and stays inside the peak panel.
+    and stays inside the peak panel.  The window of ``prev``, a factor at a
+    nearby (s, t), is reused while it passes ``usable_for`` and the edge test.
     """
     _check_node_count(node_count)
     if t <= 0.0 or s < 0.0:
@@ -328,31 +332,31 @@ def phi_factor(a_phi, s, t, node_count: int = 96, cache: PhiQuadCache | None = N
         raise ValueError("q(phi) not normalizable at 0")
     if s >= t:
         raise NumericalError(f"q(phi) not normalizable: s={s} >= t={t}")
-    own = cache if cache is not None else PhiQuadCache()
-    fresh = not own.usable_for(s, t)
+    window = prev.window if prev is not None else PhiQuadCache()
+    fresh = not window.usable_for(s, t)
     if fresh:
-        own.refresh(a_phi, s, t, node_count)
+        window = window.refresh(a_phi, s, t, node_count)
     while True:
-        f = a_phi * own.u - t * own.x  # (p+1)*u with p = a_phi - 1
+        f = a_phi * window.u - t * window.x  # (p+1)*u with p = a_phi - 1
         if s != 0.0:
-            f = f + s * own.self_term
-        base = f + own.log_w
+            f = f + s * window.self_term
+        base = f + window.log_w
         m = float(np.max(base))
         if not math.isfinite(m):
             raise NumericalError(f"q(phi) quadrature overflowed: a={a_phi} s={s} t={t}")
         edges_ok = base[0] < m - 40.0 and base[-1] < m - 40.0
         if edges_ok or fresh:
             break
-        own.refresh(a_phi, s, t, node_count)
+        window = window.refresh(a_phi, s, t, node_count)
         fresh = True
     wts = np.exp(base - m)
     total = float(np.sum(wts))
     log_h0 = m + math.log(total)
-    log_h1 = m + math.log(float(np.sum(wts * own.x)))
+    log_h1 = m + math.log(float(np.sum(wts * window.x)))
     e_phi = math.exp(log_h1 - log_h0)
-    e_log_phi = float(np.sum(wts * own.u) / total)
-    e_self = float(np.sum(wts * own.self_term) / total)
-    return PhiFactor(log_h0, log_h1, e_phi, e_log_phi, e_self)
+    e_log_phi = float(np.sum(wts * window.u) / total)
+    e_self = float(np.sum(wts * window.self_term) / total)
+    return PhiFactor(log_h0, log_h1, e_phi, e_log_phi, e_self, window)
 
 
 def mvn_exp_neg_linear(mu, sigma, c):
@@ -370,6 +374,6 @@ def mvn_exp_neg_linear(mu, sigma, c):
     if c.shape[-1] != d and not (c.size == 0 and d == 0):
         raise ValueError(f"c has incompatible trailing dimension {c.shape}")
     if c.ndim == 1:
-        return float(np.exp(-c @ mu + 0.5 * c @ sigma @ c))
+        return float(np.exp(0.5 * c @ sigma @ c - c @ mu))
     quad = ((c @ sigma) * c).sum(axis=1)
-    return np.exp(-c @ mu + 0.5 * quad)
+    return np.exp(0.5 * quad - c @ mu)

@@ -21,6 +21,7 @@ __all__ = [
     "compute_u_tilde",
     "bfdr",
     "bfdr_threshold",
+    "check_level",
     "default_bfdr_level",
     "build_report",
 ]
@@ -91,8 +92,7 @@ def bfdr_threshold(u_tilde_all, level: float) -> float:
     u = np.asarray(u_tilde_all, dtype=float)
     if np.any(u < 0.0) or np.any(u > 1.0):
         raise ValueError("u_tilde values must lie in [0, 1]")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
+    check_level(level)
     one_minus = np.sort(1.0 - u)
     candidates = np.unique(np.append(one_minus, level))
     candidates = candidates[(candidates > 0.0) & (candidates <= 1.0)]
@@ -107,6 +107,12 @@ def bfdr_threshold(u_tilde_all, level: float) -> float:
         if bfdr(u, float(u0)) <= level:
             return float(u0)
     return best
+
+
+def check_level(level: float):
+    """Raise ValueError unless the BFDR level lies in (0, 1)."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {level}")
 
 
 def default_bfdr_level(n_genes: int) -> float:

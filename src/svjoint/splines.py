@@ -45,10 +45,6 @@ class BasisSpec:
         if self.degree not in _ALLOWED_DEGREES:
             raise ValueError(f"degree must be one of {_ALLOWED_DEGREES}, got {self.degree}")
 
-    @property
-    def n_basis(self) -> int:
-        return self.degree
-
 
 @dataclass(frozen=True)
 class DesignMatrix:

@@ -20,7 +20,6 @@ from svjoint.engine import (
     init_state,
     beta_prior_precision,
     m_prior_diag,
-    slab_statistics,
     theta_derivatives,
     theta_expected_logp,
     update_a,
@@ -174,7 +173,7 @@ def test_criterion_2_local_optimality(eight_spot_fixture, five_spot_state):
             f"r[m{m}]", state, shared, ys, designs, hp,
             scale_arrays([(state, "u_r")], spots=m), gains,
         )
-    beta_sq, length = slab_statistics(state)
+    beta_sq, length = state.beta_sq, state.length
     update_sigma(shared, beta_sq, length)
     for m in range(len(ys)):
         for name in ("a_sig", "b_sig"):

@@ -279,6 +279,25 @@ class TestConfig:
         monkeypatch.delenv("SVJOINT_WORKERS")
         assert _default_workers() == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--bfdr-level", "2"), ("--gamma2", "0.7"), ("--gamma2", "abc"), ("--tol", "0"),
+        ("--max-iter", "0"),
+    ])
+    def test_bad_option_fails_before_loading(
+            self, sim_dir, tmp_path, monkeypatch, caplog, flag, value):
+        def no_load(manifest):
+            raise AssertionError("data loaded before the options were checked")
+
+        monkeypatch.setattr(dataio, "load_dataset", no_load)
+        report = tmp_path / "never.tsv"
+        code = run([
+            "detect", "--manifest", str(sim_dir / "manifest.ini"), "--out", str(report),
+            flag, value,
+        ])
+        assert code == 1
+        assert f"{flag}: " in caplog.text
+        assert not report.exists()
+
     def test_auto_degree_and_gamma2_override(self, sim_dir, tmp_path):
         out = tmp_path / "auto.tsv"
         code = run([

@@ -144,7 +144,7 @@ def assert_same_values(a, b):
     """Every field of two states is equal, array by array.
 
     Per-sample tuples and lists are compared item by item, designs by their
-    matrices and each q(phi) node cache slot by slot.
+    matrices and each q(phi) factor by value and by its window, slot by slot.
     """
     assert vars(a).keys() == vars(b).keys()
     for name in vars(a):
@@ -158,11 +158,12 @@ def assert_same_values(a, b):
         for m, (got_m, want_m) in enumerate(zip(got, want)):
             if name == "designs":
                 got_m, want_m = got_m.matrix, want_m.matrix
-            if name == "phi_quad":
+            if name == "phi_cache" and got_m is not None:
+                assert got_m == want_m, f"phi_cache[{m}]"
                 for slot in PhiQuadCache.__slots__:
                     np.testing.assert_array_equal(
-                        getattr(got_m, slot), getattr(want_m, slot),
-                        err_msg=f"phi_quad[{m}].{slot}")
+                        getattr(got_m.window, slot), getattr(want_m.window, slot),
+                        err_msg=f"phi_cache[{m}].window.{slot}")
                 continue
             np.testing.assert_array_equal(got_m, want_m, err_msg=f"{name}[{m}]")
 
@@ -174,6 +175,20 @@ class TestRetry:
     def inputs():
         ds, _, designs = sim_inputs(5, m=2, grid=(8, 8))
         return [s.counts[0] for s in ds.samples], designs, Hyperparameters.default(2, 3)
+
+    def test_shallow_copy_is_a_snapshot(self):
+        # The retry snapshot is a shallow copy of each state: no update may
+        # write into an object that the live state shares with the copy,
+        # q(phi) windows included.
+        ys, designs, hp = self.inputs()
+        state, shared = init_state(ys, designs, hp)
+        shallow = copy.copy(state), copy.copy(shared)
+        deep = copy.deepcopy(shallow)
+        _one_iteration(state, shared, hp, 1.0)
+        compute_elbo(state, shared, hp)
+        assert state.phi_cache is not None
+        for got, want in zip(shallow, deep):
+            assert_same_values(got, want)
 
     def test_second_failure_returns_last_completed_iteration(self, monkeypatch):
         ys, designs, hp = self.inputs()

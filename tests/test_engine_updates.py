@@ -20,7 +20,6 @@ from svjoint.engine import (
     gamma_moments,
     init_state,
     m_prior_diag,
-    slab_statistics,
     u_logit,
     update_a,
     update_alpha,
@@ -175,7 +174,7 @@ class TestUpdateSigma:
         ss, shared, design, hp = single_state([1, 2, 3])
         shared.u_alpha[0, 0] = 0.0
         shared.u_inv_a[0, 0] = 0.7
-        update_sigma(shared, *slab_statistics(ss))
+        update_sigma(shared, ss.beta_sq, ss.length)
         assert shared.a_sig[0, 0] == pytest.approx(0.5)
         assert shared.b_sig[0, 0] == pytest.approx(0.7)
 
@@ -189,7 +188,7 @@ class TestUpdateSigma:
         ss.refresh_theta_cache()
         shared.u_alpha[0, 0] = 1.0
         shared.u_inv_a[0, 0] = 1.0
-        update_sigma(shared, *slab_statistics(ss))
+        update_sigma(shared, ss.beta_sq, ss.length)
         assert shared.a_sig[0, 0] == pytest.approx(1.5)
         assert shared.b_sig[0, 0] == pytest.approx(3.0)
         e_inv_s2, _ = gamma_moments(shared.a_sig, shared.b_sig)
@@ -202,7 +201,7 @@ class TestUpdateSigma:
         ss.refresh_theta_cache()
         shared.u_alpha[0, 0] = 1.0
         shared.u_inv_a[0, 0] = 2.0
-        update_sigma(shared, *slab_statistics(ss))
+        update_sigma(shared, ss.beta_sq, ss.length)
         assert shared.a_sig[0, 0] == pytest.approx(1.5)
         assert shared.b_sig[0, 0] == pytest.approx(2.0)
 
@@ -380,7 +379,7 @@ class TestSlabBlockAgainstScalarLoop:
 
     def test_slab_and_gate_updates(self):
         state, shared, hp = self.fitted()
-        beta_sq, length = slab_statistics(state)
+        beta_sq, length = state.beta_sq, state.length
         old = copy.copy(shared)
         want = {name: np.empty_like(getattr(old, name))
                 for name in ("a_sig", "b_sig", "u_inv_a", "u_alpha")}
@@ -416,7 +415,7 @@ class TestSlabBlockAgainstScalarLoop:
 
     def test_slab_elbo_terms(self):
         state, shared, hp = self.fitted()
-        beta_sq, length = slab_statistics(state)
+        beta_sq, length = state.beta_sq, state.length
         want = np.empty_like(shared.u_alpha)
         for m in range(len(state.designs)):
             for k in (0, 1):
@@ -520,14 +519,13 @@ class TestStackedAgainstPerSample:
     def test_phi(self):
         state, _, _, hp = self.fitted()
         old = copy.copy(state)
-        caches = [copy.copy(cache) for cache in state.phi_quad]
         update_phi(state, hp)
         for m, (spots, _, _, _, _, _) in enumerate(self.per_sample(old)):
             kappa = 1.0 - old.u_r[spots]
             n_pi = float(np.sum(kappa))
             spot_terms = old.c_mu[spots] - old.e_log_g[spots] + old.e_g[spots] * old.w_exp[spots]
             c1 = hp.b_phi + float(kappa @ spot_terms)
-            fac = engine.phi_factor(hp.a_phi, n_pi, c1, cache=caches[m])
+            fac = engine.phi_factor(hp.a_phi, n_pi, c1, prev=old.phi_cache[m])
             assert state.n_pi[m] == pytest.approx(n_pi, rel=1e-12)
             assert state.c1[m] == pytest.approx(c1, rel=1e-12)
             assert state.u_phi[m] == pytest.approx(
@@ -584,7 +582,7 @@ class TestStackedAgainstPerSample:
                      + (hp.a_phi - 1.0) * fac.e_log_phi - hp.b_phi * fac.e_phi)
             want -= (n_pi * fac.e_self + (hp.a_phi - 1.0) * fac.e_log_phi - c1 * fac.e_phi
                      - fac.log_h0)
-        want += engine._slab_elbo(shared, *slab_statistics(state), hp).sum()
+        want += engine._slab_elbo(shared, state.beta_sq, state.length, hp).sum()
         want += engine._gate_elbo(shared, hp).sum()
         assert compute_elbo(state, shared, hp) == pytest.approx(want, rel=1e-12)
 

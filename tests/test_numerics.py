@@ -1,6 +1,7 @@
 """Special-function and quadrature checks against independent oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from scipy.integrate import quad
 
 from svjoint.numerics import (
     NumericalError,
-    PhiQuadCache,
     h_integral,
     log_beta,
     mvn_exp_neg_linear,
@@ -146,14 +146,28 @@ class TestPhiFactor:
         assert fac.e_phi == pytest.approx(1.0, rel=1e-9)
 
     def test_cache_reuse_matches_fresh(self):
-        cache = PhiQuadCache()
+        a = None
         t = 50.0
         for _ in range(12):
             t *= 1.05
-            a = phi_factor(0.001, 40.0, t, cache=cache)
+            a = phi_factor(0.001, 40.0, t, prev=a)
             b = phi_factor(0.001, 40.0, t)
             assert a.log_h0 == pytest.approx(b.log_h0, abs=1e-10)
             assert a.e_phi == pytest.approx(b.e_phi, rel=1e-10)
+
+    def test_window_is_a_value(self):
+        # A stale window is replaced, never refreshed in place; the window
+        # is not part of the factor's value.
+        first = phi_factor(0.001, 40.0, 50.0)
+        nodes = first.window.u.copy()
+        second = phi_factor(0.001, 40.0, 100.0, prev=first)
+        assert second.window is not first.window
+        np.testing.assert_array_equal(first.window.u, nodes)
+        assert (first.window.s, first.window.t) == (40.0, 50.0)
+        assert replace(second, window=first.window) == second
+        assert "window" not in repr(second)
+        reused = phi_factor(0.001, 40.0, 51.0, prev=first)
+        assert reused.window is first.window
 
     def test_not_normalizable(self):
         with pytest.raises(NumericalError):
@@ -163,12 +177,13 @@ class TestPhiFactor:
     def test_against_high_node_quadrature(self, s):
         # (N_pi, c1) around what the benchmark fits reach (N_pi 136-227,
         # c1 / N_pi 1.04-2.37) and the all-dropout N_pi = 0, fresh and
-        # through a cache that walks the grid.
-        cache = PhiQuadCache()
+        # through windows handed on along the grid.
+        walked = None
         for ratio in (1.02, 1.04, 1.2, 1.6, 2.37, 3.0):
             t = s * ratio + 0.01
             want = phi_factor(0.001, s, t, node_count=384)
-            for got in (phi_factor(0.001, s, t), phi_factor(0.001, s, t, cache=cache)):
+            walked = phi_factor(0.001, s, t, prev=walked)
+            for got in (phi_factor(0.001, s, t), walked):
                 for name in ("log_h0", "log_h1", "e_phi", "e_log_phi", "e_self"):
                     w = getattr(want, name)
                     assert abs(getattr(got, name) - w) <= 1e-10 * max(1.0, abs(w)), (name, s, t)
