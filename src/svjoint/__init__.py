@@ -22,6 +22,7 @@ from .engine import (  # noqa: F401
     GeneFitResult,
     Hyperparameters,
     fit_gene,
+    fit_genes,
 )
 from .selection import DetectionReport, GeneDecision, bfdr, bfdr_threshold  # noqa: F401
 from .simulate import SimConfig, generate  # noqa: F401

@@ -14,7 +14,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import dataio, metrics, selection, simulate
-from .engine import FitOptions, Hyperparameters, fit_gene
+# fit_gene stays importable from here; detect fits genes block by block.
+from .engine import FitOptions, Hyperparameters, block_size, fit_gene, fit_genes  # noqa: F401
 from .splines import BasisSpec, build_design, normalize_coords, select_degree
 
 log = logging.getLogger("svjoint")
@@ -29,16 +30,30 @@ _CTX = {}
 
 def _init_worker(counts, designs, hp, opts):
     # ``counts`` holds one CsrCounts per sample: a spawn or forkserver worker
-    # unpickles only the nonzeros, and each task densifies one gene's rows.
-    _CTX["counts"] = counts
-    _CTX["designs"] = designs
-    _CTX["hp"] = hp
-    _CTX["opts"] = opts
+    # unpickles only the nonzeros, and each block densifies its genes' rows.
+    # Genes are fit in blocks of ``block`` consecutive indices, a size that
+    # depends only on the spot count, so each gene's result is the same for
+    # any worker count.  Finished blocks wait in ``results`` until their
+    # genes are asked for.
+    for design in designs:
+        design.pairs  # built once per process, shared by every block
+    _CTX.clear()
+    _CTX.update(
+        counts=counts, designs=designs, hp=hp, opts=opts, results={},
+        block=block_size(sum(design.matrix.shape[0] for design in designs)),
+    )
 
 
 def _fit_gene_task(gene_index: int):
-    ys = [c[gene_index] for c in _CTX["counts"]]
-    return fit_gene(ys, _CTX["designs"], _CTX["hp"], _CTX["opts"])
+    """The fit of one gene; the first request for a gene fits its whole block."""
+    results = _CTX["results"]
+    if gene_index not in results:
+        block = _CTX["block"]
+        start = gene_index - gene_index % block
+        genes = range(start, min(start + block, _CTX["counts"][0].shape[0]))
+        gene_ys = [[c[g] for c in _CTX["counts"]] for g in genes]
+        results.update(zip(genes, fit_genes(gene_ys, _CTX["designs"], _CTX["hp"], _CTX["opts"])))
+    return results.pop(gene_index)
 
 
 def _default_workers() -> int:
@@ -75,6 +90,9 @@ def run_detect(args) -> int:
     with _option("--bfdr-level"):
         if args.bfdr_level is not None:
             selection.check_level(args.bfdr_level)
+    with _option("--seed"):
+        if args.seed < 0:
+            raise ValueError(f"must be a non-negative integer, got {args.seed}")
 
     manifest = dataio.Manifest.read(args.manifest)
     ds = dataio.load_dataset(manifest)
@@ -106,7 +124,8 @@ def run_detect(args) -> int:
         _init_worker(counts, designs, hp, opts)
         results = [_fit_gene_task(i) for i in indices]
     else:
-        chunk = max(1, ds.n_genes // (workers * 8))
+        # One pool task per block of genes.
+        chunk = block_size(sum(d.matrix.shape[0] for d in designs))
         try:
             with ProcessPoolExecutor(
                 max_workers=workers,

@@ -1,32 +1,39 @@
-"""Per-gene coordinate-ascent variational inference.
+"""Coordinate-ascent variational inference for a block of genes.
 
-One gene is fit at a time against M samples.  The model is a zero-inflated
-negative binomial regression with the NB written as a Poisson-Gamma
-mixture; the variational family factorizes over per-spot Poisson rates g_i
-and dropout indicators r_i, the regression block theta = (eta, beta_1,
-beta_2, psi), the dispersion phi, the spike-and-slab block (slab variances
-sigma^2_mk, their Half-Cauchy auxiliaries a_mk and the slab indicators
-alpha_mk for every sample m and spatial axis k), and the cross-sample gate
-(u_k, p_k, q_k) that ties the indicators together.
+A block of B genes is fit against the same M samples.  The model is a
+zero-inflated negative binomial regression with the NB written as a
+Poisson-Gamma mixture; the variational family factorizes over per-spot
+Poisson rates g_i and dropout indicators r_i, the regression block theta =
+(eta, beta_1, beta_2, psi), the dispersion phi, the spike-and-slab block
+(slab variances sigma^2_mk, their Half-Cauchy auxiliaries a_mk and the slab
+indicators alpha_mk for every sample m and spatial axis k), and the
+cross-sample gate (u_k, p_k, q_k) that ties the indicators together.  Every
+gene has its own factors; genes share only the designs.
 
-A ``GeneState`` owns the gene's data, q(g), q(r), q(theta), q(phi) and
-caches for all M samples at once: every per-spot array is the samples'
-sections concatenated, split by ``offsets``; per-sample sums (N_pi, the
-ELBO's spot terms) are one reduction over those offsets; the per-sample
-scalars u_phi, N_pi and c1 are (M,) arrays.  So the q(g) and q(r) updates,
-the spot parts of the theta and phi steps and the per-spot ELBO terms run
-once per iteration for all samples.  The d x d work of the theta step (the
-weighted Gram matrix, its Cholesky factor and inverse, E[exp(-C theta)]),
-the q(phi) quadrature and the theta terms of the ELBO stay a loop over
-samples, so samples may differ in spot and covariate counts.  The
-``SharedState`` owns the (M, 2) spike-and-slab block and the per-axis gate.
-Every part of both states is set once at init or replaced whole by an
-update, so a retry snapshot is a shallow copy of each state.
+A ``BlockState`` holds one row per gene.  Its per-spot arrays are (B, sum
+N_m): each row is the gene's M sections concatenated in sample order, split
+by ``offsets``, so per-sample sums are one reduction along the spots.  The
+per-sample scalars u_phi, N_pi and c1 are (B, M), and sample m's theta
+block is ``mu[m]`` (B, d_m) and ``sigma[m]`` (B, d_m, d_m), so samples may
+differ in spot and covariate counts.  The d x d work loops over the M
+samples, each stacked over the block: with the design's column-pair
+products P (``DesignMatrix.pairs``), every gene's weighted Gram matrix is
+one GEMM ``W @ P.T`` and its row-wise quadratic forms one GEMM against P;
+the Cholesky factors and inverses are stacked.  q(phi) is one quadrature
+per (gene, sample).  ``SharedState`` holds the (B, M, 2) spike-and-slab
+block and the (B, 2) gate.  Every field is set once at init or replaced
+whole by an update, so a retry snapshot is a shallow copy of each state.
 
 All factor updates are conjugate closed forms except theta, which takes a
 fixed-point Gaussian step (non-conjugate variational message passing), and
-phi, whose factor is normalized by quadrature.  Convergence is declared on
-the absolute ELBO change.
+phi, whose factor is normalized by quadrature.  Convergence is declared per
+gene on the absolute ELBO change.
+
+Failures are per gene.  An update that cannot complete some genes raises
+EngineError naming their rows before any later update reads them; the fit
+loop reruns that iteration without them, then retries each once from its
+pre-iteration rows at its own halved damping.  Genes that converge, fail
+twice or reach the iteration cap leave the block.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from .numerics import (
     log_beta,
     mvn_exp_neg_linear,
     phi_factor,
+    upper_pairs,
 )
 from .splines import DesignMatrix
 
@@ -53,10 +61,11 @@ __all__ = [
     "A_BY_DEGREE",
     "EngineError",
     "Hyperparameters",
-    "GeneState",
+    "BlockState",
     "SharedState",
     "FitOptions",
     "GeneFitResult",
+    "block_size",
     "gamma2_for_samples",
     "init_state",
     "gamma_moments",
@@ -77,6 +86,7 @@ __all__ = [
     "update_p",
     "update_q",
     "compute_elbo",
+    "fit_genes",
     "fit_gene",
 ]
 
@@ -87,17 +97,51 @@ _KAPPA_FLOOR = 1e-8  # keeps q(g) a proper Gamma at fully dropped-out spots
 _U_PHI_BOUNDS = (1e-4, 1e4)
 _MIN_DAMPING = 1.0 / 16.0
 _JITTER = 1e-8
+# Genes per block: at most _MAX_BLOCK, and about _BLOCK_SPOT_GENES gene-spot
+# entries per per-spot array, so that the spot work stays in cache.
+_MAX_BLOCK = 16
+_BLOCK_SPOT_GENES = 20_000
 
 LOG_2PI = math.log(2.0 * math.pi)
 _LGAMMA_HALF = float(gammaln(0.5))
 
 
 class EngineError(RuntimeError):
-    """Raised when a variational update cannot be completed."""
+    """Raised when a variational update cannot be completed.
+
+    ``failures`` maps each block row that failed to its message; an error
+    without it fails every row of the block.
+    """
+
+    def __init__(self, message, failures=None):
+        super().__init__(message)
+        self.failures = failures
 
 
 # Numerical failures that end one gene's fit rather than the run.
 _FIT_ERRORS = (EngineError, NumericalError, np.linalg.LinAlgError)
+
+
+def _fail(failures):
+    """Raise EngineError for ``failures`` (row -> message), led by the first row's message."""
+    raise EngineError(next(iter(failures.values())), failures)
+
+
+def _first_flags(bad):
+    """{row: first flagged column} for each row of a 2-D mask that has a flag."""
+    return {int(b): int(np.argmax(bad[b])) for b in np.flatnonzero(bad.any(axis=1))}
+
+
+def _row_failures(exc, n_rows):
+    """The rows an exception from a block update fails, with their messages."""
+    if isinstance(exc, EngineError) and exc.failures:
+        return exc.failures
+    return dict.fromkeys(range(n_rows), str(exc))
+
+
+def block_size(n_spots: int) -> int:
+    """Genes per block for samples with ``n_spots`` spots in all."""
+    return min(_MAX_BLOCK, max(1, _BLOCK_SPOT_GENES // n_spots))
 
 
 @lru_cache(maxsize=256)
@@ -158,28 +202,33 @@ class Hyperparameters:
 
 
 @dataclass
-class GeneState:
-    """One gene's data, q(g), q(r), q(theta), q(phi) and caches, for all M samples.
+class BlockState:
+    """The data, q(g), q(r), q(theta), q(phi) and caches of B genes, one row each.
 
-    Layout: the samples' spots are concatenated in sample order, and sample m
-    owns spots ``offsets[m]:offsets[m + 1]`` (``sections[m]``) of every
-    per-spot array: the counts ``y``, ``log_y_fact`` = log(y_i!), ``u_r`` =
-    E[r_i] (exactly 0 wherever y_i > 0), ``a_g``/``b_g`` parametrizing q(g)
-    and its moments ``e_g``/``e_log_g`` (set by ``update_g``), and ``w_exp``
-    and ``c_mu``, E[exp(-C_i theta)] and C_i mu.  ``owner`` maps each spot
-    to its sample.  Per-sample sums are one reduction over the offsets.
+    Layout: a gene's spots are its samples' sections concatenated in sample
+    order, and sample m owns columns ``offsets[m]:offsets[m + 1]``
+    (``sections[m]``) of every (B, sum N_m) per-spot array: the counts
+    ``y``, ``log_y_fact`` = log(y_i!), ``u_r`` = E[r_i] (exactly 0 wherever
+    y_i > 0), ``a_g``/``b_g`` parametrizing q(g) and its moments
+    ``e_g``/``e_log_g`` (set by ``update_g``), and ``w_exp`` and ``c_mu``,
+    E[exp(-C_i theta)] and C_i mu.  ``owner`` maps each column to its
+    sample.  Per-sample sums are one reduction over the offsets.
 
-    ``u_phi``, ``n_pi`` and ``c1`` are (M,) arrays; ``update_phi`` sets
-    ``n_pi``, ``c1`` and ``phi_cache``, the M q(phi) normalizers and
-    moments at (n_pi[m], c1[m]), each with the quadrature window it was
+    ``u_phi``, ``n_pi`` and ``c1`` are (B, M); ``update_phi`` sets ``n_pi``,
+    ``c1`` and ``phi_cache``, one tuple per gene of its M q(phi) normalizers
+    and moments at (n_pi, c1), each with the quadrature window it was
     evaluated on.  The regression blocks differ in size between samples, so
-    ``mu`` and ``sigma`` are tuples of M arrays, one theta block per sample
-    with its own ``designs[m]``; the (M, 2) ``beta_sq`` is E[beta_mk'
+    ``mu`` and ``sigma`` are tuples of M arrays, (B, d_m) and (B, d_m, d_m),
+    with their own ``designs[m]``; the (B, M, 2) ``beta_sq`` is E[beta_mk'
     beta_mk] and the (M, 1) ``length`` the slab block lengths L_m.
     ``w_exp``, ``c_mu`` and ``beta_sq`` are functions of (mu, Sigma),
-    refreshed together by ``refresh_theta_cache``.  The sample's slab
-    factors are its row of ``SharedState``'s (M, 2) block.
+    refreshed together by ``refresh_theta_cache``.  A gene's slab factors
+    are its row of ``SharedState``'s (B, M, 2) block.
     """
+
+    # The fields that hold one row (or, for phi_cache, one entry) per gene.
+    ROWS = ("y", "log_y_fact", "u_r", "u_phi", "mu", "sigma", "n_pi", "c1", "a_g", "b_g",
+            "e_g", "e_log_g", "w_exp", "c_mu", "beta_sq", "phi_cache")
 
     y: np.ndarray
     designs: tuple
@@ -198,7 +247,7 @@ class GeneState:
     w_exp: np.ndarray = None
     c_mu: np.ndarray = None
     beta_sq: np.ndarray = None
-    phi_cache: tuple[PhiFactor, ...] | None = None
+    phi_cache: tuple[tuple[PhiFactor, ...], ...] | None = None
     sections: tuple = field(init=False)
     owner: np.ndarray = field(init=False)
     length: np.ndarray = field(init=False)
@@ -210,12 +259,12 @@ class GeneState:
         self.length = np.array([[design.n_basis] for design in self.designs], dtype=float)
 
     def per_sample_sum(self, x):
-        """(M,) sums of a per-spot array over each sample's spots."""
-        return np.add.reduceat(x, self.offsets[:-1])
+        """(B, M) sums of a per-spot array over each sample's spots."""
+        return np.add.reduceat(x, self.offsets[:-1], axis=1)
 
     def per_spot(self, v):
-        """A per-sample (M,) array repeated over each sample's spots."""
-        return v.take(self.owner)
+        """A per-sample (B, M) array repeated over each sample's spots."""
+        return v.take(self.owner, axis=1)
 
     def locate(self, spot):
         """'sample m spot i' for an index into the concatenated spots."""
@@ -229,20 +278,21 @@ class GeneState:
         """Recompute every cached function of (mu, Sigma); call after changing either."""
         w, c_mu, beta_sq = [], [], []
         for design, mu, sigma in zip(self.designs, self.mu, self.sigma):
-            w.append(mvn_exp_neg_linear(mu, sigma, design.matrix))
-            c_mu.append(design.matrix @ mu)
+            w.append(mvn_exp_neg_linear(mu, sigma, design))
+            c_mu.append(mu @ design.matrix.T)
             # E[beta_k' beta_k] = |mu_k|^2 + tr(Sigma_k block) for k = 0, 1.
-            var = sigma.diagonal()
+            var = np.diagonal(sigma, axis1=1, axis2=2)
             blocks = (design.beta_slice(0), design.beta_slice(1))
-            beta_sq.append([float(mu[b] @ mu[b] + var[b].sum()) for b in blocks])
-        w = np.concatenate(w)
+            beta_sq.append([np.square(mu[:, b]).sum(axis=1) + var[:, b].sum(axis=1)
+                            for b in blocks])
+        w = np.concatenate(w, axis=1)
         bad = ~np.isfinite(w)
         if bad.any():
-            spot = self.locate(int(np.argmax(bad)))
-            raise EngineError(f"non-finite exp(-C theta) moment at {spot}")
+            _fail({b: f"non-finite exp(-C theta) moment at {self.locate(spot)}"
+                   for b, spot in _first_flags(bad).items()})
         self.w_exp = w
-        self.c_mu = np.concatenate(c_mu)
-        self.beta_sq = np.array(beta_sq)
+        self.c_mu = np.concatenate(c_mu, axis=1)
+        self.beta_sq = np.array(beta_sq).transpose(2, 0, 1)
 
 
 def gamma_moments(a, b):
@@ -258,15 +308,18 @@ def _beta_e_logs(a, b):
 
 @dataclass
 class SharedState:
-    """The (M, 2) spike-and-slab block and the per-axis cross-sample gate.
+    """The (B, M, 2) spike-and-slab block and the (B, 2) cross-sample gate.
 
-    Row m, column k of ``a_sig``/``b_sig`` (q(1/sigma^2_mk)), ``u_inv_a``
-    (E[1/a_mk]) and ``u_alpha`` (E[alpha_mk]) belong to sample m and axis k;
-    the gate factors ``u_u``, ``a_p``/``b_p`` and ``a_q``/``b_q`` are indexed
-    by k.  Updates assign new arrays.  The digamma moments of the Beta
-    factors are cached; call ``refresh_moments`` after changing any Beta
-    parameter by hand.
+    Entry [b, m, k] of ``a_sig``/``b_sig`` (q(1/sigma^2_mk)), ``u_inv_a``
+    (E[1/a_mk]) and ``u_alpha`` (E[alpha_mk]) belongs to gene b, sample m
+    and axis k; the gate factors ``u_u``, ``a_p``/``b_p`` and ``a_q``/``b_q``
+    are indexed by [b, k].  Updates assign new arrays.  The digamma moments
+    of the Beta factors are cached; call ``refresh_moments`` after changing
+    any Beta parameter by hand.
     """
+
+    ROWS = ("a_sig", "b_sig", "u_inv_a", "u_alpha", "u_u", "a_p", "b_p", "a_q", "b_q",
+            "e_log_p", "e_log_1mp", "e_log_q", "e_log_1mq")
 
     a_sig: np.ndarray
     b_sig: np.ndarray
@@ -288,6 +341,40 @@ class SharedState:
     def refresh_moments(self):
         self.e_log_p, self.e_log_1mp = _beta_e_logs(self.a_p, self.b_p)
         self.e_log_q, self.e_log_1mq = _beta_e_logs(self.a_q, self.b_q)
+
+
+def _take(state, rows):
+    """A copy of a block state (``BlockState`` or ``SharedState``) with only ``rows``, in order."""
+    new = copy.copy(state)
+    for name in state.ROWS:
+        value = getattr(state, name)
+        if value is None:
+            continue
+        if name == "phi_cache":
+            value = tuple(value[b] for b in rows)
+        elif isinstance(value, tuple):
+            value = tuple(v[rows] for v in value)
+        else:
+            value = value[rows]
+        setattr(new, name, value)
+    return new
+
+
+def _stack(states):
+    """One block state holding the rows of ``states`` in turn."""
+    new = copy.copy(states[0])
+    for name in new.ROWS:
+        values = [getattr(state, name) for state in states]
+        if values[0] is None:
+            continue
+        if name == "phi_cache":
+            value = sum(values, ())
+        elif isinstance(values[0], tuple):
+            value = tuple(np.concatenate(per_sample) for per_sample in zip(*values))
+        else:
+            value = np.concatenate(values)
+        setattr(new, name, value)
+    return new
 
 
 @dataclass(frozen=True)
@@ -312,79 +399,98 @@ class GeneFitResult:
     failure: str | None = None
 
 
-def init_state(ys, designs, hp: Hyperparameters):
-    """Initial variational state for one gene across samples: (GeneState, SharedState).
+def init_state(gene_ys, designs, hp: Hyperparameters):
+    """Initial variational state of a block of genes: (BlockState, SharedState).
 
-    The regression mean starts at the log count mean (intercept only) with
-    an isotropic 0.01 covariance; indicators start symmetric at 0.5; the
-    q(g) factor is seeded from its own update at those values.  Counts that
-    do not fit the designs, or are not non-negative integers, raise ValueError.
+    ``gene_ys`` holds one list of M per-sample count vectors per gene.  The
+    regression mean starts at the log count mean (intercept only) with an
+    isotropic 0.01 covariance; indicators start symmetric at 0.5; the q(g)
+    factor is seeded from its own update at those values.  Counts that do
+    not fit the designs, or are not non-negative integers, raise ValueError.
     """
-    ys = [np.asarray(y) for y in ys]
-    if len(ys) != len(designs) or not ys:
-        raise ValueError("need one design per sample and at least one sample")
-    for y, design in zip(ys, designs):
-        if y.shape[0] != design.matrix.shape[0]:
-            raise ValueError("count vector and design row counts disagree")
-        if np.any(y < 0) or not np.issubdtype(y.dtype, np.integer):
-            raise ValueError("counts must be non-negative integers")
-        if y.size == 0:
-            raise ValueError("every sample needs at least one spot")
-    ys = [y.astype(np.int64) for y in ys]
-    y = np.concatenate(ys)
-    n_samples = len(ys)
-    offsets = np.cumsum([0] + [y_m.size for y_m in ys])
-    state = GeneState(
+    if not gene_ys or not designs:
+        raise ValueError("need at least one gene and one sample")
+    for ys in gene_ys:
+        if len(ys) != len(designs):
+            raise ValueError("need one design per sample and at least one sample")
+        for y, design in zip(ys, designs):
+            y = np.asarray(y)
+            if y.shape[0] != design.matrix.shape[0]:
+                raise ValueError("count vector and design row counts disagree")
+            if np.any(y < 0) or not np.issubdtype(y.dtype, np.integer):
+                raise ValueError("counts must be non-negative integers")
+            if y.size == 0:
+                raise ValueError("every sample needs at least one spot")
+    y = np.array([np.concatenate(ys) for ys in gene_ys], dtype=np.int64)
+    n_genes, n_samples = y.shape[0], len(designs)
+    offsets = np.cumsum([0] + [design.matrix.shape[0] for design in designs])
+    means = np.add.reduceat(y, offsets[:-1], axis=1) / np.diff(offsets)
+    mu = []
+    for m, design in enumerate(designs):
+        mu_m = np.zeros((n_genes, design.dim))
+        mu_m[:, 0] = [math.log(mean + 0.01) for mean in means[:, m].tolist()]
+        mu.append(mu_m)
+    state = BlockState(
         y=y,
         designs=tuple(designs),
         offsets=offsets,
         log_y_fact=gammaln(y + 1.0),
         u_r=np.where(y == 0, 0.5, 0.0),
-        u_phi=np.full(n_samples, max(hp.a_phi / hp.b_phi, 1.0)),
-        mu=tuple(
-            np.concatenate(([math.log(float(np.mean(y_m)) + 0.01)], np.zeros(design.dim - 1)))
-            for y_m, design in zip(ys, designs)
-        ),
-        sigma=tuple(0.01 * np.eye(design.dim) for design in designs),
+        u_phi=np.full((n_genes, n_samples), max(hp.a_phi / hp.b_phi, 1.0)),
+        mu=tuple(mu),
+        sigma=tuple(np.tile(0.01 * np.eye(design.dim), (n_genes, 1, 1)) for design in designs),
     )
     state.refresh_theta_cache()
     update_g(state)
-    block = (n_samples, 2)
+    block = (n_genes, n_samples, 2)
+    gate = (n_genes, 2)
     shared = SharedState(
         a_sig=np.full(block, 0.5),
         b_sig=np.full(block, 1.0),
-        u_inv_a=np.tile(1.0 / (1.0 + 1.0 / np.square(hp.a_slab)), (n_samples, 1)),
+        u_inv_a=np.tile(1.0 / (1.0 + 1.0 / np.square(hp.a_slab)), (n_genes, n_samples, 1)),
         u_alpha=np.full(block, 0.5),
-        u_u=np.full(2, 0.5),
-        a_p=np.full(2, hp.c_p),
-        b_p=np.full(2, hp.d_p),
-        a_q=np.full(2, hp.c_q),
-        b_q=np.full(2, hp.d_q),
+        u_u=np.full(gate, 0.5),
+        a_p=np.full(gate, hp.c_p),
+        b_p=np.full(gate, hp.d_p),
+        a_q=np.full(gate, hp.c_q),
+        b_q=np.full(gate, hp.d_q),
     )
     return state, shared
 
 
 # ---------------------------------------------------------------------------
-# Factor updates (one coordinate-ascent step each)
+# Factor updates (one coordinate-ascent step each, for every gene of a block)
 # ---------------------------------------------------------------------------
 
 
 def beta_prior_precision(shared: SharedState, hp: Hyperparameters):
-    """(M, 2) prior precision of each beta_mk under current q(sigma), q(alpha)."""
+    """(B, M, 2) prior precision of each beta_mk under current q(sigma), q(alpha)."""
     e_inv_s2 = shared.a_sig / shared.b_sig
     return shared.u_alpha * e_inv_s2 + (1.0 - shared.u_alpha) / hp.gamma1_sq
 
 
 def m_prior_diag(design: DesignMatrix, beta_prec, hp: Hyperparameters):
-    """Diagonal of theta's prior precision, given one sample's (2,) beta precisions."""
-    return np.repeat(
-        [1.0 / hp.sigma2_eta, beta_prec[0], beta_prec[1], 1.0 / hp.sigma2_psi],
-        [1, design.n_basis, design.n_basis, design.n_covariates],
+    """Diagonal of theta's prior precision from one sample's (..., 2) beta precisions: (..., d)."""
+    beta_prec = np.asarray(beta_prec, dtype=float)
+    lead = beta_prec.shape[:-1] + (1,)
+    values = np.concatenate(
+        (np.full(lead, 1.0 / hp.sigma2_eta), beta_prec, np.full(lead, 1.0 / hp.sigma2_psi)),
+        axis=-1,
     )
+    return np.repeat(values, [1, design.n_basis, design.n_basis, design.n_covariates], axis=-1)
+
+
+def _symmetric(upper, d):
+    """(..., d, d) symmetric matrices from their (..., D) upper triangles."""
+    i, j, _ = upper_pairs(d)
+    out = np.empty(upper.shape[:-1] + (d, d))
+    out[..., i, j] = upper
+    out[..., j, i] = upper
+    return out
 
 
 def theta_expected_logp(mu, sigma, design, u_phi, one_minus_ur, e_g, m_prior):
-    """E_theta[log p] as a function of the Gaussian factor's (mu, Sigma).
+    """E_theta[log p] of one gene as a function of the Gaussian factor's (mu, Sigma).
 
     Only terms involving theta are included; this is the objective whose
     derivatives drive the fixed-point step.
@@ -401,57 +507,81 @@ def theta_derivatives(mu, w_exp, design, u_phi, one_minus_ur, e_g, m_prior):
     """Gradient in mu and derivative matrix in Sigma of ``theta_expected_logp``.
 
     ``w_exp`` is E[exp(-C theta)] at the factor's current (mu, Sigma), the
-    only way Sigma enters the derivatives.
+    only way Sigma enters the derivatives.  For a stack of genes every
+    argument gains a leading gene axis (``u_phi`` is then (B,)); the
+    weighted Gram matrices C' diag(w) C are one GEMM against the design's
+    column-pair products.
     """
     c = design.matrix
+    u_phi = np.asarray(u_phi, dtype=float)[..., None]
     w = one_minus_ur * e_g * w_exp
-    grad_mu = u_phi * (c.T @ (w - one_minus_ur)) - m_prior * mu
-    d_sigma = -0.5 * (u_phi * (c.T * w) @ c + np.diag(m_prior))
+    grad_mu = u_phi * ((w - one_minus_ur) @ c) - m_prior * mu
+    gram = _symmetric(w @ design.pairs.T, design.dim)
+    d_sigma = -0.5 * (u_phi[..., None] * gram + m_prior[..., None] * np.eye(design.dim))
     return grad_mu, d_sigma
 
 
-def update_theta(state: GeneState, beta_prec, hp: Hyperparameters, damping: float = 1.0):
+def _cholesky(prec):
+    """Cholesky factors of a (B, d, d) stack and the rows that could not be factored.
+
+    When the stacked factorization fails, each gene is factored on its own,
+    and a gene whose factorization fails is retried once with a diagonal
+    jitter.  numpy's LAPACK is used: scipy's would load a second BLAS into
+    every worker.
+    """
+    try:
+        return np.linalg.cholesky(prec), []
+    except np.linalg.LinAlgError:
+        pass
+    if len(prec) > 1:
+        parts = [_cholesky(prec[b:b + 1]) for b in range(len(prec))]
+        failed = [b for b, (_, bad) in enumerate(parts) if bad]
+        return (None if failed else np.concatenate([chol for chol, _ in parts])), failed
+    try:
+        return np.linalg.cholesky(prec + _JITTER * np.eye(prec.shape[-1])), []
+    except np.linalg.LinAlgError:
+        return None, [0]
+
+
+def update_theta(state: BlockState, beta_prec, hp: Hyperparameters, damping=1.0):
     """One fixed-point Gaussian step for every sample's regression block.
 
-    ``beta_prec`` is the (M, 2) ``beta_prior_precision``; sample m reads
-    its row.  The new covariance is the inverse of P = u_phi C' diag[w] C +
-    M_prior evaluated at the old moments; the mean moves damped along
-    Sigma_new times the gradient.
+    ``beta_prec`` is the (B, M, 2) ``beta_prior_precision``; sample m reads
+    its column.  ``damping`` is one value or one per gene.  The new
+    covariance is the inverse of P = u_phi C' diag[w] C + M_prior evaluated
+    at the old moments; the mean moves damped along Sigma_new times the
+    gradient.
     """
     one_minus_ur = 1.0 - state.u_r
+    damping = np.reshape(damping, (-1, 1))
     mus, sigmas = [], []
     for m, (design, spots) in enumerate(zip(state.designs, state.sections)):
-        m_prior = m_prior_diag(design, beta_prec[m], hp)
+        m_prior = m_prior_diag(design, beta_prec[:, m], hp)
         grad_mu, d_sigma = theta_derivatives(
-            state.mu[m], state.w_exp[spots], design, state.u_phi[m], one_minus_ur[spots],
-            state.e_g[spots], m_prior,
+            state.mu[m], state.w_exp[:, spots], design, state.u_phi[:, m],
+            one_minus_ur[:, spots], state.e_g[:, spots], m_prior,
         )
         prec = -2.0 * d_sigma
-        prec = 0.5 * (prec + prec.T)
-        if not np.isfinite(prec).all():
-            raise EngineError(f"non-finite precision in theta update of sample {m}")
-        # One Cholesky factorization P = L L'; a factorization that fails is
-        # retried once with a diagonal jitter.  Sigma = L^-T L^-1.  numpy's
-        # LAPACK is used: scipy's would load a second BLAS into every worker.
-        try:
-            chol = np.linalg.cholesky(prec)
-        except np.linalg.LinAlgError:
-            try:
-                chol = np.linalg.cholesky(prec + _JITTER * np.eye(design.dim))
-            except np.linalg.LinAlgError as exc:
-                raise EngineError(
-                    f"theta precision of sample {m} not invertible after jitter") from exc
+        prec = 0.5 * (prec + prec.transpose(0, 2, 1))
+        bad = ~np.isfinite(prec).all(axis=(1, 2))
+        if bad.any():
+            _fail(dict.fromkeys(np.flatnonzero(bad).tolist(),
+                                f"non-finite precision in theta update of sample {m}"))
+        # One Cholesky factorization P = L L' per gene; Sigma = L^-T L^-1.
+        chol, failed = _cholesky(prec)
+        if failed:
+            _fail(dict.fromkeys(failed, f"theta precision of sample {m} not invertible after jitter"))
         inv_chol = np.linalg.inv(chol)
-        sigma_new = inv_chol.T @ inv_chol
-        sigma_new = 0.5 * (sigma_new + sigma_new.T)
-        mus.append(state.mu[m] + damping * (sigma_new @ grad_mu))
+        sigma_new = inv_chol.transpose(0, 2, 1) @ inv_chol
+        sigma_new = 0.5 * (sigma_new + sigma_new.transpose(0, 2, 1))
+        mus.append(state.mu[m] + damping * (sigma_new @ grad_mu[:, :, None])[:, :, 0])
         sigmas.append(sigma_new)
     state.mu, state.sigma = tuple(mus), tuple(sigmas)
     state.refresh_theta_cache()
 
 
-def update_phi(state: GeneState, hp: Hyperparameters):
-    """Refresh each sample's dispersion factor: its (N_pi, c1) and mean u_phi.
+def update_phi(state: BlockState, hp: Hyperparameters):
+    """Refresh each (gene, sample) dispersion factor: its (N_pi, c1) and mean u_phi.
 
     b_phi enters c1 once, outside the spot sum.  The mean is the ratio of
     shifted-power normalizers, exp(logH(a_phi, ...) - logH(a_phi-1, ...)),
@@ -460,24 +590,32 @@ def update_phi(state: GeneState, hp: Hyperparameters):
     kappa = 1.0 - state.u_r
     n_pi = state.per_sample_sum(kappa)
     spot_terms = state.c_mu - state.e_log_g + state.e_g * state.w_exp
-    # c1 stays one dot product per sample, not a segment sum: the fit is
-    # sensitive to its rounding, and a segment sum's summation order changes
-    # printed digits of reports written by earlier versions.
-    c1 = hp.b_phi + np.array([kappa[s] @ spot_terms[s] for s in state.sections])
+    # c1 is one dot product per (gene, sample), not a segment sum: the fit
+    # is sensitive to its rounding.
+    c1 = hp.b_phi + np.stack(
+        [np.einsum("bi,bi->b", kappa[:, s], spot_terms[:, s]) for s in state.sections], axis=1)
     bad = ~(c1 > 0.0)
     if bad.any():
-        m = int(np.argmax(bad))
-        raise EngineError(f"non-positive c1 = {c1[m]} in phi update of sample {m}")
-    prevs = state.phi_cache or (None,) * len(state.designs)
+        _fail({b: f"non-positive c1 = {c1[b, m]} in phi update of sample {m}"
+               for b, m in _first_flags(bad).items()})
+    prevs = state.phi_cache or ((None,) * len(state.designs),) * len(c1)
+    factors, failures = [], {}
+    for b, (s_row, t_row, prev_row) in enumerate(zip(n_pi.tolist(), c1.tolist(), prevs)):
+        try:
+            factors.append(tuple(
+                phi_factor(hp.a_phi, s, t, prev=prev)
+                for s, t, prev in zip(s_row, t_row, prev_row)
+            ))
+        except NumericalError as exc:
+            failures[b] = str(exc)
+    if failures:
+        _fail(failures)
     state.n_pi, state.c1 = n_pi, c1
-    state.phi_cache = tuple(
-        phi_factor(hp.a_phi, s, t, prev=prev)
-        for s, t, prev in zip(n_pi.tolist(), c1.tolist(), prevs)
-    )
-    state.u_phi = np.clip([fac.e_phi for fac in state.phi_cache], *_U_PHI_BOUNDS)
+    state.phi_cache = tuple(factors)
+    state.u_phi = np.clip([[fac.e_phi for fac in row] for row in factors], *_U_PHI_BOUNDS)
 
 
-def update_g(state: GeneState):
+def update_g(state: BlockState):
     """Conjugate Gamma update of the per-spot Poisson rates."""
     kappa = np.maximum(1.0 - state.u_r, _KAPPA_FLOOR)
     u_phi = state.per_spot(state.u_phi)
@@ -485,11 +623,12 @@ def update_g(state: GeneState):
     state.b_g = kappa * (u_phi * state.w_exp + 1.0)
     ok = np.isfinite(state.b_g) & (state.b_g > 0.0)
     if not ok.all():
-        raise EngineError(f"invalid q(g) rate at {state.locate(int(np.argmin(ok)))}")
+        _fail({b: f"invalid q(g) rate at {state.locate(spot)}"
+               for b, spot in _first_flags(~ok).items()})
     state.refresh_g_moments()
 
 
-def update_r(state: GeneState, hp: Hyperparameters):
+def update_r(state: BlockState, hp: Hyperparameters):
     """Bernoulli update of the dropout indicators; structural 0 at y > 0.
 
     The probability is capped at 1 - 1e-8: letting it reach 1 exactly makes
@@ -541,14 +680,18 @@ def update_alpha(shared: SharedState, beta_sq, length, hp: Hyperparameters):
     """Bernoulli update of every slab indicator alpha_mk, in log space."""
     e_inv_s2, e_log_inv_s2 = gamma_moments(shared.a_sig, shared.b_sig)
     logit = alpha_logit(
-        beta_sq, e_inv_s2, e_log_inv_s2, shared.u_u, shared.e_log_q, shared.e_log_1mq,
-        length, hp,
+        beta_sq, e_inv_s2, e_log_inv_s2, shared.u_u[:, None], shared.e_log_q[:, None],
+        shared.e_log_1mq[:, None], length, hp,
     )
     shared.u_alpha = expit(logit)
 
 
 def u_logit(u_alphas, e_log_q, e_log_1mq, e_log_p, e_log_1mp, hp):
-    """Log-odds of the shared gate from the per-sample indicator expectations, in sample order."""
+    """Log-odds of the shared gate from the per-sample indicator expectations.
+
+    The first axis of ``u_alphas`` is the samples', whose terms are added in
+    sample order; the rest broadcast with the Beta moments.
+    """
     u_alphas = np.asarray(u_alphas)
     lp_on = e_log_p
     lp_off = e_log_1mp
@@ -564,7 +707,8 @@ def u_logit(u_alphas, e_log_q, e_log_1mq, e_log_p, e_log_1mp, hp):
 def update_u(shared: SharedState, hp: Hyperparameters):
     """Bernoulli update of the shared gate from all samples' indicators."""
     logit = u_logit(
-        shared.u_alpha, shared.e_log_q, shared.e_log_1mq, shared.e_log_p, shared.e_log_1mp, hp
+        shared.u_alpha.transpose(1, 0, 2), shared.e_log_q, shared.e_log_1mq, shared.e_log_p,
+        shared.e_log_1mp, hp,
     )
     shared.u_u = expit(logit)
 
@@ -576,11 +720,11 @@ def update_p(shared: SharedState, hp: Hyperparameters):
 
 
 def update_q(shared: SharedState, hp: Hyperparameters):
-    # Rows are added in sample order.
-    sum_alpha = shared.u_alpha.sum(axis=0)
+    # Samples are added in sample order.
+    sum_alpha = shared.u_alpha.sum(axis=1)
     u_u = shared.u_u
     shared.a_q = u_u * sum_alpha + hp.c_q
-    shared.b_q = shared.u_alpha.shape[0] * u_u + hp.d_q - u_u * sum_alpha
+    shared.b_q = shared.u_alpha.shape[1] * u_u + hp.d_q - u_u * sum_alpha
     shared.e_log_q, shared.e_log_1mq = _beta_e_logs(shared.a_q, shared.b_q)
 
 
@@ -596,7 +740,7 @@ def _binary_entropy(p):
 
 
 def _slab_elbo(shared: SharedState, beta_sq, length, hp: Hyperparameters):
-    """(M, 2) ELBO terms of the spike-and-slab block, one per (sample, axis)."""
+    """(B, M, 2) ELBO terms of the spike-and-slab block, one per (gene, sample, axis)."""
     u_alpha = shared.u_alpha
     e_inv_s2, e_log_inv_s2 = gamma_moments(shared.a_sig, shared.b_sig)
     # beta | sigma^2, alpha spike-and-slab cross-entropy.
@@ -618,9 +762,9 @@ def _slab_elbo(shared: SharedState, beta_sq, length, hp: Hyperparameters):
     e_log_q_sig = sa * np.log(sb) - gammaln(sa) + (sa + 1.0) * e_log_inv_s2 - sa
     e_log_q_a = np.log(scale_a) - 2.0 * e_log_a - scale_a * e_inv_a
     # alpha | u, q mixture cross-entropy and q(alpha) entropy.
-    u_u = shared.u_u
+    u_u = shared.u_u[:, None]
     alpha_prior = u_u * (
-        u_alpha * shared.e_log_q + (1.0 - u_alpha) * shared.e_log_1mq
+        u_alpha * shared.e_log_q[:, None] + (1.0 - u_alpha) * shared.e_log_1mq[:, None]
     ) + (1.0 - u_u) * (
         u_alpha * math.log(hp.gamma2) + (1.0 - u_alpha) * math.log1p(-hp.gamma2)
     )
@@ -636,7 +780,7 @@ def _e_log_beta_pdf(log_norm, a, b, e_log_x, e_log_1mx):
 
 
 def _gate_elbo(shared: SharedState, hp: Hyperparameters):
-    """(2,) ELBO terms of the cross-sample gate (u_k, p_k, q_k), one per axis."""
+    """(B, 2) ELBO terms of the cross-sample gate (u_k, p_k, q_k), one per (gene, axis)."""
     u_u = shared.u_u
     logs_p = shared.e_log_p, shared.e_log_1mp
     logs_q = shared.e_log_q, shared.e_log_1mq
@@ -658,16 +802,16 @@ _ELBO_TERMS = (
 )
 
 
-def compute_elbo(state: GeneState, shared: SharedState, hp: Hyperparameters) -> float:
-    """Evidence lower bound at the current variational state.
+def compute_elbo(state: BlockState, shared: SharedState, hp: Hyperparameters):
+    """Evidence lower bound of every gene at the current variational state, (B,).
 
     The joint follows the factor derivations: the Poisson likelihood and
     the Gamma prior of g are both gated by (1 - r_i), the r_i prior is the
     per-spot Beta-Bernoulli marginal, and q(phi)'s entropy uses the cached
     quadrature normalizer.  C mu, E[beta_k' beta_k] and log(y!) come from
-    the state's caches.  The per-spot terms are summed per sample, and the
-    total adds each sample's terms in turn, then the gate's.  Raises
-    EngineError on a non-finite term.
+    the state's caches.  The per-spot terms are summed per sample, and a
+    gene's total adds each sample's terms in turn, then the gate's.  Raises
+    EngineError for the genes with a non-finite term.
     """
     if state.phi_cache is None:
         raise EngineError("phi factor cache missing; run update_phi first")
@@ -681,8 +825,9 @@ def compute_elbo(state: GeneState, shared: SharedState, hp: Hyperparameters) -> 
     phi_prior_const = hp.a_phi * math.log(hp.b_phi) - float(gammaln(hp.a_phi))
 
     e_phi, e_log_phi, e_self, log_h0 = np.array(
-        [(fac.e_phi, fac.e_log_phi, fac.e_self, fac.log_h0) for fac in state.phi_cache]
-    ).T
+        [[(fac.e_phi, fac.e_log_phi, fac.e_self, fac.log_h0) for fac in row]
+         for row in state.phi_cache]
+    ).transpose(2, 0, 1)
     y, u_r, a_g, e_g, e_log_g = state.y, state.u_r, state.a_g, state.e_g, state.e_log_g
     kappa = 1.0 - u_r
     spot_e_phi = state.per_spot(e_phi)
@@ -712,19 +857,21 @@ def compute_elbo(state: GeneState, shared: SharedState, hp: Hyperparameters) -> 
 
     # theta prior cross-entropies and Gaussian entropy, one block per sample.
     theta_terms = []
-    for design, mu, sigma in zip(state.designs, state.mu, state.sigma):
-        eta_term = eta_const - (mu[0] ** 2 + sigma[0, 0]) / (2.0 * hp.sigma2_eta)
+    for m, (design, mu, sigma) in enumerate(zip(state.designs, state.mu, state.sigma)):
+        eta_term = eta_const - (mu[:, 0] ** 2 + sigma[:, 0, 0]) / (2.0 * hp.sigma2_eta)
         psl = design.psi_slice
         n_cov = design.n_covariates
-        psi_term = 0.0
+        psi_term = np.zeros(len(mu))
         if n_cov:
-            psi_sq = float(mu[psl] @ mu[psl] + np.trace(sigma[psl, psl]))
+            psi_sq = np.square(mu[:, psl]).sum(axis=1) + np.trace(
+                sigma[:, psl, psl], axis1=1, axis2=2)
             psi_term = n_cov * psi_const - psi_sq / (2.0 * hp.sigma2_psi)
         sign, logdet = np.linalg.slogdet(sigma)
-        if sign <= 0:
-            raise EngineError("theta covariance not positive definite in ELBO")
+        if (sign <= 0).any():
+            _fail(dict.fromkeys(np.flatnonzero(sign <= 0).tolist(),
+                                "theta covariance not positive definite in ELBO"))
         ent_theta = 0.5 * logdet + 0.5 * design.dim * (LOG_2PI + 1.0)
-        theta_terms.append((eta_term, psi_term, ent_theta))
+        theta_terms.append(np.stack((eta_term, psi_term, ent_theta), axis=1))
 
     # phi prior cross-entropy and q(phi) entropy via the cached normalizer.
     phi_prior = phi_prior_const + (hp.a_phi - 1.0) * e_log_phi - hp.b_phi * e_phi
@@ -732,26 +879,31 @@ def compute_elbo(state: GeneState, shared: SharedState, hp: Hyperparameters) -> 
         state.n_pi * e_self + (hp.a_phi - 1.0) * e_log_phi - state.c1 * e_phi - log_h0
     )
 
-    # (M, 12) terms in the order of _ELBO_TERMS.
-    terms = np.column_stack(
-        (data_term, g_prior, r_prior, ent_g, ent_r, theta_terms, phi_prior, ent_phi, slab)
+    # (B, M, 12) terms in the order of _ELBO_TERMS.
+    per_sample = np.stack((data_term, g_prior, r_prior, ent_g, ent_r), axis=2)
+    terms = np.concatenate(
+        (per_sample, np.stack(theta_terms, axis=1), np.stack((phi_prior, ent_phi), axis=2),
+         slab),
+        axis=2,
     )
+    n_terms = len(_ELBO_TERMS)
+    terms = np.concatenate((terms.reshape(len(terms), -1), gate), axis=1)
     bad = ~np.isfinite(terms)
     if bad.any():
-        m, j = np.argwhere(bad)[0]
-        raise EngineError(f"non-finite ELBO term {_ELBO_TERMS[j]!r} of sample {m}")
-    total = 0.0
-    for term in terms.ravel().tolist():
-        total += term
-
-    for k, term in enumerate(gate):
-        if not math.isfinite(term):
-            raise EngineError(f"non-finite ELBO term 'shared gate k={k}'")
-        total += term
-
-    if not math.isfinite(total):
-        raise EngineError("non-finite ELBO")
-    return float(total)
+        messages = {}
+        for b, col in _first_flags(bad).items():
+            if col < terms.shape[1] - 2:
+                m, j = divmod(col, n_terms)
+                messages[b] = f"non-finite ELBO term {_ELBO_TERMS[j]!r} of sample {m}"
+            else:
+                messages[b] = f"non-finite ELBO term 'shared gate k={col - terms.shape[1] + 2}'"
+        _fail(messages)
+    # A running sum adds each gene's terms one at a time, in order.
+    total = np.cumsum(terms, axis=1)[:, -1]
+    bad = ~np.isfinite(total)
+    if bad.any():
+        _fail(dict.fromkeys(np.flatnonzero(bad).tolist(), "non-finite ELBO"))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -760,9 +912,8 @@ def compute_elbo(state: GeneState, shared: SharedState, hp: Hyperparameters) -> 
 
 
 def _one_iteration(state, shared, hp, damping):
-    # A sample's theta/phi/g/r steps read only its own spots, theta block
-    # and slab row, and the slab block reads only the samples' beta moments
-    # and the gate.
+    # A gene's theta/phi/g/r steps read only its own spots, theta blocks and
+    # slab rows, and the slab block reads only its beta moments and gate.
     update_theta(state, beta_prior_precision(shared, hp), hp, damping)
     update_phi(state, hp)
     update_g(state)
@@ -775,63 +926,127 @@ def _one_iteration(state, shared, hp, damping):
     update_u(shared, hp)
 
 
-def fit_gene(ys, designs, hp: Hyperparameters, opts: FitOptions = FitOptions()):
-    """Coordinate-ascent fit of one gene across samples.
+def _attempt(state, shared, hp, damping):
+    """One iteration of a block on copies of its states.
 
-    Iterates the factor updates in a fixed order until the absolute ELBO
-    change drops below ``opts.elbo_tol`` or ``opts.max_iter`` is reached.
-    A numerically failed iteration is retried once from the pre-iteration
-    state with halved damping (floor 1/16); a second failure aborts the
-    gene with the last valid state's expectations.  A gene whose initial
-    state cannot be built returns zero gate expectations, no iterations
-    and an ``init:`` failure.
+    Rows whose update fails are dropped and the iteration is rerun from the
+    input for the rest, so no update reads a failed row.  Returns the new
+    (state, shared) and ELBO of the rows that completed (None if none did),
+    those rows, and {row: message} of the rows that failed.
     """
-    try:
-        state, shared = init_state(ys, designs, hp)
-    except _FIT_ERRORS as exc:
-        return GeneFitResult(
-            e_u=(0.0, 0.0),
-            alpha=np.zeros((len(designs), 2)),
-            elbo_trace=[],
-            iterations=0,
-            converged=False,
-            failure=f"init: {exc}",
-        )
-    trace = []
-    damping = 1.0
-    converged = False
-    failure = None
-    prev_elbo = None
-    iteration = 0
-    while iteration < opts.max_iter:
-        before = state, shared
-        for attempt in (1, 2):
-            # Updates replace fields whole, so shallow copies leave ``before`` intact.
-            state, shared = map(copy.copy, before)
-            try:
-                _one_iteration(state, shared, hp, damping)
-                elbo = compute_elbo(state, shared, hp)
-                break
-            except _FIT_ERRORS as exc:
-                if attempt == 2:
-                    failure = f"iteration {iteration + 1}: {exc}"
-                    state, shared = before
-                else:
-                    damping = max(damping / 2.0, _MIN_DAMPING)
-        if failure is not None:
-            break
-        iteration += 1
-        trace.append(elbo)
-        if prev_elbo is not None and abs(elbo - prev_elbo) < opts.elbo_tol:
-            converged = True
-            break
-        prev_elbo = elbo
+    rows = np.arange(len(damping))
+    failures = {}
+    while rows.size:
+        if rows.size == len(damping):
+            # Updates replace fields whole, so shallow copies leave the input intact.
+            trial = copy.copy(state), copy.copy(shared)
+        else:
+            trial = _take(state, rows), _take(shared, rows)
+        try:
+            _one_iteration(*trial, hp, damping[rows])
+            return (*trial, compute_elbo(*trial, hp), rows, failures)
+        except _FIT_ERRORS as exc:
+            lost = _row_failures(exc, rows.size)
+            failures.update((int(rows[r]), message) for r, message in lost.items())
+            rows = np.delete(rows, list(lost))
+    return None, None, None, rows, failures
 
+
+def _iterate(state, shared, hp, damping):
+    """One iteration of a block, with one retry for each gene whose update fails.
+
+    A failed gene is retried from its pre-iteration rows with its damping
+    halved in place (floor 1/16).  Returns the new (state, shared) and ELBO
+    of the rows that completed, in row order (None if none did), those
+    rows, and {row: message} of the rows that failed twice.
+    """
+    new_state, new_shared, elbo, rows, failures = _attempt(state, shared, hp, damping)
+    if not failures:
+        return new_state, new_shared, elbo, rows, {}
+    retry = np.array(sorted(failures))
+    damping[retry] = np.maximum(damping[retry] / 2.0, _MIN_DAMPING)
+    *again, again_rows, again_failures = _attempt(
+        _take(state, retry), _take(shared, retry), hp, damping[retry])
+    failed = {int(retry[row]): message for row, message in again_failures.items()}
+    parts = [part for part in ((new_state, new_shared, elbo, rows), (*again, retry[again_rows]))
+             if part[0] is not None]
+    if not parts:
+        return None, None, None, rows, failed
+    rows = np.concatenate([part[3] for part in parts])
+    order = np.argsort(rows)
+    new_state, new_shared = (_take(_stack([part[i] for part in parts]), order) for i in (0, 1))
+    return new_state, new_shared, np.concatenate([part[2] for part in parts])[order], rows[order], failed
+
+
+def _result(shared, row, trace, iterations, converged, failure=None):
     return GeneFitResult(
-        e_u=(float(shared.u_u[0]), float(shared.u_u[1])),
-        alpha=shared.u_alpha,
+        e_u=(float(shared.u_u[row, 0]), float(shared.u_u[row, 1])),
+        alpha=shared.u_alpha[row].copy(),
         elbo_trace=trace,
-        iterations=iteration,
-        converged=converged,
+        iterations=iterations,
+        converged=bool(converged),
         failure=failure,
     )
+
+
+def fit_genes(gene_ys, designs, hp: Hyperparameters, opts: FitOptions = FitOptions()):
+    """Coordinate-ascent fits of a block of genes across samples, one result per gene.
+
+    ``gene_ys`` holds one list of M per-sample count vectors per gene.  Each
+    gene iterates the factor updates in a fixed order until its absolute
+    ELBO change drops below ``opts.elbo_tol`` or ``opts.max_iter`` is
+    reached.  A gene whose iteration fails numerically is retried once from
+    its pre-iteration state with its damping halved (floor 1/16); a second
+    failure ends it with the last valid state's expectations.  A gene whose
+    initial state cannot be built returns zero gate expectations, no
+    iterations and an ``init:`` failure.  A gene's result does not depend
+    on the other genes of the block beyond the rounding of the stacked
+    matrix products.
+    """
+    results = [None] * len(gene_ys)
+    genes = np.arange(len(gene_ys))  # the gene of each block row
+    while True:
+        try:
+            state, shared = init_state([gene_ys[g] for g in genes], designs, hp)
+            break
+        except _FIT_ERRORS as exc:
+            failures = _row_failures(exc, genes.size)
+            for row, message in failures.items():
+                results[genes[row]] = GeneFitResult(
+                    e_u=(0.0, 0.0), alpha=np.zeros((len(designs), 2)), elbo_trace=[],
+                    iterations=0, converged=False, failure=f"init: {message}",
+                )
+            genes = np.delete(genes, list(failures))
+            if not genes.size:
+                return results
+    traces = [[] for _ in gene_ys]
+    damping = np.ones(genes.size)
+    prev_elbo = np.full(genes.size, np.nan)
+    iteration = 0
+    while genes.size:
+        before = state, shared
+        state, shared, elbo, rows, failed = _iterate(*before, hp, damping)
+        for b, message in failed.items():
+            results[genes[b]] = _result(before[1], b, traces[genes[b]], iteration, False,
+                                        f"iteration {iteration + 1}: {message}")
+        if state is None:
+            break
+        genes, damping, prev_elbo = genes[rows], damping[rows], prev_elbo[rows]
+        iteration += 1
+        for g, value in zip(genes.tolist(), elbo.tolist()):
+            traces[g].append(value)
+        converged = np.abs(elbo - prev_elbo) < opts.elbo_tol
+        finished = converged | (iteration >= opts.max_iter)
+        for b in np.flatnonzero(finished):
+            results[genes[b]] = _result(shared, b, traces[genes[b]], iteration, converged[b])
+        if finished.any():
+            keep = np.flatnonzero(~finished)
+            state, shared = _take(state, keep), _take(shared, keep)
+            genes, damping, elbo = genes[keep], damping[keep], elbo[keep]
+        prev_elbo = elbo
+    return results
+
+
+def fit_gene(ys, designs, hp: Hyperparameters, opts: FitOptions = FitOptions()):
+    """Coordinate-ascent fit of one gene across samples: ``fit_genes`` on a block of one."""
+    return fit_genes([ys], designs, hp, opts)[0]

@@ -29,6 +29,7 @@ __all__ = [
     "h_integral",
     "phi_factor",
     "mvn_exp_neg_linear",
+    "upper_pairs",
 ]
 
 EULER_GAMMA = 0.5772156649015328606
@@ -363,10 +364,22 @@ def mvn_exp_neg_linear(mu, sigma, c):
     """E[exp(-c @ theta)] for theta ~ N(mu, sigma): exp(-c@mu + c@sigma@c/2).
 
     ``c`` may be a single row vector or a matrix of rows; rows are handled
-    independently (the lognormal mean formula).
+    independently (the lognormal mean formula).  For a stack of B Gaussians,
+    ``mu`` (B, d) and ``sigma`` (B, d, d), ``c`` is a design with the (N, d)
+    rows ``matrix`` and their column-pair products ``pairs`` (see
+    ``splines.pair_products``), and the result is (B, N): C mu is one GEMM,
+    and so are the quadratic forms, from each sigma's upper triangle with the
+    off-diagonal entries doubled.
     """
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
+    if mu.ndim == 2:
+        n_rows, d = mu.shape
+        if sigma.shape != (n_rows, d, d):
+            raise ValueError(f"sigma must be {n_rows}x{d}x{d}, got {sigma.shape}")
+        i, j, scale = upper_pairs(d)
+        quad = (sigma[:, i, j] * scale) @ c.pairs
+        return np.exp(0.5 * quad - mu @ c.matrix.T)
     c = np.asarray(c, dtype=float)
     d = mu.shape[0]
     if sigma.shape != (d, d):
@@ -377,3 +390,14 @@ def mvn_exp_neg_linear(mu, sigma, c):
         return float(np.exp(0.5 * c @ sigma @ c - c @ mu))
     quad = ((c @ sigma) * c).sum(axis=1)
     return np.exp(0.5 * quad - c @ mu)
+
+
+@lru_cache(maxsize=16)
+def upper_pairs(d):
+    """(i, j, scale) of the pairs i <= j of a d x d matrix, in ``np.triu_indices`` order.
+
+    ``scale`` is 1 on the diagonal and 2 off it, the weight of each pair in
+    a quadratic form of a symmetric matrix.
+    """
+    i, j = np.triu_indices(d)
+    return i, j, np.where(i == j, 1.0, 2.0)

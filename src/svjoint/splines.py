@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import digamma, expit, gammaln, zeta
@@ -23,6 +24,7 @@ from scipy.special import digamma, expit, gammaln, zeta
 __all__ = [
     "BasisSpec",
     "DesignMatrix",
+    "pair_products",
     "normalize_coords",
     "eval_basis",
     "build_design",
@@ -72,6 +74,24 @@ class DesignMatrix:
     @property
     def psi_slice(self) -> slice:
         return slice(1 + 2 * self.n_basis, self.dim)
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """``pair_products(matrix)``, built on first use and kept with the design."""
+        return pair_products(self.matrix)
+
+
+def pair_products(matrix):
+    """Products of a matrix's column pairs i <= j, one row per pair in ``np.triu_indices`` order.
+
+    For an (N, d) matrix X this is a C-contiguous (d(d+1)/2, N) array, so
+    the upper triangles of X' diag(w) X for a stack of weight rows W are
+    the one GEMM ``W @ pairs.T``, and the row-wise quadratic forms x_i' S x_i
+    of a stack of symmetric S are one GEMM of their upper triangles, with
+    the off-diagonal entries doubled, against ``pairs``.
+    """
+    x_t = np.ascontiguousarray(matrix.T)
+    return np.vstack([x_t[i] * x_t[i:] for i in range(x_t.shape[0])])
 
 
 def normalize_coords(coords):
@@ -181,13 +201,10 @@ class _ZinbBlock:
             self.u_gene, self.n_u * gammaln(self.u + 1.0), minlength=counts.shape[0]
         )
         self.x = matrix
-        # Products of the design column pairs i <= j, one row per pair in
-        # the order of np.triu_indices: X' diag(h) X of every gene is one
-        # GEMM of the (B, N) weights h against them.
-        p = matrix.shape[1]
-        x_t = np.ascontiguousarray(matrix.T)
-        self.pairs = np.triu_indices(p)
-        self.xx_t = np.vstack([x_t[i] * x_t[i:] for i in range(p)])
+        # X' diag(h) X of every gene is one GEMM of the (B, N) weights h
+        # against the design's column-pair products.
+        self.pairs = np.triu_indices(matrix.shape[1])
+        self.xx_t = pair_products(matrix)
 
     def evaluate(self, rows, params):
         """Objective, gradient and Hessian of the genes ``rows`` at ``params``.

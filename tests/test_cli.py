@@ -281,7 +281,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("flag, value", [
         ("--bfdr-level", "2"), ("--gamma2", "0.7"), ("--gamma2", "abc"), ("--tol", "0"),
-        ("--max-iter", "0"),
+        ("--max-iter", "0"), ("--seed", "-1"),
     ])
     def test_bad_option_fails_before_loading(
             self, sim_dir, tmp_path, monkeypatch, caplog, flag, value):
@@ -309,3 +309,54 @@ class TestConfig:
         meta, _ = read_report(out)
         assert meta["degree"] in {"1", "2", "3", "4"}
         assert float(meta["gamma2"]) == 0.005
+
+
+class TestBlocks:
+    """Genes are fit in fixed blocks cut by gene index."""
+
+    def test_one_block_fit_per_block(self, sim_dir, monkeypatch):
+        ds = dataio.load_dataset(dataio.Manifest.read(str(sim_dir / "manifest.ini")))
+        designs = [
+            cli.build_design(cli.normalize_coords(s.coords), s.covariates, cli.BasisSpec(2))
+            for s in ds.samples
+        ]
+        hp = cli.Hyperparameters.default(ds.n_samples, 2)
+        calls = []
+        real = cli.fit_genes
+
+        def counting(gene_ys, *args):
+            calls.append(len(gene_ys))
+            return real(gene_ys, *args)
+
+        monkeypatch.setattr(cli, "fit_genes", counting)
+        # Blocks of 5 cut the 14 genes into 5, 5 and 4.
+        monkeypatch.setattr(cli, "block_size", lambda n_spots: 5)
+        cli._init_worker([s.counts for s in ds.samples], designs, hp, cli.FitOptions())
+        results = [cli._fit_gene_task(i) for i in reversed(range(ds.n_genes))]
+        assert calls == [4, 5, 5]
+        assert not cli._CTX["results"]
+        for i, res in zip(reversed(range(ds.n_genes)), results):
+            want = cli.fit_gene([s.counts[i] for s in ds.samples], designs, hp)
+            assert (res.iterations, res.converged) == (want.iterations, want.converged)
+            assert res.e_u == pytest.approx(want.e_u, rel=1e-10)
+
+    def test_in_process_runs_on_different_datasets(self, sim_dir, tmp_path):
+        # Every run starts from an empty block cache: a stale block from an
+        # earlier run would answer for the wrong genes or indices.
+        other = tmp_path / "other"
+        assert run([
+            "simulate", "--out", str(other), "--grid", "10x10", "--genes", "30",
+            "--sv-genes", "3", "--dropout", "0.2", "--seed", "8", "--samples", "2",
+        ]) == 0
+        args = ["--degree", "2", "--workers", "1", "--min-spots-per-gene", "0",
+                "--min-genes-per-spot", "0"]
+        reports = []
+        for data, name in ((sim_dir, "a1"), (other, "b"), (sim_dir, "a2")):
+            out = tmp_path / f"{name}.tsv"
+            assert run(["detect", "--manifest", str(data / "manifest.ini"),
+                        "--out", str(out)] + args) == 0
+            reports.append(out)
+        assert reports[0].read_bytes() == reports[2].read_bytes()
+        _, rows = read_report(reports[1])
+        assert [r["gene_id"] for r in rows] == [f"g{i:05d}" for i in range(30)]
+        assert all(r["converged"] for r in rows)

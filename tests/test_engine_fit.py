@@ -20,7 +20,7 @@ from svjoint.numerics import PhiQuadCache
 from svjoint.simulate import SimConfig, generate
 from svjoint.splines import normalize_coords
 
-from conftest import make_design
+from conftest import GeneRow, make_design
 
 
 def sim_inputs(seed, n_sv=1, g=2, m=4, grid=(16, 16), dropout=0.3, pattern="linear",
@@ -152,6 +152,9 @@ def assert_same_values(a, b):
         if name == "sections":
             assert got == want
             continue
+        if name == "phi_cache" and got is not None:
+            # One tuple of M factors per gene, compared factor by factor.
+            got, want = sum(got, ()), sum(want, ())
         if not isinstance(got, (tuple, list)):
             got, want = [got], [want]
         assert len(got) == len(want), name
@@ -181,7 +184,7 @@ class TestRetry:
         # write into an object that the live state shares with the copy,
         # q(phi) windows included.
         ys, designs, hp = self.inputs()
-        state, shared = init_state(ys, designs, hp)
+        state, shared = init_state([ys], designs, hp)
         shallow = copy.copy(state), copy.copy(shared)
         deep = copy.deepcopy(shallow)
         _one_iteration(state, shared, hp, 1.0)
@@ -257,10 +260,10 @@ class TestInvariantsEveryIteration:
         hp = Hyperparameters.default(4, 3)
         for g in range(2):
             ys = [s.counts[g] for s in ds.samples]
-            state, shared = init_state(ys, designs, hp)
+            state, shared = init_state([ys], designs, hp)
             for _ in range(25):
                 _one_iteration(state, shared, hp, 1.0)
-                check_state_invariants(state, shared, ys)
+                check_state_invariants(GeneRow(state), GeneRow(shared), ys)
 
 
 class TestPermutationInvariance:
@@ -301,7 +304,7 @@ class TestElboAgainstIterations:
         ds, _, designs = sim_inputs(12, grid=(8, 8))
         hp = Hyperparameters.default(4, 3)
         ys = [s.counts[0] for s in ds.samples]
-        state, shared = init_state(ys, designs, hp)
+        state, shared = init_state([ys], designs, hp)
         vals = []
         for _ in range(10):
             _one_iteration(state, shared, hp, 1.0)
@@ -309,3 +312,88 @@ class TestElboAgainstIterations:
         assert np.all(np.isfinite(vals))
         # After the first few moves the objective should improve overall.
         assert vals[-1] > vals[0]
+
+
+def assert_results_agree(got, want, rtol=1e-10):
+    """Same iterations, convergence and failure; floats within ``rtol`` relative."""
+    assert (got.iterations, got.converged, got.failure) == (
+        want.iterations, want.converged, want.failure)
+    np.testing.assert_allclose(got.e_u, want.e_u, rtol=rtol, atol=0)
+    np.testing.assert_allclose(got.alpha, want.alpha, rtol=rtol, atol=0)
+    np.testing.assert_allclose(got.elbo_trace, want.elbo_trace, rtol=rtol, atol=0)
+
+
+class TestFitGenes:
+    """A block fit against one fit per gene."""
+
+    @staticmethod
+    def inputs():
+        # Seven genes, three of them SV; three sections that differ in spot
+        # count (144, 130, 116) and covariate count (1, 0, 2).
+        ds, truth, designs = sim_inputs(17, g=7, n_sv=3, m=3, grid=(12, 12))
+        rng = np.random.default_rng(3)
+        keep = [slice(0, 144 - 14 * m) for m in range(3)]
+        cut = []
+        for m, (n_cov, k) in enumerate(zip((1, 0, 2), keep)):
+            covs = rng.uniform(size=(144, n_cov))
+            coords = normalize_coords(ds.samples[m].coords)
+            cut.append(make_design(coords[k], covs[k], 3))
+        gene_ys = [[s.counts[g][k] for s, k in zip(ds.samples, keep)] for g in range(7)]
+        return gene_ys, cut, Hyperparameters.default(3, 3)
+
+    def test_block_matches_one_gene_fits(self):
+        gene_ys, designs, hp = self.inputs()
+        assert [d.dim for d in designs] == [8, 7, 9]
+        solo = [fit_gene(ys, designs, hp) for ys in gene_ys]
+        assert len({r.iterations for r in solo}) > 1  # genes leave the block at different times
+        assert max(max(r.e_u) for r in solo) > 0.9 and min(max(r.e_u) for r in solo) < 0.5
+        # Blocks of 3 leave a last block of one gene.
+        block = []
+        for start in range(0, len(gene_ys), 3):
+            block += engine.fit_genes(gene_ys[start:start + 3], designs, hp)
+        for got, want in zip(block, solo, strict=True):
+            assert_results_agree(got, want)
+
+    @staticmethod
+    def fail_gene_at(monkeypatch, target, attempts):
+        """Make ``update_theta`` fail the gene with counts ``target`` on the given attempts.
+
+        Returns the damping of each of that gene's theta steps, in order.
+        """
+        real = engine.update_theta
+        target = np.concatenate(target)
+        dampings = []
+
+        def flaky(state, beta_prec, hp, damping=1.0):
+            real(state, beta_prec, hp, damping)
+            rows = np.flatnonzero((state.y == target).all(axis=1))
+            if rows.size:
+                row = int(rows[0])
+                dampings.append(float(np.broadcast_to(damping, (len(state.y),))[row]))
+                if len(dampings) in attempts:
+                    raise EngineError("injected", {row: "injected"})
+
+        monkeypatch.setattr(engine, "update_theta", flaky)
+        return dampings
+
+    @pytest.mark.parametrize("attempts", [(3,), (3, 4)], ids=["retried", "failed"])
+    def test_one_gene_fails_inside_a_block(self, monkeypatch, attempts):
+        gene_ys, designs, hp = self.inputs()
+        opts = FitOptions(elbo_tol=1e-6)
+        clean = [fit_gene(ys, designs, hp, opts) for ys in gene_ys]
+        target = 2
+        dampings = self.fail_gene_at(monkeypatch, gene_ys[target], attempts)
+        solo = fit_gene(gene_ys[target], designs, hp, opts)
+        solo_dampings = list(dampings)
+        dampings.clear()
+        block = engine.fit_genes(gene_ys, designs, hp, opts)
+        assert dampings == solo_dampings
+        assert solo_dampings[:4] == [1.0, 1.0, 1.0, 0.5]
+        assert_results_agree(block[target], solo)
+        if len(attempts) == 2:
+            assert solo.failure == "iteration 3: injected" and solo.iterations == 2
+        else:
+            assert solo.failure is None and solo.iterations != clean[target].iterations
+        for g, (got, want) in enumerate(zip(block, clean)):
+            if g != target:
+                assert_results_agree(got, want)

@@ -33,7 +33,7 @@ from svjoint.engine import (
     update_u,
 )
 
-from conftest import make_design
+from conftest import GeneRow, make_design
 from test_engine_fit import sim_inputs
 
 
@@ -45,13 +45,13 @@ def single_state(y, degree=1, j_cov=1, hp=None, n=None):
     covs = rng.uniform(size=(n, j_cov))
     design = make_design(coords, covs, degree)
     hp = hp or Hyperparameters.default(1, degree)
-    state, shared = init_state([y], [design], hp)
-    return state, shared, design, hp
+    state, shared = init_state([[y]], [design], hp)
+    return GeneRow(state), GeneRow(shared), design, hp
 
 
 def first_beta_prec(shared, hp):
     """The first sample's beta prior precisions, the row ``update_theta`` reads for it."""
-    return beta_prior_precision(shared, hp)[0]
+    return beta_prior_precision(shared.block, hp)[0, 0]
 
 
 class TestInitState:
@@ -87,7 +87,7 @@ class TestUpdateG:
         ss.mu = (np.zeros(design.dim),)
         ss.sigma = (np.zeros((design.dim, design.dim)),)
         ss.refresh_theta_cache()
-        update_g(ss)
+        update_g(ss.block)
         assert ss.a_g[0] == pytest.approx(5.0)
         assert ss.b_g[0] == pytest.approx(3.0)
         assert ss.e_g[0] == pytest.approx(5.0 / 3.0)
@@ -99,7 +99,7 @@ class TestUpdateG:
         ss.mu = (np.zeros(design.dim),)
         ss.sigma = (np.zeros((design.dim, design.dim)),)
         ss.refresh_theta_cache()
-        update_g(ss)
+        update_g(ss.block)
         assert abs(ss.a_g[0] - 1.0) < 1e-7
         assert ss.b_g[0] > 0.0
 
@@ -110,7 +110,7 @@ class TestUpdateG:
         ss.mu = (np.zeros(design.dim),)
         ss.sigma = (np.zeros((design.dim, design.dim)),)
         ss.refresh_theta_cache()
-        update_g(ss)
+        update_g(ss.block)
         assert ss.a_g[0] == pytest.approx(1.0)
         assert ss.b_g[0] == pytest.approx(2.0)
 
@@ -119,18 +119,18 @@ class TestUpdateR:
     def test_symmetric_at_zero_rate(self):
         ss, _, design, hp = single_state([0])
         ss.e_g = np.array([0.0])
-        update_r(ss, hp)
+        update_r(ss.block, hp)
         assert ss.u_r[0] == pytest.approx(0.5)
 
     def test_positive_count_structural(self):
         ss, _, design, hp = single_state([4])
-        update_r(ss, hp)
+        update_r(ss.block, hp)
         assert ss.u_r[0] == 0.0
 
     def test_log_two_rate(self):
         ss, _, design, hp = single_state([0])
         ss.e_g = np.array([math.log(2.0)])
-        update_r(ss, hp)
+        update_r(ss.block, hp)
         assert ss.u_r[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
@@ -138,7 +138,7 @@ class TestUpdatePhi:
     def test_all_dropout_reduces_to_prior_mean(self):
         ss, _, design, hp = single_state([0, 0])
         ss.u_r = np.array([1.0, 1.0])
-        update_phi(ss, hp)
+        update_phi(ss.block, hp)
         assert ss.n_pi[0] == 0.0
         assert ss.c1[0] == pytest.approx(hp.b_phi)
         assert ss.u_phi[0] == pytest.approx(hp.a_phi / hp.b_phi, rel=1e-8)
@@ -153,7 +153,7 @@ class TestUpdatePhi:
         ss.mu = (np.zeros(design.dim),)
         ss.sigma = (np.zeros((design.dim, design.dim)),)
         ss.refresh_theta_cache()
-        update_phi(ss, hp)
+        update_phi(ss.block, hp)
         assert ss.c1[0] == pytest.approx(0.001 + 2.0, rel=1e-12)
 
     def test_negative_c1_rejected(self):
@@ -166,7 +166,7 @@ class TestUpdatePhi:
         ss.sigma = (np.zeros((design.dim, design.dim)),)
         ss.refresh_theta_cache()
         with pytest.raises(EngineError, match="c1"):
-            update_phi(ss, hp)
+            update_phi(ss.block, hp)
 
 
 class TestUpdateSigma:
@@ -174,7 +174,7 @@ class TestUpdateSigma:
         ss, shared, design, hp = single_state([1, 2, 3])
         shared.u_alpha[0, 0] = 0.0
         shared.u_inv_a[0, 0] = 0.7
-        update_sigma(shared, ss.beta_sq, ss.length)
+        update_sigma(shared.block, ss.beta_sq, ss.length)
         assert shared.a_sig[0, 0] == pytest.approx(0.5)
         assert shared.b_sig[0, 0] == pytest.approx(0.7)
 
@@ -188,7 +188,7 @@ class TestUpdateSigma:
         ss.refresh_theta_cache()
         shared.u_alpha[0, 0] = 1.0
         shared.u_inv_a[0, 0] = 1.0
-        update_sigma(shared, ss.beta_sq, ss.length)
+        update_sigma(shared.block, ss.beta_sq, ss.length)
         assert shared.a_sig[0, 0] == pytest.approx(1.5)
         assert shared.b_sig[0, 0] == pytest.approx(3.0)
         e_inv_s2, _ = gamma_moments(shared.a_sig, shared.b_sig)
@@ -201,7 +201,7 @@ class TestUpdateSigma:
         ss.refresh_theta_cache()
         shared.u_alpha[0, 0] = 1.0
         shared.u_inv_a[0, 0] = 2.0
-        update_sigma(shared, ss.beta_sq, ss.length)
+        update_sigma(shared.block, ss.beta_sq, ss.length)
         assert shared.a_sig[0, 0] == pytest.approx(1.5)
         assert shared.b_sig[0, 0] == pytest.approx(2.0)
 
@@ -212,21 +212,21 @@ class TestUpdateA:
         hp = Hyperparameters(**{**hp.__dict__, "a_slab": (0.5, 0.5)})
         ss, shared, design, _ = single_state([1, 2], hp=hp)
         shared.a_sig[0, 0], shared.b_sig[0, 0] = 9.0, 1.0
-        update_a(shared, hp)
+        update_a(shared.block, hp)
         assert shared.u_inv_a[0, 0] == pytest.approx(1.0 / 13.0)
 
     def test_vanishing_precision_limit(self):
         hp = Hyperparameters(a_slab=(1.0, 1.0))
         ss, shared, design, _ = single_state([1, 2], hp=hp)
         shared.a_sig[0, 0], shared.b_sig[0, 0] = 1e-14, 1.0
-        update_a(shared, hp)
+        update_a(shared.block, hp)
         assert shared.u_inv_a[0, 0] == pytest.approx(1.0, rel=1e-10)
 
     def test_wide_slab_limit(self):
         hp = Hyperparameters(a_slab=(1e9, 1e9))
         ss, shared, design, _ = single_state([1, 2], hp=hp)
         shared.a_sig[0, 0], shared.b_sig[0, 0] = 2.0, 1.0
-        update_a(shared, hp)
+        update_a(shared.block, hp)
         assert shared.u_inv_a[0, 0] == pytest.approx(0.5, rel=1e-10)
 
 
@@ -291,7 +291,7 @@ class TestUpdatePQ:
         hp = Hyperparameters()
         ss, shared, design, _ = single_state([1, 2], hp=hp)
         shared.u_u[0] = 1.0
-        update_p(shared, hp)
+        update_p(shared.block, hp)
         assert shared.a_p[0] == pytest.approx(1.2)
         assert shared.b_p[0] == pytest.approx(1.8)
         assert shared.a_p[0] / (shared.a_p[0] + shared.b_p[0]) == pytest.approx(0.4)
@@ -300,7 +300,7 @@ class TestUpdatePQ:
         hp = Hyperparameters()
         _, shared, _, _ = single_state([1, 2], hp=hp)
         shared.u_u[0] = 0.0
-        update_p(shared, hp)
+        update_p(shared.block, hp)
         assert shared.a_p[0] == pytest.approx(0.2)
         assert shared.b_p[0] == pytest.approx(2.8)
         assert shared.a_p[0] / (shared.a_p[0] + shared.b_p[0]) == pytest.approx(1.0 / 15.0)
@@ -309,7 +309,7 @@ class TestUpdatePQ:
         hp = Hyperparameters(c_p=1.0, d_p=1.0)
         _, shared, _, _ = single_state([1, 2], hp=hp)
         shared.u_u[0] = 0.5
-        update_p(shared, hp)
+        update_p(shared.block, hp)
         assert shared.a_p[0] == pytest.approx(1.5)
         assert shared.b_p[0] == pytest.approx(1.5)
 
@@ -318,7 +318,7 @@ class TestUpdatePQ:
         ss, shared, design, _ = single_state([1, 2], hp=hp)
         shared.u_u[0] = 0.0
         shared.u_alpha[0, 0] = 0.9
-        update_q(shared, hp)
+        update_q(shared.block, hp)
         assert shared.a_q[0] == pytest.approx(hp.c_q)
         assert shared.b_q[0] == pytest.approx(hp.d_q)
 
@@ -328,7 +328,7 @@ class TestUpdatePQ:
         # Four samples' indicators on axis 0.
         shared.u_alpha = np.array([[ua, 0.5] for ua in (1.0, 1.0, 1.0, 0.0)])
         shared.u_u[0] = 1.0
-        update_q(shared, hp)
+        update_q(shared.block, hp)
         assert shared.a_q[0] == pytest.approx(4.0)
         assert shared.b_q[0] == pytest.approx(2.0)
 
@@ -338,7 +338,7 @@ class TestUpdatePQ:
         # Three samples' indicators on axis 0.
         shared.u_alpha = np.array([[0.0, 0.5]] * 3)
         shared.u_u[0] = 1.0
-        update_q(shared, hp)
+        update_q(shared.block, hp)
         assert shared.a_q[0] == pytest.approx(hp.c_q)
         assert shared.b_q[0] == pytest.approx(3.0 + hp.d_q)
 
@@ -352,7 +352,7 @@ class TestUpdatePQ:
         for _ in range(5):
             shared.u_u = rng.uniform(size=2)
             shared.u_alpha = rng.uniform(size=(3, 2))  # three samples
-            for update in (lambda: update_q(shared, hp), lambda: update_p(shared, hp)):
+            for update in (lambda: update_q(shared.block, hp), lambda: update_p(shared.block, hp)):
                 update()
                 fresh = copy.copy(shared)
                 fresh.refresh_moments()
@@ -372,10 +372,10 @@ class TestSlabBlockAgainstScalarLoop:
     def fitted(m=3):
         ds, _, designs = sim_inputs(14, m=m, grid=(8, 8))
         hp = Hyperparameters.default(m, 3)
-        state, shared = init_state([s.counts[0] for s in ds.samples], designs, hp)
+        state, shared = init_state([[s.counts[0] for s in ds.samples]], designs, hp)
         for _ in range(3):
             _one_iteration(state, shared, hp, 1.0)
-        return state, shared, hp
+        return GeneRow(state), GeneRow(shared), hp
 
     def test_slab_and_gate_updates(self):
         state, shared, hp = self.fitted()
@@ -403,12 +403,12 @@ class TestSlabBlockAgainstScalarLoop:
             e_p = (psi(a_p) - psi(a_p + b_p), psi(b_p) - psi(a_p + b_p))
             want_u.append(expit(u_logit(want["u_alpha"][:, k], *e_q, *e_p, hp)))
 
-        update_sigma(shared, beta_sq, length)
-        update_a(shared, hp)
-        update_alpha(shared, beta_sq, length, hp)
-        update_q(shared, hp)
-        update_p(shared, hp)
-        update_u(shared, hp)
+        update_sigma(shared.block, beta_sq, length)
+        update_a(shared.block, hp)
+        update_alpha(shared.block, beta_sq, length, hp)
+        update_q(shared.block, hp)
+        update_p(shared.block, hp)
+        update_u(shared.block, hp)
         for name, arr in want.items():
             np.testing.assert_allclose(getattr(shared, name), arr, rtol=1e-12, err_msg=name)
         np.testing.assert_allclose(shared.u_u, want_u, rtol=1e-12)
@@ -443,7 +443,7 @@ class TestSlabBlockAgainstScalarLoop:
                 entropy = -float(xlogy(ua, ua) + xlogy(1.0 - ua, 1.0 - ua))
                 want[m, k] = (beta_term + sig_prior + a_prior - e_log_q_sig - e_log_q_a
                               + alpha_prior + entropy)
-        got = engine._slab_elbo(shared, beta_sq, length, hp)
+        got = engine._slab_elbo(shared.block, beta_sq, length, hp)[0]
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
@@ -467,10 +467,10 @@ class TestStackedAgainstPerSample:
             designs.append(make_design(coords, rng.uniform(size=(n, m)), degree=2))
             ys.append(rng.poisson(3.0 + 4.0 * coords[:, 0]) * (rng.random(n) > 0.3))
         hp = Hyperparameters.default(len(ys), 2)
-        state, shared = init_state(ys, designs, hp)
+        state, shared = init_state([ys], designs, hp)
         for _ in range(3):
             _one_iteration(state, shared, hp, 1.0)
-        return state, shared, ys, hp
+        return GeneRow(state), GeneRow(shared), ys, hp
 
     @staticmethod
     def per_sample(state):
@@ -491,8 +491,8 @@ class TestStackedAgainstPerSample:
     def test_theta(self):
         state, shared, _, hp = self.fitted()
         old = copy.copy(state)
-        beta_prec = beta_prior_precision(shared, hp)
-        update_theta(state, beta_prec, hp, damping=0.7)
+        beta_prec = beta_prior_precision(shared.block, hp)[0]
+        update_theta(state.block, beta_prec[None], hp, damping=0.7)
         for m, (spots, mu, sigma, u_phi, _, _) in enumerate(self.per_sample(old)):
             design = old.designs[m]
             c = design.matrix
@@ -519,7 +519,7 @@ class TestStackedAgainstPerSample:
     def test_phi(self):
         state, _, _, hp = self.fitted()
         old = copy.copy(state)
-        update_phi(state, hp)
+        update_phi(state.block, hp)
         for m, (spots, _, _, _, _, _) in enumerate(self.per_sample(old)):
             kappa = 1.0 - old.u_r[spots]
             n_pi = float(np.sum(kappa))
@@ -537,8 +537,8 @@ class TestStackedAgainstPerSample:
     def test_g_and_r(self):
         state, _, ys, hp = self.fitted()
         old = copy.copy(state)
-        update_g(state)
-        update_r(state, hp)
+        update_g(state.block)
+        update_r(state.block, hp)
         log_num = math.log(0.5)  # log B(a_pi + 1, b_pi) at a_pi = b_pi = 1
         for m, (spots, _, _, u_phi, _, _) in enumerate(self.per_sample(old)):
             kappa = np.maximum(1.0 - old.u_r[spots], 1e-8)
@@ -582,9 +582,9 @@ class TestStackedAgainstPerSample:
                      + (hp.a_phi - 1.0) * fac.e_log_phi - hp.b_phi * fac.e_phi)
             want -= (n_pi * fac.e_self + (hp.a_phi - 1.0) * fac.e_log_phi - c1 * fac.e_phi
                      - fac.log_h0)
-        want += engine._slab_elbo(shared, state.beta_sq, state.length, hp).sum()
-        want += engine._gate_elbo(shared, hp).sum()
-        assert compute_elbo(state, shared, hp) == pytest.approx(want, rel=1e-12)
+        want += engine._slab_elbo(shared.block, state.beta_sq, state.length, hp).sum()
+        want += engine._gate_elbo(shared.block, hp).sum()
+        assert compute_elbo(state.block, shared.block, hp) == pytest.approx(want, rel=1e-12)
 
 
 class TestUpdateTheta:
@@ -592,19 +592,19 @@ class TestUpdateTheta:
         ss, shared, design, hp = single_state([0, 0, 0, 0])
         ss.u_r = np.ones(4)
         ss.mu = (np.array([0.5, -0.3, 0.2, 0.1]),)
-        update_theta(ss, beta_prior_precision(shared, hp), hp, damping=1.0)
+        update_theta(ss.block, beta_prior_precision(shared.block, hp), hp, damping=1.0)
         m_prior = m_prior_diag(design, first_beta_prec(shared, hp), hp)
         np.testing.assert_allclose(ss.mu[0], 0.0, atol=1e-12)
         np.testing.assert_allclose(ss.sigma[0], np.diag(1.0 / m_prior), atol=1e-12)
 
     def test_dimensions(self):
         ss, shared, design, hp = single_state([1] * 10, degree=3, j_cov=2, n=10)
-        update_theta(ss, beta_prior_precision(shared, hp), hp)
+        update_theta(ss.block, beta_prior_precision(shared.block, hp), hp)
         assert ss.sigma[0].shape == (9, 9)
 
     def test_covariance_positive_definite(self, five_spot_state):
         ss, shared, ys, designs, hp = five_spot_state
-        update_theta(ss, beta_prior_precision(shared, hp), hp)
+        update_theta(ss.block, beta_prior_precision(shared.block, hp), hp)
         assert np.linalg.eigvalsh(ss.sigma[0]).min() > 0.0
 
     @staticmethod
@@ -619,7 +619,7 @@ class TestUpdateTheta:
         ss, shared, ys, designs, hp = five_spot_state
         design = designs[0]
         want = np.linalg.inv(self.expected_precision(ss, shared, design, hp))
-        update_theta(ss, beta_prior_precision(shared, hp), hp)
+        update_theta(ss.block, beta_prior_precision(shared.block, hp), hp)
         np.testing.assert_allclose(ss.sigma[0], want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_rejected_factorization_retried_once_with_jitter(self, five_spot_state,
@@ -637,7 +637,7 @@ class TestUpdateTheta:
             return real(a)
 
         monkeypatch.setattr(np.linalg, "cholesky", reject_first)
-        update_theta(ss, beta_prior_precision(shared, hp), hp)
+        update_theta(ss.block, beta_prior_precision(shared.block, hp), hp)
         assert len(calls) == 2
         np.testing.assert_array_equal(calls[1], calls[0] + engine._JITTER * np.eye(design.dim))
         want = np.linalg.inv(prec + engine._JITTER * np.eye(design.dim))
@@ -656,14 +656,37 @@ class TestUpdateTheta:
 
         monkeypatch.setattr(np.linalg, "cholesky", counting)
         with pytest.raises(EngineError, match="not invertible after jitter"):
-            update_theta(ss, beta_prior_precision(shared, hp), hp)
+            update_theta(ss.block, beta_prior_precision(shared.block, hp), hp)
         assert len(calls) == 2
+
+    def test_stacked_factorization_falls_back_to_each_gene(self, monkeypatch):
+        # A two-gene block whose second gene has an indefinite precision:
+        # the stacked factorization fails, each gene is factored alone, and
+        # only the second gene fails, after its one jittered retry.
+        y = np.array([0, 2, 0, 5, 3], dtype=np.int64)
+        design = make_design(np.column_stack([np.linspace(0, 1, 5)] * 2),
+                             np.linspace(0.2, 0.8, 5)[:, None], degree=1)
+        hp = Hyperparameters.default(1, 1)
+        block, shared = init_state([[y], [y + 1]], [design], hp)
+        block.u_phi = np.array([[1.0], [-1e3]])
+        real = np.linalg.cholesky
+        calls = []
+
+        def counting(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        with pytest.raises(EngineError) as info:
+            update_theta(block, beta_prior_precision(shared, hp), hp)
+        assert info.value.failures == {1: "theta precision of sample 0 not invertible after jitter"}
+        assert calls == [(2, 4, 4), (1, 4, 4), (1, 4, 4), (1, 4, 4)]
 
     def test_non_finite_precision_raises(self, five_spot_state):
         ss, shared, ys, designs, hp = five_spot_state
         ss.w_exp = np.full_like(ss.w_exp, np.inf)
         with np.errstate(invalid="ignore"), pytest.raises(EngineError, match="non-finite precision"):
-            update_theta(ss, beta_prior_precision(shared, hp), hp)
+            update_theta(ss.block, beta_prior_precision(shared.block, hp), hp)
 
     def test_one_moment_evaluation_per_sample(self, five_spot_state, monkeypatch):
         # The step reads the cached E[exp(-C theta)]; only the refresh at the
@@ -677,21 +700,21 @@ class TestUpdateTheta:
             return real(*args)
 
         monkeypatch.setattr(engine, "mvn_exp_neg_linear", counting)
-        _one_iteration(ss, shared, hp, 1.0)
+        _one_iteration(ss.block, shared.block, hp, 1.0)
         assert len(calls) == len(ys)
 
 
 class TestElbo:
     def test_finite_on_fixture(self, five_spot_state):
         ss, shared, ys, designs, hp = five_spot_state
-        val = compute_elbo(ss, shared, hp)
+        val = compute_elbo(ss.block, shared.block, hp)[0]
         assert math.isfinite(val)
 
     def test_requires_phi_cache(self):
         ss, shared, design, hp = single_state([1, 2])
         ss.phi_cache = None
         with pytest.raises(EngineError, match="phi factor cache"):
-            compute_elbo(ss, shared, hp)
+            compute_elbo(ss.block, shared.block, hp)
 
 
 class TestThetaCaches:
@@ -711,24 +734,24 @@ class TestThetaCaches:
     def test_fresh_after_every_update(self, five_spot_state):
         ss, shared, ys, designs, hp = five_spot_state
         for _ in range(3):
-            _one_iteration(ss, shared, hp, 1.0)
+            _one_iteration(ss.block, shared.block, hp, 1.0)
             self.assert_caches_match(ss, designs[0])
 
     def test_elbo_after_perturbation_matches_from_scratch(self, five_spot_state):
         ss, shared, ys, designs, hp = five_spot_state
         design = designs[0]
-        before = compute_elbo(ss, shared, hp)
+        before = compute_elbo(ss.block, shared.block, hp)
         ss.mu = (ss.mu[0] + 0.05 * np.arange(1, design.dim + 1),)
         ss.sigma = (1.3 * ss.sigma[0],)
         ss.refresh_theta_cache()
         self.assert_caches_match(ss, design)
-        got = compute_elbo(ss, shared, hp)
+        got = compute_elbo(ss.block, shared.block, hp)
         # From scratch: a state built only from the perturbed (mu, Sigma),
         # whose caches are filled without reading the old ones.
         fresh = copy.copy(ss)
         fresh.w_exp = fresh.c_mu = fresh.beta_sq = None
         fresh.refresh_theta_cache()
-        want = compute_elbo(fresh, shared, hp)
+        want = compute_elbo(fresh.block, shared.block, hp)
         assert got == want
         assert got != before
 
