@@ -20,9 +20,10 @@ samples, each stacked over the block: with the design's column-pair
 products P (``DesignMatrix.pairs``), every gene's weighted Gram matrix is
 one GEMM ``W @ P.T`` and its row-wise quadratic forms one GEMM against P;
 the Cholesky factors and inverses are stacked.  q(phi) is one quadrature
-per (gene, sample).  ``SharedState`` holds the (B, M, 2) spike-and-slab
-block and the (B, 2) gate.  Every field is set once at init or replaced
-whole by an update, so a retry snapshot is a shallow copy of each state.
+per (gene, sample), and the B*M of them are one array program.
+``SharedState`` holds the (B, M, 2) spike-and-slab block and the (B, 2)
+gate.  Every field is set once at init or replaced whole by an update, so
+a retry snapshot is a shallow copy of each state.
 
 All factor updates are conjugate closed forms except theta, which takes a
 fixed-point Gaussian step (non-conjugate variational message passing), and
@@ -215,18 +216,19 @@ class BlockState:
     sample.  Per-sample sums are one reduction over the offsets.
 
     ``u_phi``, ``n_pi`` and ``c1`` are (B, M); ``update_phi`` sets ``n_pi``,
-    ``c1`` and ``phi_cache``, one tuple per gene of its M q(phi) normalizers
-    and moments at (n_pi, c1), each with the quadrature window it was
-    evaluated on.  The regression blocks differ in size between samples, so
-    ``mu`` and ``sigma`` are tuples of M arrays, (B, d_m) and (B, d_m, d_m),
-    with their own ``designs[m]``; the (B, M, 2) ``beta_sq`` is E[beta_mk'
-    beta_mk] and the (M, 1) ``length`` the slab block lengths L_m.
+    ``c1`` and ``phi_cache``, the q(phi) normalizers and moments at (n_pi,
+    c1) as a ``PhiFactor`` of (B, M) arrays, with the quadrature windows they
+    were evaluated on, (B, M, nodes).  The regression blocks differ in size
+    between samples, so ``mu`` and ``sigma`` are tuples of M arrays, (B,
+    d_m) and (B, d_m, d_m), with their own ``designs[m]``; the (B, M, 2)
+    ``beta_sq`` is E[beta_mk' beta_mk] and the (M, 1) ``length`` the slab
+    block lengths L_m.
     ``w_exp``, ``c_mu`` and ``beta_sq`` are functions of (mu, Sigma),
     refreshed together by ``refresh_theta_cache``.  A gene's slab factors
     are its row of ``SharedState``'s (B, M, 2) block.
     """
 
-    # The fields that hold one row (or, for phi_cache, one entry) per gene.
+    # The fields that hold one row per gene: arrays, or tuples of them.
     ROWS = ("y", "log_y_fact", "u_r", "u_phi", "mu", "sigma", "n_pi", "c1", "a_g", "b_g",
             "e_g", "e_log_g", "w_exp", "c_mu", "beta_sq", "phi_cache")
 
@@ -247,7 +249,7 @@ class BlockState:
     w_exp: np.ndarray = None
     c_mu: np.ndarray = None
     beta_sq: np.ndarray = None
-    phi_cache: tuple[tuple[PhiFactor, ...], ...] | None = None
+    phi_cache: PhiFactor | None = None
     sections: tuple = field(init=False)
     owner: np.ndarray = field(init=False)
     length: np.ndarray = field(init=False)
@@ -343,21 +345,37 @@ class SharedState:
         self.e_log_q, self.e_log_1mq = _beta_e_logs(self.a_q, self.b_q)
 
 
+def _rowwise(fn, *values):
+    """``fn`` applied to the matching arrays of row fields, through (named) tuples of them."""
+    first = values[0]
+    if not isinstance(first, tuple):
+        return fn(*values)
+    parts = [_rowwise(fn, *items) for items in zip(*values)]
+    return first._make(parts) if hasattr(first, "_make") else tuple(parts)
+
+
 def _take(state, rows):
     """A copy of a block state (``BlockState`` or ``SharedState``) with only ``rows``, in order."""
     new = copy.copy(state)
     for name in state.ROWS:
         value = getattr(state, name)
-        if value is None:
-            continue
-        if name == "phi_cache":
-            value = tuple(value[b] for b in rows)
-        elif isinstance(value, tuple):
-            value = tuple(v[rows] for v in value)
-        else:
-            value = value[rows]
-        setattr(new, name, value)
+        if value is not None:
+            setattr(new, name, _rowwise(lambda v: v[rows], value))
     return new
+
+
+def _concatenate(*parts):
+    """Row arrays joined along the gene axis.
+
+    A q(phi) window's node arrays are as wide as its widest row, so two
+    blocks' windows may differ in width: the narrower are padded with NaN.
+    """
+    width = max(part.shape[-1] for part in parts)
+    return np.concatenate([
+        part if part.shape[-1] == width else np.concatenate(
+            (part, np.full(part.shape[:-1] + (width - part.shape[-1],), np.nan)), axis=-1)
+        for part in parts
+    ])
 
 
 def _stack(states):
@@ -365,15 +383,8 @@ def _stack(states):
     new = copy.copy(states[0])
     for name in new.ROWS:
         values = [getattr(state, name) for state in states]
-        if values[0] is None:
-            continue
-        if name == "phi_cache":
-            value = sum(values, ())
-        elif isinstance(values[0], tuple):
-            value = tuple(np.concatenate(per_sample) for per_sample in zip(*values))
-        else:
-            value = np.concatenate(values)
-        setattr(new, name, value)
+        if values[0] is not None:
+            setattr(new, name, _rowwise(_concatenate, *values))
     return new
 
 
@@ -585,7 +596,9 @@ def update_phi(state: BlockState, hp: Hyperparameters):
 
     b_phi enters c1 once, outside the spot sum.  The mean is the ratio of
     shifted-power normalizers, exp(logH(a_phi, ...) - logH(a_phi-1, ...)),
-    clamped to a wide stability interval.
+    clamped to a wide stability interval.  The B*M factors are one
+    ``phi_factor`` call; a gene with a factor that cannot be evaluated
+    fails with its first such sample's message.
     """
     kappa = 1.0 - state.u_r
     n_pi = state.per_sample_sum(kappa)
@@ -598,21 +611,15 @@ def update_phi(state: BlockState, hp: Hyperparameters):
     if bad.any():
         _fail({b: f"non-positive c1 = {c1[b, m]} in phi update of sample {m}"
                for b, m in _first_flags(bad).items()})
-    prevs = state.phi_cache or ((None,) * len(state.designs),) * len(c1)
-    factors, failures = [], {}
-    for b, (s_row, t_row, prev_row) in enumerate(zip(n_pi.tolist(), c1.tolist(), prevs)):
-        try:
-            factors.append(tuple(
-                phi_factor(hp.a_phi, s, t, prev=prev)
-                for s, t, prev in zip(s_row, t_row, prev_row)
-            ))
-        except NumericalError as exc:
-            failures[b] = str(exc)
-    if failures:
+    try:
+        phi = phi_factor(hp.a_phi, n_pi, c1, prev=state.phi_cache)
+    except NumericalError as exc:
+        failures = {}
+        for row, message in exc.failures.items():
+            failures.setdefault(row // c1.shape[1], message)
         _fail(failures)
-    state.n_pi, state.c1 = n_pi, c1
-    state.phi_cache = tuple(factors)
-    state.u_phi = np.clip([[fac.e_phi for fac in row] for row in factors], *_U_PHI_BOUNDS)
+    state.n_pi, state.c1, state.phi_cache = n_pi, c1, phi
+    state.u_phi = np.clip(phi.e_phi, *_U_PHI_BOUNDS)
 
 
 def update_g(state: BlockState):
@@ -824,10 +831,8 @@ def compute_elbo(state: BlockState, shared: SharedState, hp: Hyperparameters):
     psi_const = -0.5 * (LOG_2PI + math.log(hp.sigma2_psi))
     phi_prior_const = hp.a_phi * math.log(hp.b_phi) - float(gammaln(hp.a_phi))
 
-    e_phi, e_log_phi, e_self, log_h0 = np.array(
-        [[(fac.e_phi, fac.e_log_phi, fac.e_self, fac.log_h0) for fac in row]
-         for row in state.phi_cache]
-    ).transpose(2, 0, 1)
+    phi = state.phi_cache
+    e_phi, e_log_phi, e_self, log_h0 = phi.e_phi, phi.e_log_phi, phi.e_self, phi.log_h0
     y, u_r, a_g, e_g, e_log_g = state.y, state.u_r, state.a_g, state.e_g, state.e_log_g
     kappa = 1.0 - u_r
     spot_e_phi = state.per_spot(e_phi)

@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from svjoint.engine import Hyperparameters, init_state, _one_iteration
+from svjoint.engine import Hyperparameters, init_state, _one_iteration, _rowwise
 from svjoint.splines import BasisSpec, build_design
 
 
@@ -13,8 +13,8 @@ class GeneRow:
     """One gene of a block state (``BlockState`` or ``SharedState``), without the gene axis.
 
     Reading a per-gene field gives that gene's part: its arrays, per-sample
-    tuples of its theta blocks, or its M q(phi) factors; other fields and
-    methods read through to ``block``.  Setting a per-gene field on the view
+    tuples of its theta blocks, or its q(phi) factor with (M,) fields; other
+    fields and methods read through to ``block``.  Setting a per-gene field on the view
     of a one-gene block sets the block's field to that one gene's value, and
     a copy of the view is a view of a shallow copy of the block.
     """
@@ -33,20 +33,13 @@ class GeneRow:
         value = getattr(self.block, name)
         if name not in type(self.block).ROWS or value is None:
             return value
-        if isinstance(value, tuple) and name != "phi_cache":
-            return tuple(v[self._row] for v in value)
-        return value[self._row]
+        return _rowwise(lambda v: v[self._row], value)
 
     def __setattr__(self, name, value):
         if name in type(self.block).ROWS and value is not None:
             rows = getattr(self.block, type(self.block).ROWS[0])
             assert self._row == 0 and len(rows) == 1, "set fields on a one-gene block only"
-            if name == "phi_cache":
-                value = (value,)
-            elif isinstance(value, tuple):
-                value = tuple(np.asarray(v)[None] for v in value)
-            else:
-                value = np.asarray(value)[None]
+            value = _rowwise(lambda v: np.asarray(v)[None], value)
         setattr(self.block, name, value)
 
 

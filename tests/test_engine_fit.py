@@ -11,12 +11,14 @@ from svjoint.engine import (
     EngineError,
     FitOptions,
     Hyperparameters,
+    _attempt,
     _one_iteration,
+    _take,
     compute_elbo,
     fit_gene,
     init_state,
 )
-from svjoint.numerics import PhiQuadCache
+from svjoint.numerics import NumericalError, phi_factor
 from svjoint.simulate import SimConfig, generate
 from svjoint.splines import normalize_coords
 
@@ -144,7 +146,8 @@ def assert_same_values(a, b):
     """Every field of two states is equal, array by array.
 
     Per-sample tuples and lists are compared item by item, designs by their
-    matrices and each q(phi) factor by value and by its window, slot by slot.
+    matrices, and the q(phi) factor field by field, its window's (B, M, nodes)
+    arrays included.
     """
     assert vars(a).keys() == vars(b).keys()
     for name in vars(a):
@@ -152,23 +155,18 @@ def assert_same_values(a, b):
         if name == "sections":
             assert got == want
             continue
-        if name == "phi_cache" and got is not None:
-            # One tuple of M factors per gene, compared factor by factor.
-            got, want = sum(got, ()), sum(want, ())
-        if not isinstance(got, (tuple, list)):
-            got, want = [got], [want]
-        assert len(got) == len(want), name
-        for m, (got_m, want_m) in enumerate(zip(got, want)):
-            if name == "designs":
-                got_m, want_m = got_m.matrix, want_m.matrix
-            if name == "phi_cache" and got_m is not None:
-                assert got_m == want_m, f"phi_cache[{m}]"
-                for slot in PhiQuadCache.__slots__:
-                    np.testing.assert_array_equal(
-                        getattr(got_m.window, slot), getattr(want_m.window, slot),
-                        err_msg=f"phi_cache[{m}].window.{slot}")
-                continue
-            np.testing.assert_array_equal(got_m, want_m, err_msg=f"{name}[{m}]")
+        if name == "designs":
+            got, want = [d.matrix for d in got], [d.matrix for d in want]
+        _assert_same(got, want, name)
+
+
+def _assert_same(got, want, where):
+    if isinstance(want, (tuple, list)):
+        assert type(got) is type(want) and len(got) == len(want), where
+        for key, got_k, want_k in zip(getattr(want, "_fields", range(len(want))), got, want):
+            _assert_same(got_k, want_k, f"{where}.{key}")
+    else:
+        np.testing.assert_array_equal(got, want, err_msg=where)
 
 
 class TestRetry:
@@ -397,3 +395,60 @@ class TestFitGenes:
         for g, (got, want) in enumerate(zip(block, clean)):
             if g != target:
                 assert_results_agree(got, want)
+
+    def test_one_q_phi_row_fails_its_gene_alone(self):
+        # Shift E[log g] on gene 1's sample-1 spots so that its c1 falls to
+        # about N_pi / 2: that q(phi) diverges.  The iteration fails gene 1
+        # alone, with the message its factor raises on its own, and the
+        # other genes get the state of a block that never held it.
+        gene_ys, designs, hp = self.inputs()
+        state, shared = init_state(gene_ys[:3], designs, hp)
+        for _ in range(2):
+            _one_iteration(state, shared, hp, 1.0)
+        spots = state.sections[1]
+        kappa = 1.0 - state.u_r[1, spots]
+        terms = state.c_mu - state.e_log_g + state.e_g * state.w_exp
+        n_pi, c1 = kappa.sum(), hp.b_phi + kappa @ terms[1, spots]
+        e_log_g = state.e_log_g.copy()
+        e_log_g[1, spots] += (c1 - 0.5 * n_pi) / n_pi
+        state.e_log_g = e_log_g
+        # The (N_pi, c1) that update_phi sees, after the iteration's theta step.
+        probe = copy.copy(state)
+        engine.update_theta(probe, engine.beta_prior_precision(shared, hp), hp, np.ones(3))
+        kappa = 1.0 - probe.u_r
+        n_pi = probe.per_sample_sum(kappa)[1, 1]
+        terms = probe.c_mu - probe.e_log_g + probe.e_g * probe.w_exp
+        c1 = hp.b_phi + np.einsum("bi,bi->b", kappa[:, spots], terms[:, spots])[1]
+        assert c1 < n_pi
+        with pytest.raises(NumericalError) as alone:
+            phi_factor(hp.a_phi, n_pi, c1)
+        assert str(alone.value).startswith("q(phi) not normalizable")
+
+        new_state, new_shared, elbo, rows, failures = _attempt(state, shared, hp, np.ones(3))
+        assert failures == {1: str(alone.value)}
+        assert rows.tolist() == [0, 2]
+        without = _attempt(_take(state, [0, 2]), _take(shared, [0, 2]), hp, np.ones(2))
+        assert without[3].tolist() == [0, 1] and not without[4]
+        assert_same_values(new_state, without[0])
+        assert_same_values(new_shared, without[1])
+        np.testing.assert_array_equal(elbo, without[2])
+
+    def test_stack_pads_narrower_windows(self):
+        # A q(phi) window is as wide as its widest row, so the blocks joined
+        # after a retry may hold windows of different widths: the narrower
+        # rows are padded, and the joined windows evaluate as before.
+        gene_ys, designs, hp = self.inputs()
+        state, _ = init_state(gene_ys[:3], designs, hp)
+        engine.update_phi(state, hp)
+        one, two = _take(state, [0]), _take(state, [1, 2])
+        nodes = two.phi_cache.window.u.shape[-1]
+        two.phi_cache = two.phi_cache._replace(window=two.phi_cache.window._make(
+            np.concatenate((v, np.full(v.shape[:-1] + (48,), np.nan)), axis=-1) if v.ndim == 3
+            else v for v in two.phi_cache.window))
+        joined = engine._stack([one, two])
+        assert joined.phi_cache.window.u.shape == (3, 3, nodes + 48)
+        for scale in (1.0, 1.01, 1.5):
+            got = phi_factor(hp.a_phi, state.n_pi, scale * state.c1, prev=joined.phi_cache)
+            want = phi_factor(hp.a_phi, state.n_pi, scale * state.c1, prev=state.phi_cache)
+            for name in ("log_h0", "log_h1", "e_phi", "e_log_phi", "e_self"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))

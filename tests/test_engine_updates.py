@@ -520,19 +520,21 @@ class TestStackedAgainstPerSample:
         state, _, _, hp = self.fitted()
         old = copy.copy(state)
         update_phi(state.block, hp)
-        for m, (spots, _, _, _, _, _) in enumerate(self.per_sample(old)):
+        n_pi, c1 = [], []
+        for spots, _, _, _, _, _ in self.per_sample(old):
             kappa = 1.0 - old.u_r[spots]
-            n_pi = float(np.sum(kappa))
+            n_pi.append(float(np.sum(kappa)))
             spot_terms = old.c_mu[spots] - old.e_log_g[spots] + old.e_g[spots] * old.w_exp[spots]
-            c1 = hp.b_phi + float(kappa @ spot_terms)
-            fac = engine.phi_factor(hp.a_phi, n_pi, c1, prev=old.phi_cache[m])
-            assert state.n_pi[m] == pytest.approx(n_pi, rel=1e-12)
-            assert state.c1[m] == pytest.approx(c1, rel=1e-12)
+            c1.append(hp.b_phi + float(kappa @ spot_terms))
+        fac = engine.phi_factor(hp.a_phi, n_pi, c1, prev=old.phi_cache)
+        for m in range(len(self.SPOTS)):
+            assert state.n_pi[m] == pytest.approx(n_pi[m], rel=1e-12)
+            assert state.c1[m] == pytest.approx(c1[m], rel=1e-12)
             assert state.u_phi[m] == pytest.approx(
-                float(np.clip(fac.e_phi, *engine._U_PHI_BOUNDS)), rel=1e-12)
+                float(np.clip(fac.e_phi[m], *engine._U_PHI_BOUNDS)), rel=1e-12)
             for name in ("log_h0", "e_log_phi", "e_self"):
-                assert getattr(state.phi_cache[m], name) == pytest.approx(
-                    getattr(fac, name), rel=1e-12), name
+                assert getattr(state.phi_cache, name)[m] == pytest.approx(
+                    getattr(fac, name)[m], rel=1e-12), name
 
     def test_g_and_r(self):
         state, _, ys, hp = self.fitted()
@@ -558,7 +560,7 @@ class TestStackedAgainstPerSample:
         lb = lambda a, b: float(gammaln(a) + gammaln(b) - gammaln(a + b))
         want = 0.0
         for m, (spots, mu, sigma, _, n_pi, c1) in enumerate(self.per_sample(state)):
-            design, fac = state.designs[m], state.phi_cache[m]
+            design, fac = state.designs[m], engine._rowwise(lambda v: v[m], state.phi_cache)
             y = ys[m]
             kappa = 1.0 - state.u_r[spots]
             a_g, b_g = state.a_g[spots], state.b_g[spots]

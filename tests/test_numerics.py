@@ -1,7 +1,6 @@
 """Special-function and quadrature checks against independent oracles."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +9,8 @@ from scipy.integrate import quad
 
 from svjoint.numerics import (
     NumericalError,
+    PhiFactor,
+    PhiQuadCache,
     h_integral,
     log_beta,
     mvn_exp_neg_linear,
@@ -156,18 +157,18 @@ class TestPhiFactor:
             assert a.e_phi == pytest.approx(b.e_phi, rel=1e-10)
 
     def test_window_is_a_value(self):
-        # A stale window is replaced, never refreshed in place; the window
-        # is not part of the factor's value.
+        # A stale window is replaced, never refreshed in place; a usable one
+        # is handed on, not copied.
         first = phi_factor(0.001, 40.0, 50.0)
         nodes = first.window.u.copy()
         second = phi_factor(0.001, 40.0, 100.0, prev=first)
-        assert second.window is not first.window
+        assert not np.shares_memory(second.window.u, first.window.u)
         np.testing.assert_array_equal(first.window.u, nodes)
         assert (first.window.s, first.window.t) == (40.0, 50.0)
-        assert replace(second, window=first.window) == second
-        assert "window" not in repr(second)
+        assert (second.window.s, second.window.t) == (40.0, 100.0)
         reused = phi_factor(0.001, 40.0, 51.0, prev=first)
-        assert reused.window is first.window
+        for got, want in zip(reused.window, first.window):
+            assert np.shares_memory(got, want)
 
     def test_not_normalizable(self):
         with pytest.raises(NumericalError):
@@ -187,6 +188,80 @@ class TestPhiFactor:
                 for name in ("log_h0", "log_h1", "e_phi", "e_log_phi", "e_self"):
                     w = getattr(want, name)
                     assert abs(getattr(got, name) - w) <= 1e-10 * max(1.0, abs(w)), (name, s, t)
+
+
+def _rows(factors):
+    """One many-row factor from factors of a single (s, t) each."""
+    width = max(f.window.u.size for f in factors)
+    windows = [f.window._make(np.append(v, np.full(width - v.size, np.nan)) if v.ndim else v
+                              for v in f.window) for f in factors]
+    return PhiFactor(*(np.stack(parts) for parts in zip(*(f[:5] for f in factors))),
+                     PhiQuadCache._make(np.stack(parts) for parts in zip(*windows)))
+
+
+def _empty_window_factor():
+    window = PhiQuadCache._make(v[0] for v in PhiQuadCache.empty(1))
+    return PhiFactor(*(np.float64(np.nan),) * 5, window)
+
+
+class TestPhiFactorRows:
+    A_PHI = 0.001
+    # (s, t) of each row's previous window (None: an empty row) and its (s, t) now.
+    CASES = [
+        (None, (40.0, 50.0)),  # empty, 96 nodes
+        ((40.0, 50.0), (40.0, 51.0)),  # usable
+        ((40.0, 50.0), (40.0, 100.0)),  # stale: fails usable_for
+        ((5.0, 10.0), (4.4, 7.05)),  # usable, but its edges fail
+        ((0.0, 0.5), (0.0, 0.51)),  # s = 0, 192 nodes
+        (None, (2.0, 3.0)),  # 144 nodes
+        ((0.0, 0.5), (0.075, 0.3524)),  # 144 nodes, usable, but its edges fail
+        (None, (0.0, 5.0)),  # s = 0, 192 nodes
+    ]
+
+    def test_each_row_is_its_own_evaluation(self):
+        # Every row of one many-row call equals the row evaluated alone, bit
+        # for bit: its window, its node count and every sum.
+        prevs = [_empty_window_factor() if old is None else phi_factor(self.A_PHI, *old)
+                 for old, _ in self.CASES]
+        s, t = np.array([new for _, new in self.CASES]).T
+        prev = _rows(prevs)
+        usable = [False, True, False, True, True, False, True, False]
+        assert prev.window.usable_for(s, t).tolist() == usable
+        got = phi_factor(self.A_PHI, s, t, prev=prev)
+        for k, (old, new) in enumerate(self.CASES):
+            want = phi_factor(self.A_PHI, *new, prev=None if old is None else prevs[k])
+            for name, got_v, want_v in zip(PhiFactor._fields, got, want):
+                if name != "window":
+                    assert got_v[k] == want_v, (k, name)
+            n = int(want.window.n)
+            for name, got_v, want_v in zip(PhiQuadCache._fields, got.window, want.window):
+                np.testing.assert_array_equal(got_v[k, ..., :n] if want_v.ndim else got_v[k],
+                                              want_v, err_msg=f"row {k} {name}")
+        assert set(got.window.n.tolist()) == {96, 144, 192}
+        # Only the usable rows whose edges hold keep their windows.
+        refitted = got.window.t != np.array([old[1] if old else np.nan for old, _ in self.CASES])
+        assert refitted.tolist() == [True, False, True, True, False, True, True, True]
+
+    def test_failing_rows_fail_alone(self):
+        # a_phi = 1e-12 with s = 0 leaves the left tail of x^(a_phi - 1)
+        # undecayed past the ladder; s >= t diverges.  Each failing row is
+        # reported with its own message, the one it raises alone.
+        a_phi, s, t = 1e-12, [0.0, 5.0, 7.0, 2.0], [1.0, 10.0, 6.0, 3.0]
+        with pytest.raises(NumericalError) as caught:
+            phi_factor(a_phi, s, t)
+        want = {}
+        for k in (0, 2):
+            with pytest.raises(NumericalError) as alone:
+                phi_factor(a_phi, s[k], t[k])
+            want[k] = str(alone.value)
+        assert caught.value.failures == want
+        assert str(caught.value) == want[0]
+        assert "tail does not decay" in want[0] and "not normalizable" in want[2]
+        good = phi_factor(a_phi, [s[1], s[3]], [t[1], t[3]])
+        for k, row in ((1, 0), (3, 1)):
+            alone = phi_factor(a_phi, s[k], t[k])
+            for name in ("log_h0", "log_h1", "e_phi", "e_log_phi", "e_self"):
+                assert getattr(good, name)[row] == getattr(alone, name)
 
 
 class TestMvnExpNegLinear:
