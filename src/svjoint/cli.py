@@ -14,7 +14,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import dataio, metrics, selection, simulate
-# fit_gene stays importable from here; detect fits genes block by block.
+# detect fits genes block by block; fit_gene stays importable from here
+# because the benchmark's tracer wraps cli.fit_gene.
 from .engine import FitOptions, Hyperparameters, block_size, fit_gene, fit_genes  # noqa: F401
 from .splines import BasisSpec, build_design, normalize_coords, select_degree
 
@@ -28,7 +29,7 @@ _FAILURE_BUDGET = 0.01
 _CTX = {}
 
 
-def _init_worker(counts, designs, hp, opts):
+def _init_worker(counts, designs, hp, opts, block):
     # ``counts`` holds one CsrCounts per sample: a spawn or forkserver worker
     # unpickles only the nonzeros, and each block densifies its genes' rows.
     # Genes are fit in blocks of ``block`` consecutive indices, a size that
@@ -38,10 +39,7 @@ def _init_worker(counts, designs, hp, opts):
     for design in designs:
         design.pairs  # built once per process, shared by every block
     _CTX.clear()
-    _CTX.update(
-        counts=counts, designs=designs, hp=hp, opts=opts, results={},
-        block=block_size(sum(design.matrix.shape[0] for design in designs)),
-    )
+    _CTX.update(counts=counts, designs=designs, hp=hp, opts=opts, results={}, block=block)
 
 
 def _fit_gene_task(gene_index: int):
@@ -93,6 +91,9 @@ def run_detect(args) -> int:
     with _option("--seed"):
         if args.seed < 0:
             raise ValueError(f"must be a non-negative integer, got {args.seed}")
+    with _option("--workers"):
+        if args.workers < 1:
+            raise ValueError(f"must be at least 1, got {args.workers}")
 
     manifest = dataio.Manifest.read(args.manifest)
     ds = dataio.load_dataset(manifest)
@@ -118,21 +119,21 @@ def run_detect(args) -> int:
     ]
     counts = [s.counts for s in ds.samples]
 
-    workers = args.workers
+    # Every process cuts the genes into blocks of this size.
+    block = block_size(sum(d.matrix.shape[0] for d in designs))
     indices = list(range(ds.n_genes))
-    if workers <= 1:
-        _init_worker(counts, designs, hp, opts)
+    if args.workers == 1:
+        _init_worker(counts, designs, hp, opts, block)
         results = [_fit_gene_task(i) for i in indices]
     else:
         # One pool task per block of genes.
-        chunk = block_size(sum(d.matrix.shape[0] for d in designs))
         try:
             with ProcessPoolExecutor(
-                max_workers=workers,
+                max_workers=args.workers,
                 initializer=_init_worker,
-                initargs=(counts, designs, hp, opts),
+                initargs=(counts, designs, hp, opts, block),
             ) as pool:
-                results = list(pool.map(_fit_gene_task, indices, chunksize=chunk))
+                results = list(pool.map(_fit_gene_task, indices, chunksize=block))
         except BrokenProcessPool as exc:
             log.error("a gene-fit worker process died; no report written: %s", exc)
             return 1

@@ -32,9 +32,10 @@ gene on the absolute ELBO change.
 
 Failures are per gene.  An update that cannot complete some genes raises
 EngineError naming their rows before any later update reads them; the fit
-loop reruns that iteration without them, then retries each once from its
-pre-iteration rows at its own halved damping.  Genes that converge, fail
-twice or reach the iteration cap leave the block.
+loop reruns that iteration from its pre-iteration rows, with each gene that
+failed for the first time at its own halved damping and without each gene
+that failed twice.  Genes that converge, fail twice or reach the iteration
+cap leave the block; no row ever joins one.
 """
 
 from __future__ import annotations
@@ -345,13 +346,12 @@ class SharedState:
         self.e_log_q, self.e_log_1mq = _beta_e_logs(self.a_q, self.b_q)
 
 
-def _rowwise(fn, *values):
-    """``fn`` applied to the matching arrays of row fields, through (named) tuples of them."""
-    first = values[0]
-    if not isinstance(first, tuple):
-        return fn(*values)
-    parts = [_rowwise(fn, *items) for items in zip(*values)]
-    return first._make(parts) if hasattr(first, "_make") else tuple(parts)
+def _rowwise(fn, value):
+    """``fn`` applied to each array of a row field, through (named) tuples of them."""
+    if not isinstance(value, tuple):
+        return fn(value)
+    parts = [_rowwise(fn, item) for item in value]
+    return value._make(parts) if hasattr(value, "_make") else tuple(parts)
 
 
 def _take(state, rows):
@@ -361,30 +361,6 @@ def _take(state, rows):
         value = getattr(state, name)
         if value is not None:
             setattr(new, name, _rowwise(lambda v: v[rows], value))
-    return new
-
-
-def _concatenate(*parts):
-    """Row arrays joined along the gene axis.
-
-    A q(phi) window's node arrays are as wide as its widest row, so two
-    blocks' windows may differ in width: the narrower are padded with NaN.
-    """
-    width = max(part.shape[-1] for part in parts)
-    return np.concatenate([
-        part if part.shape[-1] == width else np.concatenate(
-            (part, np.full(part.shape[:-1] + (width - part.shape[-1],), np.nan)), axis=-1)
-        for part in parts
-    ])
-
-
-def _stack(states):
-    """One block state holding the rows of ``states`` in turn."""
-    new = copy.copy(states[0])
-    for name in new.ROWS:
-        values = [getattr(state, name) for state in states]
-        if values[0] is not None:
-            setattr(new, name, _rowwise(_concatenate, *values))
     return new
 
 
@@ -932,15 +908,17 @@ def _one_iteration(state, shared, hp, damping):
 
 
 def _attempt(state, shared, hp, damping):
-    """One iteration of a block on copies of its states.
+    """One iteration of a block on copies of its states, with one retry per row.
 
-    Rows whose update fails are dropped and the iteration is rerun from the
-    input for the rest, so no update reads a failed row.  Returns the new
-    (state, shared) and ELBO of the rows that completed (None if none did),
-    those rows, and {row: message} of the rows that failed.
+    When an update fails some rows, the iteration is rerun from the input:
+    a row that failed for the first time stays, with its damping halved in
+    place (floor 1/16), and a row that failed twice is dropped, so no
+    update reads it.  Returns the new (state, shared) and ELBO of the rows
+    that completed (None if none did), those rows, and {row: message} of
+    the rows that failed twice.
     """
     rows = np.arange(len(damping))
-    failures = {}
+    retried, failures = set(), {}
     while rows.size:
         if rows.size == len(damping):
             # Updates replace fields whole, so shallow copies leave the input intact.
@@ -952,35 +930,15 @@ def _attempt(state, shared, hp, damping):
             return (*trial, compute_elbo(*trial, hp), rows, failures)
         except _FIT_ERRORS as exc:
             lost = _row_failures(exc, rows.size)
-            failures.update((int(rows[r]), message) for r, message in lost.items())
-            rows = np.delete(rows, list(lost))
+        for r, message in lost.items():
+            row = int(rows[r])
+            if row in retried:
+                failures[row] = message
+            else:
+                retried.add(row)
+                damping[row] = max(damping[row] / 2.0, _MIN_DAMPING)
+        rows = rows[~np.isin(rows, list(failures))]
     return None, None, None, rows, failures
-
-
-def _iterate(state, shared, hp, damping):
-    """One iteration of a block, with one retry for each gene whose update fails.
-
-    A failed gene is retried from its pre-iteration rows with its damping
-    halved in place (floor 1/16).  Returns the new (state, shared) and ELBO
-    of the rows that completed, in row order (None if none did), those
-    rows, and {row: message} of the rows that failed twice.
-    """
-    new_state, new_shared, elbo, rows, failures = _attempt(state, shared, hp, damping)
-    if not failures:
-        return new_state, new_shared, elbo, rows, {}
-    retry = np.array(sorted(failures))
-    damping[retry] = np.maximum(damping[retry] / 2.0, _MIN_DAMPING)
-    *again, again_rows, again_failures = _attempt(
-        _take(state, retry), _take(shared, retry), hp, damping[retry])
-    failed = {int(retry[row]): message for row, message in again_failures.items()}
-    parts = [part for part in ((new_state, new_shared, elbo, rows), (*again, retry[again_rows]))
-             if part[0] is not None]
-    if not parts:
-        return None, None, None, rows, failed
-    rows = np.concatenate([part[3] for part in parts])
-    order = np.argsort(rows)
-    new_state, new_shared = (_take(_stack([part[i] for part in parts]), order) for i in (0, 1))
-    return new_state, new_shared, np.concatenate([part[2] for part in parts])[order], rows[order], failed
 
 
 def _result(shared, row, trace, iterations, converged, failure=None):
@@ -1000,11 +958,12 @@ def fit_genes(gene_ys, designs, hp: Hyperparameters, opts: FitOptions = FitOptio
     ``gene_ys`` holds one list of M per-sample count vectors per gene.  Each
     gene iterates the factor updates in a fixed order until its absolute
     ELBO change drops below ``opts.elbo_tol`` or ``opts.max_iter`` is
-    reached.  A gene whose iteration fails numerically is retried once from
-    its pre-iteration state with its damping halved (floor 1/16); a second
-    failure ends it with the last valid state's expectations.  A gene whose
-    initial state cannot be built returns zero gate expectations, no
-    iterations and an ``init:`` failure.  A gene's result does not depend
+    reached.  When an iteration fails some genes numerically, the block
+    reruns it from its pre-iteration state, and each of them is retried
+    once in that rerun with its damping halved (floor 1/16); a second
+    failure ends the gene with the last valid state's expectations.  A
+    gene whose initial state cannot be built returns zero gate
+    expectations, no iterations and an ``init:`` failure.  A gene's result does not depend
     on the other genes of the block beyond the rounding of the stacked
     matrix products.
     """
@@ -1030,7 +989,7 @@ def fit_genes(gene_ys, designs, hp: Hyperparameters, opts: FitOptions = FitOptio
     iteration = 0
     while genes.size:
         before = state, shared
-        state, shared, elbo, rows, failed = _iterate(*before, hp, damping)
+        state, shared, elbo, rows, failed = _attempt(*before, hp, damping)
         for b, message in failed.items():
             results[genes[b]] = _result(before[1], b, traces[genes[b]], iteration, False,
                                         f"iteration {iteration + 1}: {message}")

@@ -281,7 +281,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("flag, value", [
         ("--bfdr-level", "2"), ("--gamma2", "0.7"), ("--gamma2", "abc"), ("--tol", "0"),
-        ("--max-iter", "0"), ("--seed", "-1"),
+        ("--max-iter", "0"), ("--seed", "-1"), ("--workers", "0"),
     ])
     def test_bad_option_fails_before_loading(
             self, sim_dir, tmp_path, monkeypatch, caplog, flag, value):
@@ -330,8 +330,7 @@ class TestBlocks:
 
         monkeypatch.setattr(cli, "fit_genes", counting)
         # Blocks of 5 cut the 14 genes into 5, 5 and 4.
-        monkeypatch.setattr(cli, "block_size", lambda n_spots: 5)
-        cli._init_worker([s.counts for s in ds.samples], designs, hp, cli.FitOptions())
+        cli._init_worker([s.counts for s in ds.samples], designs, hp, cli.FitOptions(), 5)
         results = [cli._fit_gene_task(i) for i in reversed(range(ds.n_genes))]
         assert calls == [4, 5, 5]
         assert not cli._CTX["results"]

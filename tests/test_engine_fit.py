@@ -353,53 +353,69 @@ class TestFitGenes:
             assert_results_agree(got, want)
 
     @staticmethod
-    def fail_gene_at(monkeypatch, target, attempts):
-        """Make ``update_theta`` fail the gene with counts ``target`` on the given attempts.
+    def fail_gene_at(monkeypatch, gene_ys, failing):
+        """Make ``update_theta`` fail genes on given attempts: ``failing`` is {gene: attempts}.
 
-        Returns the damping of each of that gene's theta steps, in order.
+        Attempts count each gene's own theta steps.  Returns {gene: the
+        damping of each of its theta steps, in order}.
         """
         real = engine.update_theta
-        target = np.concatenate(target)
-        dampings = []
+        targets = {g: np.concatenate(gene_ys[g]) for g in failing}
+        dampings = {g: [] for g in failing}
 
         def flaky(state, beta_prec, hp, damping=1.0):
             real(state, beta_prec, hp, damping)
-            rows = np.flatnonzero((state.y == target).all(axis=1))
-            if rows.size:
-                row = int(rows[0])
-                dampings.append(float(np.broadcast_to(damping, (len(state.y),))[row]))
-                if len(dampings) in attempts:
-                    raise EngineError("injected", {row: "injected"})
+            damping = np.broadcast_to(damping, (len(state.y),))
+            injected = {}
+            for g, target in targets.items():
+                rows = np.flatnonzero((state.y == target).all(axis=1))
+                if rows.size:
+                    row = int(rows[0])
+                    dampings[g].append(float(damping[row]))
+                    if len(dampings[g]) in failing[g]:
+                        injected[row] = "injected"
+            if injected:
+                raise EngineError("injected", injected)
 
         monkeypatch.setattr(engine, "update_theta", flaky)
         return dampings
 
-    @pytest.mark.parametrize("attempts", [(3,), (3, 4)], ids=["retried", "failed"])
-    def test_one_gene_fails_inside_a_block(self, monkeypatch, attempts):
+    @pytest.mark.parametrize("failing", [{2: (3,)}, {2: (3, 4)}, {2: (3,), 4: (3, 4)}],
+                             ids=["retried", "failed", "retried-and-failed"])
+    def test_one_gene_fails_inside_a_block(self, monkeypatch, failing):
+        # In the third case two genes of the block fail in the same
+        # iteration, and one of them fails its retry too.
         gene_ys, designs, hp = self.inputs()
         opts = FitOptions(elbo_tol=1e-6)
         clean = [fit_gene(ys, designs, hp, opts) for ys in gene_ys]
-        target = 2
-        dampings = self.fail_gene_at(monkeypatch, gene_ys[target], attempts)
-        solo = fit_gene(gene_ys[target], designs, hp, opts)
-        solo_dampings = list(dampings)
-        dampings.clear()
+        dampings = self.fail_gene_at(monkeypatch, gene_ys, failing)
+        solo, solo_dampings = {}, {}
+        for target in failing:
+            solo[target] = fit_gene(gene_ys[target], designs, hp, opts)
+            solo_dampings[target] = dampings[target][:]
+            dampings[target].clear()
         block = engine.fit_genes(gene_ys, designs, hp, opts)
-        assert dampings == solo_dampings
-        assert solo_dampings[:4] == [1.0, 1.0, 1.0, 0.5]
-        assert_results_agree(block[target], solo)
-        if len(attempts) == 2:
-            assert solo.failure == "iteration 3: injected" and solo.iterations == 2
-        else:
-            assert solo.failure is None and solo.iterations != clean[target].iterations
+        for target, attempts in failing.items():
+            assert solo_dampings[target][:4] == [1.0, 1.0, 1.0, 0.5]
+            assert_results_agree(block[target], solo[target])
+            if len(attempts) == 2:
+                assert solo[target].failure == "iteration 3: injected"
+                assert solo[target].iterations == 2
+            else:
+                assert solo[target].failure is None
+                assert solo[target].iterations != clean[target].iterations
+        if len(failing) == 1:
+            # A block that drops no other gene runs the target's steps as its solo fit.
+            assert dampings == solo_dampings
         for g, (got, want) in enumerate(zip(block, clean)):
-            if g != target:
+            if g not in failing:
                 assert_results_agree(got, want)
 
     def test_one_q_phi_row_fails_its_gene_alone(self):
         # Shift E[log g] on gene 1's sample-1 spots so that its c1 falls to
-        # about N_pi / 2: that q(phi) diverges.  The iteration fails gene 1
-        # alone, with the message its factor raises on its own, and the
+        # about N_pi / 2: that q(phi) diverges, at full and at half damping.
+        # The iteration and its rerun fail gene 1 alone, with the message its
+        # factor raises on its own after the half-damped theta step, and the
         # other genes get the state of a block that never held it.
         gene_ys, designs, hp = self.inputs()
         state, shared = init_state(gene_ys[:3], designs, hp)
@@ -412,43 +428,26 @@ class TestFitGenes:
         e_log_g = state.e_log_g.copy()
         e_log_g[1, spots] += (c1 - 0.5 * n_pi) / n_pi
         state.e_log_g = e_log_g
-        # The (N_pi, c1) that update_phi sees, after the iteration's theta step.
-        probe = copy.copy(state)
-        engine.update_theta(probe, engine.beta_prior_precision(shared, hp), hp, np.ones(3))
-        kappa = 1.0 - probe.u_r
-        n_pi = probe.per_sample_sum(kappa)[1, 1]
-        terms = probe.c_mu - probe.e_log_g + probe.e_g * probe.w_exp
-        c1 = hp.b_phi + np.einsum("bi,bi->b", kappa[:, spots], terms[:, spots])[1]
-        assert c1 < n_pi
-        with pytest.raises(NumericalError) as alone:
-            phi_factor(hp.a_phi, n_pi, c1)
-        assert str(alone.value).startswith("q(phi) not normalizable")
+        for damping in (1.0, 0.5):
+            # The (N_pi, c1) that update_phi sees, after the theta step.
+            probe = copy.copy(state)
+            engine.update_theta(probe, engine.beta_prior_precision(shared, hp), hp, damping)
+            kappa = 1.0 - probe.u_r
+            n_pi = probe.per_sample_sum(kappa)[1, 1]
+            terms = probe.c_mu - probe.e_log_g + probe.e_g * probe.w_exp
+            c1 = hp.b_phi + np.einsum("bi,bi->b", kappa[:, spots], terms[:, spots])[1]
+            assert c1 < n_pi
+            with pytest.raises(NumericalError) as alone:
+                phi_factor(hp.a_phi, n_pi, c1)
+            assert str(alone.value).startswith("q(phi) not normalizable")
 
-        new_state, new_shared, elbo, rows, failures = _attempt(state, shared, hp, np.ones(3))
+        dampings = np.ones(3)
+        new_state, new_shared, elbo, rows, failures = _attempt(state, shared, hp, dampings)
         assert failures == {1: str(alone.value)}
+        assert dampings.tolist() == [1.0, 0.5, 1.0]
         assert rows.tolist() == [0, 2]
         without = _attempt(_take(state, [0, 2]), _take(shared, [0, 2]), hp, np.ones(2))
         assert without[3].tolist() == [0, 1] and not without[4]
         assert_same_values(new_state, without[0])
         assert_same_values(new_shared, without[1])
         np.testing.assert_array_equal(elbo, without[2])
-
-    def test_stack_pads_narrower_windows(self):
-        # A q(phi) window is as wide as its widest row, so the blocks joined
-        # after a retry may hold windows of different widths: the narrower
-        # rows are padded, and the joined windows evaluate as before.
-        gene_ys, designs, hp = self.inputs()
-        state, _ = init_state(gene_ys[:3], designs, hp)
-        engine.update_phi(state, hp)
-        one, two = _take(state, [0]), _take(state, [1, 2])
-        nodes = two.phi_cache.window.u.shape[-1]
-        two.phi_cache = two.phi_cache._replace(window=two.phi_cache.window._make(
-            np.concatenate((v, np.full(v.shape[:-1] + (48,), np.nan)), axis=-1) if v.ndim == 3
-            else v for v in two.phi_cache.window))
-        joined = engine._stack([one, two])
-        assert joined.phi_cache.window.u.shape == (3, 3, nodes + 48)
-        for scale in (1.0, 1.01, 1.5):
-            got = phi_factor(hp.a_phi, state.n_pi, scale * state.c1, prev=joined.phi_cache)
-            want = phi_factor(hp.a_phi, state.n_pi, scale * state.c1, prev=state.phi_cache)
-            for name in ("log_h0", "log_h1", "e_phi", "e_log_phi", "e_self"):
-                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
