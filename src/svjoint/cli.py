@@ -94,6 +94,11 @@ def run_detect(args) -> int:
     with _option("--workers"):
         if args.workers < 1:
             raise ValueError(f"must be at least 1, got {args.workers}")
+    for flag, value in (("--min-spots-per-gene", args.min_spots_per_gene),
+                        ("--min-genes-per-spot", args.min_genes_per_spot)):
+        with _option(flag):
+            if value < 0:
+                raise ValueError(f"must be non-negative, got {value}")
 
     manifest = dataio.Manifest.read(args.manifest)
     ds = dataio.load_dataset(manifest)

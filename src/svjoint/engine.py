@@ -46,10 +46,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import digamma as psi
-from scipy.special import expit, gammaln, xlogy
 
 from .numerics import (
+    EULER_GAMMA,
     NumericalError,
     PhiFactor,
     log_beta,
@@ -57,6 +56,7 @@ from .numerics import (
     phi_factor,
     upper_pairs,
 )
+from .special import digamma, expit, gammaln, xlogy
 from .splines import DesignMatrix
 
 __all__ = [
@@ -149,6 +149,11 @@ def block_size(n_spots: int) -> int:
 @lru_cache(maxsize=256)
 def _log_beta_c(a: float, b: float) -> float:
     return float(log_beta(a, b))
+
+
+@lru_cache(maxsize=256)
+def _gammaln_c(a: float) -> float:
+    return float(gammaln(a))
 
 
 def gamma2_for_samples(m: int) -> float:
@@ -300,13 +305,13 @@ class BlockState:
 
 def gamma_moments(a, b):
     """(E[x], E[log x]) under Gamma(a, b) with rate b, elementwise."""
-    return a / b, psi(a) - np.log(b)
+    return a / b, digamma(a) - np.log(b)
 
 
 def _beta_e_logs(a, b):
     """(E[log x], E[log(1 - x)]) under Beta(a, b), elementwise."""
-    total = psi(a + b)
-    return psi(a) - total, psi(b) - total
+    psi_a, psi_b, total = digamma(np.array((a, b, a + b)))
+    return psi_a - total, psi_b - total
 
 
 @dataclass
@@ -735,7 +740,8 @@ def _slab_elbo(shared: SharedState, beta_sq, length, hp: Hyperparameters):
     # sigma^2 | a and a | A Half-Cauchy hierarchy; q(a) is InverseGamma(1, scale_a),
     # so 1/a is Gamma(1, scale_a).
     scale_a = 1.0 / shared.u_inv_a
-    e_inv_a, e_log_inv_a = gamma_moments(1.0, scale_a)
+    # Gamma(1, b) moments: psi(1) = -Euler's constant.
+    e_inv_a, e_log_inv_a = 1.0 / scale_a, -EULER_GAMMA - np.log(scale_a)
     e_log_a = -e_log_inv_a
     sig_prior = -0.5 * e_log_a - _LGAMMA_HALF + 1.5 * e_log_inv_s2 - e_inv_a * e_inv_s2
     a_sq = np.square(hp.a_slab)
@@ -768,13 +774,14 @@ def _gate_elbo(shared: SharedState, hp: Hyperparameters):
     logs_p = shared.e_log_p, shared.e_log_1mp
     logs_q = shared.e_log_q, shared.e_log_1mq
     a_p, b_p, a_q, b_q = shared.a_p, shared.b_p, shared.a_q, shared.b_q
+    log_norm_p, log_norm_q = log_beta(np.array((a_p, a_q)), np.array((b_p, b_q)))
     return (
         u_u * logs_p[0] + (1.0 - u_u) * logs_p[1]
         + _e_log_beta_pdf(_log_beta_c(hp.c_p, hp.d_p), hp.c_p, hp.d_p, *logs_p)
         + _e_log_beta_pdf(_log_beta_c(hp.c_q, hp.d_q), hp.c_q, hp.d_q, *logs_q)
         + _binary_entropy(u_u)
-        - _e_log_beta_pdf(log_beta(a_p, b_p), a_p, b_p, *logs_p)
-        - _e_log_beta_pdf(log_beta(a_q, b_q), a_q, b_q, *logs_q)
+        - _e_log_beta_pdf(log_norm_p, a_p, b_p, *logs_p)
+        - _e_log_beta_pdf(log_norm_q, a_q, b_q, *logs_q)
     )
 
 
@@ -805,7 +812,7 @@ def compute_elbo(state: BlockState, shared: SharedState, hp: Hyperparameters):
     lb_pi_r0 = _log_beta_c(hp.a_pi, hp.b_pi + 1.0)
     eta_const = -0.5 * (LOG_2PI + math.log(hp.sigma2_eta))
     psi_const = -0.5 * (LOG_2PI + math.log(hp.sigma2_psi))
-    phi_prior_const = hp.a_phi * math.log(hp.b_phi) - float(gammaln(hp.a_phi))
+    phi_prior_const = hp.a_phi * math.log(hp.b_phi) - _gammaln_c(hp.a_phi)
 
     phi = state.phi_cache
     e_phi, e_log_phi, e_self, log_h0 = phi.e_phi, phi.e_log_phi, phi.e_self, phi.log_h0

@@ -26,8 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaln, zeta
-from scipy.special import digamma as psi
+
+from .special import digamma, gammaln, trigamma
 
 __all__ = [
     "NumericalError",
@@ -86,10 +86,12 @@ def _each(fn, a):
 
 
 def log_beta(a, b):
-    """log B(a, b) = log Gamma(a) + log Gamma(b) - log Gamma(a+b), a, b > 0, elementwise."""
+    """log B(a, b) = log Gamma(a) + log Gamma(b) - log Gamma(a+b), elementwise over
+    ``a`` and ``b`` of one shape, all positive."""
     if not (np.greater(a, 0.0).all() and np.greater(b, 0.0).all()):
         raise ValueError("log_beta requires positive arguments")
-    return gammaln(a) + gammaln(b) - gammaln(a + b)
+    lg_a, lg_b, lg_ab = gammaln(np.array((a, b, a + b)))
+    return lg_a + lg_b - lg_ab
 
 
 def _xlogx_minus_lgamma_u(u, x):
@@ -99,11 +101,14 @@ def _xlogx_minus_lgamma_u(u, x):
     Gamma -> inf), so the small-x expansion
     x log x - log Gamma(x) = u + x*(u + gamma) + O(x^2) is used instead.
     Call under ``np.errstate`` that ignores over/invalid/divide: both
-    branches are evaluated everywhere.
+    branches are evaluated everywhere, the direct one at x = 8 where the
+    expansion replaces it (gammaln is cheapest from 8 up).
     """
-    direct = x * u - gammaln(x)
     tiny = u < -30.0
-    return np.where(tiny, u + x * (u + EULER_GAMMA), direct) if tiny.any() else direct
+    if not tiny.any():
+        return x * u - gammaln(x)
+    direct = x * u - gammaln(np.where(tiny, 8.0, x))
+    return np.where(tiny, u + x * (u + EULER_GAMMA), direct)
 
 
 def _log_loglog1p_u(r, u, x):
@@ -141,11 +146,11 @@ def _h_log_integrand_du(u, p, q, r, s, t):
     d1 = p + 1.0 - t * x
     d2 = -t * x
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # d/du (x u - log Gamma(x)) = x (u + 1 - psi(x)), psi'(x) = zeta(2, x).
+        # d/du (x u - log Gamma(x)) = x (u + 1 - psi(x)), with psi' the trigamma.
         # The branch taken is finite, so a row with s = 0 adds an exact 0.
-        g1 = x * (u + 1.0 - psi(x))
+        g1 = x * (u + 1.0 - digamma(x))
         inc1 = s * g1
-        inc2 = s * (g1 + x * (1.0 - x * zeta(2.0, x)))
+        inc2 = s * (g1 + x * (1.0 - x * trigamma(x)))
         tiny = u < -30.0
         if tiny.any():
             inc1 = np.where(tiny, s * (1.0 + x * (u + EULER_GAMMA + 1.0)), inc1)
@@ -215,10 +220,13 @@ def _h_windows(p, q, r, s, t, u_start):
     tail panels stay narrow.
     """
     u_mode = _h_modes(p, q, r, s, t, u_start)
-    args = [f"p={p} q={q} r={r} s={s_k} t={t_k}" for s_k, t_k in zip(s.tolist(), t.tolist())]
+
+    def args(k):
+        return f"p={p} q={q} r={r} s={s[k]} t={t[k]}"
+
     failures = {}
     for k in np.flatnonzero(np.isnan(u_mode)).tolist():
-        failures[k] = f"H integrand mode not found: {args[k]}"
+        failures[k] = f"H integrand mode not found: {args(k)}"
     ok = np.flatnonzero(~np.isnan(u_mode))
     mode, s_ok, t_ok = u_mode[ok], s[ok, None], t[ok, None]
     rungs = mode[:, None, None] + np.array([[-1.0], [1.0]]) * _LADDER
@@ -228,7 +236,7 @@ def _h_windows(p, q, r, s, t, u_start):
     floor = f[:, -1:, None] - _LOG_DROP
     below = ~(f[:, :-1].reshape(rungs.shape) >= floor)
     for k in ok[~below.any(axis=2).all(axis=1)].tolist():
-        failures[k] = f"H integrand tail does not decay: {args[k]}"
+        failures[k] = f"H integrand tail does not decay: {args(k)}"
     first = below.argmax(axis=2)[..., None]
     outer = np.take_along_axis(rungs, first, axis=2)
     inner = np.where(first == 0, mode[:, None, None],

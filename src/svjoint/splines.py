@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import digamma, expit, gammaln, zeta
+
+from .special import digamma, expit, gammaln, trigamma
 
 __all__ = [
     "BasisSpec",
@@ -305,8 +306,8 @@ class _ZinbBlock:
         d2_phi = (
             np.einsum("ij,ij->i", w, l_phi_phi)
             + np.einsum("ij,ij->i", v_l_phi, l_phi)
-            + np.bincount(u_gene, n_u * zeta(2.0, u + phi_u), minlength=r)
-            - n_nz * zeta(2.0, phi_g)
+            + np.bincount(u_gene, n_u * trigamma(u + phi_u), minlength=r)
+            - n_nz * trigamma(phi_g)
         )
 
         grad = np.empty((r, p))

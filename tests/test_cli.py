@@ -282,12 +282,14 @@ class TestConfig:
     @pytest.mark.parametrize("flag, value", [
         ("--bfdr-level", "2"), ("--gamma2", "0.7"), ("--gamma2", "abc"), ("--tol", "0"),
         ("--max-iter", "0"), ("--seed", "-1"), ("--workers", "0"),
+        ("--min-spots-per-gene", "-1"), ("--min-genes-per-spot", "-1"),
     ])
     def test_bad_option_fails_before_loading(
             self, sim_dir, tmp_path, monkeypatch, caplog, flag, value):
         def no_load(manifest):
             raise AssertionError("data loaded before the options were checked")
 
+        monkeypatch.setattr(dataio.Manifest, "read", no_load)
         monkeypatch.setattr(dataio, "load_dataset", no_load)
         report = tmp_path / "never.tsv"
         code = run([

@@ -466,21 +466,36 @@ class TestZinbMle:
             if fit is not None:
                 assert fit[0] == pytest.approx(-nll, rel=1e-12)
 
-    def test_cli_import_leaves_optimizer_unloaded(self):
-        # Importing the CLI and selecting a degree by ZINB fits must not load
-        # scipy.optimize (nor the scipy.linalg and scipy.sparse it pulls in).
+    def test_cli_import_leaves_optimizer_unloaded(self, tmp_path):
+        # scipy is a test dependency only: simulate, degree selection and
+        # detect (one worker and a pool) run with every scipy import refused,
+        # and leave no scipy module loaded.
         src = os.path.dirname(os.path.dirname(splines.__file__))
         code = (
-            "import sys, svjoint.cli\n"
+            "import sys\n"
+            "class NoScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            raise ImportError('scipy import refused: ' + name)\n"
+            "sys.meta_path.insert(0, NoScipy())\n"
+            "from svjoint import cli\n"
             "from svjoint.simulate import SimConfig, generate\n"
             "from svjoint.splines import select_degree\n"
+            "out = sys.argv[1]\n"
+            "assert cli.main(['simulate', '--out', out, '--grid', '10x10', '--genes', '6',\n"
+            "                 '--sv-genes', '2', '--samples', '2', '--seed', '5']) == 0\n"
             "ds, _ = generate(SimConfig(M=2, grid=(8, 8), G=4, n_sv=2, seed=5))\n"
             "assert select_degree(ds, (1, 2), [0, 1, 2, 3]) in (1, 2)\n"
-            "print('scipy.optimize' in sys.modules)"
+            "for workers in ('1', '2'):\n"
+            "    assert cli.main(['detect', '--manifest', out + '/manifest.ini',\n"
+            "                     '--out', out + '/report.tsv', '--degree', 'auto',\n"
+            "                     '--workers', workers, '--min-spots-per-gene', '0',\n"
+            "                     '--min-genes-per-spot', '0']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-            check=True, timeout=60,
+            [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True,
+            text=True, check=True, timeout=120,
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
