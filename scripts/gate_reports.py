@@ -18,7 +18,9 @@ every value that changed with its relative difference.  It exits 1 when
 the header lines' integers, the columns or the gene order differ, when a
 gene's ``selected``, ``iterations`` or ``converged`` differs, or when any
 other value differs by more than 1e-8 relative: values printed with %.10g
-may move in their last digits, and no more.
+may move in their last digits, and no more.  Its last line counts the
+cells that moved in each report and in all (every cell of a report whose
+columns or gene order differ), so it reads 0 when no cell moved.
 """
 
 import argparse
@@ -58,23 +60,29 @@ def _table(path):
 
 
 def compare_reports(path, ref_path):
-    """Print each cell of ``path`` that differs from ``ref_path``; return the number of violations."""
+    """Print each cell of ``path`` that differs from ``ref_path``.
+
+    Returns (violations, cells moved); a report whose columns or gene order
+    differ is one violation with every cell moved.
+    """
     name = os.path.basename(path)
     meta, header, rows = _table(path)
     ref_meta, ref_header, ref_rows = _table(ref_path)
+    n_cells = len(meta) + len(header) * len(rows)
     if header != ref_header or meta.keys() != ref_meta.keys():
         print(f"{name}: columns or header keys differ")
-        return 1
+        return 1, n_cells
     if [r["gene_id"] for r in rows] != [r["gene_id"] for r in ref_rows]:
         print(f"{name}: gene order differs")
-        return 1
+        return 1, n_cells
     cells = [("header", key, meta[key], ref_meta[key], key in EXACT_META) for key in meta]
     cells += [(row["gene_id"], col, row[col], ref[col], col in EXACT_COLUMNS)
               for row, ref in zip(rows, ref_rows) for col in header]
-    violations = 0
+    violations = moved = 0
     for where, col, got, want, exact in cells:
         if got == want:
             continue
+        moved += 1
         if exact:
             violations += 1
             print(f"{name}: {where} {col}: {want} -> {got} (must match)")
@@ -83,7 +91,7 @@ def compare_reports(path, ref_path):
         bad = rel > REL_TOL
         violations += bad
         print(f"{name}: {where} {col}: {want} -> {got} (rel {rel:.2e}{', over 1e-8' if bad else ''})")
-    return violations
+    return violations, moved
 
 
 def main(argv=None):
@@ -121,11 +129,12 @@ def main(argv=None):
     if args.against is None:
         return 0
     reports = sorted(p for p in hashed if p.startswith(reports_dir))
-    violations = sum(
-        compare_reports(p, os.path.join(args.against, "reports", os.path.basename(p)))
-        for p in reports
-    )
+    counts = [compare_reports(p, os.path.join(args.against, "reports", os.path.basename(p)))
+              for p in reports]
+    violations = sum(v for v, _ in counts)
     print(f"{len(reports)} reports compared with {args.against}: {violations} violations")
+    moved = ", ".join(f"{os.path.basename(p)} {m}" for p, (_, m) in zip(reports, counts))
+    print(f"cells moved: {moved}; {sum(m for _, m in counts)} in all")
     return 1 if violations else 0
 
 

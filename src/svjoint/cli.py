@@ -49,7 +49,9 @@ def _fit_gene_task(gene_index: int):
         block = _CTX["block"]
         start = gene_index - gene_index % block
         genes = range(start, min(start + block, _CTX["counts"][0].shape[0]))
-        gene_ys = [[c[g] for c in _CTX["counts"]] for g in genes]
+        # One dense (genes, spots) slice per sample; each gene reads its rows.
+        dense = [c[genes.start:genes.stop] for c in _CTX["counts"]]
+        gene_ys = [[d[i] for d in dense] for i in range(len(genes))]
         results.update(zip(genes, fit_genes(gene_ys, _CTX["designs"], _CTX["hp"], _CTX["opts"])))
     return results.pop(gene_index)
 

@@ -99,10 +99,14 @@ _KAPPA_FLOOR = 1e-8  # keeps q(g) a proper Gamma at fully dropped-out spots
 _U_PHI_BOUNDS = (1e-4, 1e4)
 _MIN_DAMPING = 1.0 / 16.0
 _JITTER = 1e-8
-# Genes per block: at most _MAX_BLOCK, and about _BLOCK_SPOT_GENES gene-spot
-# entries per per-spot array, so that the spot work stays in cache.
-_MAX_BLOCK = 16
-_BLOCK_SPOT_GENES = 20_000
+# Genes per block: at most _MAX_BLOCK, and at most _BLOCK_SPOT_GENES
+# gene-spot entries per per-spot array, so a data set above that many spots
+# fits one gene at a time.  A larger block pays each iteration's fixed costs
+# for more genes but holds more per-spot arrays: the cap is the largest that
+# keeps the pool-small benchmark's (3 x 256 spots, 2 workers) peak RSS
+# within 10% of that with 16-gene blocks (BENCH_16.json).
+_MAX_BLOCK = 32
+_BLOCK_SPOT_GENES = 24_576
 
 LOG_2PI = math.log(2.0 * math.pi)
 _LGAMMA_HALF = float(gammaln(0.5))

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .special import digamma, gammaln, trigamma
+from .special import digamma_trigamma, gammaln
 
 __all__ = [
     "NumericalError",
@@ -100,15 +100,18 @@ def _xlogx_minus_lgamma_u(u, x):
     For u below -30 the direct formula loses to underflow (exp(u) -> 0,
     Gamma -> inf), so the small-x expansion
     x log x - log Gamma(x) = u + x*(u + gamma) + O(x^2) is used instead.
-    Call under ``np.errstate`` that ignores over/invalid/divide: both
-    branches are evaluated everywhere, the direct one at x = 8 where the
-    expansion replaces it (gammaln is cheapest from 8 up).
+    Where x overflows to inf the direct formula is inf - inf, and those
+    entries are NaN without a gammaln call.  Call under ``np.errstate``
+    that ignores over/invalid/divide.
     """
     tiny = u < -30.0
-    if not tiny.any():
+    direct = ~tiny & (x < np.inf)
+    if direct.all():
         return x * u - gammaln(x)
-    direct = x * u - gammaln(np.where(tiny, 8.0, x))
-    return np.where(tiny, u + x * (u + EULER_GAMMA), direct)
+    out = np.where(tiny, u + x * (u + EULER_GAMMA), np.nan)
+    xd = x[direct]
+    out[direct] = xd * u[direct] - gammaln(xd)
+    return out
 
 
 def _log_loglog1p_u(r, u, x):
@@ -148,9 +151,10 @@ def _h_log_integrand_du(u, p, q, r, s, t):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # d/du (x u - log Gamma(x)) = x (u + 1 - psi(x)), with psi' the trigamma.
         # The branch taken is finite, so a row with s = 0 adds an exact 0.
-        g1 = x * (u + 1.0 - digamma(x))
+        psi, psi1 = digamma_trigamma(x)
+        g1 = x * (u + 1.0 - psi)
         inc1 = s * g1
-        inc2 = s * (g1 + x * (1.0 - x * trigamma(x)))
+        inc2 = s * (g1 + x * (1.0 - x * psi1))
         tiny = u < -30.0
         if tiny.any():
             inc1 = np.where(tiny, s * (1.0 + x * (u + EULER_GAMMA + 1.0)), inc1)

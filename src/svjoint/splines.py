@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .special import digamma, expit, gammaln, trigamma
+from .special import digamma_trigamma, expit, gammaln
 
 __all__ = [
     "BasisSpec",
@@ -291,6 +291,8 @@ class _ZinbBlock:
 
         phi_g, phi_u, pi_g = phi[:, 0], phi[u_gene, 0], pi[:, 0]
         n_spots = y.shape[1]
+        psi_u, psi1_u = digamma_trigamma(u + phi_u)
+        psi_g, psi1_g = digamma_trigamma(phi_g)
         ll = (
             nb.sum(axis=1)
             + n_nz * np.log1p(-pi_g)
@@ -300,14 +302,14 @@ class _ZinbBlock:
         )
         d_phi = (
             np.einsum("ij,ij->i", w, l_phi)
-            + np.bincount(u_gene, n_u * digamma(u + phi_u), minlength=r)
-            - n_nz * digamma(phi_g)
+            + np.bincount(u_gene, n_u * psi_u, minlength=r)
+            - n_nz * psi_g
         )
         d2_phi = (
             np.einsum("ij,ij->i", w, l_phi_phi)
             + np.einsum("ij,ij->i", v_l_phi, l_phi)
-            + np.bincount(u_gene, n_u * trigamma(u + phi_u), minlength=r)
-            - n_nz * trigamma(phi_g)
+            + np.bincount(u_gene, n_u * psi1_u, minlength=r)
+            - n_nz * psi1_g
         )
 
         grad = np.empty((r, p))

@@ -341,6 +341,32 @@ class TestBlocks:
             assert (res.iterations, res.converged) == (want.iterations, want.converged)
             assert res.e_u == pytest.approx(want.e_u, rel=1e-10)
 
+    def test_block_densifies_each_sample_once(self, sim_dir, monkeypatch):
+        # Blocks of 5 cut the 14 genes into 5, 5 and 4: each sample's counts
+        # are indexed once per block, by the block's gene slice.
+        ds = dataio.load_dataset(dataio.Manifest.read(str(sim_dir / "manifest.ini")))
+        designs = [
+            cli.build_design(cli.normalize_coords(s.coords), s.covariates, cli.BasisSpec(2))
+            for s in ds.samples
+        ]
+        hp = cli.Hyperparameters.default(ds.n_samples, 2)
+        keys = []
+        real = dataio.CsrCounts.__getitem__
+
+        def counting(counts, genes):
+            keys.append(genes)
+            return real(counts, genes)
+
+        monkeypatch.setattr(dataio.CsrCounts, "__getitem__", counting)
+        cli._init_worker([s.counts for s in ds.samples], designs, hp, cli.FitOptions(), 5)
+        results = [cli._fit_gene_task(i) for i in range(ds.n_genes)]
+        assert keys == [slice(start, min(start + 5, 14))
+                        for start in (0, 5, 10) for _ in ds.samples]
+        for i, res in enumerate(results):
+            want = cli.fit_gene([real(s.counts, i) for s in ds.samples], designs, hp)
+            assert (res.iterations, res.converged) == (want.iterations, want.converged)
+            assert res.e_u == pytest.approx(want.e_u, rel=1e-10)
+
     def test_in_process_runs_on_different_datasets(self, sim_dir, tmp_path):
         # Every run starts from an empty block cache: a stale block from an
         # earlier run would answer for the wrong genes or indices.

@@ -352,6 +352,23 @@ class TestFitGenes:
         for got, want in zip(block, solo, strict=True):
             assert_results_agree(got, want)
 
+    @pytest.mark.parametrize("n_spots, block", [
+        (100, 32), (768, 32), (4_607, 5), (12_288, 2), (24_576, 1), (24_577, 1),
+    ])
+    def test_block_size(self, n_spots, block):
+        assert engine.block_size(n_spots) == block
+
+    def test_block_above_sixteen_genes_matches_one_gene_fits(self):
+        # Twenty genes, four of them SV, in one block of the largest size
+        # detect cuts.
+        ds, _, designs = sim_inputs(11, g=20, n_sv=4, m=3, grid=(10, 10))
+        hp = Hyperparameters.default(3, 3)
+        gene_ys = [[s.counts[g] for s in ds.samples] for g in range(20)]
+        assert engine.block_size(sum(s.n_spots for s in ds.samples)) >= 20
+        block = engine.fit_genes(gene_ys, designs, hp)
+        for ys, got in zip(gene_ys, block, strict=True):
+            assert_results_agree(got, fit_gene(ys, designs, hp))
+
     @staticmethod
     def fail_gene_at(monkeypatch, gene_ys, failing):
         """Make ``update_theta`` fail genes on given attempts: ``failing`` is {gene: attempts}.

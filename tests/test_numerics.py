@@ -7,7 +7,9 @@ import pytest
 import scipy.special as sps
 from scipy.integrate import quad
 
+from svjoint import numerics
 from svjoint.numerics import (
+    EULER_GAMMA,
     NumericalError,
     PhiFactor,
     PhiQuadCache,
@@ -109,6 +111,24 @@ class TestHIntegral:
             for t in (0.5, 1.0, 5.0):
                 want = sps.gammaln(p + 1.0) - (p + 1.0) * math.log(t)
                 assert h_integral(p, 0, 1.0, 0.0, t) == pytest.approx(want, abs=1e-8)
+
+    def test_self_term_on_an_overflowing_ladder(self):
+        # Ladder rows that run from the small-x expansion (u < -30) past
+        # exp(u) = inf (u > 709.78): the entries at x = inf skip gammaln but
+        # keep the NaN of inf - inf, and every other entry is the formula's,
+        # bit for bit.
+        u = np.linspace(-45.0, 760.0, 89) + np.linspace(0.0, 20.0, 5)[:, None]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            x = np.exp(u)
+            tiny = u < -30.0
+            formula = x * u - numerics.gammaln(np.where(tiny, 8.0, x))
+            formula = np.where(tiny, u + x * (u + EULER_GAMMA), formula)
+            got = numerics._xlogx_minus_lgamma_u(u, x)
+        assert np.isinf(x).any() and tiny.any()
+        np.testing.assert_array_equal(got, formula)
+        assert np.isnan(got[np.isinf(x)]).all()
+        log_f = numerics._h_log_integrand(u, 0.5, 0, 1.0, 2.0, 3.0)
+        assert (log_f[np.isinf(x)] == -np.inf).all()
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

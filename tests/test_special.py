@@ -147,3 +147,19 @@ def test_shapes(name):
     assert f(np.ones((2, 3, 4))).shape == (2, 3, 4)
     assert f(np.array([])).shape == (0,)
     assert isinstance(special.xlogy(0.5, 0.5), np.float64)
+
+
+def test_digamma_trigamma_is_both_functions_bit_for_bit():
+    # Shared carry, reciprocal and pair products change no bit of either
+    # value: over the contract grid (both sides of the carry at 8), at the
+    # edges and extremes, on an all-carried, a never-carried and a 0-d input.
+    x = np.concatenate([CONTRACT_X, EDGES, EXTREMES])
+    for arg in (x, x[x < 8.0], x[x >= 8.0], x.reshape(-1, 1)[:6], 7.5, 8.0, 0.0, np.inf):
+        psi, psi1 = special.digamma_trigamma(arg)
+        want_psi, want_psi1 = special.digamma(arg), special.trigamma(arg)
+        np.testing.assert_array_equal(psi, want_psi)
+        np.testing.assert_array_equal(psi1, want_psi1)
+        assert type(psi) is type(want_psi) and np.shape(psi1) == np.shape(want_psi1)
+    with warnings.catch_warnings(), np.errstate(all="warn", under="ignore"):
+        warnings.simplefilter("error")
+        special.digamma_trigamma(x)
