@@ -21,7 +21,6 @@ from .splines import BasisSpec, build_design, normalize_coords, select_degree
 
 log = logging.getLogger("svjoint")
 
-WORKERS_ENV = "SVJOINT_WORKERS"
 _DEGREE_SUBSET_SIZE = 50
 _FAILURE_BUDGET = 0.01
 
@@ -54,18 +53,6 @@ def _fit_gene_task(gene_index: int):
         gene_ys = [[d[i] for d in dense] for i in range(len(genes))]
         results.update(zip(genes, fit_genes(gene_ys, _CTX["designs"], _CTX["hp"], _CTX["opts"])))
     return results.pop(gene_index)
-
-
-def _default_workers() -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            value = int(env)
-            if value >= 1:
-                return value
-        except ValueError:
-            pass
-    return 1
 
 
 @contextmanager
@@ -133,10 +120,12 @@ def run_detect(args) -> int:
         _init_worker(counts, designs, hp, opts, block)
         results = [_fit_gene_task(i) for i in indices]
     else:
-        # One pool task per block of genes.
+        # One pool task per block of genes, and no more processes than blocks:
+        # the pool starts every worker at once.
+        n_blocks = -(-len(indices) // block)
         try:
             with ProcessPoolExecutor(
-                max_workers=args.workers,
+                max_workers=min(args.workers, n_blocks),
                 initializer=_init_worker,
                 initargs=(counts, designs, hp, opts, block),
             ) as pool:
@@ -249,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--bfdr-level", type=float, default=None, dest="bfdr_level")
     p_det.add_argument("--max-iter", type=int, default=500, dest="max_iter")
     p_det.add_argument("--tol", type=float, default=1e-2)
-    p_det.add_argument("--workers", type=int, default=_default_workers())
+    p_det.add_argument("--workers", type=int, default=1)
     p_det.add_argument("--seed", type=int, default=0)
     p_det.add_argument(
         "--min-spots-per-gene", type=int, default=100, dest="min_spots_per_gene"

@@ -287,23 +287,26 @@ class BlockState:
         self.e_g, self.e_log_g = gamma_moments(self.a_g, self.b_g)
 
     def refresh_theta_cache(self):
-        """Recompute every cached function of (mu, Sigma); call after changing either."""
-        w, c_mu, beta_sq = [], [], []
+        """Recompute every cached function of (mu, Sigma); call after changing either.
+
+        ``w_exp`` and ``c_mu`` are the two results of one ``mvn_exp_neg_linear``
+        call per sample.
+        """
+        moments, beta_sq = [], []
         for design, mu, sigma in zip(self.designs, self.mu, self.sigma):
-            w.append(mvn_exp_neg_linear(mu, sigma, design))
-            c_mu.append(mu @ design.matrix.T)
+            moments.append(mvn_exp_neg_linear(mu, sigma, design))
             # E[beta_k' beta_k] = |mu_k|^2 + tr(Sigma_k block) for k = 0, 1.
             var = np.diagonal(sigma, axis1=1, axis2=2)
             blocks = (design.beta_slice(0), design.beta_slice(1))
             beta_sq.append([np.square(mu[:, b]).sum(axis=1) + var[:, b].sum(axis=1)
                             for b in blocks])
-        w = np.concatenate(w, axis=1)
+        w, c_mu = (np.concatenate(parts, axis=1) for parts in zip(*moments))
         bad = ~np.isfinite(w)
         if bad.any():
             _fail({b: f"non-finite exp(-C theta) moment at {self.locate(spot)}"
                    for b, spot in _first_flags(bad).items()})
         self.w_exp = w
-        self.c_mu = np.concatenate(c_mu, axis=1)
+        self.c_mu = c_mu
         self.beta_sq = np.array(beta_sq).transpose(2, 0, 1)
 
 
@@ -491,11 +494,10 @@ def theta_expected_logp(mu, sigma, design, u_phi, one_minus_ur, e_g, m_prior):
     Only terms involving theta are included; this is the objective whose
     derivatives drive the fixed-point step.
     """
-    c = design.matrix
-    w_exp = mvn_exp_neg_linear(mu, sigma, c)
-    lin = -u_phi * float(one_minus_ur @ (c @ mu))
+    w_exp, c_mu = mvn_exp_neg_linear(mu[None], sigma[None], design)
+    lin = -u_phi * float(one_minus_ur @ c_mu[0])
     quad = -0.5 * (mu @ (m_prior * mu) + float(np.sum(m_prior * np.diag(sigma))))
-    curv = -u_phi * float((one_minus_ur * e_g) @ w_exp)
+    curv = -u_phi * float((one_minus_ur * e_g) @ w_exp[0])
     return lin + quad + curv
 
 
@@ -558,7 +560,6 @@ def update_theta(state: BlockState, beta_prec, hp: Hyperparameters, damping=1.0)
             one_minus_ur[:, spots], state.e_g[:, spots], m_prior,
         )
         prec = -2.0 * d_sigma
-        prec = 0.5 * (prec + prec.transpose(0, 2, 1))
         bad = ~np.isfinite(prec).all(axis=(1, 2))
         if bad.any():
             _fail(dict.fromkeys(np.flatnonzero(bad).tolist(),
@@ -845,7 +846,7 @@ def compute_elbo(state: BlockState, shared: SharedState, hp: Hyperparameters):
     # E[log g].
     e_log_q_g = a_g * np.log(state.b_g) - gammaln(a_g) + (a_g - 1.0) * e_log_g - a_g
     ent_g = -state.per_sample_sum(e_log_q_g)
-    ent_r = -state.per_sample_sum(xlogy(u_r, u_r) + xlogy(kappa, kappa))
+    ent_r = state.per_sample_sum(_binary_entropy(u_r))
 
     # theta prior cross-entropies and Gaussian entropy, one block per sample.
     theta_terms = []

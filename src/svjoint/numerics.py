@@ -536,36 +536,22 @@ def phi_factor(a_phi, s, t, node_count: int = 96, prev: PhiFactor | None = None)
     )
 
 
-def mvn_exp_neg_linear(mu, sigma, c):
-    """E[exp(-c @ theta)] for theta ~ N(mu, sigma): exp(-c@mu + c@sigma@c/2).
+def mvn_exp_neg_linear(mu, sigma, design):
+    """E[exp(-C theta)] and C mu for a stack of B Gaussians theta ~ N(mu, sigma).
 
-    ``c`` may be a single row vector or a matrix of rows; rows are handled
-    independently (the lognormal mean formula).  For a stack of B Gaussians,
-    ``mu`` (B, d) and ``sigma`` (B, d, d), ``c`` is a design with the (N, d)
-    rows ``matrix`` and their column-pair products ``pairs`` (see
-    ``splines.pair_products``), and the result is (B, N): C mu is one GEMM,
-    and so are the quadratic forms, from each sigma's upper triangle with the
-    off-diagonal entries doubled.
+    ``mu`` is (B, d), ``sigma`` (B, d, d) and ``design`` a ``DesignMatrix``
+    whose (N, d) rows ``matrix`` are the C_i.  Each row is the lognormal
+    mean exp(-C_i mu + C_i sigma C_i' / 2).  Returns both (B, N) arrays: C mu
+    is one GEMM, and so are the quadratic forms, from each sigma's upper
+    triangle with the off-diagonal entries doubled against ``design.pairs``.
     """
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    if mu.ndim == 2:
-        n_rows, d = mu.shape
-        if sigma.shape != (n_rows, d, d):
-            raise ValueError(f"sigma must be {n_rows}x{d}x{d}, got {sigma.shape}")
-        i, j, scale = upper_pairs(d)
-        quad = (sigma[:, i, j] * scale) @ c.pairs
-        return np.exp(0.5 * quad - mu @ c.matrix.T)
-    c = np.asarray(c, dtype=float)
-    d = mu.shape[0]
-    if sigma.shape != (d, d):
-        raise ValueError(f"sigma must be {d}x{d}, got {sigma.shape}")
-    if c.shape[-1] != d and not (c.size == 0 and d == 0):
-        raise ValueError(f"c has incompatible trailing dimension {c.shape}")
-    if c.ndim == 1:
-        return float(np.exp(0.5 * c @ sigma @ c - c @ mu))
-    quad = ((c @ sigma) * c).sum(axis=1)
-    return np.exp(0.5 * quad - c @ mu)
+    n_rows, d = mu.shape
+    if sigma.shape != (n_rows, d, d):
+        raise ValueError(f"sigma must be {n_rows}x{d}x{d}, got {sigma.shape}")
+    i, j, scale = upper_pairs(d)
+    quad = (sigma[:, i, j] * scale) @ design.pairs
+    c_mu = mu @ design.matrix.T
+    return np.exp(0.5 * quad - c_mu), c_mu
 
 
 @lru_cache(maxsize=16)

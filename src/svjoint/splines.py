@@ -20,12 +20,12 @@ from functools import cached_property
 
 import numpy as np
 
+from .numerics import upper_pairs
 from .special import digamma_trigamma, expit, gammaln
 
 __all__ = [
     "BasisSpec",
     "DesignMatrix",
-    "pair_products",
     "normalize_coords",
     "eval_basis",
     "build_design",
@@ -78,21 +78,17 @@ class DesignMatrix:
 
     @cached_property
     def pairs(self) -> np.ndarray:
-        """``pair_products(matrix)``, built on first use and kept with the design."""
-        return pair_products(self.matrix)
+        """Products of the column pairs i <= j of ``matrix``, one row per pair
+        in ``numerics.upper_pairs`` order; built on first use and kept.
 
-
-def pair_products(matrix):
-    """Products of a matrix's column pairs i <= j, one row per pair in ``np.triu_indices`` order.
-
-    For an (N, d) matrix X this is a C-contiguous (d(d+1)/2, N) array, so
-    the upper triangles of X' diag(w) X for a stack of weight rows W are
-    the one GEMM ``W @ pairs.T``, and the row-wise quadratic forms x_i' S x_i
-    of a stack of symmetric S are one GEMM of their upper triangles, with
-    the off-diagonal entries doubled, against ``pairs``.
-    """
-    x_t = np.ascontiguousarray(matrix.T)
-    return np.vstack([x_t[i] * x_t[i:] for i in range(x_t.shape[0])])
+        For the (N, d) matrix X this is a C-contiguous (d(d+1)/2, N) array, so
+        the upper triangles of X' diag(w) X for a stack of weight rows W are
+        the one GEMM ``W @ pairs.T``, and the row-wise quadratic forms x_i' S x_i
+        of a stack of symmetric S are one GEMM of their upper triangles, with
+        the off-diagonal entries doubled, against ``pairs``.
+        """
+        x_t = np.ascontiguousarray(self.matrix.T)
+        return np.vstack([x_t[i] * x_t[i:] for i in range(x_t.shape[0])])
 
 
 def normalize_coords(coords):
@@ -187,7 +183,7 @@ class _ZinbBlock:
     log y! per gene.
     """
 
-    def __init__(self, counts, matrix):
+    def __init__(self, counts, design):
         self.y = counts
         self.zero = (counts == 0).astype(float)  # a mask to multiply by
         self.n_nz = counts.shape[1] - self.zero.sum(axis=1)
@@ -201,11 +197,12 @@ class _ZinbBlock:
         self.log_y_fact = np.bincount(
             self.u_gene, self.n_u * gammaln(self.u + 1.0), minlength=counts.shape[0]
         )
-        self.x = matrix
         # X' diag(h) X of every gene is one GEMM of the (B, N) weights h
-        # against the design's column-pair products.
-        self.pairs = np.triu_indices(matrix.shape[1])
-        self.xx_t = pair_products(matrix)
+        # against the design's column-pair products; (i, j) are the Hessian
+        # cells of each pair.
+        self.x, self.xx_t = design.matrix, design.pairs
+        i, j, _ = upper_pairs(design.dim)
+        self.pairs = i + 2, j + 2
 
     def evaluate(self, rows, params):
         """Objective, gradient and Hessian of the genes ``rows`` at ``params``.
@@ -318,7 +315,7 @@ class _ZinbBlock:
         grad[:, 2:] = coef[0]
         hess = np.empty((r, p, p))
         h_cc = h_eta @ self.xx_t.T
-        i, j = self.pairs[0] + 2, self.pairs[1] + 2
+        i, j = self.pairs
         hess[:, i, j] = h_cc
         hess[:, j, i] = h_cc
         hess[:, 0, 0] = v.sum(axis=1) - n_spots * pi_g * (1.0 - pi_g)
@@ -384,7 +381,7 @@ def zinb_mle(counts, design: DesignMatrix, max_iter: int = 200):
     y = np.asarray(counts, dtype=float)
     if y.ndim != 2:
         raise ValueError(f"counts must be a (genes, spots) block, got shape {y.shape}")
-    block = _ZinbBlock(y, design.matrix)
+    block = _ZinbBlock(y, design)
     n_params = 2 + design.dim
     lo = np.array([-_LOGIT_PI_BOUND, _LOG_PHI_BOUNDS[0]] + [-_COEF_BOUND] * design.dim)
     hi = np.array([_LOGIT_PI_BOUND, _LOG_PHI_BOUNDS[1]] + [_COEF_BOUND] * design.dim)

@@ -218,7 +218,7 @@ def test_criterion_2_local_optimality(eight_spot_fixture, five_spot_state):
     m_prior = m_prior_diag(design, beta_prior_precision(shared5.block, hp5)[0, 0], hp5)
     one_minus_ur = 1.0 - ss.u_r
     args = (design, ss.u_phi[0], one_minus_ur, ss.e_g, m_prior)
-    w_exp = mvn_exp_neg_linear(mu, sigma, design.matrix)
+    w_exp = mvn_exp_neg_linear(mu[None], sigma[None], design)[0][0]
     grad_mu, d_sigma = theta_derivatives(mu, w_exp, *args)
     h = 1e-6
     worst_rel = 0.0
@@ -238,9 +238,11 @@ def test_criterion_2_local_optimality(eight_spot_fixture, five_spot_state):
             up, dn = sigma.copy(), sigma.copy()
             up[i, j] += h
             dn[i, j] -= h
+            # The objective reads a covariance's upper triangle, so entry
+            # (i, j) is perturbed through the symmetric part.
             fd = (
-                theta_expected_logp(mu, up, *args)
-                - theta_expected_logp(mu, dn, *args)
+                theta_expected_logp(mu, 0.5 * (up + up.T), *args)
+                - theta_expected_logp(mu, 0.5 * (dn + dn.T), *args)
             ) / (2 * h)
             rel = abs(fd - d_sigma[i, j]) / max(abs(fd), 1e-8)
             worst_rel = max(worst_rel, rel)

@@ -59,6 +59,34 @@ class TestDetect:
         assert run(common + ["--out", str(out2), "--workers", "2"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_pool_no_larger_than_block_count(self, sim_dir, tmp_path, monkeypatch):
+        # The pool starts all its workers at once, and sim_dir's 14 genes make
+        # one block, so --workers 64 asks for one process.  The stand-in
+        # records the request and maps in this process.
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                asked.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        assert run([
+            "detect", "--manifest", str(sim_dir / "manifest.ini"), "--out", str(tmp_path / "r.tsv"),
+            "--degree", "2", "--workers", "64",
+            "--min-spots-per-gene", "0", "--min-genes-per-spot", "0",
+        ]) == 0
+        assert asked == [1]
+
     def test_rerun_byte_identical(self, sim_dir, tmp_path):
         out1 = tmp_path / "a.tsv"
         out2 = tmp_path / "b.tsv"
@@ -269,15 +297,11 @@ class TestEvaluate:
 
 
 class TestConfig:
-    def test_worker_env_default(self, monkeypatch):
-        from svjoint.cli import _default_workers
-
+    def test_workers_only_from_the_flag(self, monkeypatch):
+        # No environment variable sets the worker count.
         monkeypatch.setenv("SVJOINT_WORKERS", "6")
-        assert _default_workers() == 6
-        monkeypatch.setenv("SVJOINT_WORKERS", "bogus")
-        assert _default_workers() == 1
-        monkeypatch.delenv("SVJOINT_WORKERS")
-        assert _default_workers() == 1
+        args = cli.build_parser().parse_args(["detect", "--manifest", "m.ini", "--out", "r.tsv"])
+        assert args.workers == 1
 
     @pytest.mark.parametrize("flag, value", [
         ("--bfdr-level", "2"), ("--gamma2", "0.7"), ("--gamma2", "abc"), ("--tol", "0"),

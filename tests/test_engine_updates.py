@@ -733,6 +733,17 @@ class TestThetaCaches:
             want = np.sum(mu[blk] ** 2) + np.sum(np.diag(sigma)[blk])
             assert ss.beta_sq[0, k] == pytest.approx(want, rel=1e-12)
 
+    def test_c_mu_comes_from_the_moment_call(self, eight_spot_fixture):
+        # C mu is formed once per sample, by mvn_exp_neg_linear, and stored as is.
+        ys, designs, hp = eight_spot_fixture
+        state, shared = init_state([ys, [y + 2 for y in ys]], designs, hp)
+        _one_iteration(state, shared, hp, 1.0)
+        for design, mu, sigma, spots in zip(designs, state.mu, state.sigma, state.sections):
+            w_exp, c_mu = engine.mvn_exp_neg_linear(mu, sigma, design)
+            np.testing.assert_array_equal(c_mu, mu @ design.matrix.T)
+            np.testing.assert_array_equal(state.c_mu[:, spots], c_mu)
+            np.testing.assert_array_equal(state.w_exp[:, spots], w_exp)
+
     def test_fresh_after_every_update(self, five_spot_state):
         ss, shared, ys, designs, hp = five_spot_state
         for _ in range(3):

@@ -18,6 +18,7 @@ from svjoint.numerics import (
     mvn_exp_neg_linear,
     phi_factor,
 )
+from svjoint.splines import DesignMatrix
 
 
 def adaptive_log_h(p, q, r, s, t):
@@ -284,47 +285,67 @@ class TestPhiFactorRows:
                 assert getattr(good, name)[row] == getattr(alone, name)
 
 
+def rows_design(c):
+    """A design whose rows are ``c``, for E[exp(-C theta)] alone."""
+    c = np.atleast_2d(np.asarray(c, dtype=float))
+    return DesignMatrix(c, n_basis=0, n_covariates=c.shape[1] - 1)
+
+
 class TestMvnExpNegLinear:
     def test_lognormal_mean(self):
-        mu = np.zeros(3)
-        c = np.array([1.0, 0.0, 0.0])
-        assert mvn_exp_neg_linear(mu, np.eye(3), c) == pytest.approx(math.exp(0.5), rel=1e-12)
+        w, _ = mvn_exp_neg_linear(np.zeros((1, 3)), np.eye(3)[None], rows_design([1.0, 0.0, 0.0]))
+        assert w.shape == (1, 1)
+        assert w[0, 0] == pytest.approx(math.exp(0.5), rel=1e-12)
 
     def test_deterministic_limit(self):
         mu = np.array([0.3, -1.2])
         c = np.array([2.0, 1.0])
         want = math.exp(-float(c @ mu))
-        assert mvn_exp_neg_linear(mu, np.zeros((2, 2)), c) == pytest.approx(want, rel=1e-12)
+        w, _ = mvn_exp_neg_linear(mu[None], np.zeros((1, 2, 2)), rows_design(c))
+        assert w[0, 0] == pytest.approx(want, rel=1e-12)
 
     def test_zero_projection(self):
-        mu = np.array([5.0, -2.0])
-        assert mvn_exp_neg_linear(mu, np.eye(2), np.zeros(2)) == pytest.approx(1.0)
+        mu = np.array([[5.0, -2.0]])
+        w, _ = mvn_exp_neg_linear(mu, np.eye(2)[None], rows_design(np.zeros(2)))
+        assert w[0, 0] == pytest.approx(1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            mvn_exp_neg_linear(np.zeros(3), np.eye(2), np.zeros(3))
+            mvn_exp_neg_linear(np.zeros((1, 3)), np.eye(2)[None], rows_design(np.zeros(3)))
 
     def test_rows_against_per_row_quadratic_form(self):
-        # The row-wise form may reassociate sums; the exponent -c.mu + c'Sc/2
+        # The stacked form may reassociate sums; the exponent -c.mu + c'Sc/2
         # of each row may move by a few rounding errors of its d-term sums.
         rng = np.random.default_rng(3)
-        n, d = 1024, 13
-        mu = rng.normal(scale=0.3, size=d)
-        a = rng.normal(size=(d, d))
-        sigma = 0.05 * a @ a.T / d
+        n, d, b = 1024, 13, 3
+        mu = rng.normal(scale=0.3, size=(b, d))
+        a = rng.normal(size=(b, d, d))
+        sigma = 0.05 * a @ a.transpose(0, 2, 1) / d
         c = rng.uniform(size=(n, d))
-        got = mvn_exp_neg_linear(mu, sigma, c)
-        want = np.array([math.exp(-row @ mu + 0.5 * (row @ sigma @ row)) for row in c])
-        scale = np.abs(c) @ np.abs(mu) + 0.5 * np.einsum("ij,jk,ik->i", np.abs(c), np.abs(sigma), np.abs(c))
-        tol = 4 * d * np.finfo(float).eps * scale
-        assert np.all(np.abs(np.log(got) - np.log(want)) <= tol)
+        got, _ = mvn_exp_neg_linear(mu, sigma, rows_design(c))
+        assert got.shape == (b, n)
+        for g in range(b):
+            want = np.array([math.exp(-row @ mu[g] + 0.5 * (row @ sigma[g] @ row)) for row in c])
+            scale = np.abs(c) @ np.abs(mu[g]) + 0.5 * np.einsum(
+                "ij,jk,ik->i", np.abs(c), np.abs(sigma[g]), np.abs(c))
+            tol = 4 * d * np.finfo(float).eps * scale
+            assert np.all(np.abs(np.log(got[g]) - np.log(want)) <= tol)
 
     def test_matrix_rows(self):
+        # Each (Gaussian, row) entry is that Gaussian's value on that row alone.
         rng = np.random.default_rng(0)
-        mu = rng.normal(size=4)
-        a = rng.normal(size=(4, 4))
-        sigma = a @ a.T
+        mu = rng.normal(size=(2, 4))
+        a = rng.normal(size=(2, 4, 4))
+        sigma = a @ a.transpose(0, 2, 1)
         c = rng.normal(size=(6, 4))
-        got = mvn_exp_neg_linear(mu, sigma, c)
-        want = [mvn_exp_neg_linear(mu, sigma, row) for row in c]
+        got, _ = mvn_exp_neg_linear(mu, sigma, rows_design(c))
+        want = [[mvn_exp_neg_linear(mu[g:g + 1], sigma[g:g + 1], rows_design(row))[0][0, 0]
+                 for row in c] for g in range(2)]
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_returns_c_mu(self):
+        rng = np.random.default_rng(1)
+        mu = rng.normal(size=(3, 5))
+        design = rows_design(rng.normal(size=(7, 5)))
+        _, c_mu = mvn_exp_neg_linear(mu, np.broadcast_to(np.eye(5), (3, 5, 5)), design)
+        np.testing.assert_array_equal(c_mu, mu @ design.matrix.T)

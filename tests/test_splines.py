@@ -214,9 +214,9 @@ def _reference_block(counts, design):
     return [_reference_mle(y, design) for y in counts]
 
 
-def _block_objective(params, y, matrix):
+def _block_objective(params, y, design):
     """Objective and gradient of one gene as a block of one."""
-    nll, grad, _ = splines._ZinbBlock(y[None], matrix).evaluate(np.arange(1), params[None])
+    nll, grad, _ = splines._ZinbBlock(y[None], design).evaluate(np.arange(1), params[None])
     return nll[0], grad[0]
 
 
@@ -294,7 +294,7 @@ class TestZinbMle:
         y = rng.poisson(lam)
         y[rng.random(40) < 0.3] = 0
         params = np.concatenate([[0.2, math.log(8.0)], rng.normal(0, 0.3, design.dim)])
-        nll, grad = _block_objective(params, y.astype(float), design.matrix)
+        nll, grad = _block_objective(params, y.astype(float), design)
         eps = 1e-6
         for j in range(params.size):
             up = params.copy()
@@ -302,8 +302,8 @@ class TestZinbMle:
             dn = params.copy()
             dn[j] -= eps
             fd = (
-                _block_objective(up, y.astype(float), design.matrix)[0]
-                - _block_objective(dn, y.astype(float), design.matrix)[0]
+                _block_objective(up, y.astype(float), design)[0]
+                - _block_objective(dn, y.astype(float), design)[0]
             ) / (2 * eps)
             assert grad[j] == pytest.approx(fd, rel=2e-4, abs=1e-5)
 
@@ -338,7 +338,7 @@ class TestZinbMle:
             )
             params[2] += math.log(y.mean() + 0.5)
             ref_nll, ref_grad = _reference_nll_grad(params, y, design.matrix, y == 0)
-            nll, grad = _block_objective(params, y, design.matrix)
+            nll, grad = _block_objective(params, y, design)
             tol = 1e-12 * max(1.0, abs(ref_nll), float(np.abs(ref_grad).max()))
             assert abs(nll - ref_nll) <= tol
             np.testing.assert_allclose(grad, ref_grad, rtol=0.0, atol=tol)
@@ -377,7 +377,7 @@ class TestZinbMle:
             ]
         )
         params[:, 2] += np.log(y.mean(axis=1) + 0.5)
-        block = splines._ZinbBlock(y, design.matrix)
+        block = splines._ZinbBlock(y, design)
         rows = np.arange(len(y))
         _, _, hess = block.evaluate(rows, params)
         np.testing.assert_allclose(hess, hess.transpose(0, 2, 1), rtol=1e-12, atol=0.0)
