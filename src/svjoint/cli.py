@@ -48,10 +48,8 @@ def _fit_gene_task(gene_index: int):
         block = _CTX["block"]
         start = gene_index - gene_index % block
         genes = range(start, min(start + block, _CTX["counts"][0].shape[0]))
-        # One dense (genes, spots) slice per sample; each gene reads its rows.
         dense = [c[genes.start:genes.stop] for c in _CTX["counts"]]
-        gene_ys = [[d[i] for d in dense] for i in range(len(genes))]
-        results.update(zip(genes, fit_genes(gene_ys, _CTX["designs"], _CTX["hp"], _CTX["opts"])))
+        results.update(zip(genes, fit_genes(dense, _CTX["designs"], _CTX["hp"], _CTX["opts"])))
     return results.pop(gene_index)
 
 
@@ -160,18 +158,18 @@ def run_detect(args) -> int:
 
 
 def run_simulate(args) -> int:
-    rows, cols = (int(v) for v in args.grid.lower().split("x"))
-    cfg = simulate.SimConfig(
-        M=args.samples,
-        grid=(rows, cols),
-        G=args.genes,
-        n_sv=args.sv_genes,
-        pattern=args.pattern,
-        signal_setting=args.setting,
-        dropout_pi=args.dropout,
-        seed=args.seed,
-        beta0_override=args.beta0,
-    )
+    # Each flag meets SimConfig's rules before generating, --genes before --sv-genes.
+    cfg = simulate.SimConfig(n_sv=0)
+    with _option("--grid"):
+        cfg = replace(cfg, grid=tuple(int(v) for v in args.grid.lower().split("x")))
+    for flag, name, value in (
+        ("--samples", "M", args.samples), ("--genes", "G", args.genes),
+        ("--sv-genes", "n_sv", args.sv_genes), ("--pattern", "pattern", args.pattern),
+        ("--setting", "signal_setting", args.setting), ("--dropout", "dropout_pi", args.dropout),
+        ("--seed", "seed", args.seed), ("--beta0", "beta0_override", args.beta0),
+    ):
+        with _option(flag):
+            cfg = replace(cfg, **{name: value})
     dataset, truth = simulate.generate(cfg)
     manifest_path = dataio.write_dataset(dataset, args.out, counts_format=args.counts_format)
     truth_path = os.path.join(args.out, "truth.tsv")

@@ -41,8 +41,8 @@ __all__ = [
 ]
 
 _FLOAT_FMT = "%.17g"
-# Rows of a dense counts TSV parsed at a time, and written at a time.
-_DENSE_BLOCK_ROWS = 256
+# Rows of a TSV table parsed at a time, and of a dense counts TSV written at a time.
+_BLOCK_ROWS = 256
 
 
 class DataError(ValueError):
@@ -310,43 +310,45 @@ def _resolve(base_dir, path):
     return full
 
 
-def _read_tsv_table(path, expected_cols=None):
+def _table_blocks(path, n_values=None):
+    """The header tokens, then (row ids, values) blocks of a TSV table.
+
+    The table is a header row, then rows of an id and numbers; blank lines
+    are skipped.  It is parsed ``_BLOCK_ROWS`` rows at a time, into float
+    arrays of each row's first ``n_values`` numbers (all of them by
+    default).  A row whose field count differs from the header's, or a
+    number that does not parse, is a DataError naming the file.
+    """
     with _open_text(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines:
-        raise DataError(f"empty file: {path}")
-    header = lines[0].split("\t")
-    rows = [ln.split("\t") for ln in lines[1:]]
-    for row in rows:
-        if len(row) != len(header):
-            raise DataError(f"ragged row in {path}")
-    if expected_cols is not None and header[: len(expected_cols)] != list(expected_cols):
-        raise DataError(f"{path}: expected columns starting {expected_cols}, got {header[:3]}")
-    return header, rows
+        lines = (ln.rstrip("\n") for ln in fh if ln.strip())
+        header = next(lines, None)
+        if header is None:
+            raise DataError(f"empty file: {path}")
+        header = header.split("\t")
+        yield header
+        n = len(header) - 1
+        usecols = range(1, 1 + (n if n_values is None else n_values))
+        while block := list(itertools.islice(lines, _BLOCK_ROWS)):
+            if any(ln.count("\t") != n for ln in block):
+                raise DataError(f"ragged row in {path}")
+            try:
+                values = np.loadtxt(block, delimiter="\t", usecols=usecols, comments=None, ndmin=2)
+            except ValueError as exc:
+                raise DataError(f"{path}: cannot parse number ({exc})") from exc
+            yield [ln.split("\t", 1)[0] for ln in block], values
 
 
-def _parse_numbers(rows, path):
-    """Float array of a table of number tokens; SpatialSample checks the values."""
-    try:
-        return np.array(rows, dtype=float)
-    except ValueError as exc:
-        raise DataError(f"{path}: cannot parse number ({exc})") from exc
-
-
-def _load_coords(path):
-    header, rows = _read_tsv_table(path, expected_cols=("spot_id", "s1", "s2"))
-    spot_ids = [r[0] for r in rows]
-    return spot_ids, _parse_numbers([r[1:3] for r in rows], path).reshape(len(rows), 2)
-
-
-def _load_covariates(path):
-    header, rows = _read_tsv_table(path)
-    if header[0] != "spot_id":
-        raise DataError(f"{path}: first covariate column must be spot_id")
-    names = tuple(header[1:])
-    spot_ids = [r[0] for r in rows]
-    values = _parse_numbers([r[1:] for r in rows], path).reshape(len(rows), len(names))
-    return spot_ids, names, values
+def _read_table(path, first, n_values):
+    """Header, row ids and values of a whole table (see ``_table_blocks``) headed by ``first``."""
+    blocks = _table_blocks(path, n_values)
+    header = next(blocks)
+    if header[: len(first)] != list(first):
+        raise DataError(f"{path}: expected columns starting {first}, got {header[:3]}")
+    ids, values = [], [np.zeros((0, len(header) - 1 if n_values is None else n_values))]
+    for block_ids, block_values in blocks:
+        ids += block_ids
+        values.append(block_values)
+    return header, ids, np.concatenate(values)
 
 
 def _sniff_counts_format(path):
@@ -359,35 +361,19 @@ def _sniff_counts_format(path):
 
 
 def _load_counts_dense(path):
-    """Gene ids, spot ids and nonzero (gene, column, value) entries of a dense counts TSV.
-
-    The file is parsed ``_DENSE_BLOCK_ROWS`` rows at a time.
-    """
+    """Gene ids, spot ids and nonzero (gene, column, value) entries of a dense counts TSV."""
+    blocks = _table_blocks(path)
+    spot_ids = next(blocks)[1:]
+    if not spot_ids:
+        raise DataError(f"{path}: dense counts file lists no spots")
     gene_ids = []
     genes, cols, values = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
-    with _open_text(path) as fh:
-        lines = (ln.rstrip("\n") for ln in fh if ln.strip())
-        header = next(lines, None)
-        if header is None:
-            raise DataError(f"empty file: {path}")
-        spot_ids = header.split("\t")[1:]
-        if not spot_ids:
-            raise DataError(f"{path}: dense counts file lists no spots")
-        n = len(spot_ids)
-        while block := list(itertools.islice(lines, _DENSE_BLOCK_ROWS)):
-            if any(ln.count("\t") != n for ln in block):
-                raise DataError(f"ragged row in {path}")
-            try:
-                table = np.loadtxt(
-                    block, delimiter="\t", usecols=range(1, n + 1), comments=None, ndmin=2
-                )
-            except ValueError as exc:
-                raise DataError(f"{path}: cannot parse number ({exc})") from exc
-            gene, col = np.nonzero(table)
-            genes.append(gene + len(gene_ids))
-            cols.append(col)
-            values.append(table[gene, col])
-            gene_ids.extend(ln.split("\t", 1)[0] for ln in block)
+    for ids, table in blocks:
+        gene, col = np.nonzero(table)
+        genes.append(gene + len(gene_ids))
+        cols.append(col)
+        values.append(table[gene, col])
+        gene_ids += ids
     return gene_ids, spot_ids, np.concatenate(genes), np.concatenate(cols), np.concatenate(values)
 
 
@@ -428,8 +414,8 @@ def _load_sample(entry: ManifestEntry, base_dir) -> SpatialSample:
     coords_path = _resolve(base_dir, entry.coords)
     covs_path = _resolve(base_dir, entry.covariates)
     counts_path = _resolve(base_dir, entry.counts)
-    spot_ids, coords = _load_coords(coords_path)
-    cov_spots, cov_names, covariates = _load_covariates(covs_path)
+    _, spot_ids, coords = _read_table(coords_path, ("spot_id", "s1", "s2"), 2)
+    cov_header, cov_spots, covariates = _read_table(covs_path, ("spot_id",), None)
 
     fmt = entry.counts_format
     if fmt == "auto":
@@ -475,7 +461,7 @@ def _load_sample(entry: ManifestEntry, base_dir) -> SpatialSample:
         covariates=covariates[cov_perm],
         spot_ids=spot_ids,
         gene_ids=gene_ids,
-        covariate_names=cov_names,
+        covariate_names=cov_header[1:],
     )
 
 
@@ -565,8 +551,8 @@ def write_dataset(ds: MultiSampleDataset, out_dir, counts_format: str = "dense")
         if counts_format == "dense":
             with open(counts_path, "w") as fh:
                 fh.write("gene_id\t" + "\t".join(s.spot_ids) + "\n")
-                for start in range(0, len(s.gene_ids), _DENSE_BLOCK_ROWS):
-                    stop = start + _DENSE_BLOCK_ROWS
+                for start in range(0, len(s.gene_ids), _BLOCK_ROWS):
+                    stop = start + _BLOCK_ROWS
                     for gid, row in zip(s.gene_ids[start:stop], counts[start:stop].tolist()):
                         fh.write(gid + "\t" + "\t".join(map(str, row)) + "\n")
         elif counts_format == "triplet":

@@ -398,29 +398,27 @@ class GeneFitResult:
     failure: str | None = None
 
 
-def init_state(gene_ys, designs, hp: Hyperparameters):
+def init_state(counts, designs, hp: Hyperparameters):
     """Initial variational state of a block of genes: (BlockState, SharedState).
 
-    ``gene_ys`` holds one list of M per-sample count vectors per gene.  The
-    regression mean starts at the log count mean (intercept only) with an
-    isotropic 0.01 covariance; indicators start symmetric at 0.5; the q(g)
-    factor is seeded from its own update at those values.  Counts that do
-    not fit the designs, or are not non-negative integers, raise ValueError.
+    ``counts`` holds one (B, N_m) integer block per sample, row b being gene
+    b, as ``CsrCounts[start:stop]`` returns them; blocks that differ in B,
+    do not fit their designs, or are not non-negative integers raise
+    ValueError.  The regression mean starts at the log count mean (intercept
+    only) with an isotropic 0.01 covariance; indicators start symmetric at
+    0.5; the q(g) factor is seeded from its own update at those values.
     """
-    if not gene_ys or not designs:
-        raise ValueError("need at least one gene and one sample")
-    for ys in gene_ys:
-        if len(ys) != len(designs):
-            raise ValueError("need one design per sample and at least one sample")
-        for y, design in zip(ys, designs):
-            y = np.asarray(y)
-            if y.shape[0] != design.matrix.shape[0]:
-                raise ValueError("count vector and design row counts disagree")
-            if np.any(y < 0) or not np.issubdtype(y.dtype, np.integer):
-                raise ValueError("counts must be non-negative integers")
-            if y.size == 0:
-                raise ValueError("every sample needs at least one spot")
-    y = np.array([np.concatenate(ys) for ys in gene_ys], dtype=np.int64)
+    counts = [np.asarray(c) for c in counts]
+    if not counts or len(counts) != len(designs) or counts[0].ndim != 2 or not len(counts[0]):
+        raise ValueError("need one (genes, spots) count block per design, with at least one gene")
+    for c, design in zip(counts, designs):
+        if c.ndim != 2 or c.shape[0] != counts[0].shape[0]:
+            raise ValueError("every sample's count block needs the same number of genes")
+        if not 0 < c.shape[1] == design.matrix.shape[0]:
+            raise ValueError("a count block needs at least one spot and one per design row")
+        if not np.issubdtype(c.dtype, np.integer) or (c < 0).any():
+            raise ValueError("counts must be non-negative integers")
+    y = np.concatenate(counts, axis=1).astype(np.int64, copy=False)
     n_genes, n_samples = y.shape[0], len(designs)
     offsets = np.cumsum([0] + [design.matrix.shape[0] for design in designs])
     means = np.add.reduceat(y, offsets[:-1], axis=1) / np.diff(offsets)
@@ -492,7 +490,8 @@ def theta_expected_logp(mu, sigma, design, u_phi, one_minus_ur, e_g, m_prior):
     """E_theta[log p] of one gene as a function of the Gaussian factor's (mu, Sigma).
 
     Only terms involving theta are included; this is the objective whose
-    derivatives drive the fixed-point step.
+    derivatives drive the fixed-point step.  Sigma must be symmetric: the
+    stacked ``mvn_exp_neg_linear`` reads only its upper triangle.
     """
     w_exp, c_mu = mvn_exp_neg_linear(mu[None], sigma[None], design)
     lin = -u_phi * float(one_minus_ur @ c_mu[0])
@@ -964,11 +963,12 @@ def _result(shared, row, trace, iterations, converged, failure=None):
     )
 
 
-def fit_genes(gene_ys, designs, hp: Hyperparameters, opts: FitOptions = FitOptions()):
+def fit_genes(counts, designs, hp: Hyperparameters, opts: FitOptions = FitOptions()):
     """Coordinate-ascent fits of a block of genes across samples, one result per gene.
 
-    ``gene_ys`` holds one list of M per-sample count vectors per gene.  Each
-    gene iterates the factor updates in a fixed order until its absolute
+    ``counts`` holds one (B, N_m) integer block per sample, as for
+    ``init_state``, which checks them before any fit starts.  Each gene
+    iterates the factor updates in a fixed order until its absolute
     ELBO change drops below ``opts.elbo_tol`` or ``opts.max_iter`` is
     reached.  When an iteration fails some genes numerically, the block
     reruns it from its pre-iteration state, and each of them is retried
@@ -979,11 +979,11 @@ def fit_genes(gene_ys, designs, hp: Hyperparameters, opts: FitOptions = FitOptio
     on the other genes of the block beyond the rounding of the stacked
     matrix products.
     """
-    results = [None] * len(gene_ys)
-    genes = np.arange(len(gene_ys))  # the gene of each block row
+    results = [None] * len(counts[0]) if counts else []
+    genes, block = np.arange(len(results)), counts  # block row b holds gene genes[b]
     while True:
         try:
-            state, shared = init_state([gene_ys[g] for g in genes], designs, hp)
+            state, shared = init_state(block, designs, hp)
             break
         except _FIT_ERRORS as exc:
             failures = _row_failures(exc, genes.size)
@@ -995,7 +995,8 @@ def fit_genes(gene_ys, designs, hp: Hyperparameters, opts: FitOptions = FitOptio
             genes = np.delete(genes, list(failures))
             if not genes.size:
                 return results
-    traces = [[] for _ in gene_ys]
+            block = [np.asarray(c)[genes] for c in counts]
+    traces = [[] for _ in results]
     damping = np.ones(genes.size)
     prev_elbo = np.full(genes.size, np.nan)
     iteration = 0
@@ -1024,5 +1025,5 @@ def fit_genes(gene_ys, designs, hp: Hyperparameters, opts: FitOptions = FitOptio
 
 
 def fit_gene(ys, designs, hp: Hyperparameters, opts: FitOptions = FitOptions()):
-    """Coordinate-ascent fit of one gene across samples: ``fit_genes`` on a block of one."""
-    return fit_genes([ys], designs, hp, opts)[0]
+    """The fit of one gene from its count vector in each sample: ``fit_genes`` on one row."""
+    return fit_genes([np.asarray(y)[None] for y in ys], designs, hp, opts)[0]

@@ -151,14 +151,20 @@ class SimConfig:
     def __post_init__(self):
         if self.M < 1:
             raise ValueError("M must be >= 1")
-        if not 0 <= self.n_sv <= self.G:
-            raise ValueError("need 0 <= n_sv <= G")
+        if len(self.grid) != 2 or any(not isinstance(v, int) or v < 1 for v in self.grid):
+            raise ValueError(f"grid must be two positive integers, got {self.grid}")
+        if not 0 <= self.n_sv <= self.G or self.G < 1:
+            raise ValueError("need G >= 1 and 0 <= n_sv <= G")
         if not 0.0 <= self.dropout_pi < 1.0:
             raise ValueError("dropout_pi must lie in [0, 1)")
         if self.pattern not in PATTERN_KINDS:
             raise ValueError(f"unknown pattern {self.pattern!r}")
         if self.signal_setting not in SETTING_TIERS:
             raise ValueError("signal_setting must be 1..4")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        if self.beta0_override is not None and not math.isfinite(self.beta0_override):
+            raise ValueError(f"beta0_override must be finite, got {self.beta0_override}")
         if len(self.region_dirichlets) != 4 or any(
             len(v) != self.n_celltypes or any(p <= 0 for p in v)
             for v in self.region_dirichlets

@@ -82,7 +82,7 @@ def five_spot_state():
     design = make_design(coords, covs, degree=1)
     y = np.array([0, 2, 0, 5, 3], dtype=np.int64)
     hp = Hyperparameters.default(1, 1)
-    state, shared = init_state([[y]], [design], hp)
+    state, shared = init_state([y[None]], [design], hp)
     for _ in range(4):
         _one_iteration(state, shared, hp, 1.0)
     return GeneRow(state), GeneRow(shared), [y], [design], hp

@@ -324,6 +324,29 @@ class TestConfig:
         assert f"{flag}: " in caplog.text
         assert not report.exists()
 
+    @pytest.mark.parametrize("options, flag", [
+        (["--grid", "10"], "--grid"), (["--grid", "0x5"], "--grid"),
+        (["--grid", "4x-4"], "--grid"), (["--grid", "axb"], "--grid"),
+        (["--beta0", "inf"], "--beta0"), (["--dropout", "1.5"], "--dropout"),
+        (["--genes", "0", "--sv-genes", "0"], "--genes"),
+        (["--genes", "3", "--sv-genes", "5"], "--sv-genes"),
+        (["--seed", "-1"], "--seed"), (["--samples", "0"], "--samples"),
+    ])
+    def test_bad_simulate_option_fails_before_generating(
+            self, tmp_path, monkeypatch, caplog, options, flag):
+        def no_generate(cfg):
+            raise AssertionError("data generated before the options were checked")
+
+        monkeypatch.setattr(cli.simulate, "generate", no_generate)
+        out = tmp_path / "sim"
+        code = run([
+            "simulate", "--out", str(out), "--grid", "4x4", "--genes", "4", "--sv-genes", "1",
+            *options,
+        ])
+        assert code == 1
+        assert f"{flag}: " in caplog.text
+        assert not (out / "manifest.ini").exists()
+
     def test_auto_degree_and_gamma2_override(self, sim_dir, tmp_path):
         out = tmp_path / "auto.tsv"
         code = run([
@@ -350,9 +373,9 @@ class TestBlocks:
         calls = []
         real = cli.fit_genes
 
-        def counting(gene_ys, *args):
-            calls.append(len(gene_ys))
-            return real(gene_ys, *args)
+        def counting(counts, *args):
+            calls.append(len(counts[0]))
+            return real(counts, *args)
 
         monkeypatch.setattr(cli, "fit_genes", counting)
         # Blocks of 5 cut the 14 genes into 5, 5 and 4.

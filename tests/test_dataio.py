@@ -174,6 +174,53 @@ class TestCountParseErrors:
             load_dataset(manifest)
 
 
+class TestTableReader:
+    """Coordinates, covariates and dense counts are parsed by one reader."""
+
+    @pytest.mark.parametrize("field", ["coords", "covariates", "counts"])
+    @pytest.mark.parametrize("edit, kind", [
+        (lambda row: row + "\t1", "ragged row"),
+        (lambda row: row.rsplit("\t", 1)[0] + "\tx", "cannot parse number"),
+    ], ids=["ragged", "non-numeric"])
+    def test_bad_row_names_the_file(self, tmp_path, field, edit, kind):
+        manifest = simple_manifest(tmp_path)
+        name = getattr(manifest.entries[0], field)
+        lines = (tmp_path / name).read_text().splitlines()
+        lines[2] = edit(lines[2])
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as exc:
+            load_dataset(manifest)
+        assert kind in str(exc.value) and name in str(exc.value)
+
+    def test_covariates_with_only_spot_ids(self, tmp_path):
+        manifest = simple_manifest(tmp_path)
+        (tmp_path / manifest.entries[0].covariates).write_text("spot_id\ns3\ns1\ns2\n")
+        sample = load_dataset(manifest).samples[0]
+        assert sample.covariates.shape == (3, 0)
+        assert sample.covariate_names == ()
+
+    def test_coords_extra_text_column_is_ignored(self, tmp_path):
+        manifest = simple_manifest(tmp_path)
+        (tmp_path / manifest.entries[0].coords).write_text(
+            "spot_id\ts1\ts2\tlabel\ns1\t0\t0\tedge\ns2\t1\t0.5\tcore\ns3\t2\t1\tedge\n"
+        )
+        sample = load_dataset(manifest).samples[0]
+        np.testing.assert_array_equal(sample.coords, [[0.0, 0.0], [1.0, 0.5], [2.0, 1.0]])
+
+    def test_table_longer_than_one_block(self, tmp_path):
+        n = 600
+        spot_ids = [f"s{i}" for i in range(n)]
+        coords = [[float(i), float(i % 7)] for i in range(n)]
+        covs = [[i / n, 1.0 - i / n] for i in range(n)]
+        counts = [[i % 3 for i in range(n)], [(i * 5) % 4 for i in range(n)]]
+        manifest = simple_manifest(tmp_path, spot_ids=spot_ids, coords=coords, covs=covs,
+                                   counts=counts)
+        sample = load_dataset(manifest).samples[0]
+        np.testing.assert_array_equal(sample.coords, coords)
+        np.testing.assert_array_equal(sample.covariates, covs)
+        np.testing.assert_array_equal(sample.counts, counts)
+
+
 class TestManifestRead:
     SECTION = "[A]\ncounts = c.tsv\ncoords = x.tsv\ncovariates = v.tsv\n"
 

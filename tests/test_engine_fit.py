@@ -142,6 +142,29 @@ class TestFitGene:
             fit_gene(ys, designs, hp, FitOptions())
 
 
+class TestCountBlocks:
+    """``fit_genes`` checks its per-sample (genes, spots) blocks before any fit starts."""
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda c: c[:2], "same number of genes"),
+        (lambda c: c[:, :-1], "one per design row"),
+        (lambda c: c.astype(float), "non-negative integers"),
+        (lambda c: c - 1, "non-negative integers"),
+    ], ids=["genes", "spots", "float", "negative"])
+    def test_bad_block_raises_before_fitting(self, monkeypatch, edit, match):
+        ds, _, designs = sim_inputs(9, g=3, m=2, grid=(8, 8))
+        hp = Hyperparameters.default(2, 3)
+        counts = [s.counts[:3] for s in ds.samples]
+        counts[1] = edit(counts[1])
+        iterations = []
+        monkeypatch.setattr(engine, "_one_iteration", lambda *args: iterations.append(args))
+        with pytest.raises(ValueError, match=match):
+            engine.fit_genes(counts, designs, hp)
+        with pytest.raises(ValueError, match=match):
+            init_state(counts, designs, hp)
+        assert not iterations
+
+
 def assert_same_values(a, b):
     """Every field of two states is equal, array by array.
 
@@ -182,7 +205,7 @@ class TestRetry:
         # write into an object that the live state shares with the copy,
         # q(phi) windows included.
         ys, designs, hp = self.inputs()
-        state, shared = init_state([ys], designs, hp)
+        state, shared = init_state([y[None] for y in ys], designs, hp)
         shallow = copy.copy(state), copy.copy(shared)
         deep = copy.deepcopy(shallow)
         _one_iteration(state, shared, hp, 1.0)
@@ -258,7 +281,7 @@ class TestInvariantsEveryIteration:
         hp = Hyperparameters.default(4, 3)
         for g in range(2):
             ys = [s.counts[g] for s in ds.samples]
-            state, shared = init_state([ys], designs, hp)
+            state, shared = init_state([y[None] for y in ys], designs, hp)
             for _ in range(25):
                 _one_iteration(state, shared, hp, 1.0)
                 check_state_invariants(GeneRow(state), GeneRow(shared), ys)
@@ -302,7 +325,7 @@ class TestElboAgainstIterations:
         ds, _, designs = sim_inputs(12, grid=(8, 8))
         hp = Hyperparameters.default(4, 3)
         ys = [s.counts[0] for s in ds.samples]
-        state, shared = init_state([ys], designs, hp)
+        state, shared = init_state([y[None] for y in ys], designs, hp)
         vals = []
         for _ in range(10):
             _one_iteration(state, shared, hp, 1.0)
@@ -348,7 +371,8 @@ class TestFitGenes:
         # Blocks of 3 leave a last block of one gene.
         block = []
         for start in range(0, len(gene_ys), 3):
-            block += engine.fit_genes(gene_ys[start:start + 3], designs, hp)
+            counts = [np.stack(c) for c in zip(*gene_ys[start:start + 3])]
+            block += engine.fit_genes(counts, designs, hp)
         for got, want in zip(block, solo, strict=True):
             assert_results_agree(got, want)
 
@@ -365,7 +389,7 @@ class TestFitGenes:
         hp = Hyperparameters.default(3, 3)
         gene_ys = [[s.counts[g] for s in ds.samples] for g in range(20)]
         assert engine.block_size(sum(s.n_spots for s in ds.samples)) >= 20
-        block = engine.fit_genes(gene_ys, designs, hp)
+        block = engine.fit_genes([np.stack(c) for c in zip(*gene_ys)], designs, hp)
         for ys, got in zip(gene_ys, block, strict=True):
             assert_results_agree(got, fit_gene(ys, designs, hp))
 
@@ -411,7 +435,7 @@ class TestFitGenes:
             solo[target] = fit_gene(gene_ys[target], designs, hp, opts)
             solo_dampings[target] = dampings[target][:]
             dampings[target].clear()
-        block = engine.fit_genes(gene_ys, designs, hp, opts)
+        block = engine.fit_genes([np.stack(c) for c in zip(*gene_ys)], designs, hp, opts)
         for target, attempts in failing.items():
             assert solo_dampings[target][:4] == [1.0, 1.0, 1.0, 0.5]
             assert_results_agree(block[target], solo[target])
@@ -435,7 +459,7 @@ class TestFitGenes:
         # factor raises on its own after the half-damped theta step, and the
         # other genes get the state of a block that never held it.
         gene_ys, designs, hp = self.inputs()
-        state, shared = init_state(gene_ys[:3], designs, hp)
+        state, shared = init_state([np.stack(c) for c in zip(*gene_ys[:3])], designs, hp)
         for _ in range(2):
             _one_iteration(state, shared, hp, 1.0)
         spots = state.sections[1]

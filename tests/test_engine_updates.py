@@ -45,7 +45,7 @@ def single_state(y, degree=1, j_cov=1, hp=None, n=None):
     covs = rng.uniform(size=(n, j_cov))
     design = make_design(coords, covs, degree)
     hp = hp or Hyperparameters.default(1, degree)
-    state, shared = init_state([[y]], [design], hp)
+    state, shared = init_state([y[None]], [design], hp)
     return GeneRow(state), GeneRow(shared), design, hp
 
 
@@ -372,7 +372,7 @@ class TestSlabBlockAgainstScalarLoop:
     def fitted(m=3):
         ds, _, designs = sim_inputs(14, m=m, grid=(8, 8))
         hp = Hyperparameters.default(m, 3)
-        state, shared = init_state([[s.counts[0] for s in ds.samples]], designs, hp)
+        state, shared = init_state([s.counts[0:1] for s in ds.samples], designs, hp)
         for _ in range(3):
             _one_iteration(state, shared, hp, 1.0)
         return GeneRow(state), GeneRow(shared), hp
@@ -467,7 +467,7 @@ class TestStackedAgainstPerSample:
             designs.append(make_design(coords, rng.uniform(size=(n, m)), degree=2))
             ys.append(rng.poisson(3.0 + 4.0 * coords[:, 0]) * (rng.random(n) > 0.3))
         hp = Hyperparameters.default(len(ys), 2)
-        state, shared = init_state([ys], designs, hp)
+        state, shared = init_state([y[None] for y in ys], designs, hp)
         for _ in range(3):
             _one_iteration(state, shared, hp, 1.0)
         return GeneRow(state), GeneRow(shared), ys, hp
@@ -669,7 +669,7 @@ class TestUpdateTheta:
         design = make_design(np.column_stack([np.linspace(0, 1, 5)] * 2),
                              np.linspace(0.2, 0.8, 5)[:, None], degree=1)
         hp = Hyperparameters.default(1, 1)
-        block, shared = init_state([[y], [y + 1]], [design], hp)
+        block, shared = init_state([np.stack([y, y + 1])], [design], hp)
         block.u_phi = np.array([[1.0], [-1e3]])
         real = np.linalg.cholesky
         calls = []
@@ -736,7 +736,7 @@ class TestThetaCaches:
     def test_c_mu_comes_from_the_moment_call(self, eight_spot_fixture):
         # C mu is formed once per sample, by mvn_exp_neg_linear, and stored as is.
         ys, designs, hp = eight_spot_fixture
-        state, shared = init_state([ys, [y + 2 for y in ys]], designs, hp)
+        state, shared = init_state([np.stack([y, y + 2]) for y in ys], designs, hp)
         _one_iteration(state, shared, hp, 1.0)
         for design, mu, sigma, spots in zip(designs, state.mu, state.sigma, state.sections):
             w_exp, c_mu = engine.mvn_exp_neg_linear(mu, sigma, design)
