@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
 import logging
 import os
 import sys
@@ -27,6 +28,36 @@ _FAILURE_BUDGET = 0.01
 # Per-process state for the gene-fit worker pool.
 _CTX = {}
 
+# glibc's mallopt parameters and the values detect gives them.  A block's
+# per-spot temporaries are (B, sum N) float arrays, 180-280 KB on the
+# benchmark shapes and about 1 MB at B = 8 and 16k spots, above glibc's
+# default 128 KB mmap threshold: each one was a fresh mmap whose pages
+# faulted in on first touch, and frees trimmed the heap only for it to
+# regrow.  With 16 MB and 32 MB such blocks stay on the heap; the pair keeps
+# glibc's own dynamic rule (trim threshold twice the mmap threshold, which
+# rises with freed chunks up to 32 MB on 64-bit) and lies inside its range.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MALLOPT_SETTINGS = ((_M_MMAP_THRESHOLD, 16 << 20), (_M_TRIM_THRESHOLD, 32 << 20))
+
+
+def _libc(name, *argtypes):
+    """The C library's int-valued function ``name``, or None where it has none:
+    glibc has ``mallopt`` and ``malloc_trim``, macOS neither."""
+    try:
+        func = getattr(ctypes.CDLL(None), name)
+    except (AttributeError, OSError, TypeError):
+        return None
+    func.argtypes, func.restype = argtypes, ctypes.c_int
+    return func
+
+
+def _keep_temporaries_on_heap():
+    """Raise malloc's mmap and trim thresholds for this process (see above)."""
+    mallopt = _libc("mallopt", ctypes.c_int, ctypes.c_int)
+    if mallopt is not None:
+        for param, value in _MALLOPT_SETTINGS:
+            mallopt(param, value)
+
 
 def _init_worker(counts, designs, hp, opts, block):
     # ``counts`` holds one CsrCounts per sample: a spawn or forkserver worker
@@ -34,7 +65,9 @@ def _init_worker(counts, designs, hp, opts, block):
     # Genes are fit in blocks of ``block`` consecutive indices, a size that
     # depends only on the spot count, so each gene's result is the same for
     # any worker count.  Finished blocks wait in ``results`` until their
-    # genes are asked for.
+    # genes are asked for.  A spawn or forkserver worker does not inherit
+    # the parent's malloc settings.
+    _keep_temporaries_on_heap()
     for design in designs:
         design.pairs  # built once per process, shared by every block
     _CTX.clear()
@@ -63,6 +96,7 @@ def _option(flag):
 
 
 def run_detect(args) -> int:
+    _keep_temporaries_on_heap()
     # Option values are checked before any data is read.
     with _option("--max-iter"):
         opts = FitOptions(max_iter=args.max_iter)
@@ -121,6 +155,11 @@ def run_detect(args) -> int:
         # One pool task per block of genes, and no more processes than blocks:
         # the pool starts every worker at once.
         n_blocks = -(-len(indices) // block)
+        # The raised trim threshold keeps freed heap pages resident; return
+        # them before the workers fork, so that none starts with them.
+        malloc_trim = _libc("malloc_trim", ctypes.c_size_t)
+        if malloc_trim is not None:
+            malloc_trim(0)
         try:
             with ProcessPoolExecutor(
                 max_workers=min(args.workers, n_blocks),
@@ -170,7 +209,10 @@ def run_simulate(args) -> int:
     ):
         with _option(flag):
             cfg = replace(cfg, **{name: value})
-    dataset, truth = simulate.generate(cfg)
+    # Every other field was checked above: generate's only ValueError is its
+    # check that the spatial effects of beta0 are finite.
+    with _option("--beta0"):
+        dataset, truth = simulate.generate(cfg)
     manifest_path = dataio.write_dataset(dataset, args.out, counts_format=args.counts_format)
     truth_path = os.path.join(args.out, "truth.tsv")
     dataio.write_truth(truth, truth_path)

@@ -56,7 +56,7 @@ from .numerics import (
     phi_factor,
     upper_pairs,
 )
-from .special import digamma, expit, gammaln, xlogy
+from .special import digamma, expit, gammaln, gammaln_digamma
 from .splines import DesignMatrix
 
 __all__ = [
@@ -75,7 +75,6 @@ __all__ = [
     "m_prior_diag",
     "alpha_logit",
     "u_logit",
-    "theta_expected_logp",
     "theta_derivatives",
     "update_theta",
     "update_phi",
@@ -225,7 +224,8 @@ class BlockState:
     E[exp(-C_i theta)] and C_i mu.  ``owner`` maps each column to its
     sample.  Per-sample sums are one reduction over the offsets.
 
-    ``u_phi``, ``n_pi`` and ``c1`` are (B, M); ``update_phi`` sets ``n_pi``,
+    ``u_phi``, ``n_pi``, ``c1`` and q(g)'s entropy ``ent_g`` are (B, M);
+    ``update_g`` sets ``ent_g`` and ``update_phi`` sets ``n_pi``,
     ``c1`` and ``phi_cache``, the q(phi) normalizers and moments at (n_pi,
     c1) as a ``PhiFactor`` of (B, M) arrays, with the quadrature windows they
     were evaluated on, (B, M, nodes).  The regression blocks differ in size
@@ -240,7 +240,7 @@ class BlockState:
 
     # The fields that hold one row per gene: arrays, or tuples of them.
     ROWS = ("y", "log_y_fact", "u_r", "u_phi", "mu", "sigma", "n_pi", "c1", "a_g", "b_g",
-            "e_g", "e_log_g", "w_exp", "c_mu", "beta_sq", "phi_cache")
+            "e_g", "e_log_g", "ent_g", "w_exp", "c_mu", "beta_sq", "phi_cache")
 
     y: np.ndarray
     designs: tuple
@@ -256,6 +256,7 @@ class BlockState:
     b_g: np.ndarray = None
     e_g: np.ndarray = None
     e_log_g: np.ndarray = None
+    ent_g: np.ndarray = None
     w_exp: np.ndarray = None
     c_mu: np.ndarray = None
     beta_sq: np.ndarray = None
@@ -284,7 +285,15 @@ class BlockState:
         return f"sample {m} spot {spot - self.sections[m].start}"
 
     def refresh_g_moments(self):
-        self.e_g, self.e_log_g = gamma_moments(self.a_g, self.b_g)
+        """E[g], E[log g] = psi(a_g) - log b_g and q(g)'s entropy per sample,
+        from one special-function pass over a_g.  The entropy is summed here
+        so that no per-spot array is kept for the ELBO."""
+        a, log_b = self.a_g, np.log(self.b_g)
+        lgamma_a, e_log_g = gammaln_digamma(a)
+        e_log_g -= log_b
+        self.e_g = a / self.b_g
+        self.e_log_g = e_log_g
+        self.ent_g = -self.per_sample_sum(a * log_b - lgamma_a + (a - 1.0) * e_log_g - a)
 
     def refresh_theta_cache(self):
         """Recompute every cached function of (mu, Sigma); call after changing either.
@@ -486,22 +495,12 @@ def _symmetric(upper, d):
     return out
 
 
-def theta_expected_logp(mu, sigma, design, u_phi, one_minus_ur, e_g, m_prior):
-    """E_theta[log p] of one gene as a function of the Gaussian factor's (mu, Sigma).
-
-    Only terms involving theta are included; this is the objective whose
-    derivatives drive the fixed-point step.  Sigma must be symmetric: the
-    stacked ``mvn_exp_neg_linear`` reads only its upper triangle.
-    """
-    w_exp, c_mu = mvn_exp_neg_linear(mu[None], sigma[None], design)
-    lin = -u_phi * float(one_minus_ur @ c_mu[0])
-    quad = -0.5 * (mu @ (m_prior * mu) + float(np.sum(m_prior * np.diag(sigma))))
-    curv = -u_phi * float((one_minus_ur * e_g) @ w_exp[0])
-    return lin + quad + curv
-
-
 def theta_derivatives(mu, w_exp, design, u_phi, one_minus_ur, e_g, m_prior):
-    """Gradient in mu and derivative matrix in Sigma of ``theta_expected_logp``.
+    """Gradient in mu and derivative matrix in Sigma of E_theta[log p].
+
+    E_theta[log p] is one gene's expected log joint as a function of its
+    Gaussian factor's (mu, Sigma), the terms involving theta only; its
+    derivatives drive the fixed-point step.
 
     ``w_exp`` is E[exp(-C theta)] at the factor's current (mu, Sigma), the
     only way Sigma enters the derivatives.  For a stack of genes every
@@ -725,10 +724,15 @@ def update_q(shared: SharedState, hp: Hyperparameters):
 # ---------------------------------------------------------------------------
 
 
+def _xlogx(p):
+    """p log p for p in [0, 1], 0 at p = 0; the log is taken at positive
+    arguments only (numpy's log is several times slower at 0)."""
+    return p * np.log(p + (p == 0.0))
+
+
 def _binary_entropy(p):
     """Entropy of Bernoulli(p) factors, elementwise, with 0 log 0 = 0."""
-    q = 1.0 - p
-    return -(xlogy(p, p) + xlogy(q, q))
+    return -(_xlogx(p) + _xlogx(1.0 - p))
 
 
 def _slab_elbo(shared: SharedState, beta_sq, length, hp: Hyperparameters):
@@ -820,7 +824,7 @@ def compute_elbo(state: BlockState, shared: SharedState, hp: Hyperparameters):
 
     phi = state.phi_cache
     e_phi, e_log_phi, e_self, log_h0 = phi.e_phi, phi.e_log_phi, phi.e_self, phi.log_h0
-    y, u_r, a_g, e_g, e_log_g = state.y, state.u_r, state.a_g, state.e_g, state.e_log_g
+    y, u_r, e_g, e_log_g = state.y, state.u_r, state.e_g, state.e_log_g
     kappa = 1.0 - u_r
     spot_e_phi = state.per_spot(e_phi)
 
@@ -841,10 +845,8 @@ def compute_elbo(state: BlockState, shared: SharedState, hp: Hyperparameters):
         lb_pi_r1 * state.per_sample_sum(u_r) + lb_pi_r0 * state.per_sample_sum(kappa)
         - np.diff(state.offsets) * lb_pi
     )
-    # Entropies of q(g) and q(r); digamma(a_g) - log(b_g) is the cached
-    # E[log g].
-    e_log_q_g = a_g * np.log(state.b_g) - gammaln(a_g) + (a_g - 1.0) * e_log_g - a_g
-    ent_g = -state.per_sample_sum(e_log_q_g)
+    # Entropies of q(g), summed by update_g, and of q(r).
+    ent_g = state.ent_g
     ent_r = state.per_sample_sum(_binary_entropy(u_r))
 
     # theta prior cross-entropies and Gaussian entropy, one block per sample.

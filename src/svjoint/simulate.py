@@ -239,6 +239,17 @@ def generate(cfg: SimConfig):
             else:
                 beta0[g, m] = _tier_beta0(cfg.pattern, tiers[m])
 
+    # Checked before any draw: an effect that overflows would give the
+    # Poisson draw a nan rate.  Finite effects keep every rate finite and at
+    # most exp(30) (the clip below), far under numpy's Poisson limit (~9.2e18).
+    if cfg.pattern != "nngp":
+        for b in np.unique(beta0[: cfg.n_sv]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                effect = sum(spatial_effect(cfg.pattern, b, pattern_coords[:, axis], axis=axis + 1)
+                             for axis in (0, 1))
+            if not np.isfinite(effect).all():
+                raise ValueError(f"beta0 = {b:g} gives a non-finite {cfg.pattern} spatial effect")
+
     eta = rng.normal(cfg.eta_dist[0], cfg.eta_dist[1], size=(cfg.G, cfg.M))
     psi = rng.normal(cfg.psi_dist[0], cfg.psi_dist[1], size=(cfg.G, cfg.M, cfg.n_celltypes))
 

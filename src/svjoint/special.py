@@ -1,13 +1,12 @@
-"""The five special functions the model uses, in numpy alone.
+"""The four special functions the model uses, in numpy alone.
 
 ``gammaln``, ``digamma`` and ``trigamma`` take the asymptotic (Stirling)
 series in 1/z at z >= 8.  An entry x below 8 is carried up to z = x + 8 by
 the recurrence f(x) = f(x + 8) -/+ its terms at x + k, k = 0..7, which only
-those entries pay for.  ``digamma_trigamma`` gives both derivatives from
-one carry.  For x from 1e-13 to 1e7 the error against mpmath is
-below 1e-14 * max(1, |f|), also near the zeros of log Gamma at 1 and 2 and
-of digamma at 1.46.  ``expit`` is the logistic function and ``xlogy`` is
-x log y with 0 at x = 0.
+those entries pay for.  ``gammaln_digamma`` and ``digamma_trigamma`` give
+two of them from one carry.  For x from 1e-13 to 1e7 the error against
+mpmath is below 1e-14 * max(1, |f|), also near the zeros of log Gamma at 1
+and 2 and of digamma at 1.46.  ``expit`` is the logistic function.
 
 The domain is x >= 0; at 0, inf and nan each function returns what
 ``scipy.special`` does, and no floating-point warning escapes.  An array
@@ -23,7 +22,7 @@ import math
 
 import numpy as np
 
-__all__ = ["gammaln", "digamma", "trigamma", "digamma_trigamma", "expit", "xlogy"]
+__all__ = ["gammaln", "digamma", "trigamma", "gammaln_digamma", "digamma_trigamma", "expit"]
 
 _SHIFT = 8.0
 
@@ -87,115 +86,141 @@ def _pair_products(xs):
     return [w] + [w + c for c in _PAIR_PRODUCTS]
 
 
-def _lgamma_series(z):
-    """log Gamma(z) - (z - 1/2) log z + z - log(2 pi)/2, for z >= 8."""
-    r = 1.0 / z
-    series = _poly(r * r, _LGAMMA)
+def _lgamma_series(r, r2):
+    """log Gamma(z) - (z - 1/2) log z + z - log(2 pi)/2 at r = 1/z, r2 = r^2, z >= 8."""
+    series = _poly(r2, _LGAMMA)
     series *= r
     return series
 
 
 # The series at z = 9, evaluated as gammaln evaluates it.
-_LGAMMA_SERIES_9 = _lgamma_series(np.array([9.0]))[0]
+_R9 = np.reciprocal(np.array([9.0]))
+_LGAMMA_SERIES_9 = _lgamma_series(_R9, _R9 * _R9)[0]
+
+
+def _gammaln(lg, log_z1, r, r2, carry):
+    """log Gamma from z - 1/2 and log z - 1, which it overwrites, 1/z, 1/z^2
+    and the carried entries' (index, x, pair products)."""
+    # (z - 1/2) (log z - 1) - 1/2, so that z = inf gives inf, not nan.
+    lg *= log_z1
+    lg += _LGAMMA_CONST
+    series = _lgamma_series(r, r2)
+    lg += series
+    if carry is not None:
+        # log Gamma(x) = log Gamma(x + 8) - log(x (x + 1) ... (x + 7)),
+        # taken as [log Gamma(x + 8) - log Gamma(9)] - log(x (x + 1) ...
+        # (x + 7) / 8!); with d = x - 1 the first part is d (log z - 1) +
+        # 8.5 log(1 + d/9) + series(z) - series(9).  Near the zeros at 1
+        # and 2 no term is much larger than the result, and x = 1 gives 0.
+        small, xs, products = carry
+        d = xs - _ONE
+        carried = d * log_z1[small]
+        carried += _8_HALF * np.log1p(d / _NINE)
+        carried += series[small] - _LGAMMA_SERIES_9
+        w = products[0] * products[1]
+        for p in products[2:]:
+            w *= p
+        w /= _FACTORIAL_8
+        carried -= np.log(w)
+        lg[small] = carried
+    return lg
+
+
+def _digamma(log_z, r, r2, carry):
+    """psi from log z, which it overwrites, 1/z, 1/z^2 and the carry."""
+    psi = log_z
+    psi -= _HALF * r
+    series = _poly(r2, _DIGAMMA)
+    series *= r2
+    psi -= series
+    if carry is not None:
+        # psi(x) = psi(x + 8) - sum_k 1 / (x + k), where a pair's two terms
+        # add to (2x + 7) / (their product).
+        small, xs, products = carry
+        total, *rest = (np.reciprocal(p) for p in products)
+        for p in rest:
+            total += p
+        total *= xs + xs + _SEVEN
+        psi[small] -= total
+    return psi
+
+
+def _trigamma(r, r2, carry):
+    """psi' from 1/z, 1/z^2 and the carry."""
+    # r + r^2 (1/2 + r sum_k B_2k r^(2k - 2)).
+    psi1 = _poly(r2, _TRIGAMMA)
+    psi1 *= r
+    psi1 += _HALF
+    psi1 *= r2
+    psi1 += r
+    if carry is not None:
+        # psi'(x) = psi'(x + 8) + sum_k 1 / (x + k)^2, where a pair's two
+        # terms add to (the sum of their squares) / (their product)^2.
+        small, xs, products = carry
+        w2 = products[0] + products[0]
+        terms = []
+        for p, c in zip(products, _PAIR_SQUARES):
+            term = w2 + c
+            term /= p * p
+            terms.append(term)
+        total, *rest = terms
+        for term in rest:
+            total += term
+        psi1[small] += total
+    return psi1
+
+
+def _special(x, want_gammaln, want_digamma, want_trigamma):
+    """The requested ones of (gammaln(x), digamma(x), trigamma(x)), which share
+    x's carry, log z, the reciprocal of z and the pair products of the
+    carried entries.  Each function's own temporaries are freed before the
+    next one starts."""
+    x, z, small, shape = _carry(x)
+    out = []
+    with np.errstate(divide="ignore", over="ignore"):
+        log_z = np.log(z) if want_gammaln or want_digamma else None
+        lg = z - _HALF if want_gammaln else None
+        r = np.reciprocal(z, out=z)
+        r2 = r * r
+        carry = None
+        if small is not None:
+            xs = x[small]
+            carry = small, xs, _pair_products(xs)
+        if want_gammaln:
+            # log z - 1, in place when digamma does not need log z.
+            log_z1 = np.subtract(log_z, _ONE, out=None if want_digamma else log_z)
+            out.append(_gammaln(lg, log_z1, r, r2, carry))
+            del log_z1
+        if want_digamma:
+            out.append(_digamma(log_z, r, r2, carry))
+        if want_trigamma:
+            out.append(_trigamma(r, r2, carry))
+    return [f.reshape(shape)[()] for f in out]
 
 
 def gammaln(x):
     """log Gamma(x), elementwise, for x >= 0."""
-    x, z, small, shape = _carry(x)
-    with np.errstate(divide="ignore", over="ignore"):
-        series = _lgamma_series(z)
-        log_z1 = np.log(z)
-        log_z1 -= _ONE
-        # (z - 1/2) (log z - 1) - 1/2, so that z = inf gives inf, not nan.
-        out = z - _HALF
-        out *= log_z1
-        out += _LGAMMA_CONST
-        out += series
-        if small is not None:
-            # log Gamma(x) = log Gamma(x + 8) - log(x (x + 1) ... (x + 7)),
-            # taken as [log Gamma(x + 8) - log Gamma(9)] - log(x (x + 1) ...
-            # (x + 7) / 8!); with d = x - 1 the first part is d (log z - 1) +
-            # 8.5 log(1 + d/9) + series(z) - series(9).  Near the zeros at 1
-            # and 2 no term is much larger than the result, and x = 1 gives 0.
-            xs = x[small]
-            d = xs - _ONE
-            lg = d * log_z1[small]
-            lg += _8_HALF * np.log1p(d / _NINE)
-            lg += series[small] - _LGAMMA_SERIES_9
-            w, *rest = _pair_products(xs)
-            for p in rest:
-                w *= p
-            w /= _FACTORIAL_8
-            lg -= np.log(w)
-            out[small] = lg
-    return out.reshape(shape)[()]
-
-
-def _polygamma(x, want_digamma, want_trigamma):
-    """The requested ones of (digamma(x), trigamma(x)), which share x's carry,
-    the reciprocal of z and the pair products of the carried entries."""
-    x, z, small, shape = _carry(x)
-    out = []
-    with np.errstate(divide="ignore", over="ignore"):
-        log_z = np.log(z) if want_digamma else None
-        r = np.reciprocal(z, out=z)
-        r2 = r * r
-        if small is not None:
-            xs = x[small]
-            products = _pair_products(xs)
-        if want_digamma:
-            psi = log_z
-            psi -= _HALF * r
-            series = _poly(r2, _DIGAMMA)
-            series *= r2
-            psi -= series
-            if small is not None:
-                # psi(x) = psi(x + 8) - sum_k 1 / (x + k), where a pair's two
-                # terms add to (2x + 7) / (their product).
-                total, *rest = (np.reciprocal(p) for p in products)
-                for p in rest:
-                    total += p
-                total *= xs + xs + _SEVEN
-                psi[small] -= total
-            out.append(psi.reshape(shape)[()])
-        if want_trigamma:
-            # r + r^2 (1/2 + r sum_k B_2k r^(2k - 2)).
-            psi1 = _poly(r2, _TRIGAMMA)
-            psi1 *= r
-            psi1 += _HALF
-            psi1 *= r2
-            psi1 += r
-            if small is not None:
-                # psi'(x) = psi'(x + 8) + sum_k 1 / (x + k)^2, where a pair's
-                # two terms add to (the sum of their squares) / (their
-                # product)^2.
-                w2 = products[0] + products[0]
-                terms = []
-                for p, c in zip(products, _PAIR_SQUARES):
-                    term = w2 + c
-                    term /= p * p
-                    terms.append(term)
-                total, *rest = terms
-                for term in rest:
-                    total += term
-                psi1[small] += total
-            out.append(psi1.reshape(shape)[()])
-    return out
+    return _special(x, True, False, False)[0]
 
 
 def digamma(x):
     """psi(x) = d/dx log Gamma(x), elementwise, for x >= 0."""
-    return _polygamma(x, True, False)[0]
+    return _special(x, False, True, False)[0]
 
 
 def trigamma(x):
     """psi'(x) = sum_k 1 / (x + k)^2, elementwise, for x >= 0: scipy's zeta(2, x)."""
-    return _polygamma(x, False, True)[0]
+    return _special(x, False, False, True)[0]
+
+
+def gammaln_digamma(x):
+    """(gammaln(x), digamma(x)), the same bit for bit, from one carry of x."""
+    return tuple(_special(x, True, True, False))
 
 
 def digamma_trigamma(x):
     """(digamma(x), trigamma(x)), the same bit for bit, from one carry of x."""
-    return tuple(_polygamma(x, True, True))
+    return tuple(_special(x, False, True, True))
 
 
 def expit(x):
@@ -203,11 +228,3 @@ def expit(x):
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
-
-
-def xlogy(x, y):
-    """x * log(y), elementwise, and 0 where x = 0 and y is not nan."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = x * np.log(y)
-    return np.where((x == 0.0) & ~np.isnan(y), 0.0, out)[()]

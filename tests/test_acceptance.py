@@ -21,7 +21,6 @@ from svjoint.engine import (
     beta_prior_precision,
     m_prior_diag,
     theta_derivatives,
-    theta_expected_logp,
     update_a,
     update_alpha,
     update_g,
@@ -110,6 +109,20 @@ def test_criterion_1_quadrature_oracle():
 # ---------------------------------------------------------------------------
 # Criterion 2: coordinate local-optimality and the NCVMP derivative oracle
 # ---------------------------------------------------------------------------
+
+
+def theta_expected_logp(mu, sigma, design, u_phi, one_minus_ur, e_g, m_prior):
+    """E_theta[log p] of one gene as a function of the Gaussian factor's (mu, Sigma).
+
+    Only terms involving theta are included; this is the objective whose
+    derivatives drive the fixed-point step.  Sigma must be symmetric: the
+    stacked ``mvn_exp_neg_linear`` reads only its upper triangle.
+    """
+    w_exp, c_mu = mvn_exp_neg_linear(mu[None], sigma[None], design)
+    lin = -u_phi * float(one_minus_ur @ c_mu[0])
+    quad = -0.5 * (mu @ (m_prior * mu) + float(np.sum(m_prior * np.diag(sigma))))
+    curv = -u_phi * float((one_minus_ur * e_g) @ w_exp[0])
+    return lin + quad + curv
 
 
 def _elbo(state, shared, ys, designs, hp):

@@ -3,6 +3,7 @@
 import functools
 import multiprocessing
 import os
+import platform
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -58,6 +59,41 @@ class TestDetect:
         ))
         assert run(common + ["--out", str(out2), "--workers", "2"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_same_report_without_mallopt(self, sim_dir, tmp_path, monkeypatch):
+        # The malloc thresholds detect sets for itself and each worker move
+        # no result: where the C library has no mallopt, detect runs as
+        # before and writes the same report.
+        calls = []
+        real = cli._libc
+
+        def recording(name, *argtypes):
+            func = real(name, *argtypes)
+            if func is None:
+                return None
+
+            def call(*args):
+                calls.append((name, *args))
+                return func(*args)
+            return call
+
+        out1 = tmp_path / "r1.tsv"
+        out2 = tmp_path / "r2.tsv"
+        common = [
+            "detect", "--manifest", str(sim_dir / "manifest.ini"),
+            "--degree", "2", "--seed", "3",
+            "--min-spots-per-gene", "0", "--min-genes-per-spot", "0",
+        ]
+        monkeypatch.setattr(cli, "_libc", recording)
+        assert run(common + ["--out", str(out1), "--workers", "1"]) == 0
+        if platform.libc_ver()[0] == "glibc":
+            # Once in detect and once in the in-process worker set-up.
+            assert calls == 2 * [("mallopt", *setting) for setting in cli._MALLOPT_SETTINGS]
+        # Forked workers see the stand-in too.
+        monkeypatch.setattr(cli, "_libc", lambda name, *argtypes: None)
+        for workers in ("1", "2"):
+            assert run(common + ["--out", str(out2), "--workers", workers]) == 0
+            assert out1.read_bytes() == out2.read_bytes()
 
     def test_pool_no_larger_than_block_count(self, sim_dir, tmp_path, monkeypatch):
         # The pool starts all its workers at once, and sim_dir's 14 genes make
@@ -345,6 +381,18 @@ class TestConfig:
         ])
         assert code == 1
         assert f"{flag}: " in caplog.text
+        assert not (out / "manifest.ini").exists()
+
+    def test_overflowing_beta0_fails_under_its_flag(self, tmp_path, caplog):
+        # A finite --beta0 whose spatial effect overflows is refused before
+        # any draw, under its flag, not by numpy's Poisson draw.
+        out = tmp_path / "sim"
+        code = run([
+            "simulate", "--out", str(out), "--grid", "4x4", "--genes", "2", "--sv-genes", "1",
+            "--samples", "1", "--beta0", "1e308",
+        ])
+        assert code == 1
+        assert "--beta0: beta0 = 1e+308 gives a non-finite linear spatial effect" in caplog.text
         assert not (out / "manifest.ini").exists()
 
     def test_auto_degree_and_gamma2_override(self, sim_dir, tmp_path):

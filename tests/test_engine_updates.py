@@ -8,7 +8,7 @@ import pytest
 from scipy.special import digamma as psi
 from scipy.special import expit, gammaln, xlogy
 
-from svjoint import engine
+from svjoint import engine, special
 from svjoint.engine import (
     EngineError,
     FitOptions,
@@ -113,6 +113,19 @@ class TestUpdateG:
         update_g(ss.block)
         assert ss.a_g[0] == pytest.approx(1.0)
         assert ss.b_g[0] == pytest.approx(2.0)
+
+    def test_entropy_of_q_g_bit_for_bit(self, eight_spot_fixture):
+        # q(g)'s entropy, summed per sample by update_g from the pass that
+        # gives E[log g], equals the separate functions' value exactly.
+        ys, designs, hp = eight_spot_fixture
+        state, shared = init_state([np.stack([y, y + 2]) for y in ys], designs, hp)
+        _one_iteration(state, shared, hp, 1.0)
+        a_g, log_b_g = state.a_g, np.log(state.b_g)
+        e_log_g = special.digamma(a_g) - log_b_g
+        np.testing.assert_array_equal(state.e_log_g, e_log_g)
+        want = -state.per_sample_sum(
+            a_g * log_b_g - special.gammaln(a_g) + (a_g - 1.0) * e_log_g - a_g)
+        np.testing.assert_array_equal(state.ent_g, want)
 
 
 class TestUpdateR:
@@ -707,6 +720,22 @@ class TestUpdateTheta:
 
 
 class TestElbo:
+    def test_binary_entropy_is_the_xlogy_form_bit_for_bit(self):
+        # The log is taken at positive arguments only; every value equals
+        # -(xlogy(p, p) + xlogy(q, q)) with 0 log 0 = 0, compared as integers.
+        def xlogx(p):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(p == 0.0, 0.0, p * np.log(p))
+
+        rng = np.random.default_rng(3)
+        random = rng.uniform(size=(32, 768))
+        random[rng.uniform(size=random.shape) < 0.7] = 0.0
+        for p in (np.array([0.0, 1e-300, 0.5, 1.0 - 1e-8, 1.0]), random,
+                  rng.uniform(size=1000), np.exp(-rng.uniform(0, 700, 1000))):
+            want = -(xlogx(p) + xlogx(1.0 - p))
+            np.testing.assert_array_equal(
+                engine._binary_entropy(p).view(np.int64), want.view(np.int64))
+
     def test_finite_on_fixture(self, five_spot_state):
         ss, shared, ys, designs, hp = five_spot_state
         val = compute_elbo(ss.block, shared.block, hp)[0]

@@ -98,15 +98,6 @@ def test_expit_matches_mpmath_and_scipy():
     np.testing.assert_array_equal(special.expit(edges), sps.expit(edges))
 
 
-def test_xlogy_matches_scipy():
-    x = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.3, 2.5, np.nan, 0.0])
-    y = np.array([0.0, 1.0, np.inf, np.nan, 0.7, 0.0, np.inf, 0.3, 1e-300, 1.0, 1e300])
-    np.testing.assert_array_equal(special.xlogy(x, y), sps.xlogy(x, y))
-    p = _RNG.uniform(0.0, 1.0, 500)
-    p[::7] = 0.0
-    np.testing.assert_allclose(special.xlogy(p, p), sps.xlogy(p, p), rtol=1e-15, atol=0.0)
-
-
 @pytest.mark.parametrize("name", ["gammaln", "digamma", "trigamma", "expit"])
 def test_no_floating_point_warning_escapes(name):
     x = np.concatenate([EDGES, EXTREMES, CONTRACT_X])
@@ -114,12 +105,6 @@ def test_no_floating_point_warning_escapes(name):
         warnings.simplefilter("error")
         getattr(special, name)(x)
         getattr(special, name)(0.0)
-
-
-def test_xlogy_emits_no_warning():
-    with warnings.catch_warnings(), np.errstate(all="warn", under="ignore"):
-        warnings.simplefilter("error")
-        special.xlogy(np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, np.nan]))
 
 
 @pytest.mark.parametrize("name", ["gammaln", "digamma", "trigamma", "expit"])
@@ -146,7 +131,6 @@ def test_shapes(name):
     assert isinstance(f(np.float64(9.5)), np.float64)
     assert f(np.ones((2, 3, 4))).shape == (2, 3, 4)
     assert f(np.array([])).shape == (0,)
-    assert isinstance(special.xlogy(0.5, 0.5), np.float64)
 
 
 def test_digamma_trigamma_is_both_functions_bit_for_bit():
@@ -163,3 +147,19 @@ def test_digamma_trigamma_is_both_functions_bit_for_bit():
     with warnings.catch_warnings(), np.errstate(all="warn", under="ignore"):
         warnings.simplefilter("error")
         special.digamma_trigamma(x)
+
+
+def test_gammaln_digamma_is_both_functions_bit_for_bit():
+    # As for digamma_trigamma: the shared carry, log z, reciprocal and pair
+    # products change no bit of either value, compared as integers.
+    x = np.concatenate([CONTRACT_X, EDGES, EXTREMES])
+    for arg in (x, x[x < 8.0], x[x >= 8.0], x.reshape(-1, 1)[:6], 7.5, 8.0, 0.0, np.inf):
+        lg, psi = special.gammaln_digamma(arg)
+        want_lg, want_psi = special.gammaln(arg), special.digamma(arg)
+        for got, want in ((lg, want_lg), (psi, want_psi)):
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            np.testing.assert_array_equal(np.asarray(got).view(np.int64),
+                                          np.asarray(want).view(np.int64))
+    with warnings.catch_warnings(), np.errstate(all="warn", under="ignore"):
+        warnings.simplefilter("error")
+        special.gammaln_digamma(x)
