@@ -271,7 +271,7 @@ def _h_nodes(u_lo, u_mode, u_hi, node_count):
     inner = u_mode[:, None] + _PANEL_CUTS
     inside = (u_lo[:, None] < inner) & (inner < u_hi[:, None])
     panels = inside.sum(axis=1) + 1
-    for count in np.unique(panels).tolist():
+    for count in sorted(set(panels.tolist())):
         rows = np.flatnonzero(panels == count)
         breaks = np.column_stack(
             (u_lo[rows], inner[rows][inside[rows]].reshape(rows.size, count - 1), u_hi[rows]))
@@ -446,7 +446,7 @@ def _phi_sums(a_phi, s, t, window, rows, out):
     row's sums are numpy's sums over its own nodes alone.
     """
     n = window.n[rows]
-    for count in np.unique(n).tolist():
+    for count in sorted(set(n.tolist())):
         k = rows[n == count]
         # One group of all rows reads views; fancy indexing copies.
         at = (slice(None) if k.size == n.size == window.n.size else k, slice(count))

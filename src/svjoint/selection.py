@@ -94,8 +94,10 @@ def bfdr_threshold(u_tilde_all, level: float) -> float:
         raise ValueError("u_tilde values must lie in [0, 1]")
     check_level(level)
     one_minus = np.sort(1.0 - u)
-    candidates = np.unique(np.append(one_minus, level))
-    candidates = candidates[(candidates > 0.0) & (candidates <= 1.0)]
+    candidates = np.sort(np.append(one_minus, level))
+    keep = (candidates > 0.0) & (candidates <= 1.0)
+    keep[1:] &= candidates[1:] != candidates[:-1]  # each value once
+    candidates = candidates[keep]
     k = np.searchsorted(one_minus, candidates, side="left")
     candidates, k = candidates[k > 0], k[k > 0]
     means = np.cumsum(one_minus)[k - 1] / k

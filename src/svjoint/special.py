@@ -3,10 +3,11 @@
 ``gammaln``, ``digamma`` and ``trigamma`` take the asymptotic (Stirling)
 series in 1/z at z >= 8.  An entry x below 8 is carried up to z = x + 8 by
 the recurrence f(x) = f(x + 8) -/+ its terms at x + k, k = 0..7, which only
-those entries pay for.  ``gammaln_digamma`` and ``digamma_trigamma`` give
-two of them from one carry.  For x from 1e-13 to 1e7 the error against
-mpmath is below 1e-14 * max(1, |f|), also near the zeros of log Gamma at 1
-and 2 and of digamma at 1.46.  ``expit`` is the logistic function.
+those entries pay for.  ``gammaln_digamma``, ``digamma_trigamma`` and
+``gammaln_digamma_trigamma`` give two or all three of them from one carry.
+For x from 1e-13 to 1e7 the error against mpmath is below
+1e-14 * max(1, |f|), also near the zeros of log Gamma at 1 and 2 and of
+digamma at 1.46.  ``expit`` is the logistic function.
 
 The domain is x >= 0; at 0, inf and nan each function returns what
 ``scipy.special`` does, and no floating-point warning escapes.  An array
@@ -22,7 +23,8 @@ import math
 
 import numpy as np
 
-__all__ = ["gammaln", "digamma", "trigamma", "gammaln_digamma", "digamma_trigamma", "expit"]
+__all__ = ["gammaln", "digamma", "trigamma", "gammaln_digamma", "digamma_trigamma",
+           "gammaln_digamma_trigamma", "expit"]
 
 _SHIFT = 8.0
 
@@ -221,6 +223,11 @@ def gammaln_digamma(x):
 def digamma_trigamma(x):
     """(digamma(x), trigamma(x)), the same bit for bit, from one carry of x."""
     return tuple(_special(x, False, True, True))
+
+
+def gammaln_digamma_trigamma(x):
+    """(gammaln(x), digamma(x), trigamma(x)), the same bit for bit, from one carry of x."""
+    return tuple(_special(x, True, True, True))
 
 
 def expit(x):

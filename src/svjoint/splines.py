@@ -8,7 +8,9 @@ because the model carries a separate intercept).
 
 Degree selection fits a zero-inflated NB regression per (sample, degree) to
 a block of genes at once, by damped Newton steps on closed-form derivatives
-(see ``zinb_mle``); no numerical optimizer library is loaded.
+(see ``zinb_mle``); no numerical optimizer library is loaded.  Bernstein
+spaces are nested, so each degree's fit starts from the optimum of the
+degree below, written exactly in the higher basis (``_elevate``).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .numerics import upper_pairs
-from .special import digamma_trigamma, expit, gammaln
+from .special import expit, gammaln, gammaln_digamma_trigamma
 
 __all__ = [
     "BasisSpec",
@@ -178,9 +180,9 @@ class _ZinbBlock:
     log mean eta = clip(x @ c); NB with mean lambda and dispersion phi,
     Var = lambda + lambda^2/phi.  The count-only terms of the nonzero spots
     are sums over each gene's distinct nonzero counts u with multiplicities
-    n_u, found with one 1-D ``np.unique`` over (gene, count) keys and summed
-    per gene with ``np.bincount``; ``log_y_fact`` is the constant sum of
-    log y! per gene.
+    n_u, found by one sort of the (gene, count) keys and summed per gene
+    with ``np.bincount``; ``log_y_fact`` is the constant sum of log y! per
+    gene.
     """
 
     def __init__(self, counts, design):
@@ -190,10 +192,14 @@ class _ZinbBlock:
         gene, spot = np.nonzero(counts)
         values = counts[gene, spot]
         span = float(values.max()) + 1.0 if values.size else 1.0
-        keys, n_u = np.unique(gene * span + values, return_counts=True)
+        keys = np.sort(gene * span + values)
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        first = np.flatnonzero(first)
+        self.n_u = np.diff(first, append=keys.size).astype(float)
+        keys = keys[first]
         self.u_gene = (keys // span).astype(np.intp)
         self.u = keys - self.u_gene * span
-        self.n_u = n_u.astype(float)
         self.log_y_fact = np.bincount(
             self.u_gene, self.n_u * gammaln(self.u + 1.0), minlength=counts.shape[0]
         )
@@ -288,13 +294,13 @@ class _ZinbBlock:
 
         phi_g, phi_u, pi_g = phi[:, 0], phi[u_gene, 0], pi[:, 0]
         n_spots = y.shape[1]
-        psi_u, psi1_u = digamma_trigamma(u + phi_u)
-        psi_g, psi1_g = digamma_trigamma(phi_g)
+        lg_u, psi_u, psi1_u = gammaln_digamma_trigamma(u + phi_u)
+        lg_g, psi_g, psi1_g = gammaln_digamma_trigamma(phi_g)
         ll = (
             nb.sum(axis=1)
             + n_nz * np.log1p(-pi_g)
-            + np.bincount(u_gene, n_u * gammaln(u + phi_u), minlength=r)
-            - n_nz * gammaln(phi_g)
+            + np.bincount(u_gene, n_u * lg_u, minlength=r)
+            - n_nz * lg_g
             - self.log_y_fact[rows]
         )
         d_phi = (
@@ -358,13 +364,13 @@ def _newton_step(params, grad, hess, lo, hi):
     return step * np.minimum(1.0, _MAX_STEP / np.maximum(longest, _MAX_STEP))
 
 
-def zinb_mle(counts, design: DesignMatrix, max_iter: int = 200):
+def zinb_mle(counts, design: DesignMatrix, max_iter: int = 200, params=None):
     """Fit the zero-inflated NB regression to each row of a count block.
 
     ``counts`` is (B, N): B genes on the N spots of ``design``.  All genes
     are fit at once by damped Newton maximum likelihood over (logit pi,
     log phi, coefficients) within the box |logit pi| <= 15,
-    1e-3 <= phi <= 1e5 and |c_j| <= 30, from the start pi = zero
+    1e-3 <= phi <= 1e5 and |c_j| <= 30.  The documented start is pi = zero
     fraction / 2 + 0.01, phi = 10, intercept = log(mean + 0.01).  Each step
     solves with the stacked, eigenvalue-modified Hessian (``_newton_step``),
     projects onto the box and halves the step until the Armijo condition
@@ -372,6 +378,12 @@ def zinb_mle(counts, design: DesignMatrix, max_iter: int = 200):
     active are evaluated.  A gene is frozen once it has converged, that is,
     once the infinity norm of its projected gradient is at most
     1e-8 * max(1, |logL|), or when 30 halvings give no decrease.
+
+    ``params``, when given, is a (B, 2 + P) array of start points, one row
+    per gene and a row of NaN for the documented start; the fit overwrites
+    each row with that gene's last point, its optimum where it converged.
+    ``select_degree`` passes each degree above the lowest the optimum of
+    the degree below, elevated exactly into this basis (``_elevate``).
 
     Returns one (log_likelihood, n_params) per gene, log y! term included,
     or None for a gene whose logL is not finite or whose projected gradient
@@ -386,11 +398,17 @@ def zinb_mle(counts, design: DesignMatrix, max_iter: int = 200):
     lo = np.array([-_LOGIT_PI_BOUND, _LOG_PHI_BOUNDS[0]] + [-_COEF_BOUND] * design.dim)
     hi = np.array([_LOGIT_PI_BOUND, _LOG_PHI_BOUNDS[1]] + [_COEF_BOUND] * design.dim)
     zero_frac = block.zero.mean(axis=1)
-    params = np.zeros((y.shape[0], n_params))
-    params[:, 0] = np.log((zero_frac * 0.5 + 0.01) / (1.0 - zero_frac * 0.5 - 0.01))
-    params[:, 1] = math.log(10.0)
-    params[:, 2] = np.log(y.mean(axis=1) + 0.01)
-    params = np.clip(params, lo, hi)
+    start = np.zeros((y.shape[0], n_params))
+    start[:, 0] = np.log((zero_frac * 0.5 + 0.01) / (1.0 - zero_frac * 0.5 - 0.01))
+    start[:, 1] = math.log(10.0)
+    start[:, 2] = np.log(y.mean(axis=1) + 0.01)
+    if params is not None:
+        if params.shape != start.shape:
+            raise ValueError(f"params must have shape {start.shape}, got {params.shape}")
+        warm = ~np.isnan(params).any(axis=1)
+        start[warm] = params[warm]
+    out = params
+    params = np.clip(start, lo, hi)
 
     nll, grad, hess = block.evaluate(np.arange(y.shape[0]), params)
     rel_grad = _relative_gradient(params, grad, nll, lo, hi)
@@ -419,8 +437,30 @@ def zinb_mle(counts, design: DesignMatrix, max_iter: int = 200):
         active[rows] = rel_grad[rows] > _GRAD_TOL
         active[pending] = False  # no decrease found: frozen where it is
 
+    if out is not None:
+        out[...] = params
     ok = rel_grad <= _FAIL_TOL  # False where logL is not finite
     return [(-float(f), n_params) if good else None for f, good in zip(nll, ok)]
+
+
+def _elevate(params, degree, new_degree):
+    """Rows of ``zinb_mle`` parameters at ``degree`` written exactly at ``new_degree``.
+
+    logit pi, log phi, the intercept and the covariate coefficients carry
+    over.  Each axis's coefficients b_1..b_d (b_0 = 0 is the dropped basis
+    function) are raised one degree at a time by Bernstein degree elevation,
+    b'_k = k/(d+1) b_(k-1) + (d+1-k)/(d+1) b_k for k = 1..d+1 with
+    b_(d+1) = 0, which leaves every spot's log mean unchanged but for
+    rounding.  A row of NaN stays NaN.
+    """
+    for d in range(degree, new_degree):
+        k = np.arange(1, d + 2) / (d + 1)
+        axes = []
+        for a in (0, 1):
+            b = np.pad(params[:, 3 + a * d:3 + (a + 1) * d], ((0, 0), (1, 1)))
+            axes.append(k * b[:, :-1] + (1.0 - k) * b[:, 1:])
+        params = np.hstack([params[:, :3], *axes, params[:, 3 + 2 * d:]])
+    return params
 
 
 def select_degree(dataset, candidates, gene_subset) -> int:
@@ -433,6 +473,12 @@ def select_degree(dataset, candidates, gene_subset) -> int:
     is the AIC-minimizing degree and the returned degree is the maximum of
     the per-sample optima.  A sample on which no gene fit converges votes
     for the default degree and a warning is recorded.
+
+    A sample's degrees are fit in increasing order.  The lowest starts from
+    ``zinb_mle``'s documented start; each one above it starts from the
+    optimum of the degree below, elevated exactly into the higher Bernstein
+    basis (``_elevate``), except a gene whose lower-degree fit was None,
+    which starts cold again.
     """
     candidates = sorted(set(int(c) for c in candidates))
     if not candidates or any(c not in _ALLOWED_DEGREES for c in candidates):
@@ -446,10 +492,16 @@ def select_degree(dataset, candidates, gene_subset) -> int:
     votes = []
     for sample in dataset.samples:
         coords = normalize_coords(sample.coords)
+        counts = sample.counts[gene_subset].astype(float)
         mean_aic = {}
-        for degree in candidates:
+        for i, degree in enumerate(candidates):
             design = build_design(coords, sample.covariates, BasisSpec(degree))
-            fits = zinb_mle(sample.counts[gene_subset], design)
+            if i == 0:
+                params = np.full((len(gene_subset), 2 + design.dim), np.nan)
+            else:
+                params = _elevate(params, candidates[i - 1], degree)
+            fits = zinb_mle(counts, design, params=params)
+            params[[fit is None for fit in fits]] = np.nan
             aics = [2.0 * k - 2.0 * logl for logl, k in filter(None, fits)]
             if aics:
                 mean_aic[degree] = float(np.mean(aics))

@@ -163,3 +163,19 @@ def test_gammaln_digamma_is_both_functions_bit_for_bit():
     with warnings.catch_warnings(), np.errstate(all="warn", under="ignore"):
         warnings.simplefilter("error")
         special.gammaln_digamma(x)
+
+
+def test_gammaln_digamma_trigamma_is_three_functions_bit_for_bit():
+    # All three parts from one pass: no part changes a bit of another's
+    # shared carry, log z, reciprocal or pair products.
+    x = np.concatenate([CONTRACT_X, EDGES, EXTREMES])
+    for arg in (x, x[x < 8.0], x[x >= 8.0], x.reshape(-1, 1)[:6], 7.5, 8.0, 0.0, np.inf):
+        got = special.gammaln_digamma_trigamma(arg)
+        want = special.gammaln(arg), special.digamma(arg), special.trigamma(arg)
+        for g, w in zip(got, want):
+            assert type(g) is type(w) and np.shape(g) == np.shape(w)
+            np.testing.assert_array_equal(np.asarray(g).view(np.int64),
+                                          np.asarray(w).view(np.int64))
+    with warnings.catch_warnings(), np.errstate(all="warn", under="ignore"):
+        warnings.simplefilter("error")
+        special.gammaln_digamma_trigamma(x)

@@ -209,7 +209,7 @@ def _reference_mle(y, design, max_iter=200):
     return -float(res.fun), 2 + design.dim
 
 
-def _reference_block(counts, design):
+def _reference_block(counts, design, params=None):
     """``_reference_mle`` of every row of a count block."""
     return [_reference_mle(y, design) for y in counts]
 
@@ -276,12 +276,108 @@ class TestSelectDegree:
 
     def test_fallback_vote_on_total_failure(self, monkeypatch):
         ds = _flat_sample("linear", 1, seed=0)
-        monkeypatch.setattr(splines, "zinb_mle", lambda counts, design: [None] * len(counts))
+        monkeypatch.setattr(
+            splines, "zinb_mle", lambda counts, design, params=None: [None] * len(counts)
+        )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             got = select_degree(ds, {1, 2}, [0, 1])
         assert got == splines.DEFAULT_DEGREE
         assert any("votes for degree" in str(w.message) for w in caught)
+
+
+def _with_count_vectors(ds, seed):
+    """``ds`` (one sample) with the four ``_count_vectors`` kinds appended as genes."""
+    from dataclasses import replace
+
+    from svjoint.dataio import MultiSampleDataset
+
+    sample = ds.samples[0]
+    extra = _count_vectors(np.random.default_rng(seed), sample.counts.shape[1])
+    gene_ids = ds.gene_ids + tuple(extra)
+    counts = np.vstack([sample.counts[:], np.stack(list(extra.values())).astype(np.int64)])
+    return MultiSampleDataset(
+        samples=[replace(sample, counts=counts, gene_ids=gene_ids)], gene_ids=gene_ids
+    )
+
+
+def _record_zinb_mle(monkeypatch, fail_first_gene_at=None):
+    """Patch ``splines.zinb_mle`` to record (counts, design, start, fits) per call.
+
+    At degree ``fail_first_gene_at`` the first gene's fit is reported as None.
+    """
+    calls = []
+    real = splines.zinb_mle
+
+    def recording(counts, design, params=None):
+        start = params.copy()
+        fits = real(counts, design, params=params)
+        if design.n_basis == fail_first_gene_at:
+            fits[0] = None
+        calls.append((counts, design, start, fits))
+        return fits
+
+    monkeypatch.setattr(splines, "zinb_mle", recording)
+    return calls
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_elevation_is_exact(self, degree):
+        # Random parameter rows at one degree and their elevation by one and
+        # (up to degree 4) two degrees give the same log mean at every spot, and the same
+        # objective, but for rounding.
+        rng = np.random.default_rng(40 + degree)
+        n = 120
+        coords, covs = rng.uniform(size=(n, 2)), rng.uniform(size=(n, 2))
+        y = np.stack(list(_count_vectors(rng, n).values()))
+        design = make_design(coords, covs, degree=degree)
+        params = np.column_stack([
+            rng.uniform(-2.0, 2.0, len(y)),
+            rng.uniform(math.log(0.5), math.log(50.0), len(y)),
+            rng.normal(0.0, 1.0, (len(y), design.dim)),
+        ])
+        params[1] = np.nan
+        eta = params[:, 2:] @ design.matrix.T
+        rows = np.array([0, 2, 3])
+        nll = splines._ZinbBlock(y, design).evaluate(rows, params[rows])[0]
+        for new in range(degree + 1, min(degree + 2, 4) + 1):
+            high = make_design(coords, covs, degree=new)
+            elevated = splines._elevate(params, degree, new)
+            assert elevated.shape == (len(y), 2 + high.dim)
+            assert np.isnan(elevated[1]).all()
+            np.testing.assert_array_equal(elevated[:, :3], params[:, :3])
+            np.testing.assert_array_equal(elevated[:, high.psi_slice.start + 2:],
+                                          params[:, design.psi_slice.start + 2:])
+            got = elevated[:, 2:] @ high.matrix.T
+            assert np.all(np.abs(got - eta)[rows] <= 1e-13 * np.maximum(1.0, np.abs(eta[rows])))
+            high_nll = splines._ZinbBlock(y, high).evaluate(rows, elevated[rows])[0]
+            assert np.all(np.abs(high_nll - nll) <= 1e-12 * np.maximum(1.0, np.abs(nll)))
+
+    @pytest.mark.parametrize("candidates", [(1, 2, 3, 4), (1, 3)])
+    def test_warm_fits_equal_cold_fits(self, monkeypatch, candidates):
+        # Every degree above the lowest starts from the degree below, and
+        # every fit equals the cold fit from the documented start.
+        ds = _with_count_vectors(_flat_sample("poly2", 3, seed=104, dropout=0.3), seed=7)
+        calls = _record_zinb_mle(monkeypatch)
+        select_degree(ds, candidates, list(range(ds.n_genes)))
+        assert [design.n_basis for _, design, _, _ in calls] == list(candidates)
+        assert np.isnan(calls[0][2]).all()
+        for counts, design, start, fits in calls[1:]:
+            assert np.isfinite(start).all()
+            for fit, cold in zip(fits, zinb_mle(counts, design)):
+                assert fit is not None and cold is not None
+                assert fit[1] == cold[1]
+                assert abs(fit[0] - cold[0]) <= 1e-10 * max(1.0, abs(cold[0])), design.n_basis
+
+    def test_failed_lower_fit_restarts_cold(self, monkeypatch):
+        ds = _flat_sample("poly2", 3, seed=104, dropout=0.3)
+        calls = _record_zinb_mle(monkeypatch, fail_first_gene_at=1)
+        select_degree(ds, (1, 2), list(range(ds.n_genes)))
+        counts, design, start, fits = calls[1]
+        assert np.isnan(start[0]).all() and np.isfinite(start[1:]).all()
+        cold = zinb_mle(counts[:1], design)[0]
+        assert abs(fits[0][0] - cold[0]) <= 1e-10 * max(1.0, abs(cold[0]))
 
 
 class TestZinbMle:
@@ -465,6 +561,29 @@ class TestZinbMle:
             assert (fit is None) == (pg > 0.1 * max(1.0, abs(nll))), case
             if fit is not None:
                 assert fit[0] == pytest.approx(-nll, rel=1e-12)
+
+    def test_detect_leaves_numpy_ma_unloaded(self, tmp_path):
+        # np.unique loads numpy.ma on first use; detect (degree selection,
+        # the fit and the report) uses none of it.
+        from svjoint import cli
+
+        assert cli.main(["simulate", "--out", str(tmp_path), "--grid", "10x10", "--genes", "6",
+                         "--sv-genes", "2", "--samples", "2", "--seed", "5"]) == 0
+        code = (
+            "import sys\n"
+            "from svjoint import cli\n"
+            "out = sys.argv[1]\n"
+            "assert cli.main(['detect', '--manifest', out + '/manifest.ini',\n"
+            "                 '--out', out + '/report.tsv', '--degree', 'auto',\n"
+            "                 '--min-spots-per-gene', '0', '--min-genes-per-spot', '0']) == 0\n"
+            "print('numpy.ma' in sys.modules)"
+        )
+        src = os.path.dirname(os.path.dirname(splines.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path)], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_cli_import_leaves_optimizer_unloaded(self, tmp_path):
         # scipy is a test dependency only: simulate, degree selection and
