@@ -16,6 +16,18 @@ The quadrature is one array program over K rows of (s, t) that share
 ``h_integral`` runs the same code at K = 1.  Rows are independent: a row's
 mode search, window, nodes and sums are those of its own K = 1
 evaluation, bit for bit, and a row that cannot be evaluated fails alone.
+
+Each row's window is placed around the integrand's mode, found by Newton
+steps in u.  Rows with s >= 20 (every q(phi) row of a fit after detect's
+default filter, where s = N_pi is at least 100) have a log integrand close
+to quadratic in u, and their cuts follow from the curvature at the mode
+(Laplace's method; Tierney & Kadane, JASA 1986), checked with a few
+integrand values.  Rows with smaller s, s = 0 among them, keep a ladder and
+lattice search over a few hundred integrand values: their tails are far
+from Gaussian, and for a_phi near 0 and s = 0 they may not decay at all.
+The engine reuses a row's window across CAVI iterations while it is fitted
+near the current (s, t) and its edges carry no mass (``PhiQuadCache``);
+the reuse rule does not depend on how the window was placed.
 """
 
 from __future__ import annotations
@@ -45,16 +57,22 @@ EULER_GAMMA = 0.5772156649015328606
 # Integrand values this far (in log units) below the peak are treated as zero
 # when sizing the quadrature window.
 _LOG_DROP = 60.0
-# Rungs of the ladder that brackets each window cut (up to 2^43 / 2 away
-# from the mode, for rates as small as p+1 ~ 1e-3), and the even lattice
-# inside a bracket on which the cut is placed.
+# Rows with s at least this large take the curvature cut, widened at most
+# _WIDENINGS times by _WIDEN per side (see _curvature_cuts).
+_CURVATURE_MIN_S = 20.0
+_WIDEN = 2.0
+_WIDENINGS = 8
+# The other rows' search: rungs of the ladder that brackets each window cut
+# (up to 2^43 / 2 away from the mode, for rates as small as p+1 ~ 1e-3),
+# and the even lattice inside a bracket on which the cut is placed.
 _LADDER = 0.5 * 2.0 ** np.arange(44, dtype=float)
 _LATTICE = np.linspace(0.0, 1.0, 129)[1:]
 # Newton search for the mode: iteration cap, largest step in u, and the
-# relative step size at which it stops.
+# relative step size at which it stops.  Newton converges quadratically, so
+# a last step of that size leaves the mode about its square away.
 _NEWTON_ITERATIONS = 100
 _NEWTON_MAX_STEP = 4.0
-_MODE_TOL = 1e-10
+_MODE_TOL = 1e-6
 # Panel edges relative to the mode (see _h_nodes).
 _PANEL_CUTS = np.array([-30.0, -8.0, 8.0])
 
@@ -171,22 +189,31 @@ def _h_log_integrand_du(u, p, q, r, s, t):
     return d1, d2
 
 
-def _h_modes(p, q, r, s, t, u_start):
-    """Peak of the log integrand in u-space for each row of (s, t); NaN where none is found.
+def _h_modes(p, q, r, s, t):
+    """Peak of the log integrand in u-space for each row of (s, t), and its curvature there.
 
-    The u-derivative is (p+1) + s*x*(log x - psi(x)) + (s-t)*x plus, for
-    q = 1, y/((1+y) log(1+y)) at y = r*x.  x*(log x - psi(x)) falls from 1
-    to 1/2, the last term from 1 to 0, and t > s, so the derivative falls
-    monotonically and has one root.  Newton steps start from ``u_start`` (a
-    nearby earlier mode, NaN for none) or from x = (p+1+q+s)/(t-s), are
-    capped at _NEWTON_MAX_STEP, and bisect whenever they would leave the
-    bracket of points already seen on either side of the root.  Each row
-    stops on its own test; the rows still searching step on together.
+    Returns (u_mode, d2): the mode, NaN where none is found, and the second
+    u-derivative at the last Newton point, within the stopping tolerance of
+    the mode.  The u-derivative is (p+1) + s*x*(log x - psi(x)) + (s-t)*x
+    plus, for q = 1, y/((1+y) log(1+y)) at y = r*x.  x*(log x - psi(x))
+    falls from 1 to 1/2, the last term from 1 to 0, and t > s, so the
+    derivative falls monotonically and has one root: the log integrand is
+    concave.
+
+    x*(log x - psi(x)) is below both 1 and 1/2 + 1/(12x), and the q term
+    below 1, so the root of either bound's derivative lies at or above the
+    mode.  Newton steps start from the lower of the two roots, x = (p+1+q+s)
+    / (t-s) and the positive root of (t-s) x^2 - (p+1+q+s/2) x - s/12,
+    which is close to the mode once x is past about 1.  Steps are capped at
+    _NEWTON_MAX_STEP and bisect whenever they would leave the bracket of
+    points already seen on either side of the root.  Each row stops on its
+    own test; the rows still searching step on together.
     """
-    u = np.array(u_start, dtype=float)
-    cold = np.isnan(u)
-    u[cold] = _each(math.log, (p + 1.0 + q + s[cold]) / (t[cold] - s[cold]))
-    modes = np.full(u.shape, np.nan)
+    rate = p + 1.0 + q
+    half = rate + 0.5 * s
+    x_large = (half + np.sqrt(half * half + (t - s) * s / 3.0)) / (2.0 * (t - s))
+    u = _each(math.log, np.minimum((rate + s) / (t - s), x_large))
+    modes, curvature = np.full(u.shape, np.nan), np.full(u.shape, np.nan)
     rows = np.arange(u.size)
     lo, hi = np.full(u.shape, -np.inf), np.full(u.shape, np.inf)
     for _ in range(_NEWTON_ITERATIONS):
@@ -204,26 +231,86 @@ def _h_modes(p, q, r, s, t, u_start):
         done = at_root | small | (outside & (hi - lo <= tol))
         if done.any():
             modes[rows[done]] = np.where(at_root, u, np.where(small, u + step, nxt))[done]
+            curvature[rows[done]] = d2[done]
             going = ~done
             rows, nxt, lo, hi, s, t = (a[going] for a in (rows, nxt, lo, hi, s, t))
             if not rows.size:
                 break
         u = nxt
-    return modes
+    return modes, curvature
 
 
-def _h_windows(p, q, r, s, t, u_start):
+def _curvature_cuts(p, q, r, s, t, u_mode, d2):
+    """Window cuts (K, 2) from each row's mode and curvature; NaN rows where they fail.
+
+    A side starts at the Laplace half-width sqrt(2 _LOG_DROP / -d2), where
+    a quadratic log integrand would be _LOG_DROP below its peak, and is
+    widened by _WIDEN until the integrand there is past the drop.  The log
+    integrand is concave (see _h_modes), so the whole tail beyond such a
+    point is past the drop too.  A row with a side still short after
+    _WIDENINGS widenings gets NaN cuts.
+    """
+    offset = np.sqrt(2.0 * _LOG_DROP / -d2)[:, None] * np.array([-1.0, 1.0])
+    cuts = u_mode[:, None] + offset
+    f = _h_log_integrand(np.column_stack((cuts, u_mode)), p, q, r, s[:, None], t[:, None])
+    floor = f[:, 2] - _LOG_DROP
+    past = ~(f[:, :2] >= floor[:, None])
+    for _ in range(_WIDENINGS):
+        rows, sides = np.nonzero(~past)
+        if not rows.size:
+            break
+        offset[rows, sides] *= _WIDEN
+        cuts[rows, sides] = u_mode[rows] + offset[rows, sides]
+        past[rows, sides] = ~(_h_log_integrand(cuts[rows, sides], p, q, r, s[rows], t[rows])
+                              >= floor[rows])
+    cuts[~past.all(axis=1)] = np.nan
+    return cuts
+
+
+def _ladder_cuts(p, q, r, s, t, u_mode):
+    """Window cuts (K, 2) by a ladder and lattice search; NaN rows whose tails do not decay.
+
+    A geometric ladder away from the mode on both sides brackets each cut
+    in one (K, 89) evaluation; a second, (K, 256) evaluation on an even
+    lattice inside both brackets places each cut at the first lattice point
+    past the drop, so tail panels stay narrow.
+    """
+    k, s, t = u_mode.size, s[:, None], t[:, None]
+    rungs = u_mode[:, None, None] + np.array([[-1.0], [1.0]]) * _LADDER
+    f = _h_log_integrand(np.concatenate((rungs.reshape(k, 2 * _LADDER.size), u_mode[:, None]),
+                                        axis=1), p, q, r, s, t)
+    floor = f[:, -1:, None] - _LOG_DROP
+    below = ~(f[:, :-1].reshape(rungs.shape) >= floor)
+    first = below.argmax(axis=2)[..., None]
+    outer = np.take_along_axis(rungs, first, axis=2)
+    inner = np.where(first == 0, u_mode[:, None, None],
+                     np.take_along_axis(rungs, np.maximum(first - 1, 0), axis=2))
+    pts = inner + (outer - inner) * _LATTICE
+    past = ~(_h_log_integrand(pts.reshape(k, 2 * _LATTICE.size), p, q, r, s, t)
+             .reshape(pts.shape) >= floor)
+    # Each bracket ends at its outer rung, already seen past the drop.
+    past[..., -1] = True
+    cuts = np.take_along_axis(pts, past.argmax(axis=2)[..., None], axis=2)[..., 0]
+    cuts[~below.any(axis=2).all(axis=1)] = np.nan
+    return cuts
+
+
+def _h_windows(p, q, r, s, t):
     """Each row's integrand peak in u-space and the window where it matters.
 
-    Returns (u_lo, u_mode, u_hi, failures): the integrand is below its peak
-    by _LOG_DROP at both cuts, and ``failures`` maps each row without a
-    window to its message (its entries are NaN).  A geometric ladder away
-    from the mode on both sides brackets each cut in one (K, 89)
-    evaluation; a second, (K, 256) evaluation on an even lattice inside both
-    brackets places each cut at the first lattice point past the drop, so
-    tail panels stay narrow.
+    Returns (u_lo, u_mode, u_hi, curved, failures): the integrand is below
+    its peak by _LOG_DROP at both cuts, ``curved`` marks the rows whose cuts
+    came from the curvature, and ``failures`` maps each row without a
+    window to its message (its entries are NaN).  The search is chosen per
+    row, from the row alone.  A row with s >= _CURVATURE_MIN_S is close to
+    Gaussian in u, so its cuts come from the curvature at the mode
+    (``_curvature_cuts``, Laplace's method): three integrand values per row,
+    and a few more where a tail is heavier than the Gaussian's.  Every other
+    row, and a curvature row whose cuts fail, takes ``_ladder_cuts``: rows
+    with small s or s = 0, whose tails may decay slowly or, for a_phi near
+    0, not at all.
     """
-    u_mode = _h_modes(p, q, r, s, t, u_start)
+    u_mode, d2 = _h_modes(p, q, r, s, t)
 
     def args(k):
         return f"p={p} q={q} r={r} s={s[k]} t={t[k]}"
@@ -231,31 +318,20 @@ def _h_windows(p, q, r, s, t, u_start):
     failures = {}
     for k in np.flatnonzero(np.isnan(u_mode)).tolist():
         failures[k] = f"H integrand mode not found: {args(k)}"
-    ok = np.flatnonzero(~np.isnan(u_mode))
-    mode, s_ok, t_ok = u_mode[ok], s[ok, None], t[ok, None]
-    rungs = mode[:, None, None] + np.array([[-1.0], [1.0]]) * _LADDER
-    f = _h_log_integrand(
-        np.concatenate((rungs.reshape(ok.size, 2 * _LADDER.size), mode[:, None]), axis=1),
-        p, q, r, s_ok, t_ok)
-    floor = f[:, -1:, None] - _LOG_DROP
-    below = ~(f[:, :-1].reshape(rungs.shape) >= floor)
-    for k in ok[~below.any(axis=2).all(axis=1)].tolist():
+    cuts = np.full((u_mode.size, 2), np.nan)
+    curved = (s >= _CURVATURE_MIN_S) & (d2 < 0.0)
+    if curved.any():
+        cuts[curved] = _curvature_cuts(p, q, r, s[curved], t[curved], u_mode[curved], d2[curved])
+        curved &= ~np.isnan(cuts[:, 0])
+    ladder = np.flatnonzero(~np.isnan(u_mode) & ~curved)
+    if ladder.size:
+        cuts[ladder] = _ladder_cuts(p, q, r, s[ladder], t[ladder], u_mode[ladder])
+    for k in ladder[np.isnan(cuts[ladder, 0])].tolist():
         failures[k] = f"H integrand tail does not decay: {args(k)}"
-    first = below.argmax(axis=2)[..., None]
-    outer = np.take_along_axis(rungs, first, axis=2)
-    inner = np.where(first == 0, mode[:, None, None],
-                     np.take_along_axis(rungs, np.maximum(first - 1, 0), axis=2))
-    pts = inner + (outer - inner) * _LATTICE
-    past = ~(_h_log_integrand(pts.reshape(ok.size, 2 * _LATTICE.size), p, q, r, s_ok, t_ok)
-             .reshape(pts.shape) >= floor)
-    # Each bracket ends at its outer rung, already seen past the drop.
-    past[..., -1] = True
-    cuts = np.take_along_axis(pts, past.argmax(axis=2)[..., None], axis=2)[..., 0]
-    u_lo, u_hi = np.full(u_mode.shape, np.nan), np.full(u_mode.shape, np.nan)
-    u_lo[ok], u_hi[ok] = cuts[:, 0], cuts[:, 1]
+    u_lo, u_hi = cuts.T.copy()
     for k in failures:
         u_lo[k] = u_mode[k] = u_hi[k] = np.nan
-    return u_lo, u_mode, u_hi, dict(sorted(failures.items()))
+    return u_lo, u_mode, u_hi, curved, dict(sorted(failures.items()))
 
 
 def _h_nodes(u_lo, u_mode, u_hi, node_count):
@@ -321,7 +397,7 @@ def h_integral(p, q, r, s, t, node_count: int = 96):
     _validate_h_args(p, q, r, s, t)
     if s == 0.0 and q == 0:
         return float(gammaln(p + 1.0) - (p + 1.0) * math.log(t))
-    *window, failures = _h_windows(p, q, r, np.array([s]), np.array([t]), np.array([np.nan]))
+    *window, _, failures = _h_windows(p, q, r, np.array([s]), np.array([t]))
     if failures:
         raise NumericalError(failures[0])
     ((_, u, log_w),) = _h_nodes(*window, node_count)
@@ -353,20 +429,18 @@ def _lead(fields, ndim, shape):
 class PhiQuadCache(NamedTuple):
     """q(phi) quadrature windows, one row per (s, t): a value, never changed once built.
 
-    Row k holds the (s, t) and mode it was fitted at, its node count ``n``
-    (0 for an empty row) and its nodes ``u`` with log-weights ``log_w``,
-    x = exp(u) and the self-terms x log x - log Gamma(x), in the first n
-    columns of the node arrays.  Those are as wide as the widest row; the
-    rest of a row is NaN and is never read.  CAVI moves (N_pi, c1) slowly,
-    so a window usually still covers the mass at the next (s, t); staleness
-    is detected by the integrand failing to decay at the window edges.
-    ``refresh`` returns new windows whose mode searches start from these
-    rows' modes.
+    Row k holds the (s, t) it was fitted at, its node count ``n`` (0 for
+    an empty row) and its nodes ``u`` with log-weights ``log_w``, x = exp(u)
+    and the self-terms x log x - log Gamma(x), in the first n columns of the
+    node arrays.  Those are as wide as the widest row; the rest of a row is
+    NaN and is never read.  CAVI moves (N_pi, c1) slowly, so a window
+    usually still covers the mass at the next (s, t); staleness is detected
+    by the integrand failing to decay at the window edges.  A refit places
+    a whole new window: its mode search does not start from the old one.
     """
 
     s: np.ndarray
     t: np.ndarray
-    u_mode: np.ndarray
     n: np.ndarray
     u: np.ndarray
     log_w: np.ndarray
@@ -377,7 +451,7 @@ class PhiQuadCache(NamedTuple):
     def empty(cls, rows):
         """``rows`` empty windows."""
         nan, nodes = np.full(rows, np.nan), np.zeros((rows, 0))
-        return cls(nan, nan, nan, np.zeros(rows, dtype=np.int64), nodes, nodes, nodes, nodes)
+        return cls(nan, nan, np.zeros(rows, dtype=np.int64), nodes, nodes, nodes, nodes)
 
     def refresh(self, a_phi, s, t, node_count, rows):
         """New windows with the ``rows`` (a mask) fitted to q(phi) at (a_phi, s, t).
@@ -386,14 +460,11 @@ class PhiQuadCache(NamedTuple):
         fitted, which keep their old window.
         """
         stale = np.flatnonzero(rows)
-        start = np.where(self.n[stale] > 0, self.u_mode[stale], np.nan)
-        u_lo, u_mode, u_hi, lost = _h_windows(a_phi - 1.0, 0, 1.0, s[stale], t[stale], start)
+        u_lo, u_mode, u_hi, _, lost = _h_windows(a_phi - 1.0, 0, 1.0, s[stale], t[stale])
         ok = ~np.isnan(u_mode)
         fitted = stale[ok]
-        fields = {"s": self.s.copy(), "t": self.t.copy(), "u_mode": self.u_mode.copy(),
-                  "n": self.n.copy()}
+        fields = {"s": self.s.copy(), "t": self.t.copy(), "n": self.n.copy()}
         fields["s"][fitted], fields["t"][fitted] = s[fitted], t[fitted]
-        fields["u_mode"][fitted] = u_mode[ok]
         groups = list(_h_nodes(u_lo[ok], u_mode[ok], u_hi[ok], node_count))
         for group, u, _ in groups:
             fields["n"][fitted[group]] = u.shape[1]
@@ -478,8 +549,11 @@ def phi_factor(a_phi, s, t, node_count: int = 96, prev: PhiFactor | None = None)
     ``prev``'s window, fitted at a nearby (s, t), is reused while it passes
     ``usable_for`` and the edge test; the other rows are refitted in one
     ``PhiQuadCache.refresh``, and reused rows whose edges fail in one more.
-    Raises NumericalError whose ``failures`` maps every row that cannot be
-    evaluated to its message.
+    A refit places each row's window by the search ``_h_windows`` picks for
+    it: from the curvature at the mode for N_pi = s >= 20, by the ladder
+    and lattice below that.  The reuse thresholds and the edge test are the
+    same for both.  Raises NumericalError whose ``failures`` maps every row
+    that cannot be evaluated to its message.
     """
     _check_node_count(node_count)
     s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
@@ -489,11 +563,10 @@ def phi_factor(a_phi, s, t, node_count: int = 96, prev: PhiFactor | None = None)
         raise ValueError("phi_factor requires t > 0 and s >= 0")
     if np.any(a_phi + s <= 0.0):
         raise ValueError("q(phi) not normalizable at 0")
-    s_t = list(zip(s.tolist(), t.tolist()))  # for messages
     failures = {}
     live = ~(s >= t)
     for k in np.flatnonzero(~live).tolist():
-        failures[k] = f"q(phi) not normalizable: s={s_t[k][0]} >= t={s_t[k][1]}"
+        failures[k] = f"q(phi) not normalizable: s={float(s[k])} >= t={float(t[k])}"
     if prev is None:
         window = PhiQuadCache.empty(s.size)
     else:
@@ -510,7 +583,8 @@ def phi_factor(a_phi, s, t, node_count: int = 96, prev: PhiFactor | None = None)
         rows = np.flatnonzero(rows & live)
         _phi_sums(a_phi, s, t, window, rows, sums)
         for k in rows[~np.isfinite(sums[rows, 0])].tolist():
-            failures[k] = f"q(phi) quadrature overflowed: a={a_phi} s={s_t[k][0]} t={s_t[k][1]}"
+            failures[k] = (f"q(phi) quadrature overflowed: a={a_phi} s={float(s[k])} "
+                           f"t={float(t[k])}")
             live[k] = False
 
     fresh = live & ~window.usable_for(s, t)

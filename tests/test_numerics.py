@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sps
@@ -195,13 +196,15 @@ class TestPhiFactor:
         with pytest.raises(NumericalError):
             phi_factor(0.001, 5.0, 4.0)
 
-    @pytest.mark.parametrize("s", [0.0, 100.0, 136.0, 180.0, 227.0, 300.0])
+    @pytest.mark.parametrize(
+        "s", [0.0, 20.0, 100.0, 136.0, 180.0, 227.0, 300.0, 500.0, 1000.0, 2000.0])
     def test_against_high_node_quadrature(self, s):
-        # (N_pi, c1) around what the benchmark fits reach (N_pi 136-227,
-        # c1 / N_pi 1.04-2.37) and the all-dropout N_pi = 0, fresh and
-        # through windows handed on along the grid.
+        # (N_pi, c1) around what the benchmark fits reach (N_pi 113-1,971,
+        # c1 / N_pi 1.04-3.1), out to the ends of the curvature search's
+        # range (N_pi from 20, c1 / N_pi 1.001 and 10), and the all-dropout
+        # N_pi = 0, fresh and through windows handed on along the grid.
         walked = None
-        for ratio in (1.02, 1.04, 1.2, 1.6, 2.37, 3.0):
+        for ratio in (1.001, 1.02, 1.04, 1.2, 1.6, 2.37, 3.0, 10.0):
             t = s * ratio + 0.01
             want = phi_factor(0.001, s, t, node_count=384)
             walked = phi_factor(0.001, s, t, prev=walked)
@@ -209,6 +212,41 @@ class TestPhiFactor:
                 for name in ("log_h0", "log_h1", "e_phi", "e_log_phi", "e_self"):
                     w = getattr(want, name)
                     assert abs(getattr(got, name) - w) <= 1e-10 * max(1.0, abs(w)), (name, s, t)
+
+
+def mp_log_h_phi(p, s, t):
+    """log H(p, 0, 1, s, t) to 30 digits: mpmath quadrature in u = log x, or
+    the Gamma integral's closed form at s = 0."""
+    with mp.workdps(30):
+        pq, sq, tq = mp.mpf(p), mp.mpf(s), mp.mpf(t)
+        if not s:
+            return float(mp.loggamma(pq + 1) - (pq + 1) * mp.log(tq))
+
+        def f(u):
+            x = mp.exp(u)
+            return mp.exp((pq + 1) * u - tq * x + sq * (x * u - mp.loggamma(x)))
+
+        # The left tail decays like exp((p + 1 + s) u), the right one like
+        # exp(-(t - s) e^u).
+        lo = min(-100.0 / (p + 1.0 + s), -10.0)
+        pts = [lo] + [v for v in (-30.0, -10.0, -3.0, -1.0, 0.0, 1.0, 2.0, 3.0, 5.0, 8.0)
+                      if v > lo]
+        return float(mp.log(mp.quad(f, pts)))
+
+
+class TestPhiFactorSmallNPi:
+    # (a_phi, N_pi, c1) rows that take the ladder search: small N_pi with c1
+    # close to it, and the all-dropout N_pi = 0.
+    @pytest.mark.parametrize("s, t", [(10.0, 10.41), (1.0, 1.21), (0.0, 0.5)])
+    def test_against_mpmath(self, s, t):
+        a_phi = 0.001
+        fac = phi_factor(a_phi, s, t)
+        _, _, _, curved, _ = numerics._h_windows(a_phi - 1.0, 0, 1.0, np.array([s]),
+                                                 np.array([t]))
+        assert not curved[0]
+        for got, p in ((fac.log_h0, a_phi - 1.0), (fac.log_h1, a_phi)):
+            want = mp_log_h_phi(p, s, t)
+            assert abs(float(got) - want) <= 1e-10 * max(1.0, abs(want)), (s, t, p)
 
 
 def _rows(factors):
@@ -237,6 +275,10 @@ class TestPhiFactorRows:
         (None, (2.0, 3.0)),  # 144 nodes
         ((0.0, 0.5), (0.075, 0.3524)),  # 144 nodes, usable, but its edges fail
         (None, (0.0, 5.0)),  # s = 0, 192 nodes
+        # Rows in the benchmark's range of N_pi.
+        (None, (136.0, 200.0)),  # empty
+        ((1000.0, 1100.0), (1000.0, 1102.0)),  # usable
+        ((1000.0, 1100.0), (1000.0, 2000.0)),  # stale: fails usable_for
     ]
 
     def test_each_row_is_its_own_evaluation(self):
@@ -246,8 +288,11 @@ class TestPhiFactorRows:
                  for old, _ in self.CASES]
         s, t = np.array([new for _, new in self.CASES]).T
         prev = _rows(prevs)
-        usable = [False, True, False, True, True, False, True, False]
+        usable = [False, True, False, True, True, False, True, False, False, True, False]
         assert prev.window.usable_for(s, t).tolist() == usable
+        # One call mixes rows of both window searches.
+        _, _, _, curved, _ = numerics._h_windows(self.A_PHI - 1.0, 0, 1.0, s, t)
+        assert curved.tolist() == (s >= 20.0).tolist() == [True] * 3 + [False] * 5 + [True] * 3
         got = phi_factor(self.A_PHI, s, t, prev=prev)
         for k, (old, new) in enumerate(self.CASES):
             want = phi_factor(self.A_PHI, *new, prev=None if old is None else prevs[k])
@@ -261,7 +306,8 @@ class TestPhiFactorRows:
         assert set(got.window.n.tolist()) == {96, 144, 192}
         # Only the usable rows whose edges hold keep their windows.
         refitted = got.window.t != np.array([old[1] if old else np.nan for old, _ in self.CASES])
-        assert refitted.tolist() == [True, False, True, True, False, True, True, True]
+        assert refitted.tolist() == [True, False, True, True, False, True, True, True,
+                                     True, False, True]
 
     def test_failing_rows_fail_alone(self):
         # a_phi = 1e-12 with s = 0 leaves the left tail of x^(a_phi - 1)
