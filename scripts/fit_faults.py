@@ -1,4 +1,4 @@
-"""Wall time and minor page faults of `svjoint detect` on a small simulated dataset.
+"""Wall time, minor page faults and peak memory of `svjoint detect` on a small dataset.
 
     python3 scripts/fit_faults.py [--genes 20] [--grid 48x48] [--seed 1] [--out DIR]
 
@@ -7,10 +7,15 @@ samples, triplet counts, half of the genes spatially variable with a
 linear-focal pattern) and runs `svjoint detect --degree auto` on it in a
 fresh Python process, once with --workers 1 and once with --workers 2, with
 BLAS pinned to one thread.  It prints one JSON object with each run's wall
-time and minor page faults.  The faults are `getrusage(RUSAGE_CHILDREN)`
-differences around the run, so they include those of the pool's workers,
-which detect waits for.  Without --out the files go to a temporary
-directory that is removed afterwards.
+time, minor page faults and peak memory.  The faults are
+`getrusage(RUSAGE_CHILDREN)` differences around the run, so they include
+those of the pool's workers, which detect waits for.  The peaks are read
+inside the detect process once `cli.main` returns: `detect_vmhwm_mb` is its
+VmHWM from /proc/self/status, and `worker_maxrss_mb` the largest pool
+worker's `ru_maxrss` from `getrusage(RUSAGE_CHILDREN)` (null at --workers 1,
+which starts no worker).  Both are null where /proc/self/status is absent.
+Without --out the files go to a temporary directory that is removed
+afterwards.
 """
 
 import argparse
@@ -30,22 +35,38 @@ from svjoint import dataio, simulate  # noqa: E402
 
 BLAS_PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 WORKERS = (1, 2)
+# Runs detect in this process, then prints its VmHWM and the largest reaped
+# worker's ru_maxrss (both KiB on Linux) in MB as one JSON line.
+PEAKS = """
+import json, os, resource, sys
+from svjoint import cli
+code = cli.main(sys.argv[1:])
+peaks = {"detect_vmhwm_mb": None, "worker_maxrss_mb": None}
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as fh:
+        kib = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    worker = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    peaks = {"detect_vmhwm_mb": kib / 1024, "worker_maxrss_mb": worker / 1024 if worker else None}
+print(json.dumps(peaks))
+sys.exit(code)
+"""
 
 
 def detect(manifest, out, workers, seed):
-    """Wall time and minor page faults of one detect process and its workers."""
-    cmd = [sys.executable, "-m", "svjoint.cli", "detect", "--manifest", manifest,
+    """Wall time, minor page faults and peak memory of one detect process and its workers."""
+    cmd = [sys.executable, "-c", PEAKS, "detect", "--manifest", manifest,
            "--out", out, "--degree", "auto", "--workers", str(workers), "--seed", str(seed),
            "--min-spots-per-gene", "100", "--min-genes-per-spot", "1"]
     env = dict(os.environ, **BLAS_PIN)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     t0 = time.perf_counter()
-    subprocess.run(cmd, check=True, env=env, stdout=subprocess.DEVNULL,
-                   stderr=subprocess.DEVNULL)
+    proc = subprocess.run(cmd, check=True, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True)
     wall = time.perf_counter() - t0
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
-    return {"workers": workers, "wall_s": wall, "minor_faults": faults}
+    return {"workers": workers, "wall_s": wall, "minor_faults": faults,
+            **json.loads(proc.stdout.splitlines()[-1])}
 
 
 def run(genes, grid, seed, out_dir):

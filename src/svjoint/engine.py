@@ -10,13 +10,13 @@ indicators alpha_mk for every sample m and spatial axis k), and the
 cross-sample gate (u_k, p_k, q_k) that ties the indicators together.  Every
 gene has its own factors; genes share only the designs.
 
-A ``BlockState`` holds one row per gene.  Its per-spot arrays are (B, sum
-N_m): each row is the gene's M sections concatenated in sample order, split
-by ``offsets``, so per-sample sums are one reduction along the spots.  The
-per-sample scalars u_phi, N_pi and c1 are (B, M), and sample m's theta
-block is ``mu[m]`` (B, d_m) and ``sigma[m]`` (B, d_m, d_m), so samples may
-differ in spot and covariate counts.  The d x d work loops over the M
-samples, each stacked over the block: with the design's column-pair
+A ``BlockState`` holds one row per gene.  Its six per-spot arrays are (B,
+sum N_m): each row is the gene's M sections concatenated in sample order,
+split by ``offsets``, so per-sample sums are one reduction along the spots.
+The per-sample u_phi, N_pi, c1 and log y! sums are (B, M), and sample m's
+theta block is ``mu[m]`` (B, d_m) and ``sigma[m]`` (B, d_m, d_m), so
+samples may differ in spot and covariate counts.  The d x d work loops over
+the M samples, each stacked over the block: with the design's column-pair
 products P (``DesignMatrix.pairs``), every gene's weighted Gram matrix is
 one GEMM ``W @ P.T`` and its row-wise quadratic forms one GEMM against P;
 the Cholesky factors and inverses are stacked.  q(phi) is one quadrature
@@ -78,6 +78,7 @@ __all__ = [
     "theta_derivatives",
     "update_theta",
     "update_phi",
+    "g_factor",
     "update_g",
     "update_r",
     "update_sigma",
@@ -217,30 +218,29 @@ class BlockState:
 
     Layout: a gene's spots are its samples' sections concatenated in sample
     order, and sample m owns columns ``offsets[m]:offsets[m + 1]``
-    (``sections[m]``) of every (B, sum N_m) per-spot array: the counts
-    ``y``, ``log_y_fact`` = log(y_i!), ``u_r`` = E[r_i] (exactly 0 wherever
-    y_i > 0), ``a_g``/``b_g`` parametrizing q(g) and its moments
-    ``e_g``/``e_log_g`` (set by ``update_g``), and ``w_exp`` and ``c_mu``,
-    E[exp(-C_i theta)] and C_i mu.  ``owner`` maps each column to its
-    sample.  Per-sample sums are one reduction over the offsets.
+    (``sections[m]``) of each of the six (B, sum N_m) per-spot arrays: the
+    counts ``y``, ``u_r`` = E[r_i] (exactly 0 wherever y_i > 0), q(g)'s
+    moments ``e_g``/``e_log_g`` (set by ``update_g``), and ``w_exp`` and
+    ``c_mu``, E[exp(-C_i theta)] and C_i mu.  ``owner`` maps each column to
+    its sample.  Per-sample sums are one reduction over the offsets.
 
-    ``u_phi``, ``n_pi``, ``c1`` and q(g)'s entropy ``ent_g`` are (B, M);
-    ``update_g`` sets ``ent_g`` and ``update_phi`` sets ``n_pi``,
-    ``c1`` and ``phi_cache``, the q(phi) normalizers and moments at (n_pi,
-    c1) as a ``PhiFactor`` of (B, M) arrays, with the quadrature windows they
-    were evaluated on, (B, M, nodes).  The regression blocks differ in size
-    between samples, so ``mu`` and ``sigma`` are tuples of M arrays, (B,
-    d_m) and (B, d_m, d_m), with their own ``designs[m]``; the (B, M, 2)
-    ``beta_sq`` is E[beta_mk' beta_mk] and the (M, 1) ``length`` the slab
-    block lengths L_m.
+    ``u_phi``, ``n_pi``, ``c1``, q(g)'s entropy ``ent_g`` and each sample's
+    log(y_i!) sum ``log_y_fact`` are (B, M); ``update_g`` sets ``ent_g`` and
+    ``update_phi`` sets ``n_pi``, ``c1`` and ``phi_cache``, the q(phi)
+    normalizers and moments at (n_pi, c1) as a ``PhiFactor`` of (B, M)
+    arrays, with the quadrature windows they were evaluated on, (B, M,
+    nodes).  The regression blocks differ in size between samples, so ``mu``
+    and ``sigma`` are tuples of M arrays, (B, d_m) and (B, d_m, d_m), with
+    their own ``designs[m]``; the (B, M, 2) ``beta_sq`` is E[beta_mk'
+    beta_mk] and the (M, 1) ``length`` the slab block lengths L_m.
     ``w_exp``, ``c_mu`` and ``beta_sq`` are functions of (mu, Sigma),
     refreshed together by ``refresh_theta_cache``.  A gene's slab factors
     are its row of ``SharedState``'s (B, M, 2) block.
     """
 
     # The fields that hold one row per gene: arrays, or tuples of them.
-    ROWS = ("y", "log_y_fact", "u_r", "u_phi", "mu", "sigma", "n_pi", "c1", "a_g", "b_g",
-            "e_g", "e_log_g", "ent_g", "w_exp", "c_mu", "beta_sq", "phi_cache")
+    ROWS = ("y", "log_y_fact", "u_r", "u_phi", "mu", "sigma", "n_pi", "c1", "e_g",
+            "e_log_g", "ent_g", "w_exp", "c_mu", "beta_sq", "phi_cache")
 
     y: np.ndarray
     designs: tuple
@@ -252,8 +252,6 @@ class BlockState:
     sigma: tuple
     n_pi: np.ndarray = None
     c1: np.ndarray = None
-    a_g: np.ndarray = None
-    b_g: np.ndarray = None
     e_g: np.ndarray = None
     e_log_g: np.ndarray = None
     ent_g: np.ndarray = None
@@ -284,14 +282,12 @@ class BlockState:
         m = int(self.owner[spot])
         return f"sample {m} spot {spot - self.sections[m].start}"
 
-    def refresh_g_moments(self):
-        """E[g], E[log g] = psi(a_g) - log b_g and q(g)'s entropy per sample,
-        from one special-function pass over a_g.  The entropy is summed here
-        so that no per-spot array is kept for the ELBO."""
-        a, log_b = self.a_g, np.log(self.b_g)
+    def set_g(self, a, b):
+        """Set q(g) = Gamma(a, rate b): E[g], E[log g] and per-sample entropy, in one pass."""
+        log_b = np.log(b)
         lgamma_a, e_log_g = gammaln_digamma(a)
         e_log_g -= log_b
-        self.e_g = a / self.b_g
+        self.e_g = a / b
         self.e_log_g = e_log_g
         self.ent_g = -self.per_sample_sum(a * log_b - lgamma_a + (a - 1.0) * e_log_g - a)
 
@@ -440,7 +436,7 @@ def init_state(counts, designs, hp: Hyperparameters):
         y=y,
         designs=tuple(designs),
         offsets=offsets,
-        log_y_fact=gammaln(y + 1.0),
+        log_y_fact=np.add.reduceat(gammaln(y + 1.0), offsets[:-1], axis=1),
         u_r=np.where(y == 0, 0.5, 0.0),
         u_phi=np.full((n_genes, n_samples), max(hp.a_phi / hp.b_phi, 1.0)),
         mu=tuple(mu),
@@ -606,17 +602,21 @@ def update_phi(state: BlockState, hp: Hyperparameters):
     state.u_phi = np.clip(phi.e_phi, *_U_PHI_BOUNDS)
 
 
-def update_g(state: BlockState):
-    """Conjugate Gamma update of the per-spot Poisson rates."""
+def g_factor(state: BlockState):
+    """q(g)'s (shape, rate) as ``update_g`` sets them, while u_r, u_phi and w_exp stay unchanged."""
     kappa = np.maximum(1.0 - state.u_r, _KAPPA_FLOOR)
     u_phi = state.per_spot(state.u_phi)
-    state.a_g = (state.y + u_phi - 1.0) * kappa + 1.0
-    state.b_g = kappa * (u_phi * state.w_exp + 1.0)
-    ok = np.isfinite(state.b_g) & (state.b_g > 0.0)
+    return (state.y + u_phi - 1.0) * kappa + 1.0, kappa * (u_phi * state.w_exp + 1.0)
+
+
+def update_g(state: BlockState):
+    """Conjugate Gamma update of the per-spot Poisson rates; the state keeps q(g)'s moments."""
+    shape, rate = g_factor(state)
+    ok = np.isfinite(rate) & (rate > 0.0)
     if not ok.all():
         _fail({b: f"invalid q(g) rate at {state.locate(spot)}"
                for b, spot in _first_flags(~ok).items()})
-    state.refresh_g_moments()
+    state.set_g(shape, rate)
 
 
 def update_r(state: BlockState, hp: Hyperparameters):
@@ -828,8 +828,8 @@ def compute_elbo(state: BlockState, shared: SharedState, hp: Hyperparameters):
     kappa = 1.0 - u_r
     spot_e_phi = state.per_spot(e_phi)
 
-    # E log p(y | g, r): the Dirac branch contributes 0 at y = 0.
-    data_term = state.per_sample_sum(kappa * (y * e_log_g - e_g - state.log_y_fact))
+    # E log p(y | g, r), 0 on the Dirac branch; kappa = 1 wherever log y! > 0.
+    data_term = state.per_sample_sum(kappa * (y * e_log_g - e_g)) - state.log_y_fact
     # E log p(g | theta, phi), gated by (1 - r).
     g_prior = state.per_sample_sum(
         kappa

@@ -17,6 +17,7 @@ from svjoint.engine import (
     _one_iteration,
     compute_elbo,
     fit_gene,
+    g_factor,
     init_state,
     beta_prior_precision,
     m_prior_diag,
@@ -174,12 +175,21 @@ def test_criterion_2_local_optimality(eight_spot_fixture, five_spot_state):
         return apply
 
     update_g(state.block)
+    g_params = g_factor(state.block)
+
+    def scale_g(i, m):
+        # Scales q(g)'s shape (i = 0) or rate (i = 1) on sample m's spots.
+        def apply(eps):
+            params = list(g_params)
+            params[i] = params[i] * np.where(state.owner == m, eps, 1.0)
+            state.block.set_g(*params)
+            return lambda: state.block.set_g(*g_params)
+
+        return apply
+
     for m in range(len(ys)):
-        for name in ("a_g", "b_g"):
-            _perturb_check(
-                f"g.{name}[m{m}]", state, shared, ys, designs, hp,
-                scale_arrays([(state, name)], refresh=state.refresh_g_moments, spots=m), gains,
-            )
+        for i, name in enumerate(("shape", "rate")):
+            _perturb_check(f"g.{name}[m{m}]", state, shared, ys, designs, hp, scale_g(i, m), gains)
     update_r(state.block, hp)
     assert np.all(state.u_r == 0.0), "fixture must have positive counts"
     for m in range(len(ys)):
@@ -292,7 +302,9 @@ def test_criterion_3_monte_carlo_elbo():
     n_draws = 1_000_000
     c_row = design.matrix[0]
 
-    g = rng.gamma(ss.a_g[0], 1.0 / ss.b_g[0], size=n_draws)
+    # The positive count keeps u_r at 0, so q(g)'s parameters are update_g's.
+    a_g, b_g = (float(v[0, 0]) for v in g_factor(block))
+    g = rng.gamma(a_g, 1.0 / b_g, size=n_draws)
     r = (rng.random(n_draws) < ss.u_r[0]).astype(float)
     chol = np.linalg.cholesky(sigma)
     theta = mu + rng.standard_normal((n_draws, 3)) @ chol.T
@@ -366,9 +378,7 @@ def test_criterion_3_monte_carlo_elbo():
         - hp.b_phi * phi
     )
 
-    log_q = ss.a_g[0] * np.log(ss.b_g[0]) - gammaln(ss.a_g[0]) + (
-        ss.a_g[0] - 1.0
-    ) * log_g - ss.b_g[0] * g
+    log_q = a_g * np.log(b_g) - gammaln(a_g) + (a_g - 1.0) * log_g - b_g * g
     with np.errstate(divide="ignore"):
         log_q += np.where(r > 0, math.log(max(ss.u_r[0], 1e-300)), math.log1p(-ss.u_r[0]))
     dev = theta - mu

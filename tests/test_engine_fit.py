@@ -16,10 +16,12 @@ from svjoint.engine import (
     _take,
     compute_elbo,
     fit_gene,
+    g_factor,
     init_state,
 )
 from svjoint.numerics import NumericalError, phi_factor
 from svjoint.simulate import SimConfig, generate
+from svjoint.special import gammaln
 from svjoint.splines import normalize_coords
 
 from conftest import GeneRow, make_design
@@ -43,8 +45,10 @@ def check_state_invariants(state, shared, ys):
     assert np.all(shared.a_sig > 0) and np.all(shared.b_sig > 0)
     assert np.all(shared.u_inv_a > 0)
     assert np.all((shared.u_alpha >= 0) & (shared.u_alpha <= 1))
+    # q(g)'s parameters at the state's current u_r, u_phi and w_exp.
+    a_g, b_g = (v[0] for v in g_factor(state.block))
     for m, (spots, y) in enumerate(zip(state.sections, ys)):
-        assert np.all(state.a_g[spots] > 0) and np.all(state.b_g[spots] > 0)
+        assert np.all(a_g[spots] > 0) and np.all(b_g[spots] > 0)
         assert state.u_phi[m] > 0
         u_r = state.u_r[spots]
         assert np.all((u_r >= 0) & (u_r <= 1))
@@ -163,6 +167,28 @@ class TestCountBlocks:
         with pytest.raises(ValueError, match=match):
             init_state(counts, designs, hp)
         assert not iterations
+
+
+class TestStateLayout:
+    def test_six_per_spot_arrays_and_per_sample_log_y_fact(self):
+        # Three genes over two samples of 5 and 9 spots, with zero counts.
+        rng = np.random.default_rng(3)
+        designs, counts = [], []
+        for n in (5, 9):
+            coords = np.column_stack([np.linspace(0, 1, n), rng.uniform(size=n)])
+            designs.append(make_design(coords, rng.uniform(size=(n, 1)), degree=2))
+            counts.append(rng.poisson(3.0, size=(3, n)) * (rng.random((3, n)) > 0.3))
+        assert all((c == 0).any() and (c > 1).any() for c in counts)
+        hp = Hyperparameters.default(2, 2)
+        state, shared = init_state(counts, designs, hp)
+        _one_iteration(state, shared, hp, 1.0)
+        per_spot = {name for name, value in vars(state).items()
+                    if isinstance(value, np.ndarray) and value.shape == (3, 14)}
+        assert per_spot == {"y", "u_r", "e_g", "e_log_g", "w_exp", "c_mu"}
+        assert state.log_y_fact.shape == (3, 2)
+        np.testing.assert_array_equal(
+            state.log_y_fact, state.per_sample_sum(gammaln(state.y + 1.0)))
+        np.testing.assert_array_equal(_take(state, [2, 0]).log_y_fact, state.log_y_fact[[2, 0]])
 
 
 def assert_same_values(a, b):

@@ -17,6 +17,7 @@ from svjoint.engine import (
     alpha_logit,
     beta_prior_precision,
     compute_elbo,
+    g_factor,
     gamma_moments,
     init_state,
     m_prior_diag,
@@ -88,8 +89,9 @@ class TestUpdateG:
         ss.sigma = (np.zeros((design.dim, design.dim)),)
         ss.refresh_theta_cache()
         update_g(ss.block)
-        assert ss.a_g[0] == pytest.approx(5.0)
-        assert ss.b_g[0] == pytest.approx(3.0)
+        a_g, b_g = g_factor(ss.block)
+        assert a_g[0, 0] == pytest.approx(5.0)
+        assert b_g[0, 0] == pytest.approx(3.0)
         assert ss.e_g[0] == pytest.approx(5.0 / 3.0)
 
     def test_dropout_decoupling(self):
@@ -100,8 +102,9 @@ class TestUpdateG:
         ss.sigma = (np.zeros((design.dim, design.dim)),)
         ss.refresh_theta_cache()
         update_g(ss.block)
-        assert abs(ss.a_g[0] - 1.0) < 1e-7
-        assert ss.b_g[0] > 0.0
+        a_g, b_g = g_factor(ss.block)
+        assert abs(a_g[0, 0] - 1.0) < 1e-7
+        assert b_g[0, 0] > 0.0
 
     def test_zero_count_unit_phi(self):
         ss, _, design, _ = single_state([0])
@@ -111,8 +114,9 @@ class TestUpdateG:
         ss.sigma = (np.zeros((design.dim, design.dim)),)
         ss.refresh_theta_cache()
         update_g(ss.block)
-        assert ss.a_g[0] == pytest.approx(1.0)
-        assert ss.b_g[0] == pytest.approx(2.0)
+        a_g, b_g = g_factor(ss.block)
+        assert a_g[0, 0] == pytest.approx(1.0)
+        assert b_g[0, 0] == pytest.approx(2.0)
 
     def test_entropy_of_q_g_bit_for_bit(self, eight_spot_fixture):
         # q(g)'s entropy, summed per sample by update_g from the pass that
@@ -120,7 +124,10 @@ class TestUpdateG:
         ys, designs, hp = eight_spot_fixture
         state, shared = init_state([np.stack([y, y + 2]) for y in ys], designs, hp)
         _one_iteration(state, shared, hp, 1.0)
-        a_g, log_b_g = state.a_g, np.log(state.b_g)
+        # Every count is positive, so update_r left u_r, and with it q(g)'s
+        # parameters, as update_g used them.
+        a_g, b_g = g_factor(state)
+        log_b_g = np.log(b_g)
         e_log_g = special.digamma(a_g) - log_b_g
         np.testing.assert_array_equal(state.e_log_g, e_log_g)
         want = -state.per_sample_sum(
@@ -160,8 +167,6 @@ class TestUpdatePhi:
         ss, _, design, hp = single_state([1, 1])
         ss.u_r = np.zeros(2)
         ss.e_log_g = np.zeros(2)
-        ss.a_g = np.ones(2)
-        ss.b_g = np.ones(2)
         ss.e_g = np.ones(2)
         ss.mu = (np.zeros(design.dim),)
         ss.sigma = (np.zeros((design.dim, design.dim)),)
@@ -553,14 +558,16 @@ class TestStackedAgainstPerSample:
         state, _, ys, hp = self.fitted()
         old = copy.copy(state)
         update_g(state.block)
+        # update_r moves u_r at zero counts: read q(g)'s parameters before it.
+        got_a, got_b = (v[0] for v in g_factor(state.block))
         update_r(state.block, hp)
         log_num = math.log(0.5)  # log B(a_pi + 1, b_pi) at a_pi = b_pi = 1
         for m, (spots, _, _, u_phi, _, _) in enumerate(self.per_sample(old)):
             kappa = np.maximum(1.0 - old.u_r[spots], 1e-8)
             a_g = (ys[m] + u_phi - 1.0) * kappa + 1.0
             b_g = kappa * (u_phi * old.w_exp[spots] + 1.0)
-            np.testing.assert_allclose(state.a_g[spots], a_g, rtol=1e-12)
-            np.testing.assert_allclose(state.b_g[spots], b_g, rtol=1e-12)
+            np.testing.assert_allclose(got_a[spots], a_g, rtol=1e-12)
+            np.testing.assert_allclose(got_b[spots], b_g, rtol=1e-12)
             np.testing.assert_allclose(state.e_g[spots], a_g / b_g, rtol=1e-12)
             np.testing.assert_allclose(
                 state.e_log_g[spots], psi(a_g) - np.log(b_g), rtol=1e-12, atol=1e-14)
@@ -570,13 +577,17 @@ class TestStackedAgainstPerSample:
 
     def test_elbo(self):
         state, shared, ys, hp = self.fitted()
+        # The fit's last update_r moved u_r at zero counts after its update_g:
+        # one more update_g makes q(g)'s parameters those of the state's moments.
+        update_g(state.block)
+        shape, rate = (v[0] for v in g_factor(state.block))
         lb = lambda a, b: float(gammaln(a) + gammaln(b) - gammaln(a + b))
         want = 0.0
         for m, (spots, mu, sigma, _, n_pi, c1) in enumerate(self.per_sample(state)):
             design, fac = state.designs[m], engine._rowwise(lambda v: v[m], state.phi_cache)
             y = ys[m]
             kappa = 1.0 - state.u_r[spots]
-            a_g, b_g = state.a_g[spots], state.b_g[spots]
+            a_g, b_g = shape[spots], rate[spots]
             e_g, e_log_g = state.e_g[spots], state.e_log_g[spots]
             c_mu, w_exp = design.matrix @ mu, state.w_exp[spots]
             want += float(kappa @ (y * e_log_g - e_g - gammaln(y + 1.0)))
