@@ -1,4 +1,4 @@
-"""Wall time, minor page faults and peak memory of `svjoint detect` on a small dataset.
+"""Wall time, CPU time, minor page faults and peak memory of `svjoint detect`.
 
     python3 scripts/fit_faults.py [--genes 20] [--grid 48x48] [--seed 1] [--out DIR]
 
@@ -7,15 +7,20 @@ samples, triplet counts, half of the genes spatially variable with a
 linear-focal pattern) and runs `svjoint detect --degree auto` on it in a
 fresh Python process, once with --workers 1 and once with --workers 2, with
 BLAS pinned to one thread.  It prints one JSON object with each run's wall
-time, minor page faults and peak memory.  The faults are
-`getrusage(RUSAGE_CHILDREN)` differences around the run, so they include
-those of the pool's workers, which detect waits for.  The peaks are read
-inside the detect process once `cli.main` returns: `detect_vmhwm_mb` is its
-VmHWM from /proc/self/status, and `worker_maxrss_mb` the largest pool
-worker's `ru_maxrss` from `getrusage(RUSAGE_CHILDREN)` (null at --workers 1,
-which starts no worker).  Both are null where /proc/self/status is absent.
-Without --out the files go to a temporary directory that is removed
-afterwards.
+time, CPU time, fitting processes, minor page faults and peak memory.  The
+faults are `getrusage(RUSAGE_CHILDREN)` differences around the run, so they
+include those of the pool's workers, which detect waits for.  The rest is
+read inside the detect process once `cli.main` returns.  `cpu_s` is the
+user plus system time of detect and its reaped pool workers
+(`getrusage` SELF plus CHILDREN), so `cpu_s / wall_s` near 2 shows a run
+that kept two CPUs busy.  `processes` is the number of processes that fit
+genes: detect itself and each pool worker that returned a fit (a pool is
+started only when the genes make more than one block).  `detect_vmhwm_mb`
+is detect's VmHWM from /proc/self/status, and `worker_maxrss_mb` the
+largest pool worker's `ru_maxrss` from `getrusage(RUSAGE_CHILDREN)` (null
+when no worker ran).  Both peaks are null where /proc/self/status is
+absent.  Without --out the files go to a temporary directory that is
+removed afterwards.
 """
 
 import argparse
@@ -35,25 +40,40 @@ from svjoint import dataio, simulate  # noqa: E402
 
 BLAS_PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 WORKERS = (1, 2)
-# Runs detect in this process, then prints its VmHWM and the largest reaped
-# worker's ru_maxrss (both KiB on Linux) in MB as one JSON line.
+# Runs detect in this process and prints, in one JSON line, its CPU time
+# with that of its reaped workers, the number of processes that fit genes
+# (each fit is tagged with its process id on the way out of the task), its
+# VmHWM and the largest reaped worker's ru_maxrss (both KiB on Linux) in MB.
 PEAKS = """
-import json, os, resource, sys
-from svjoint import cli
+import functools, json, os, resource, sys
+from svjoint import cli, selection
+task, report, pids = cli._fit_gene_task, selection.build_report, set()
+@functools.wraps(task)
+def tagged_task(gene_index):
+    result = task(gene_index)
+    result.pid = os.getpid()
+    return result
+def build_report(gene_ids, results, *args, **kwargs):
+    pids.update(getattr(r, "pid", None) for r in results)
+    return report(gene_ids, results, *args, **kwargs)
+cli._fit_gene_task, selection.build_report = tagged_task, build_report
 code = cli.main(sys.argv[1:])
-peaks = {"detect_vmhwm_mb": None, "worker_maxrss_mb": None}
+usage = [resource.getrusage(who) for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+peaks = {"cpu_s": sum(u.ru_utime + u.ru_stime for u in usage), "processes": len(pids),
+         "detect_vmhwm_mb": None, "worker_maxrss_mb": None}
 if os.path.exists("/proc/self/status"):
     with open("/proc/self/status") as fh:
         kib = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-    worker = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    peaks = {"detect_vmhwm_mb": kib / 1024, "worker_maxrss_mb": worker / 1024 if worker else None}
+    worker = usage[1].ru_maxrss
+    peaks.update(detect_vmhwm_mb=kib / 1024, worker_maxrss_mb=worker / 1024 if worker else None)
 print(json.dumps(peaks))
 sys.exit(code)
 """
 
 
 def detect(manifest, out, workers, seed):
-    """Wall time, minor page faults and peak memory of one detect process and its workers."""
+    """Wall and CPU time, fitting processes, minor page faults and peak memory
+    of one detect process and its workers."""
     cmd = [sys.executable, "-c", PEAKS, "detect", "--manifest", manifest,
            "--out", out, "--degree", "auto", "--workers", str(workers), "--seed", str(seed),
            "--min-spots-per-gene", "100", "--min-genes-per-spot", "1"]

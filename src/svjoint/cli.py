@@ -5,11 +5,12 @@ from __future__ import annotations
 import argparse
 import ctypes
 import logging
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -59,17 +60,46 @@ def _keep_temporaries_on_heap():
             mallopt(param, value)
 
 
-def _init_worker(counts, designs, hp, opts, block):
-    # ``counts`` holds one CsrCounts per sample: a spawn or forkserver worker
-    # unpickles only the nonzeros, and each block densifies its genes' rows.
-    # Genes are fit in blocks of ``block`` consecutive indices, a size that
-    # depends only on the spot count, so each gene's result is the same for
-    # any worker count.  Finished blocks wait in ``results`` until their
-    # genes are asked for.  A spawn or forkserver worker does not inherit
-    # the parent's malloc settings.
+def _cpu_ids(n):
+    """One CPU id per fitting process: the allowed CPUs in turn, wrapping
+    round (None where the platform has no affinity calls, as on macOS)."""
+    allowed = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else [None]
+    return [allowed[k % len(allowed)] for k in range(n)]
+
+
+def _place(cpu):
+    """Move this process onto ``cpu``, then allow it every CPU it had.
+
+    A forked process starts on its parent's CPU, and where the kernel does
+    not balance load (a cpuset with ``sched_load_balance`` 0) it stays there.
+    Restoring the mask leaves the kernel free to move it where it balances.
+    Where the call is refused (OSError), nothing is placed; no result moves.
+    """
+    if cpu is None:
+        return
+    try:
+        allowed = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {cpu})
+        os.sched_setaffinity(0, allowed)
+    except OSError:
+        pass
+
+
+def _init_worker(counts, designs, hp, opts, block, cpus=None):
+    # detect runs this for itself and in each pool worker.  ``counts`` holds
+    # one CsrCounts per sample: a spawn or forkserver worker unpickles only
+    # the nonzeros, and each block densifies its genes' rows.  Genes are fit
+    # in blocks of ``block`` consecutive indices, a size that depends only on
+    # the spot count, so each gene's result is the same in any process and
+    # for any worker count.  Finished blocks wait in ``results`` until their
+    # genes are asked for.  A pool worker takes its CPU id from the ``cpus``
+    # queue; a spawn or forkserver worker does not inherit the parent's
+    # malloc settings.
+    if cpus is not None:
+        _place(cpus.get())
     _keep_temporaries_on_heap()
     for design in designs:
-        design.pairs  # built once per process, shared by every block
+        design.pairs  # built once per process (before a fork, once in all)
     _CTX.clear()
     _CTX.update(counts=counts, designs=designs, hp=hp, opts=opts, results={}, block=block)
 
@@ -84,6 +114,24 @@ def _fit_gene_task(gene_index: int):
         dense = [c[genes.start:genes.stop] for c in _CTX["counts"]]
         results.update(zip(genes, fit_genes(dense, _CTX["designs"], _CTX["hp"], _CTX["opts"])))
     return results.pop(gene_index)
+
+
+def _start_pool(n, initargs):
+    """A pool of ``n - 1`` workers, with each of the ``n`` fitting processes
+    (detect first) started on its own CPU."""
+    cpus = multiprocessing.SimpleQueue()
+    first, *rest = _cpu_ids(n)
+    for cpu in rest:
+        cpus.put(cpu)
+    _place(first)
+    # The raised trim threshold keeps freed heap pages resident; return
+    # them before the workers fork, so that none starts with them.
+    malloc_trim = _libc("malloc_trim", ctypes.c_size_t)
+    if malloc_trim is not None:
+        malloc_trim(0)
+    return ProcessPoolExecutor(
+        max_workers=n - 1, initializer=_init_worker, initargs=(*initargs, cpus)
+    )
 
 
 @contextmanager
@@ -147,29 +195,25 @@ def run_detect(args) -> int:
 
     # Every process cuts the genes into blocks of this size.
     block = block_size(sum(d.matrix.shape[0] for d in designs))
-    indices = list(range(ds.n_genes))
-    if args.workers == 1:
-        _init_worker(counts, designs, hp, opts, block)
-        results = [_fit_gene_task(i) for i in indices]
-    else:
-        # One pool task per block of genes, and no more processes than blocks:
-        # the pool starts every worker at once.
-        n_blocks = -(-len(indices) // block)
-        # The raised trim threshold keeps freed heap pages resident; return
-        # them before the workers fork, so that none starts with them.
-        malloc_trim = _libc("malloc_trim", ctypes.c_size_t)
-        if malloc_trim is not None:
-            malloc_trim(0)
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(args.workers, n_blocks),
-                initializer=_init_worker,
-                initargs=(counts, designs, hp, opts, block),
-            ) as pool:
-                results = list(pool.map(_fit_gene_task, indices, chunksize=block))
-        except BrokenProcessPool as exc:
-            log.error("a gene-fit worker process died; no report written: %s", exc)
-            return 1
+    # n processes fit, and never more than there are blocks: detect fits
+    # blocks 0, n, 2n, ... itself while a pool of n - 1 workers fits the
+    # others, one pool task per block.  Only the last block can be short, so
+    # chunks of ``block`` pooled genes are whole blocks.
+    n = min(args.workers, -(-ds.n_genes // block))
+    own = [i for i in range(ds.n_genes) if i // block % n == 0]
+    pooled = [i for i in range(ds.n_genes) if i // block % n]
+    initargs = (counts, designs, hp, opts, block)
+    _init_worker(*initargs)
+    try:
+        with _start_pool(n, initargs) if n > 1 else nullcontext() as pool:
+            # The pool's tasks are all submitted before detect fits its own.
+            pending = pool.map(_fit_gene_task, pooled, chunksize=block) if pool else ()
+            fits = {i: _fit_gene_task(i) for i in own}
+            fits.update(zip(pooled, pending))
+    except BrokenProcessPool as exc:
+        log.error("a gene-fit worker process died; no report written: %s", exc)
+        return 1
+    results = [fits[i] for i in range(ds.n_genes)]
 
     n_failed = 0
     for gid, res in zip(ds.gene_ids, results):

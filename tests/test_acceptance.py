@@ -594,12 +594,13 @@ def test_criterion_7_invariant_suites(tmp_path):
     vals = [bfdr(u, float(u0)) for u0 in grid if u0 > 0]
     checks.append(("BFDR monotone on grid", bool(np.all(np.diff(vals) >= -1e-12))))
 
-    # Worker-count byte-exact determinism through the CLI.
+    # Worker-count byte-exact determinism through the CLI, on 40 genes of 4
+    # samples x 100 spots: blocks of 32 and 8, so that --workers 2 starts a pool.
     from svjoint.cli import main as cli_main
 
     sim_out = tmp_path / "sim"
     assert cli_main([
-        "simulate", "--out", str(sim_out), "--grid", "10x10", "--genes", "10",
+        "simulate", "--out", str(sim_out), "--grid", "10x10", "--genes", "40",
         "--sv-genes", "2", "--dropout", "0.2", "--seed", "77",
     ]) == 0
     rep1, rep2 = tmp_path / "w1.tsv", tmp_path / "w2.tsv"

@@ -1,6 +1,5 @@
 """End-to-end command-line runs on small datasets."""
 
-import functools
 import multiprocessing
 import os
 import platform
@@ -30,8 +29,46 @@ def sim_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture
+def pooled(monkeypatch):
+    """Genes whose fits came back from detect's worker pool.
+
+    Blocks of 4 cut sim_dir's 14 genes into four blocks, so that a detect
+    with two or more workers starts a pool.  Every fit that the real pool's
+    map returns was made in a pool process.
+    """
+    genes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            fits = super().map(fn, items, chunksize=chunksize)
+
+            def returned():
+                for gene, fit in zip(items, fits):
+                    genes.append(gene)
+                    yield fit
+            return returned()
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "block_size", lambda n_spots: 4)
+    return genes
+
+
+# With blocks of 4 and two workers, detect fits blocks 0 and 2, the pool 1 and 3.
+POOLED_W2 = [4, 5, 6, 7, 12, 13]
+
+
+@pytest.fixture
+def start_method():
+    """Set multiprocessing's start method for one test, then restore it."""
+    old = multiprocessing.get_start_method(allow_none=True)
+    yield lambda method: multiprocessing.set_start_method(method, force=True)
+    multiprocessing.set_start_method(old, force=True)
+
+
 class TestDetect:
-    def test_worker_count_invariance(self, sim_dir, tmp_path):
+    def test_worker_count_invariance(self, sim_dir, tmp_path, pooled):
         out1 = tmp_path / "r1.tsv"
         out2 = tmp_path / "r2.tsv"
         common = [
@@ -41,11 +78,13 @@ class TestDetect:
         ]
         assert run(common + ["--out", str(out1), "--workers", "1"]) == 0
         assert run(common + ["--out", str(out2), "--workers", "2"]) == 0
+        assert pooled == POOLED_W2
         assert out1.read_bytes() == out2.read_bytes()
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
-    def test_pool_start_method_invariance(self, sim_dir, tmp_path, monkeypatch, method):
-        # Under spawn and forkserver, workers unpickle the counts from initargs.
+    def test_pool_start_method_invariance(self, sim_dir, tmp_path, pooled, start_method, method):
+        # Under spawn and forkserver, workers unpickle the counts and the
+        # queue of CPU ids from initargs.
         out1 = tmp_path / "r1.tsv"
         out2 = tmp_path / "r2.tsv"
         common = [
@@ -54,13 +93,12 @@ class TestDetect:
             "--min-spots-per-gene", "0", "--min-genes-per-spot", "0",
         ]
         assert run(common + ["--out", str(out1), "--workers", "1"]) == 0
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(
-            ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)
-        ))
+        start_method(method)
         assert run(common + ["--out", str(out2), "--workers", "2"]) == 0
+        assert pooled == POOLED_W2
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_same_report_without_mallopt(self, sim_dir, tmp_path, monkeypatch):
+    def test_same_report_without_mallopt(self, sim_dir, tmp_path, monkeypatch, pooled):
         # The malloc thresholds detect sets for itself and each worker move
         # no result: where the C library has no mallopt, detect runs as
         # before and writes the same report.
@@ -87,19 +125,22 @@ class TestDetect:
         monkeypatch.setattr(cli, "_libc", recording)
         assert run(common + ["--out", str(out1), "--workers", "1"]) == 0
         if platform.libc_ver()[0] == "glibc":
-            # Once in detect and once in the in-process worker set-up.
+            # Once in detect and once in its worker set-up.
             assert calls == 2 * [("mallopt", *setting) for setting in cli._MALLOPT_SETTINGS]
         # Forked workers see the stand-in too.
         monkeypatch.setattr(cli, "_libc", lambda name, *argtypes: None)
         for workers in ("1", "2"):
             assert run(common + ["--out", str(out2), "--workers", workers]) == 0
             assert out1.read_bytes() == out2.read_bytes()
+        assert pooled == POOLED_W2
 
     def test_pool_no_larger_than_block_count(self, sim_dir, tmp_path, monkeypatch):
-        # The pool starts all its workers at once, and sim_dir's 14 genes make
-        # one block, so --workers 64 asks for one process.  The stand-in
-        # records the request and maps in this process.
-        asked = []
+        # detect is one of the n fitting processes, and n is no larger than
+        # the block count.  sim_dir's 14 genes make one block, so --workers
+        # 64 starts no pool; in blocks of 4 they make four, so it asks for 3
+        # pool workers and detect fits block 0.  The stand-in records each
+        # request and maps in this process.
+        asked, mapped = [], []
 
         class InProcessPool:
             def __init__(self, max_workers, initializer, initargs):
@@ -113,15 +154,83 @@ class TestDetect:
                 return False
 
             def map(self, fn, items, chunksize=1):
-                return map(fn, items)
+                mapped.append((list(items), chunksize))
+                return map(fn, mapped[-1][0])
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
-        assert run([
+        argv = [
             "detect", "--manifest", str(sim_dir / "manifest.ini"), "--out", str(tmp_path / "r.tsv"),
             "--degree", "2", "--workers", "64",
             "--min-spots-per-gene", "0", "--min-genes-per-spot", "0",
+        ]
+        assert run(argv) == 0
+        assert asked == [] and mapped == []
+        monkeypatch.setattr(cli, "block_size", lambda n_spots: 4)
+        assert run(argv) == 0
+        assert asked == [3]
+        assert mapped == [(list(range(4, 14)), 4)]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
+    def test_each_fitting_process_placed(self, sim_dir, tmp_path, monkeypatch):
+        # With blocks of 4, --workers 3 makes three fitting processes: detect
+        # and two pool workers.  Each pins itself to its own CPU id from the
+        # allowed set (wrapping round past the CPU count), then restores the
+        # mask it had.  Forked workers inherit the recording stand-in.
+        record = tmp_path / "affinity"
+        real = os.sched_setaffinity
+
+        def recording(pid, mask):
+            with open(record, "a") as fh:
+                fh.write(" ".join(map(str, [os.getpid(), *sorted(mask)])) + "\n")
+            real(pid, mask)
+
+        before = os.sched_getaffinity(0)
+        monkeypatch.setattr(os, "sched_setaffinity", recording)
+        monkeypatch.setattr(cli, "block_size", lambda n_spots: 4)
+        assert run([
+            "detect", "--manifest", str(sim_dir / "manifest.ini"), "--out", str(tmp_path / "r.tsv"),
+            "--degree", "2", "--workers", "3",
+            "--min-spots-per-gene", "0", "--min-genes-per-spot", "0",
         ]) == 0
-        assert asked == [1]
+        masks = {}
+        for line in record.read_text().splitlines():
+            pid, *cpus = map(int, line.split())
+            masks.setdefault(pid, []).append(set(cpus))
+        assert len(masks) == 3 and os.getpid() in masks
+        allowed = sorted(before)
+        assert sorted(cpu for (cpu,), _ in masks.values()) == sorted(
+            allowed[k % len(allowed)] for k in range(3)
+        )
+        assert all(restored == before for _, restored in masks.values())
+        assert os.sched_getaffinity(0) == before
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
+    def test_cpu_ids_wrap_and_place_restores_the_mask(self):
+        before = os.sched_getaffinity(0)
+        ids = cli._cpu_ids(len(before) + 1)
+        assert ids[:-1] == sorted(before) and ids[-1] == ids[0]
+        for cpu in ids:
+            cli._place(cpu)
+            assert os.sched_getaffinity(0) == before
+
+    def test_same_report_when_placement_refused(self, sim_dir, tmp_path, monkeypatch, pooled):
+        # A container may refuse sched_setaffinity; detect then places
+        # nothing and writes the same report.
+        def refused(pid, mask):
+            raise OSError(1, "Operation not permitted")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refused, raising=False)
+        out1 = tmp_path / "r1.tsv"
+        out2 = tmp_path / "r2.tsv"
+        common = [
+            "detect", "--manifest", str(sim_dir / "manifest.ini"),
+            "--degree", "2", "--seed", "3",
+            "--min-spots-per-gene", "0", "--min-genes-per-spot", "0",
+        ]
+        assert run(common + ["--out", str(out1), "--workers", "1"]) == 0
+        assert run(common + ["--out", str(out2), "--workers", "2"]) == 0
+        assert pooled == POOLED_W2
+        assert out1.read_bytes() == out2.read_bytes()
 
     def test_rerun_byte_identical(self, sim_dir, tmp_path):
         out1 = tmp_path / "a.tsv"
@@ -204,14 +313,20 @@ class TestDetect:
 
     def test_dead_worker_exits_cleanly(self, sim_dir, tmp_path):
         # Every pool worker exits without a result: detect must log the
-        # crash and return 1, not escape with a traceback.
+        # crash and return 1, not escape with a traceback.  Blocks of 4 make
+        # four blocks, so that --workers 2 starts a pool; detect itself fits
+        # its own blocks.
         report = tmp_path / "never.tsv"
         code = (
             "import os, sys\n"
             "from svjoint import cli\n"
+            "fit, detect_pid = cli._fit_gene_task, os.getpid()\n"
             "def exit_now(gene_index):\n"
-            "    os._exit(3)\n"
+            "    if os.getpid() != detect_pid:\n"
+            "        os._exit(3)\n"
+            "    return fit(gene_index)\n"
             "cli._fit_gene_task = exit_now\n"
+            "cli.block_size = lambda n_spots: 4\n"
             "sys.exit(cli.main(sys.argv[1:]))\n"
         )
         argv = [

@@ -588,7 +588,9 @@ class TestZinbMle:
     def test_cli_import_leaves_optimizer_unloaded(self, tmp_path):
         # scipy is a test dependency only: simulate, degree selection and
         # detect (one worker and a pool) run with every scipy import refused,
-        # and leave no scipy module loaded.
+        # and leave no scipy module loaded.  Blocks of 3 cut the 6 genes in
+        # two, so that --workers 2 starts a pool, and the program checks
+        # that fits came back from it.
         src = os.path.dirname(os.path.dirname(splines.__file__))
         code = (
             "import sys\n"
@@ -597,6 +599,7 @@ class TestZinbMle:
             "        if name.split('.')[0] == 'scipy':\n"
             "            raise ImportError('scipy import refused: ' + name)\n"
             "sys.meta_path.insert(0, NoScipy())\n"
+            "from concurrent.futures import ProcessPoolExecutor\n"
             "from svjoint import cli\n"
             "from svjoint.simulate import SimConfig, generate\n"
             "from svjoint.splines import select_degree\n"
@@ -605,11 +608,21 @@ class TestZinbMle:
             "                 '--sv-genes', '2', '--samples', '2', '--seed', '5']) == 0\n"
             "ds, _ = generate(SimConfig(M=2, grid=(8, 8), G=4, n_sv=2, seed=5))\n"
             "assert select_degree(ds, (1, 2), [0, 1, 2, 3]) in (1, 2)\n"
+            "pooled = []\n"
+            "class RecordingPool(ProcessPoolExecutor):\n"
+            "    def map(self, fn, items, chunksize=1):\n"
+            "        items = list(items)\n"
+            "        fits = list(super().map(fn, items, chunksize=chunksize))\n"
+            "        pooled.extend(items)\n"
+            "        return fits\n"
+            "cli.ProcessPoolExecutor = RecordingPool\n"
+            "cli.block_size = lambda n_spots: 3\n"
             "for workers in ('1', '2'):\n"
             "    assert cli.main(['detect', '--manifest', out + '/manifest.ini',\n"
             "                     '--out', out + '/report.tsv', '--degree', 'auto',\n"
             "                     '--workers', workers, '--min-spots-per-gene', '0',\n"
             "                     '--min-genes-per-spot', '0']) == 0\n"
+            "assert pooled == [3, 4, 5], pooled\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         env = dict(os.environ, PYTHONPATH=src)
