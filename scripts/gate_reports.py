@@ -12,15 +12,19 @@ writes OUT_DIR/sha256sums, one line per dataset file and report, so two
 checkouts' runs compare with one `diff` of their sha256sums files.
 --smoke uses the workloads' smoke gene counts.
 
---against DIR then compares each report, cell by cell, with the report of
-the same name under DIR/reports (another checkout's OUT_DIR) and prints
-every value that changed with its relative difference.  It exits 1 when
-the header lines' integers, the columns or the gene order differ, when a
-gene's ``selected``, ``iterations`` or ``converged`` differs, or when any
-other value differs by more than 1e-8 relative: values printed with %.10g
-may move in their last digits, and no more.  Its last line counts the
-cells that moved in each report and in all (every cell of a report whose
-columns or gene order differ), so it reads 0 when no cell moved.
+--against DIR then compares this run with another checkout's OUT_DIR.
+First the dataset files: every data line of the two sha256sums files must
+match, and each dataset file whose hash differs, or that only one side
+has, is printed and counts as a violation.  Then each report, cell by
+cell, with the report of the same name under DIR/reports; every value
+that changed is printed with its relative difference.  A report's header
+lines' integers, columns and gene order, and each gene's ``selected``,
+``iterations`` and ``converged`` must match, and any other value may
+differ by up to 1e-8 relative: values printed with %.10g may move in
+their last digits, and no more.  It exits 1 on any violation.  Its last
+line counts the cells that moved in each report and in all (every cell of
+a report whose columns or gene order differ), so it reads 0 when no cell
+moved.
 """
 
 import argparse
@@ -57,6 +61,23 @@ def _table(path):
     meta = dict(token.split("=", 1) for token in lines[0][1:].split())
     header = lines[1].split("\t")
     return meta, header, [dict(zip(header, ln.split("\t"))) for ln in lines[2:]]
+
+
+def _data_sums(path):
+    """{dataset file: sha256} from the data lines of a sha256sums file."""
+    with open(path) as fh:
+        pairs = [ln.rstrip("\n").split("  ", 1) for ln in fh]
+    return {name: digest for digest, name in pairs if name.startswith("data" + os.sep)}
+
+
+def compare_data(sums_path, ref_sums_path):
+    """Print each dataset file whose sha256 differs between the two files; returns their count."""
+    sums, ref = _data_sums(sums_path), _data_sums(ref_sums_path)
+    moved = sorted(name for name in sums.keys() | ref.keys() if sums.get(name) != ref.get(name))
+    for name in moved:
+        print(f"{name}: sha256 {ref.get(name, 'missing')} -> {sums.get(name, 'missing')}")
+    print(f"{len(sums.keys() | ref.keys())} dataset files compared: {len(moved)} differ")
+    return len(moved)
 
 
 def compare_reports(path, ref_path):
@@ -128,11 +149,14 @@ def main(argv=None):
     print(os.path.join(out_dir, "sha256sums"))
     if args.against is None:
         return 0
+    data_moved = compare_data(os.path.join(out_dir, "sha256sums"),
+                              os.path.join(args.against, "sha256sums"))
     reports = sorted(p for p in hashed if p.startswith(reports_dir))
     counts = [compare_reports(p, os.path.join(args.against, "reports", os.path.basename(p)))
               for p in reports]
-    violations = sum(v for v, _ in counts)
-    print(f"{len(reports)} reports compared with {args.against}: {violations} violations")
+    violations = data_moved + sum(v for v, _ in counts)
+    print(f"dataset files and {len(reports)} reports compared with {args.against}: "
+          f"{violations} violations")
     moved = ", ".join(f"{os.path.basename(p)} {m}" for p, (_, m) in zip(reports, counts))
     print(f"cells moved: {moved}; {sum(m for _, m in counts)} in all")
     return 1 if violations else 0

@@ -56,7 +56,8 @@ class CsrCounts:
     Gene g's positive counts are ``data[indptr[g]:indptr[g + 1]]``, at the
     ascending spots ``indices[indptr[g]:indptr[g + 1]]``; zeros are not
     stored.  The constructor trusts its arrays: samples get them from
-    `SpatialSample`'s validation or from selections of validated counts.
+    `SpatialSample`'s validation, from selections of validated counts, or
+    from `simulate.generate`, which builds them canonical gene by gene.
 
     Indexing by gene (an int, a slice, an index list or a boolean mask)
     returns dense int64 rows, as indexing a (G, N) array would, so
@@ -352,9 +353,9 @@ def _read_table(path, first, n_values):
 
 
 def _sniff_counts_format(path):
+    """The counts format: triplet when the first non-blank line is a 'G N' header."""
     with _open_text(path) as fh:
-        first = fh.readline()
-    tokens = first.strip().split()
+        tokens = next((ln.split() for ln in fh if ln.strip()), [])
     if len(tokens) == 2 and all(t.isdigit() for t in tokens):
         return "triplet"
     return "dense"
@@ -531,6 +532,8 @@ def filter_dataset(
 
 def write_dataset(ds: MultiSampleDataset, out_dir, counts_format: str = "dense") -> str:
     """Write every sample in the manifest formats; returns the manifest path."""
+    if counts_format not in ("dense", "triplet"):
+        raise ValueError(f"unknown counts_format {counts_format!r}")
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for s in ds.samples:
@@ -555,7 +558,7 @@ def write_dataset(ds: MultiSampleDataset, out_dir, counts_format: str = "dense")
                     stop = start + _BLOCK_ROWS
                     for gid, row in zip(s.gene_ids[start:stop], counts[start:stop].tolist()):
                         fh.write(gid + "\t" + "\t".join(map(str, row)) + "\n")
-        elif counts_format == "triplet":
+        else:
             genes_name = f"genes_{s.sample_id}.txt"
             with open(os.path.join(out_dir, genes_name), "w") as fh:
                 fh.write("\n".join(s.gene_ids) + "\n")
@@ -566,8 +569,6 @@ def write_dataset(ds: MultiSampleDataset, out_dir, counts_format: str = "dense")
                     "{} {} {}\n".format, gene.tolist(), (counts.indices + 1).tolist(),
                     counts.data.tolist(),
                 ))
-        else:
-            raise ValueError(f"unknown counts_format {counts_format!r}")
         entries.append(
             ManifestEntry(
                 sample_id=s.sample_id,

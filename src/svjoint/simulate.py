@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import MultiSampleDataset, SpatialSample
+from .dataio import CsrCounts, MultiSampleDataset, SpatialSample
 
 __all__ = [
     "PATTERN_KINDS",
@@ -80,6 +80,10 @@ PATTERN_RANGE = (-2.0, 2.0)
 # every low-degree polynomial basis, so no boundary-knot spline detector
 # (this one included) could ever see it.
 PERIODIC_RANGE = (-0.5, 0.5)
+# Mean and sd of each covariate coefficient psi.
+PSI_DIST = (0.0, 1.0)
+# The nngp pattern's exponential covariance: variance, length scale, nugget.
+NNGP_PARAMS = (1.0, 1.0, 0.1)
 
 
 def _axis_form(kind: str, axis: int) -> str:
@@ -141,12 +145,10 @@ class SimConfig:
     dropout_pi: float = 0.3
     phi: float = 15.0
     eta_dist: tuple = (2.0, 0.5)
-    psi_dist: tuple = (0.0, 1.0)
     n_celltypes: int = 6
     region_dirichlets: tuple = DEFAULT_DIRICHLETS
     seed: int = 0
     beta0_override: float | None = None
-    nngp_params: tuple = (1.0, 1.0, 0.1)
 
     def __post_init__(self):
         if self.M < 1:
@@ -230,28 +232,29 @@ def generate(cfg: SimConfig):
     tiers = _sample_tiers(cfg.signal_setting, cfg.M)
 
     beta0 = np.zeros((cfg.G, cfg.M))
-    for g in range(cfg.n_sv):
-        for m in range(cfg.M):
-            if cfg.pattern == "nngp":
-                beta0[g, m] = 0.0
-            elif cfg.beta0_override is not None:
-                beta0[g, m] = cfg.beta0_override
-            else:
-                beta0[g, m] = _tier_beta0(cfg.pattern, tiers[m])
+    if cfg.n_sv and cfg.pattern != "nngp":
+        beta0[: cfg.n_sv] = (
+            cfg.beta0_override if cfg.beta0_override is not None
+            else [_tier_beta0(cfg.pattern, t) for t in tiers]
+        )
 
-    # Checked before any draw: an effect that overflows would give the
-    # Poisson draw a nan rate.  Finite effects keep every rate finite and at
-    # most exp(30) (the clip below), far under numpy's Poisson limit (~9.2e18).
+    # Each distinct beta0's two axis effects, checked before any draw: an
+    # effect that overflows would give the Poisson draw a nan rate.  Finite
+    # effects keep every rate finite and at most exp(30) (the clip below), far
+    # under numpy's Poisson limit (~9.2e18).
+    effects = {}
     if cfg.pattern != "nngp":
         for b in np.unique(beta0[: cfg.n_sv]):
             with np.errstate(over="ignore", invalid="ignore"):
-                effect = sum(spatial_effect(cfg.pattern, b, pattern_coords[:, axis], axis=axis + 1)
-                             for axis in (0, 1))
-            if not np.isfinite(effect).all():
+                e1, e2 = (spatial_effect(cfg.pattern, b, pattern_coords[:, axis], axis=axis + 1)
+                          for axis in (0, 1))
+                finite = np.isfinite(e1 + e2).all()
+            if not finite:
                 raise ValueError(f"beta0 = {b:g} gives a non-finite {cfg.pattern} spatial effect")
+            effects[b] = e1, e2
 
     eta = rng.normal(cfg.eta_dist[0], cfg.eta_dist[1], size=(cfg.G, cfg.M))
-    psi = rng.normal(cfg.psi_dist[0], cfg.psi_dist[1], size=(cfg.G, cfg.M, cfg.n_celltypes))
+    psi = rng.normal(PSI_DIST[0], PSI_DIST[1], size=(cfg.G, cfg.M, cfg.n_celltypes))
 
     covariates = []
     for m in range(cfg.M):
@@ -262,47 +265,43 @@ def generate(cfg: SimConfig):
                 x[mask] = rng.dirichlet(cfg.region_dirichlets[r], size=int(mask.sum()))
         covariates.append(x)
 
-    chol = None
+    sig2, length, tau2 = NNGP_PARAMS
     if cfg.pattern == "nngp" and cfg.n_sv > 0:
-        sig2, length, tau2 = cfg.nngp_params
         dists = np.sqrt(
             np.sum((pattern_coords[:, None, :] - pattern_coords[None, :, :]) ** 2, axis=2)
         )
         cov = sig2 * np.exp(-dists / length)
         chol = np.linalg.cholesky(cov + 1e-10 * np.eye(n))
 
-    samples = []
-    spot_ids = tuple(f"spot{i:04d}" for i in range(n))
-    cov_names = tuple(f"ct{j + 1}" for j in range(cfg.n_celltypes))
-    counts_per_sample = [np.empty((cfg.G, n), dtype=np.int64) for _ in range(cfg.M)]
+    # Each sample's counts as CSR rows, gene by gene: positive spots and counts.
+    entries = [([], []) for _ in range(cfg.M)]
     for g in range(cfg.G):
         for m in range(cfg.M):
             log_lam = eta[g, m] + covariates[m] @ psi[g, m]
-            if sv_flags[g]:
-                if cfg.pattern == "nngp":
-                    sig2, length, tau2 = cfg.nngp_params
-                    f = chol @ rng.standard_normal(n)
-                    f = f + math.sqrt(tau2) * rng.standard_normal(n)
-                    log_lam = log_lam + f
-                else:
-                    log_lam = log_lam + spatial_effect(
-                        cfg.pattern, beta0[g, m], pattern_coords[:, 0], axis=1
-                    )
-                    log_lam = log_lam + spatial_effect(
-                        cfg.pattern, beta0[g, m], pattern_coords[:, 1], axis=2
-                    )
+            if sv_flags[g] and cfg.pattern == "nngp":
+                f = chol @ rng.standard_normal(n)
+                log_lam = log_lam + (f + math.sqrt(tau2) * rng.standard_normal(n))
+            elif sv_flags[g]:
+                e1, e2 = effects[beta0[g, m]]
+                log_lam = log_lam + e1 + e2
             lam = np.exp(np.clip(log_lam, -30.0, 30.0))
             gam = rng.gamma(shape=cfg.phi, scale=lam / cfg.phi)
             y = rng.poisson(gam)
             if cfg.dropout_pi > 0.0:
                 y = np.where(rng.random(n) < cfg.dropout_pi, 0, y)
-            counts_per_sample[m][g] = y
+            spots = np.flatnonzero(y)
+            entries[m][0].append(spots)
+            entries[m][1].append(y[spots])
 
-    for m in range(cfg.M):
+    spot_ids = tuple(f"spot{i:04d}" for i in range(n))
+    cov_names = tuple(f"ct{j + 1}" for j in range(cfg.n_celltypes))
+    samples = []
+    for m, (spots, values) in enumerate(entries):
+        indptr = np.concatenate(([0], np.cumsum([len(v) for v in spots])))
         samples.append(
             SpatialSample(
                 sample_id=f"s{m + 1}",
-                counts=counts_per_sample[m],
+                counts=CsrCounts(indptr, np.concatenate(spots), np.concatenate(values), n),
                 coords=coords,
                 covariates=covariates[m],
                 spot_ids=spot_ids,

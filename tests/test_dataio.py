@@ -167,6 +167,15 @@ class TestCountParseErrors:
         with pytest.raises(DataError, match="non-negative integer"):
             load_dataset(triplet_manifest(tmp_path, "1 1 4\n2 3 0.5\n"))
 
+    def test_triplet_after_blank_line_is_sniffed(self, tmp_path):
+        # The readers skip blank lines, so the format sniff must too.
+        manifest = triplet_manifest(tmp_path, "1 1 4\n2 3 7\n")
+        entry = replace(manifest.entries[0], counts_format="auto")
+        path = tmp_path / entry.counts
+        path.write_text("\n" + path.read_text())
+        ds = load_dataset(replace(manifest, entries=(entry,)))
+        np.testing.assert_array_equal(ds.samples[0].counts, [[4, 0, 0], [0, 0, 7]])
+
     def test_empty_triplet_file(self, tmp_path):
         manifest = triplet_manifest(tmp_path, "")
         (tmp_path / manifest.entries[0].counts).write_text("")
@@ -540,6 +549,14 @@ class TestRoundTrip:
             np.testing.assert_array_equal(a.coords, b.coords)  # %.17g is exact
             np.testing.assert_array_equal(a.covariates, b.covariates)
             assert a.spot_ids == b.spot_ids
+
+    def test_unknown_format_writes_nothing(self, tmp_path):
+        ds = load_dataset(simple_manifest(tmp_path))
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(ValueError, match="counts_format"):
+            write_dataset(ds, out, counts_format="csv")
+        assert os.listdir(out) == []
 
     def test_gene_order_deterministic(self, tmp_path):
         man = simple_manifest(tmp_path)

@@ -1,9 +1,12 @@
 """Simulation generator: pattern forms, covariates, dropout, reproducibility."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from svjoint.simulate import (
+    PATTERN_KINDS,
     SETTING_TIERS,
     SIGNAL_TIERS,
     SimConfig,
@@ -148,6 +151,22 @@ class TestGenerate:
         ds, truth = generate(cfg)
         assert ds.samples[0].counts.shape == (3, 36)
         assert truth.pattern[0] == "nngp"
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("kind", PATTERN_KINDS)
+    def test_counts_are_canonical_csr(self, kind, dropout):
+        # The generator builds each sample's CSR rows itself, unvalidated; they
+        # must be the arrays that validating its dense counts builds.  Low
+        # expression leaves some rows empty and some spots unexpressed.
+        cfg = SimConfig(M=2, grid=(6, 5), G=8, n_sv=0 if kind == "none" else 4,
+                        pattern=kind, dropout_pi=dropout, eta_dist=(-1.0, 1.5), seed=2)
+        ds, _ = generate(cfg)
+        for s in ds.samples:
+            ref = replace(s, counts=np.asarray(s.counts)).counts
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(s.counts, name), getattr(ref, name)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
