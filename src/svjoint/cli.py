@@ -241,13 +241,14 @@ def run_detect(args) -> int:
 
 
 def run_simulate(args) -> int:
-    # Each flag meets SimConfig's rules before generating, --genes before --sv-genes.
+    # Each flag meets SimConfig's rules before generating, --genes and
+    # --pattern before --sv-genes.
     cfg = simulate.SimConfig(n_sv=0)
     with _option("--grid"):
         cfg = replace(cfg, grid=tuple(int(v) for v in args.grid.lower().split("x")))
     for flag, name, value in (
         ("--samples", "M", args.samples), ("--genes", "G", args.genes),
-        ("--sv-genes", "n_sv", args.sv_genes), ("--pattern", "pattern", args.pattern),
+        ("--pattern", "pattern", args.pattern), ("--sv-genes", "n_sv", args.sv_genes),
         ("--setting", "signal_setting", args.setting), ("--dropout", "dropout_pi", args.dropout),
         ("--seed", "seed", args.seed), ("--beta0", "beta0_override", args.beta0),
     ):

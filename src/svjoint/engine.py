@@ -44,6 +44,7 @@ import copy
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,11 +103,14 @@ _JITTER = 1e-8
 # Genes per block: at most _MAX_BLOCK, and at most _BLOCK_SPOT_GENES
 # gene-spot entries per per-spot array, so a data set above that many spots
 # fits one gene at a time.  A larger block pays each iteration's fixed costs
-# for more genes but holds more per-spot arrays: the cap is the largest that
-# keeps the pool-small benchmark's (3 x 256 spots, 2 workers) peak RSS
-# within 10% of that with 16-gene blocks (BENCH_16.json).
+# for more genes but holds more per-spot arrays.  The gene cap is the largest
+# that keeps the pool-small benchmark's (3 x 256 spots, 2 workers) peak RSS
+# within 10% of that with 16-gene blocks (BENCH_16.json).  The spot-gene
+# budget gives the screen-sparse benchmark's 4,608 spots B = 8, two blocks
+# of its 15 genes; one block of 15 fit 9% faster still but raised the
+# fitting process's peak RSS by 10% (BENCH_26.json, scripts/block_sweep.py).
 _MAX_BLOCK = 32
-_BLOCK_SPOT_GENES = 24_576
+_BLOCK_SPOT_GENES = 40_960
 
 LOG_2PI = math.log(2.0 * math.pi)
 _LGAMMA_HALF = float(gammaln(0.5))
@@ -212,6 +216,56 @@ class Hyperparameters:
         )
 
 
+class CountIndex(NamedTuple):
+    """Where a block's per-spot q(g) and q(r) values can differ, as flat int32
+    indices into its (B, sum N_m) arrays.
+
+    ``zeros`` are the spots with y = 0.  Elsewhere u_r is exactly 0, so q(g)'s
+    shape, and log y!, take one value per (gene, sample, count).  ``first``
+    lists the zero spots (``zeros`` is its head), then the first spot of each
+    distinct (gene, sample, count); ``spread`` maps every spot to its entry of
+    ``first``.  A function of one spot's values is taken at ``first`` and
+    spread back with ``spread``.
+    """
+
+    zeros: np.ndarray
+    first: np.ndarray
+    spread: np.ndarray
+
+    @classmethod
+    def build(cls, y, owner, n_samples):
+        """The index of a (B, sum N_m) count block whose column j belongs to sample owner[j]."""
+        flat = y.reshape(-1)
+        zeros = np.flatnonzero(flat == 0)
+        spots = np.flatnonzero(flat)
+        values = flat[spots]
+        # A nonzero spot's (gene, sample) segment; flat order sorts it, and the
+        # stable sort leaves each (segment, count) group's first spot first.
+        segment = spots // y.shape[1] * n_samples + owner[spots % y.shape[1]]
+        order = np.lexsort((values, segment))
+        segment, values, spots = segment[order], values[order], spots[order]
+        new = np.ones(spots.size, dtype=bool)
+        new[1:] = (segment[1:] != segment[:-1]) | (values[1:] != values[:-1])
+        first = np.concatenate((zeros, spots[new])).astype(np.int32)
+        spread = np.empty(flat.size, dtype=np.int32)
+        spread[zeros] = np.arange(zeros.size)
+        spread[spots] = zeros.size - 1 + np.cumsum(new)
+        return cls(first[:zeros.size], first, spread)
+
+    def take(self, rows, width):
+        """The index of the block's ``rows``, in order, for a block of ``width`` spots per row."""
+        n_rows = self.spread.size // width
+        at = np.full(n_rows, -1)
+        at[rows] = np.arange(len(rows))
+        row, col = np.divmod(self.first, width)
+        row = at[row]
+        kept = row >= 0
+        first = (row[kept] * width + col[kept]).astype(np.int32)
+        renumber = (np.cumsum(kept) - 1).astype(np.int32)
+        spread = renumber[self.spread.reshape(n_rows, width)[rows].reshape(-1)]
+        return CountIndex(first[:np.count_nonzero(kept[:self.zeros.size])], first, spread)
+
+
 @dataclass
 class BlockState:
     """The data, q(g), q(r), q(theta), q(phi) and caches of B genes, one row each.
@@ -223,6 +277,10 @@ class BlockState:
     moments ``e_g``/``e_log_g`` (set by ``update_g``), and ``w_exp`` and
     ``c_mu``, E[exp(-C_i theta)] and C_i mu.  ``owner`` maps each column to
     its sample.  Per-sample sums are one reduction over the offsets.
+    ``index``, a ``CountIndex`` built with the state and cut with its rows,
+    holds the zero spots and one spot per distinct (gene, sample, count):
+    q(g)'s special functions and log y! are taken there only, and q(r)'s
+    probability and entropy at the zero spots only.
 
     ``u_phi``, ``n_pi``, ``c1``, q(g)'s entropy ``ent_g`` and each sample's
     log(y_i!) sum ``log_y_fact`` are (B, M); ``update_g`` sets ``ent_g`` and
@@ -245,11 +303,11 @@ class BlockState:
     y: np.ndarray
     designs: tuple
     offsets: np.ndarray
-    log_y_fact: np.ndarray
     u_r: np.ndarray
     u_phi: np.ndarray
     mu: tuple
     sigma: tuple
+    log_y_fact: np.ndarray = None
     n_pi: np.ndarray = None
     c1: np.ndarray = None
     e_g: np.ndarray = None
@@ -262,12 +320,14 @@ class BlockState:
     sections: tuple = field(init=False)
     owner: np.ndarray = field(init=False)
     length: np.ndarray = field(init=False)
+    index: CountIndex = field(init=False)
 
     def __post_init__(self):
         bounds = self.offsets.tolist()
         self.sections = tuple(slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
         self.owner = np.repeat(np.arange(len(self.designs)), np.diff(self.offsets))
         self.length = np.array([[design.n_basis] for design in self.designs], dtype=float)
+        self.index = CountIndex.build(self.y, self.owner, len(self.designs))
 
     def per_sample_sum(self, x):
         """(B, M) sums of a per-spot array over each sample's spots."""
@@ -277,15 +337,24 @@ class BlockState:
         """A per-sample (B, M) array repeated over each sample's spots."""
         return v.take(self.owner, axis=1)
 
+    def spread(self, v):
+        """The per-spot array whose value at each spot is ``v``'s at its ``index.first`` entry."""
+        return v.take(self.index.spread).reshape(self.y.shape)
+
     def locate(self, spot):
         """'sample m spot i' for an index into the concatenated spots."""
         m = int(self.owner[spot])
         return f"sample {m} spot {spot - self.sections[m].start}"
 
     def set_g(self, a, b):
-        """Set q(g) = Gamma(a, rate b): E[g], E[log g] and per-sample entropy, in one pass."""
+        """Set q(g) = Gamma(a, rate b): E[g], E[log g] and per-sample entropy, in one pass.
+
+        At y > 0, ``a`` takes one value per (gene, sample, count), as it does
+        wherever u_r = 0, so log Gamma(a) and psi(a) are taken at
+        ``index.first`` only and spread over the spots.
+        """
         log_b = np.log(b)
-        lgamma_a, e_log_g = gammaln_digamma(a)
+        lgamma_a, e_log_g = map(self.spread, gammaln_digamma(a.take(self.index.first)))
         e_log_g -= log_b
         self.e_g = a / b
         self.e_log_g = e_log_g
@@ -378,6 +447,8 @@ def _take(state, rows):
         value = getattr(state, name)
         if value is not None:
             setattr(new, name, _rowwise(lambda v: v[rows], value))
+    if isinstance(state, BlockState):
+        new.index = state.index.take(rows, state.y.shape[1])
     return new
 
 
@@ -436,12 +507,13 @@ def init_state(counts, designs, hp: Hyperparameters):
         y=y,
         designs=tuple(designs),
         offsets=offsets,
-        log_y_fact=np.add.reduceat(gammaln(y + 1.0), offsets[:-1], axis=1),
         u_r=np.where(y == 0, 0.5, 0.0),
         u_phi=np.full((n_genes, n_samples), max(hp.a_phi / hp.b_phi, 1.0)),
         mu=tuple(mu),
         sigma=tuple(np.tile(0.01 * np.eye(design.dim), (n_genes, 1, 1)) for design in designs),
     )
+    state.log_y_fact = state.per_sample_sum(
+        state.spread(gammaln(y.take(state.index.first) + 1.0)))
     state.refresh_theta_cache()
     update_g(state)
     block = (n_genes, n_samples, 2)
@@ -629,8 +701,11 @@ def update_r(state: BlockState, hp: Hyperparameters):
     """
     log_num = _log_beta_c(hp.a_pi + 1.0, hp.b_pi)
     log_alt = _log_beta_c(hp.a_pi, hp.b_pi + 1.0)
-    prob = np.minimum(expit(log_num - (log_alt - state.e_g)), 1.0 - _KAPPA_FLOOR)
-    state.u_r = np.where(state.y == 0, prob, 0.0)
+    zeros = state.index.zeros
+    u_r = np.zeros(state.y.shape)
+    u_r.put(zeros, np.minimum(expit(log_num - (log_alt - state.e_g.take(zeros))),
+                              1.0 - _KAPPA_FLOOR))
+    state.u_r = u_r
 
 
 def update_sigma(shared: SharedState, beta_sq, length):
@@ -845,9 +920,12 @@ def compute_elbo(state: BlockState, shared: SharedState, hp: Hyperparameters):
         lb_pi_r1 * state.per_sample_sum(u_r) + lb_pi_r0 * state.per_sample_sum(kappa)
         - np.diff(state.offsets) * lb_pi
     )
-    # Entropies of q(g), summed by update_g, and of q(r).
+    # Entropies of q(g), summed by update_g, and of q(r): -0.0 (its value
+    # at u_r = 0) but at the zero spots.
     ent_g = state.ent_g
-    ent_r = state.per_sample_sum(_binary_entropy(u_r))
+    ent_r = np.full(y.shape, -0.0)
+    ent_r.put(state.index.zeros, _binary_entropy(u_r.take(state.index.zeros)))
+    ent_r = state.per_sample_sum(ent_r)
 
     # theta prior cross-entropies and Gaussian entropy, one block per sample.
     theta_terms = []

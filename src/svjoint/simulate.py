@@ -84,6 +84,8 @@ PERIODIC_RANGE = (-0.5, 0.5)
 PSI_DIST = (0.0, 1.0)
 # The nngp pattern's exponential covariance: variance, length scale, nugget.
 NNGP_PARAMS = (1.0, 1.0, 0.1)
+# Genes per chunk of a sample's simulated CSR arrays (see generate).
+_CHUNK_GENES = 64
 
 
 def _axis_form(kind: str, axis: int) -> str:
@@ -161,6 +163,9 @@ class SimConfig:
             raise ValueError("dropout_pi must lie in [0, 1)")
         if self.pattern not in PATTERN_KINDS:
             raise ValueError(f"unknown pattern {self.pattern!r}")
+        if self.pattern == "none" and self.n_sv:
+            raise ValueError(f"pattern 'none' gives no gene a spatial effect, so n_sv must be 0, "
+                             f"got {self.n_sv}")
         if self.signal_setting not in SETTING_TIERS:
             raise ValueError("signal_setting must be 1..4")
         if self.seed < 0:
@@ -273,8 +278,14 @@ def generate(cfg: SimConfig):
         cov = sig2 * np.exp(-dists / length)
         chol = np.linalg.cholesky(cov + 1e-10 * np.eye(n))
 
-    # Each sample's counts as CSR rows, gene by gene: positive spots and counts.
+    # Each sample's counts as CSR rows, gene by gene: positive spots and
+    # counts.  Every _CHUNK_GENES genes a sample's per-gene arrays are joined
+    # into one chunk (spots as int32, as CsrCounts keeps them) and freed, so
+    # the next genes' arrays reuse their heap space; each sample's chunks are
+    # freed once its CsrCounts is built.
     entries = [([], []) for _ in range(cfg.M)]
+    chunks = [([], []) for _ in range(cfg.M)]
+    sizes = [[] for _ in range(cfg.M)]
     for g in range(cfg.G):
         for m in range(cfg.M):
             log_lam = eta[g, m] + covariates[m] @ psi[g, m]
@@ -292,12 +303,19 @@ def generate(cfg: SimConfig):
             spots = np.flatnonzero(y)
             entries[m][0].append(spots)
             entries[m][1].append(y[spots])
+            sizes[m].append(spots.size)
+        if (g + 1) % _CHUNK_GENES == 0 or g + 1 == cfg.G:
+            for (spots, values), (spot_chunks, value_chunks) in zip(entries, chunks):
+                spot_chunks.append(np.concatenate(spots, dtype=np.int32))
+                value_chunks.append(np.concatenate(values))
+                spots.clear()
+                values.clear()
 
     spot_ids = tuple(f"spot{i:04d}" for i in range(n))
     cov_names = tuple(f"ct{j + 1}" for j in range(cfg.n_celltypes))
     samples = []
-    for m, (spots, values) in enumerate(entries):
-        indptr = np.concatenate(([0], np.cumsum([len(v) for v in spots])))
+    for m, (spots, values) in enumerate(chunks):
+        indptr = np.concatenate(([0], np.cumsum(sizes[m])))
         samples.append(
             SpatialSample(
                 sample_id=f"s{m + 1}",
@@ -309,6 +327,8 @@ def generate(cfg: SimConfig):
                 covariate_names=cov_names,
             )
         )
+        spots.clear()
+        values.clear()
     dataset = MultiSampleDataset(samples=samples, gene_ids=gene_ids)
     truth = GroundTruth(
         gene_ids=gene_ids,

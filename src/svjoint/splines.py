@@ -173,21 +173,25 @@ _GRAD_TOL = 1e-8
 _FAIL_TOL = 1e-1
 
 
-class _ZinbBlock:
-    """The ZINB negative log-likelihood of B count vectors against one design.
+class _ZinbCounts:
+    """The count-only, degree-independent parts of a ZINB block's likelihood.
 
-    Parameter layout per gene: (logit pi, log phi, coefficient vector c) with
-    log mean eta = clip(x @ c); NB with mean lambda and dispersion phi,
-    Var = lambda + lambda^2/phi.  The count-only terms of the nonzero spots
-    are sums over each gene's distinct nonzero counts u with multiplicities
+    ``y`` is the (B, N) block as floats and ``zero`` its zero mask as a
+    float to multiply by.  The count-only terms of the nonzero spots are
+    sums over each gene's distinct nonzero counts u with multiplicities
     n_u, found by one sort of the (gene, count) keys and summed per gene
     with ``np.bincount``; ``log_y_fact`` is the constant sum of log y! per
-    gene.
+    gene.  ``select_degree`` builds one per sample and passes it to
+    ``zinb_mle`` for every candidate degree.  ``len`` and indexing read the
+    count rows.
     """
 
-    def __init__(self, counts, design):
+    def __init__(self, counts):
+        counts = np.asarray(counts, dtype=float)
+        if counts.ndim != 2:
+            raise ValueError(f"counts must be a (genes, spots) block, got shape {counts.shape}")
         self.y = counts
-        self.zero = (counts == 0).astype(float)  # a mask to multiply by
+        self.zero = (counts == 0).astype(float)
         self.n_nz = counts.shape[1] - self.zero.sum(axis=1)
         gene, spot = np.nonzero(counts)
         values = counts[gene, spot]
@@ -203,6 +207,27 @@ class _ZinbBlock:
         self.log_y_fact = np.bincount(
             self.u_gene, self.n_u * gammaln(self.u + 1.0), minlength=counts.shape[0]
         )
+
+    def __len__(self):
+        return len(self.y)
+
+    def __getitem__(self, rows):
+        return self.y[rows]
+
+
+class _ZinbBlock:
+    """The ZINB negative log-likelihood of B count vectors against one design.
+
+    Parameter layout per gene: (logit pi, log phi, coefficient vector c) with
+    log mean eta = clip(x @ c); NB with mean lambda and dispersion phi,
+    Var = lambda + lambda^2/phi.  ``counts`` is a (B, N) block or its
+    ``_ZinbCounts``, whose count-only terms the block reads.
+    """
+
+    def __init__(self, counts, design):
+        if not isinstance(counts, _ZinbCounts):
+            counts = _ZinbCounts(counts)
+        self.counts = counts
         # X' diag(h) X of every gene is one GEMM of the (B, N) weights h
         # against the design's column-pair products; (i, j) are the Hessian
         # cells of each pair.
@@ -220,13 +245,14 @@ class _ZinbBlock:
         about as much as the arithmetic on it.
         """
         r, p = params.shape
-        y, zero = self.y[rows], self.zero[rows]
-        owner = np.full(self.y.shape[0], -1)
+        c = self.counts
+        y, zero = c.y[rows], c.zero[rows]
+        owner = np.full(c.y.shape[0], -1)
         owner[rows] = np.arange(r)
-        owner = owner[self.u_gene]
+        owner = owner[c.u_gene]
         keep = owner >= 0
-        u_gene, u, n_u = owner[keep], self.u[keep], self.n_u[keep]
-        n_nz = self.n_nz[rows]
+        u_gene, u, n_u = owner[keep], c.u[keep], c.n_u[keep]
+        n_nz = c.n_nz[rows]
 
         rho = params[:, 1:2]
         pi, phi = expit(params[:, :1]), np.exp(rho)
@@ -301,7 +327,7 @@ class _ZinbBlock:
             + n_nz * np.log1p(-pi_g)
             + np.bincount(u_gene, n_u * lg_u, minlength=r)
             - n_nz * lg_g
-            - self.log_y_fact[rows]
+            - c.log_y_fact[rows]
         )
         d_phi = (
             np.einsum("ij,ij->i", w, l_phi)
@@ -367,7 +393,8 @@ def _newton_step(params, grad, hess, lo, hi):
 def zinb_mle(counts, design: DesignMatrix, max_iter: int = 200, params=None):
     """Fit the zero-inflated NB regression to each row of a count block.
 
-    ``counts`` is (B, N): B genes on the N spots of ``design``.  All genes
+    ``counts`` is (B, N): B genes on the N spots of ``design``, or a
+    ``_ZinbCounts`` of such a block, whose count work is then reused.  All genes
     are fit at once by damped Newton maximum likelihood over (logit pi,
     log phi, coefficients) within the box |logit pi| <= 15,
     1e-3 <= phi <= 1e5 and |c_j| <= 30.  The documented start is pi = zero
@@ -390,14 +417,12 @@ def zinb_mle(counts, design: DesignMatrix, max_iter: int = 200, params=None):
     norm is still above 0.1 * max(1, |logL|) after at most ``max_iter``
     steps.
     """
-    y = np.asarray(counts, dtype=float)
-    if y.ndim != 2:
-        raise ValueError(f"counts must be a (genes, spots) block, got shape {y.shape}")
-    block = _ZinbBlock(y, design)
+    block = _ZinbBlock(counts, design)
+    y = block.counts.y
     n_params = 2 + design.dim
     lo = np.array([-_LOGIT_PI_BOUND, _LOG_PHI_BOUNDS[0]] + [-_COEF_BOUND] * design.dim)
     hi = np.array([_LOGIT_PI_BOUND, _LOG_PHI_BOUNDS[1]] + [_COEF_BOUND] * design.dim)
-    zero_frac = block.zero.mean(axis=1)
+    zero_frac = block.counts.zero.mean(axis=1)
     start = np.zeros((y.shape[0], n_params))
     start[:, 0] = np.log((zero_frac * 0.5 + 0.01) / (1.0 - zero_frac * 0.5 - 0.01))
     start[:, 1] = math.log(10.0)
@@ -492,7 +517,7 @@ def select_degree(dataset, candidates, gene_subset) -> int:
     votes = []
     for sample in dataset.samples:
         coords = normalize_coords(sample.coords)
-        counts = sample.counts[gene_subset].astype(float)
+        counts = _ZinbCounts(sample.counts[gene_subset])
         mean_aic = {}
         for i, degree in enumerate(candidates):
             design = build_design(coords, sample.covariates, BasisSpec(degree))

@@ -482,6 +482,7 @@ class TestConfig:
         (["--genes", "0", "--sv-genes", "0"], "--genes"),
         (["--genes", "3", "--sv-genes", "5"], "--sv-genes"),
         (["--seed", "-1"], "--seed"), (["--samples", "0"], "--samples"),
+        (["--pattern", "none", "--sv-genes", "2"], "--sv-genes"),
     ])
     def test_bad_simulate_option_fails_before_generating(
             self, tmp_path, monkeypatch, caplog, options, flag):
@@ -497,6 +498,19 @@ class TestConfig:
         assert code == 1
         assert f"{flag}: " in caplog.text
         assert not (out / "manifest.ini").exists()
+
+    def test_pattern_none_takes_no_sv_genes(self, tmp_path, caplog):
+        # With --pattern none, SV genes are refused under their flag, not by
+        # a KeyError from the signal tiers, and --sv-genes 0 simulates.
+        out = tmp_path / "sim"
+        assert run(["simulate", "--out", str(out), "--grid", "4x4", "--genes", "2",
+                    "--pattern", "none", "--sv-genes", "2"]) == 1
+        assert ("--sv-genes: pattern 'none' gives no gene a spatial effect, so n_sv must be 0, "
+                "got 2") in caplog.text
+        assert not (out / "manifest.ini").exists()
+        assert run(["simulate", "--out", str(out), "--grid", "4x4", "--genes", "2",
+                    "--pattern", "none", "--sv-genes", "0"]) == 0
+        assert (out / "manifest.ini").exists()
 
     def test_overflowing_beta0_fails_under_its_flag(self, tmp_path, caplog):
         # A finite --beta0 whose spatial effect overflows is refused before

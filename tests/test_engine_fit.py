@@ -8,6 +8,7 @@ import pytest
 
 from svjoint import engine
 from svjoint.engine import (
+    CountIndex,
     EngineError,
     FitOptions,
     Hyperparameters,
@@ -18,10 +19,12 @@ from svjoint.engine import (
     fit_gene,
     g_factor,
     init_state,
+    update_g,
+    update_r,
 )
 from svjoint.numerics import NumericalError, phi_factor
 from svjoint.simulate import SimConfig, generate
-from svjoint.special import gammaln
+from svjoint.special import expit, gammaln, gammaln_digamma
 from svjoint.splines import normalize_coords
 
 from conftest import GeneRow, make_design
@@ -189,6 +192,83 @@ class TestStateLayout:
         np.testing.assert_array_equal(
             state.log_y_fact, state.per_sample_sum(gammaln(state.y + 1.0)))
         np.testing.assert_array_equal(_take(state, [2, 0]).log_y_fact, state.log_y_fact[[2, 0]])
+
+
+class TestCountIndex:
+    """q(g) and q(r) taken at the zero spots and one spot per distinct (gene,
+    sample, count) equal the full-width formulas bit for bit."""
+
+    @staticmethod
+    def state():
+        # Five genes over two samples, with zeros and counts repeated on both
+        # sides of the special functions' carry at 8.
+        rng = np.random.default_rng(12)
+        designs, counts = [], []
+        for n in (40, 55):
+            coords = np.column_stack([rng.uniform(size=n), rng.uniform(size=n)])
+            designs.append(make_design(coords, rng.uniform(size=(n, 1)), degree=2))
+            counts.append(rng.integers(0, 14, size=(5, n)) * (rng.random((5, n)) > 0.3))
+        hp = Hyperparameters.default(2, 2)
+        state, shared = init_state(counts, designs, hp)
+        for _ in range(2):
+            _one_iteration(state, shared, hp, 1.0)
+        return state, shared, hp
+
+    @staticmethod
+    def check(state, shared, hp):
+        """Every compressed quantity against its full-width formula."""
+        y = state.y
+        ones = (y > 0).sum()
+        assert 0 < ones < y.size and np.unique(y[y > 0]).size < ones
+        index = state.index
+        assert all(v.dtype == np.int32 and v.ndim == 1 for v in index)
+        # Each spot's entry of ``first`` is a spot of the same gene, sample
+        # and count, and the zero spots are their own.
+        source = index.first[index.spread]
+        row, col = np.divmod(np.arange(y.size), y.shape[1])
+        assert np.array_equal(source // y.shape[1], row)
+        assert np.array_equal(state.owner[source % y.shape[1]], state.owner[col])
+        assert np.array_equal(y.take(source), y.reshape(-1))
+        assert np.array_equal(np.sort(index.zeros), np.flatnonzero(y == 0))
+        np.testing.assert_array_equal(state.log_y_fact, state.per_sample_sum(gammaln(y + 1.0)))
+
+        update_g(state)
+        a, b = g_factor(state)
+        assert (a[y > 0] < 8.0).any() and (a[y > 0] > 8.0).any()
+        log_b = np.log(b)
+        lgamma_a, psi_a = gammaln_digamma(a)
+        e_log_g = psi_a - log_b
+        np.testing.assert_array_equal(state.e_log_g, e_log_g)
+        np.testing.assert_array_equal(
+            state.ent_g,
+            -state.per_sample_sum(a * log_b - lgamma_a + (a - 1.0) * e_log_g - a))
+
+        update_r(state, hp)
+        log_num = engine._log_beta_c(hp.a_pi + 1.0, hp.b_pi)
+        log_alt = engine._log_beta_c(hp.a_pi, hp.b_pi + 1.0)
+        prob = np.minimum(expit(log_num - (log_alt - state.e_g)), 1.0 - engine._KAPPA_FLOOR)
+        u_r = np.where(y == 0, prob, 0.0)
+        np.testing.assert_array_equal(state.u_r, u_r)
+
+        # The ELBO with q(r)'s entropy taken at every spot.
+        every = np.arange(y.size, dtype=np.int32)
+        full = copy.copy(state)
+        full.index = CountIndex(every, every, every)
+        np.testing.assert_array_equal(compute_elbo(state, shared, hp),
+                                      compute_elbo(full, shared, hp))
+
+    def test_compressed_updates_match_full_width(self):
+        state, shared, hp = self.state()
+        self.check(state, shared, hp)
+
+    def test_rows_dropped_by_take(self):
+        state, shared, hp = self.state()
+        rows = [3, 0, 4]
+        kept, kept_shared = _take(state, rows), _take(shared, rows)
+        np.testing.assert_array_equal(kept.y, state.y[rows])
+        self.check(kept, kept_shared, hp)
+        _one_iteration(kept, kept_shared, hp, 1.0)
+        self.check(_take(kept, [2, 1]), _take(kept_shared, [2, 1]), hp)
 
 
 def assert_same_values(a, b):
@@ -403,7 +483,8 @@ class TestFitGenes:
             assert_results_agree(got, want)
 
     @pytest.mark.parametrize("n_spots, block", [
-        (100, 32), (768, 32), (4_607, 5), (12_288, 2), (24_576, 1), (24_577, 1),
+        (100, 32), (768, 32), (4_607, 8), (4_608, 8), (5_121, 7), (12_288, 3), (20_480, 2),
+        (20_481, 1), (24_576, 1), (24_577, 1),
     ])
     def test_block_size(self, n_spots, block):
         assert engine.block_size(n_spots) == block

@@ -175,5 +175,7 @@ class TestGenerate:
             SimConfig(dropout_pi=1.0)
         with pytest.raises(ValueError):
             SimConfig(pattern="swirl")
+        with pytest.raises(ValueError, match="n_sv must be 0"):
+            SimConfig(pattern="none", G=5, n_sv=2)
         with pytest.raises(ValueError):
             SimConfig(signal_setting=9)

@@ -370,6 +370,26 @@ class TestWarmStart:
                 assert fit[1] == cold[1]
                 assert abs(fit[0] - cold[0]) <= 1e-10 * max(1.0, abs(cold[0])), design.n_basis
 
+    def test_count_work_built_once_per_sample(self, monkeypatch):
+        # A sample's degree-independent count work is built once and read by
+        # the fit of every candidate degree, each fit equal to the one from
+        # the plain count block.
+        ds = _flat_sample("poly2", 3, seed=104, dropout=0.3)
+        built = []
+        real = splines._ZinbCounts.__init__
+
+        def counting(self, counts):
+            built.append(np.shape(counts))
+            real(self, counts)
+
+        monkeypatch.setattr(splines._ZinbCounts, "__init__", counting)
+        calls = _record_zinb_mle(monkeypatch)
+        select_degree(ds, (1, 2, 3), list(range(ds.n_genes)))
+        assert built == [(ds.n_genes, ds.samples[0].n_spots)]
+        assert len(calls) == 3 and all(c[0] is calls[0][0] for c in calls)
+        for counts, design, start, fits in calls:
+            assert zinb_mle(counts[:], design, params=start) == fits
+
     def test_failed_lower_fit_restarts_cold(self, monkeypatch):
         ds = _flat_sample("poly2", 3, seed=104, dropout=0.3)
         calls = _record_zinb_mle(monkeypatch, fail_first_gene_at=1)
