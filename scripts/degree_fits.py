@@ -8,16 +8,18 @@ Without --manifest it simulates a small triplet dataset shaped like the
 benchmark's screen-sparse workload (2 samples, half of the genes spatially
 variable with a linear-focal pattern) in a temporary directory.  The dataset
 is loaded and filtered as detect does, and detect's degree-selection gene
-subset is drawn from --seed.  `splines.select_degree` then fits degrees
-1-4 per sample as detect does, each degree above the lowest starting from
-the degree below (the warm chain), and every one of those fits is repeated
-from the documented cold start (the cold chain).
+subset is taken for --seed (`cli.degree_subset`).  `splines.select_degree`
+then fits degrees 1-4 per sample as detect does, each degree above the
+lowest starting from the degree below (the warm chain), and stops after the
+first sample that votes degree 4; every one of those fits is repeated from
+the documented cold start (the cold chain).
 
-It prints one JSON object: per (sample, degree), each chain's row
+It prints one JSON object: per fitted (sample, degree), each chain's row
 evaluations (genes passed to `_ZinbBlock.evaluate`, summed over calls),
 summed logL and count of failed (None) fits, and the largest relative logL
-difference |warm - cold| / max(1, |cold|) over the genes; then the totals
-and the selected degree.
+difference |warm - cold| / max(1, |cold|) over the genes; then the totals,
+the number of samples that were fit (`samples_fitted`, below `samples`
+when selection stopped early) and the selected degree.
 """
 
 import argparse
@@ -92,13 +94,11 @@ def compare(ds, subset):
 def run(manifest, min_spots, min_genes, seed):
     ds = dataio.filter_dataset(dataio.load_dataset(dataio.Manifest.read(manifest)),
                                min_spots, min_genes)
-    # detect's degree-selection subset for this seed.
-    rng = np.random.default_rng(seed)
-    subset = rng.choice(ds.n_genes, size=min(cli._DEGREE_SUBSET_SIZE, ds.n_genes),
-                        replace=False).tolist()
+    subset = cli.degree_subset(ds.n_genes, seed)
     rows, degree = compare(ds, subset)
     return {
-        "samples": ds.n_samples, "genes": ds.n_genes, "subset": len(subset), "seed": seed,
+        "samples": ds.n_samples, "samples_fitted": len({r["sample"] for r in rows}),
+        "genes": ds.n_genes, "subset": len(subset), "seed": seed,
         "fits": rows,
         "cold_evaluations": sum(r["cold"]["evaluations"] for r in rows),
         "warm_evaluations": sum(r["warm"]["evaluations"] for r in rows),

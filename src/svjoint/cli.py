@@ -26,6 +26,20 @@ log = logging.getLogger("svjoint")
 _DEGREE_SUBSET_SIZE = 50
 _FAILURE_BUDGET = 0.01
 
+
+def degree_subset(n_genes, seed):
+    """The genes that ``detect --degree auto`` fits to select the degree.
+
+    Every gene in index order when there are at most ``_DEGREE_SUBSET_SIZE``
+    (so ``numpy.random`` is not imported for a draw that would only permute
+    them), else that many drawn without replacement from ``seed``.
+    """
+    if n_genes <= _DEGREE_SUBSET_SIZE:
+        return list(range(n_genes))
+    rng = np.random.default_rng(seed)
+    return rng.choice(n_genes, size=_DEGREE_SUBSET_SIZE, replace=False).tolist()
+
+
 # Per-process state for the gene-fit worker pool.
 _CTX = {}
 
@@ -178,10 +192,7 @@ def run_detect(args) -> int:
     log.info("after filtering: %d genes", ds.n_genes)
 
     if args.degree == "auto":
-        rng = np.random.default_rng(args.seed)
-        size = min(_DEGREE_SUBSET_SIZE, ds.n_genes)
-        subset = rng.choice(ds.n_genes, size=size, replace=False).tolist()
-        degree = select_degree(ds, (1, 2, 3, 4), subset)
+        degree = select_degree(ds, (1, 2, 3, 4), degree_subset(ds.n_genes, args.seed))
         log.info("selected spline degree %d by AIC", degree)
     else:
         degree = int(args.degree)

@@ -492,12 +492,20 @@ def select_degree(dataset, candidates, gene_subset) -> int:
     """Pick the spline degree by per-sample AIC, maximized across samples.
 
     For each sample and candidate degree, the ZINB regression is fit by
-    maximum likelihood to every gene in ``gene_subset``, as one
+    maximum likelihood to every gene in ``gene_subset`` (detect passes
+    every gene, in index order, when there are at most 50, and otherwise 50
+    drawn from its seed; see ``cli.degree_subset``), as one
     ``zinb_mle`` block, and the AICs (2k - 2 logL with k = 3 + 2L + J) of
     the fits that are not None are averaged; the per-sample optimum
     is the AIC-minimizing degree and the returned degree is the maximum of
     the per-sample optima.  A sample on which no gene fit converges votes
     for the default degree and a warning is recorded.
+
+    Samples are visited in order, and selection stops once the running
+    maximum of the votes is the highest candidate: no later vote can change
+    it, so the samples after that one are never fit.  The returned degree is
+    the same as with every sample fit; the only difference is that a later
+    sample on which no fit would converge raises no warning.
 
     A sample's degrees are fit in increasing order.  The lowest starts from
     ``zinb_mle``'s documented start; each one above it starts from the
@@ -540,4 +548,6 @@ def select_degree(dataset, candidates, gene_subset) -> int:
                 stacklevel=2,
             )
             votes.append(DEFAULT_DEGREE)
+        if max(votes) == candidates[-1]:
+            break
     return max(votes)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
 from svjoint import cli, dataio
@@ -611,3 +612,46 @@ class TestBlocks:
         _, rows = read_report(reports[1])
         assert [r["gene_id"] for r in rows] == [f"g{i:05d}" for i in range(30)]
         assert all(r["converged"] for r in rows)
+
+
+class TestDegreeSubset:
+    """``detect --degree auto`` fits every gene when there are at most 50."""
+
+    def test_small_dataset_leaves_numpy_random_unloaded(self, sim_dir, tmp_path):
+        # sim_dir's 14 genes are all fit in index order, so no draw is made
+        # and numpy.random (with the OpenSSL it imports) is never loaded.
+        code = (
+            "import sys\n"
+            "from svjoint import cli\n"
+            "data, out = sys.argv[1:]\n"
+            "assert cli.main(['detect', '--manifest', data + '/manifest.ini',\n"
+            "                 '--out', out, '--degree', 'auto', '--min-spots-per-gene', '0',\n"
+            "                 '--min-genes-per-spot', '0']) == 0\n"
+            "print('numpy.random' in sys.modules)"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(sim_dir), str(tmp_path / "report.tsv")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            check=True, timeout=120,
+        )
+        assert out.stdout.strip() == "False"
+        assert cli.degree_subset(14, seed=5) == list(range(14))
+
+    def test_large_dataset_draws_from_seed(self, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        assert run([
+            "simulate", "--out", str(data), "--grid", "8x8", "--genes", "60",
+            "--sv-genes", "6", "--samples", "1", "--seed", "4",
+        ]) == 0
+        subsets = []
+
+        def recording(ds, candidates, gene_subset):
+            subsets.append(gene_subset)
+            return 2
+
+        monkeypatch.setattr(cli, "select_degree", recording)
+        assert run(["detect", "--manifest", str(data / "manifest.ini"),
+                    "--out", str(tmp_path / "report.tsv"), "--degree", "auto", "--seed", "3",
+                    "--min-spots-per-gene", "0", "--min-genes-per-spot", "0"]) == 0
+        assert subsets == [np.random.default_rng(3).choice(60, 50, replace=False).tolist()]

@@ -285,6 +285,69 @@ class TestSelectDegree:
         assert got == splines.DEFAULT_DEGREE
         assert any("votes for degree" in str(w.message) for w in caught)
 
+    def test_top_vote_ends_selection(self, monkeypatch):
+        # The first sample votes the highest candidate, so the second is
+        # never fit, and the answer is the maximum of the samples' own votes.
+        cub = _flat_sample("poly2", 3, seed=12)
+        lin = _flat_sample("linear", 1, seed=11)
+        own = [select_degree(d, {1, 3}, list(range(8))) for d in (cub, lin)]
+        assert own == [3, 1]
+        calls = _record_zinb_mle(monkeypatch)
+        got = select_degree(_merged(cub, lin), {1, 3}, list(range(8)))
+        assert got == max(own)
+        assert [design.n_basis for _, design, _, _ in calls] == [1, 3]
+        first = np.asarray(cub.samples[0].counts[list(range(8))], dtype=float)
+        for counts, _, _, _ in calls:
+            np.testing.assert_array_equal(counts[:], first)
+
+    def test_lower_first_vote_fits_every_sample(self, monkeypatch):
+        # The linear sample first votes below the top, so the cubic sample
+        # after it is fit too and its vote decides.
+        lin = _flat_sample("linear", 1, seed=11)
+        cub = _flat_sample("poly2", 3, seed=12)
+        calls = _record_zinb_mle(monkeypatch)
+        assert select_degree(_merged(lin, cub), {1, 3}, list(range(8))) == 3
+        assert [design.n_basis for _, design, _, _ in calls] == [1, 3, 1, 3]
+        for (counts, _, _, _), ds in zip(calls[::2], (lin, cub)):
+            np.testing.assert_array_equal(
+                counts[:], np.asarray(ds.samples[0].counts[list(range(8))], dtype=float))
+
+    def test_sample_after_top_vote_is_not_fit(self, monkeypatch):
+        # Every fit of the 12 x 12 sample returns None, which alone makes it
+        # vote the default degree with a warning; after a top vote it is
+        # never fit and nothing is warned.
+        cub = _flat_sample("poly2", 3, seed=12)
+        failing = _flat_sample("linear", 1, seed=11, n_side=12)
+        real = splines.zinb_mle
+        fitted = []
+
+        def none_on_failing(counts, design, params=None):
+            fitted.append(design.matrix.shape[0])
+            if design.matrix.shape[0] == failing.samples[0].n_spots:
+                return [None] * len(counts)
+            return real(counts, design, params=params)
+
+        monkeypatch.setattr(splines, "zinb_mle", none_on_failing)
+        with pytest.warns(RuntimeWarning, match="votes for degree"):
+            select_degree(failing, {1, 3}, list(range(8)))
+        fitted.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert select_degree(_merged(cub, failing), {1, 3}, list(range(8))) == 3
+        assert fitted == [cub.samples[0].n_spots] * 2
+
+
+def _merged(*datasets):
+    """The first sample of each one-sample dataset, as one dataset in that order."""
+    from dataclasses import replace
+
+    from svjoint.dataio import MultiSampleDataset
+
+    return MultiSampleDataset(
+        samples=[replace(ds.samples[0], sample_id=f"s{i}") for i, ds in enumerate(datasets)],
+        gene_ids=datasets[0].gene_ids,
+    )
+
 
 def _with_count_vectors(ds, seed):
     """``ds`` (one sample) with the four ``_count_vectors`` kinds appended as genes."""
