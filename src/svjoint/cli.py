@@ -286,22 +286,11 @@ def run_evaluate(args) -> int:
     # Genes filtered out before fitting count as unselected.
     conf = metrics.confusion(selected, gene_ids, sv_flags)
     tpr, fpr, f1 = metrics.metrics(conf)
-    with open(args.out, "w") as fh:
-        fh.write("seed\tsetting\tpattern\tdropout\ttpr\tfpr\tf1\n")
-        fh.write(
-            "\t".join(
-                [
-                    str(truth_meta.get("seed", "NA")),
-                    str(truth_meta.get("setting", "NA")),
-                    str(truth_meta.get("pattern", "NA")),
-                    str(truth_meta.get("dropout", "NA")),
-                    "%.10g" % tpr,
-                    "%.10g" % fpr,
-                    "%.10g" % f1,
-                ]
-            )
-            + "\n"
-        )
+    dataio.write_table(
+        args.out, ("seed", "setting", "pattern", "dropout", "tpr", "fpr", "f1"),
+        [[str(truth_meta.get(k, "NA")) for k in ("seed", "setting", "pattern", "dropout")]
+         + ["%.10g" % v for v in (tpr, fpr, f1)]],
+    )
     log.info("tpr=%.4f fpr=%.4f f1=%.4f -> %s", tpr, fpr, f1, args.out)
     return 0
 
@@ -312,9 +301,10 @@ def run_stability(args) -> int:
     sel_a = {r["gene_id"] for r in rows_a if r["selected"]}
     sel_b = {r["gene_id"] for r in rows_b if r["selected"]}
     value = metrics.jaccard(sel_a, sel_b)
-    with open(args.out, "w") as fh:
-        fh.write("n_selected_a\tn_selected_b\tjaccard\n")
-        fh.write(f"{len(sel_a)}\t{len(sel_b)}\t{'%.10g' % value}\n")
+    dataio.write_table(
+        args.out, ("n_selected_a", "n_selected_b", "jaccard"),
+        [(str(len(sel_a)), str(len(sel_b)), "%.10g" % value)],
+    )
     log.info("jaccard=%.4f -> %s", value, args.out)
     return 0
 

@@ -9,7 +9,9 @@ referring to coordinate-file row order).
 
 Counts are held from file to fit as compressed sparse rows (`CsrCounts`),
 validated once when a sample is built from files or from a dense array;
-gene and spot selection work on the sparse arrays.
+gene and spot selection work on the sparse arrays.  `CountIndex` finds the
+distinct counts of a dense block, for the engine and degree selection; every
+TSV table the package writes goes through `write_table`.
 """
 
 from __future__ import annotations
@@ -21,12 +23,14 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "DataError",
     "CsrCounts",
+    "CountIndex",
     "SpatialSample",
     "MultiSampleDataset",
     "ManifestEntry",
@@ -34,6 +38,7 @@ __all__ = [
     "load_dataset",
     "filter_dataset",
     "write_dataset",
+    "write_table",
     "write_report",
     "read_report",
     "read_truth",
@@ -109,6 +114,55 @@ class CsrCounts:
     def __gt__(self, other):
         """Elementwise on the dense matrix, for array code that tests ``counts > 0``."""
         return np.asarray(self) > other
+
+
+class CountIndex(NamedTuple):
+    """The distinct counts of a dense (B, W) count block, as flat int32 indices.
+
+    ``zeros`` are the entries with y = 0.  ``first`` lists the zero entries
+    (``zeros`` is its head), then the first entry of each distinct (row,
+    sample, count), in that order; ``spread`` maps every entry to its entry
+    of ``first``.  A function of one count is taken at ``first`` and spread
+    back with ``spread``: the engine's q(g) and log y!, and the count-only
+    terms of degree selection's ZINB fits (``splines._ZinbCounts``).
+    """
+
+    zeros: np.ndarray
+    first: np.ndarray
+    spread: np.ndarray
+
+    @classmethod
+    def build(cls, y, owner, n_samples):
+        """The index of a (B, W) count block whose column j belongs to sample owner[j]."""
+        flat = y.reshape(-1)
+        zeros = np.flatnonzero(flat == 0)
+        spots = np.flatnonzero(flat)
+        values = flat[spots]
+        # A nonzero spot's (gene, sample) segment; flat order sorts it, and the
+        # stable sort leaves each (segment, count) group's first spot first.
+        segment = spots // y.shape[1] * n_samples + owner[spots % y.shape[1]]
+        order = np.lexsort((values, segment))
+        segment, values, spots = segment[order], values[order], spots[order]
+        new = np.ones(spots.size, dtype=bool)
+        new[1:] = (segment[1:] != segment[:-1]) | (values[1:] != values[:-1])
+        first = np.concatenate((zeros, spots[new])).astype(np.int32)
+        spread = np.empty(flat.size, dtype=np.int32)
+        spread[zeros] = np.arange(zeros.size)
+        spread[spots] = zeros.size - 1 + np.cumsum(new)
+        return cls(first[:zeros.size], first, spread)
+
+    def take(self, rows, width):
+        """The index of the block's ``rows``, in order, for a block of ``width`` spots per row."""
+        n_rows = self.spread.size // width
+        at = np.full(n_rows, -1)
+        at[rows] = np.arange(len(rows))
+        row, col = np.divmod(self.first, width)
+        row = at[row]
+        kept = row >= 0
+        first = (row[kept] * width + col[kept]).astype(np.int32)
+        renumber = (np.cumsum(kept) - 1).astype(np.int32)
+        spread = renumber[self.spread.reshape(n_rows, width)[rows].reshape(-1)]
+        return CountIndex(first[:np.count_nonzero(kept[:self.zeros.size])], first, spread)
 
 
 def _csr_counts(sample_id, gene_ids, spot_ids, keys, values) -> CsrCounts:
@@ -541,14 +595,10 @@ def write_dataset(ds: MultiSampleDataset, out_dir, counts_format: str = "dense")
         coords_name = f"coords_{s.sample_id}.tsv"
         covs_name = f"covariates_{s.sample_id}.tsv"
         genes_name = None
-        with open(os.path.join(out_dir, coords_name), "w") as fh:
-            fh.write("spot_id\ts1\ts2\n")
-            for sid, (s1, s2) in zip(s.spot_ids, s.coords):
-                fh.write(f"{sid}\t{_FLOAT_FMT % s1}\t{_FLOAT_FMT % s2}\n")
-        with open(os.path.join(out_dir, covs_name), "w") as fh:
-            fh.write("spot_id\t" + "\t".join(s.covariate_names) + "\n")
-            for sid, row in zip(s.spot_ids, s.covariates):
-                fh.write(sid + "\t" + "\t".join(_FLOAT_FMT % v for v in row) + "\n")
+        for name, columns, values in ((coords_name, ("s1", "s2"), s.coords),
+                                      (covs_name, s.covariate_names, s.covariates)):
+            write_table(os.path.join(out_dir, name), ("spot_id", *columns), (
+                (sid, *(_FLOAT_FMT % v for v in row)) for sid, row in zip(s.spot_ids, values)))
         counts_path = os.path.join(out_dir, counts_name)
         counts = s.counts
         if counts_format == "dense":
@@ -585,44 +635,48 @@ def write_dataset(ds: MultiSampleDataset, out_dir, counts_format: str = "dense")
     return manifest_path
 
 
+def write_table(path, columns, rows, meta=None):
+    """Write a TSV table: a '# k=v ...' line of ``meta`` when given, the header
+    ``columns``, then ``rows``.
+
+    Header names and row fields are strings and ``meta`` values are written
+    as ``str`` writes them; each caller formats its own values.
+    """
+    with open(path, "w") as fh:
+        if meta is not None:
+            fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
+        fh.write("\t".join(columns) + "\n")
+        fh.writelines("\t".join(row) + "\n" for row in rows)
+
+
 def write_report(report, path):
-    """Write a detection report as TSV with a '#'-prefixed metadata header."""
-    decisions = report.decisions
+    """Write a detection report as TSV with a '#'-prefixed metadata header.
+
+    Every row is formatted and checked to be finite before the file is
+    opened, so a report that cannot be written leaves no file behind.
+    """
     n_samples = report.alpha.shape[1] if report.alpha.size else 0
     meta = dict(report.meta)
     meta.setdefault("bfdr_level", report.bfdr_level)
     meta.setdefault("u0", report.threshold_u0)
-    meta_str = " ".join(f"{k}={_fmt_value(v)}" for k, v in meta.items())
     alpha_cols = [f"alpha_m{m + 1}_k{k + 1}" for m in range(n_samples) for k in (0, 1)]
     columns = (
         ["gene_id", "e_u1", "e_u2", "u_tilde", "selected"]
         + alpha_cols
         + ["iterations", "converged", "final_elbo"]
     )
-    with open(path, "w") as fh:
-        fh.write(f"# {meta_str}\n")
-        fh.write("\t".join(columns) + "\n")
-        for i, dec in enumerate(decisions):
-            if not (
-                math.isfinite(dec.u_tilde)
-                and math.isfinite(dec.e_u1)
-                and math.isfinite(dec.e_u2)
-            ):
-                raise ValueError(f"non-finite value in report row for {dec.gene_id}")
-            row = [
-                dec.gene_id,
-                _fmt_value(dec.e_u1),
-                _fmt_value(dec.e_u2),
-                _fmt_value(dec.u_tilde),
-                "1" if dec.selected else "0",
-            ]
-            row += [_fmt_value(v) for v in report.alpha[i].reshape(-1)]
-            row += [
-                str(int(report.iterations[i])),
-                "1" if report.converged[i] else "0",
-                _fmt_value(report.final_elbo[i]),
-            ]
-            fh.write("\t".join(row) + "\n")
+    rows = []
+    for i, dec in enumerate(report.decisions):
+        if not all(map(math.isfinite, (dec.u_tilde, dec.e_u1, dec.e_u2))):
+            raise ValueError(f"non-finite value in report row for {dec.gene_id}")
+        rows.append(
+            [dec.gene_id, _fmt_value(dec.e_u1), _fmt_value(dec.e_u2), _fmt_value(dec.u_tilde),
+             "1" if dec.selected else "0"]
+            + [_fmt_value(v) for v in report.alpha[i].reshape(-1)]
+            + [str(int(report.iterations[i])), "1" if report.converged[i] else "0",
+               _fmt_value(report.final_elbo[i])]
+        )
+    write_table(path, columns, rows, {k: _fmt_value(v) for k, v in meta.items()})
 
 
 def _fmt_value(v):
@@ -688,18 +742,15 @@ def _parse_meta(line):
 
 def write_truth(truth, path):
     """Ground-truth TSV: gene_id, is_sv, pattern, per-sample beta0."""
-    n_samples = truth.beta0.shape[1]
-    meta = " ".join(f"{k}={v}" for k, v in truth.meta.items())
-    with open(path, "w") as fh:
-        fh.write(f"# {meta}\n")
-        cols = ["gene_id", "is_sv", "pattern"] + [
-            f"beta0_m{m + 1}" for m in range(n_samples)
-        ]
-        fh.write("\t".join(cols) + "\n")
-        for i, gid in enumerate(truth.gene_ids):
-            row = [gid, "1" if truth.sv_flags[i] else "0", truth.pattern[i]]
-            row += [_fmt_value(float(v)) for v in truth.beta0[i]]
-            fh.write("\t".join(row) + "\n")
+    columns = ["gene_id", "is_sv", "pattern"] + [
+        f"beta0_m{m + 1}" for m in range(truth.beta0.shape[1])
+    ]
+    rows = (
+        [gid, "1" if flag else "0", pattern] + [_fmt_value(float(v)) for v in beta0]
+        for gid, flag, pattern, beta0 in zip(truth.gene_ids, truth.sv_flags, truth.pattern,
+                                             truth.beta0)
+    )
+    write_table(path, columns, rows, truth.meta)
 
 
 def read_truth(path):

@@ -44,10 +44,10 @@ import copy
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
+from .dataio import CountIndex
 from .numerics import (
     EULER_GAMMA,
     NumericalError,
@@ -55,7 +55,7 @@ from .numerics import (
     log_beta,
     mvn_exp_neg_linear,
     phi_factor,
-    upper_pairs,
+    symmetric,
 )
 from .special import digamma, expit, gammaln, gammaln_digamma
 from .splines import DesignMatrix
@@ -216,56 +216,6 @@ class Hyperparameters:
         )
 
 
-class CountIndex(NamedTuple):
-    """Where a block's per-spot q(g) and q(r) values can differ, as flat int32
-    indices into its (B, sum N_m) arrays.
-
-    ``zeros`` are the spots with y = 0.  Elsewhere u_r is exactly 0, so q(g)'s
-    shape, and log y!, take one value per (gene, sample, count).  ``first``
-    lists the zero spots (``zeros`` is its head), then the first spot of each
-    distinct (gene, sample, count); ``spread`` maps every spot to its entry of
-    ``first``.  A function of one spot's values is taken at ``first`` and
-    spread back with ``spread``.
-    """
-
-    zeros: np.ndarray
-    first: np.ndarray
-    spread: np.ndarray
-
-    @classmethod
-    def build(cls, y, owner, n_samples):
-        """The index of a (B, sum N_m) count block whose column j belongs to sample owner[j]."""
-        flat = y.reshape(-1)
-        zeros = np.flatnonzero(flat == 0)
-        spots = np.flatnonzero(flat)
-        values = flat[spots]
-        # A nonzero spot's (gene, sample) segment; flat order sorts it, and the
-        # stable sort leaves each (segment, count) group's first spot first.
-        segment = spots // y.shape[1] * n_samples + owner[spots % y.shape[1]]
-        order = np.lexsort((values, segment))
-        segment, values, spots = segment[order], values[order], spots[order]
-        new = np.ones(spots.size, dtype=bool)
-        new[1:] = (segment[1:] != segment[:-1]) | (values[1:] != values[:-1])
-        first = np.concatenate((zeros, spots[new])).astype(np.int32)
-        spread = np.empty(flat.size, dtype=np.int32)
-        spread[zeros] = np.arange(zeros.size)
-        spread[spots] = zeros.size - 1 + np.cumsum(new)
-        return cls(first[:zeros.size], first, spread)
-
-    def take(self, rows, width):
-        """The index of the block's ``rows``, in order, for a block of ``width`` spots per row."""
-        n_rows = self.spread.size // width
-        at = np.full(n_rows, -1)
-        at[rows] = np.arange(len(rows))
-        row, col = np.divmod(self.first, width)
-        row = at[row]
-        kept = row >= 0
-        first = (row[kept] * width + col[kept]).astype(np.int32)
-        renumber = (np.cumsum(kept) - 1).astype(np.int32)
-        spread = renumber[self.spread.reshape(n_rows, width)[rows].reshape(-1)]
-        return CountIndex(first[:np.count_nonzero(kept[:self.zeros.size])], first, spread)
-
-
 @dataclass
 class BlockState:
     """The data, q(g), q(r), q(theta), q(phi) and caches of B genes, one row each.
@@ -277,7 +227,7 @@ class BlockState:
     moments ``e_g``/``e_log_g`` (set by ``update_g``), and ``w_exp`` and
     ``c_mu``, E[exp(-C_i theta)] and C_i mu.  ``owner`` maps each column to
     its sample.  Per-sample sums are one reduction over the offsets.
-    ``index``, a ``CountIndex`` built with the state and cut with its rows,
+    ``index``, a ``dataio.CountIndex`` built with the state and cut with its rows,
     holds the zero spots and one spot per distinct (gene, sample, count):
     q(g)'s special functions and log y! are taken there only, and q(r)'s
     probability and entropy at the zero spots only.
@@ -554,15 +504,6 @@ def m_prior_diag(design: DesignMatrix, beta_prec, hp: Hyperparameters):
     return np.repeat(values, [1, design.n_basis, design.n_basis, design.n_covariates], axis=-1)
 
 
-def _symmetric(upper, d):
-    """(..., d, d) symmetric matrices from their (..., D) upper triangles."""
-    i, j, _ = upper_pairs(d)
-    out = np.empty(upper.shape[:-1] + (d, d))
-    out[..., i, j] = upper
-    out[..., j, i] = upper
-    return out
-
-
 def theta_derivatives(mu, w_exp, design, u_phi, one_minus_ur, e_g, m_prior):
     """Gradient in mu and derivative matrix in Sigma of E_theta[log p].
 
@@ -580,7 +521,7 @@ def theta_derivatives(mu, w_exp, design, u_phi, one_minus_ur, e_g, m_prior):
     u_phi = np.asarray(u_phi, dtype=float)[..., None]
     w = one_minus_ur * e_g * w_exp
     grad_mu = u_phi * ((w - one_minus_ur) @ c) - m_prior * mu
-    gram = _symmetric(w @ design.pairs.T, design.dim)
+    gram = symmetric(w @ design.pairs.T, design.dim)
     d_sigma = -0.5 * (u_phi[..., None] * gram + m_prior[..., None] * np.eye(design.dim))
     return grad_mu, d_sigma
 

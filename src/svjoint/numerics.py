@@ -50,6 +50,7 @@ __all__ = [
     "phi_factor",
     "mvn_exp_neg_linear",
     "upper_pairs",
+    "symmetric",
 ]
 
 EULER_GAMMA = 0.5772156649015328606
@@ -618,6 +619,8 @@ def mvn_exp_neg_linear(mu, sigma, design):
     mean exp(-C_i mu + C_i sigma C_i' / 2).  Returns both (B, N) arrays: C mu
     is one GEMM, and so are the quadratic forms, from each sigma's upper
     triangle with the off-diagonal entries doubled against ``design.pairs``.
+    An entry that overflows is inf, with no warning: the engine fails its
+    gene (``BlockState.refresh_theta_cache``).
     """
     n_rows, d = mu.shape
     if sigma.shape != (n_rows, d, d):
@@ -625,7 +628,8 @@ def mvn_exp_neg_linear(mu, sigma, design):
     i, j, scale = upper_pairs(d)
     quad = (sigma[:, i, j] * scale) @ design.pairs
     c_mu = mu @ design.matrix.T
-    return np.exp(0.5 * quad - c_mu), c_mu
+    with np.errstate(over="ignore"):
+        return np.exp(0.5 * quad - c_mu), c_mu
 
 
 @lru_cache(maxsize=16)
@@ -637,3 +641,12 @@ def upper_pairs(d):
     """
     i, j = np.triu_indices(d)
     return i, j, np.where(i == j, 1.0, 2.0)
+
+
+def symmetric(upper, d):
+    """(..., d, d) symmetric matrices from (..., D) upper triangles in ``upper_pairs`` order."""
+    i, j, _ = upper_pairs(d)
+    out = np.empty(upper.shape[:-1] + (d, d))
+    out[..., i, j] = upper
+    out[..., j, i] = upper
+    return out

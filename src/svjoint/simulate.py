@@ -80,6 +80,8 @@ PATTERN_RANGE = (-2.0, 2.0)
 # every low-degree polynomial basis, so no boundary-knot spline detector
 # (this one included) could ever see it.
 PERIODIC_RANGE = (-0.5, 0.5)
+# Dispersion of the NB counts.
+NB_PHI = 15.0
 # Mean and sd of each covariate coefficient psi.
 PSI_DIST = (0.0, 1.0)
 # The nngp pattern's exponential covariance: variance, length scale, nugget.
@@ -145,7 +147,6 @@ class SimConfig:
     pattern: str = "linear"
     signal_setting: int = 1
     dropout_pi: float = 0.3
-    phi: float = 15.0
     eta_dist: tuple = (2.0, 0.5)
     n_celltypes: int = 6
     region_dirichlets: tuple = DEFAULT_DIRICHLETS
@@ -296,7 +297,7 @@ def generate(cfg: SimConfig):
                 e1, e2 = effects[beta0[g, m]]
                 log_lam = log_lam + e1 + e2
             lam = np.exp(np.clip(log_lam, -30.0, 30.0))
-            gam = rng.gamma(shape=cfg.phi, scale=lam / cfg.phi)
+            gam = rng.gamma(shape=NB_PHI, scale=lam / NB_PHI)
             y = rng.poisson(gam)
             if cfg.dropout_pi > 0.0:
                 y = np.where(rng.random(n) < cfg.dropout_pi, 0, y)

@@ -22,7 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import upper_pairs
+from .dataio import CountIndex
+from .numerics import symmetric, upper_pairs
 from .special import expit, gammaln, gammaln_digamma_trigamma
 
 __all__ = [
@@ -80,17 +81,22 @@ class DesignMatrix:
 
     @cached_property
     def pairs(self) -> np.ndarray:
-        """Products of the column pairs i <= j of ``matrix``, one row per pair
-        in ``numerics.upper_pairs`` order; built on first use and kept.
+        """Products of the column pairs i <= j of ``matrix``: row k is column i
+        times column j for the k-th (i, j) of ``numerics.upper_pairs``; built
+        on first use and kept.
 
         For the (N, d) matrix X this is a C-contiguous (d(d+1)/2, N) array, so
         the upper triangles of X' diag(w) X for a stack of weight rows W are
-        the one GEMM ``W @ pairs.T``, and the row-wise quadratic forms x_i' S x_i
-        of a stack of symmetric S are one GEMM of their upper triangles, with
-        the off-diagonal entries doubled, against ``pairs``.
+        the one GEMM ``W @ pairs.T`` (``numerics.symmetric`` fills in the
+        rest), and the row-wise quadratic forms x_i' S x_i of a stack of
+        symmetric S are one GEMM of their upper triangles, with the
+        off-diagonal entries doubled, against ``pairs``.
         """
-        x_t = np.ascontiguousarray(self.matrix.T)
-        return np.vstack([x_t[i] * x_t[i:] for i in range(x_t.shape[0])])
+        i, j, _ = upper_pairs(self.dim)
+        x_t = self.matrix.T
+        p = x_t[i]
+        p *= x_t[j]
+        return p
 
 
 def normalize_coords(coords):
@@ -178,12 +184,12 @@ class _ZinbCounts:
 
     ``y`` is the (B, N) block as floats and ``zero`` its zero mask as a
     float to multiply by.  The count-only terms of the nonzero spots are
-    sums over each gene's distinct nonzero counts u with multiplicities
-    n_u, found by one sort of the (gene, count) keys and summed per gene
-    with ``np.bincount``; ``log_y_fact`` is the constant sum of log y! per
-    gene.  ``select_degree`` builds one per sample and passes it to
-    ``zinb_mle`` for every candidate degree.  ``len`` and indexing read the
-    count rows.
+    sums over each gene's distinct nonzero counts ``u`` (of gene ``u_gene``)
+    with multiplicities ``n_u``, read from the block's ``dataio.CountIndex``
+    and summed per gene with ``np.bincount``; ``log_y_fact`` is the constant
+    sum of log y! per gene.  ``select_degree`` builds one per sample and
+    passes it to ``zinb_mle`` for every candidate degree.  ``len`` and
+    indexing read the count rows.
     """
 
     def __init__(self, counts):
@@ -193,19 +199,14 @@ class _ZinbCounts:
         self.y = counts
         self.zero = (counts == 0).astype(float)
         self.n_nz = counts.shape[1] - self.zero.sum(axis=1)
-        gene, spot = np.nonzero(counts)
-        values = counts[gene, spot]
-        span = float(values.max()) + 1.0 if values.size else 1.0
-        keys = np.sort(gene * span + values)
-        first = np.ones(keys.size, dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        first = np.flatnonzero(first)
-        self.n_u = np.diff(first, append=keys.size).astype(float)
-        keys = keys[first]
-        self.u_gene = (keys // span).astype(np.intp)
-        self.u = keys - self.u_gene * span
+        n_genes, n = counts.shape
+        index = CountIndex.build(counts, np.zeros(n, np.intp), 1)
+        first = index.first[index.zeros.size:]
+        self.u = counts.reshape(-1)[first]
+        self.u_gene = first // n
+        self.n_u = np.bincount(index.spread)[index.zeros.size:]
         self.log_y_fact = np.bincount(
-            self.u_gene, self.n_u * gammaln(self.u + 1.0), minlength=counts.shape[0]
+            self.u_gene, self.n_u * gammaln(self.u + 1.0), minlength=n_genes
         )
 
     def __len__(self):
@@ -229,11 +230,8 @@ class _ZinbBlock:
             counts = _ZinbCounts(counts)
         self.counts = counts
         # X' diag(h) X of every gene is one GEMM of the (B, N) weights h
-        # against the design's column-pair products; (i, j) are the Hessian
-        # cells of each pair.
+        # against the design's column-pair products.
         self.x, self.xx_t = design.matrix, design.pairs
-        i, j, _ = upper_pairs(design.dim)
-        self.pairs = i + 2, j + 2
 
     def evaluate(self, rows, params):
         """Objective, gradient and Hessian of the genes ``rows`` at ``params``.
@@ -346,10 +344,7 @@ class _ZinbBlock:
         grad[:, 1] = phi_g * d_phi
         grad[:, 2:] = coef[0]
         hess = np.empty((r, p, p))
-        h_cc = h_eta @ self.xx_t.T
-        i, j = self.pairs
-        hess[:, i, j] = h_cc
-        hess[:, j, i] = h_cc
+        hess[:, 2:, 2:] = symmetric(h_eta @ self.xx_t.T, p - 2)
         hess[:, 0, 0] = v.sum(axis=1) - n_spots * pi_g * (1.0 - pi_g)
         hess[:, 1, 1] = phi_g * phi_g * d2_phi + phi_g * d_phi
         hess[:, 0, 1] = hess[:, 1, 0] = -phi_g * v_l_phi.sum(axis=1)

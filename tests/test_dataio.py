@@ -23,6 +23,7 @@ from svjoint.dataio import (
     read_truth,
     write_dataset,
     write_report,
+    write_table,
 )
 from svjoint.selection import build_report
 from svjoint.engine import GeneFitResult
@@ -558,6 +559,22 @@ class TestRoundTrip:
             write_dataset(ds, out, counts_format="csv")
         assert os.listdir(out) == []
 
+    def test_sample_without_covariates(self, tmp_path):
+        # The covariates file is then a spot_id column alone, with no empty field.
+        rng = np.random.default_rng(4)
+        sample = SpatialSample(
+            sample_id="s1", counts=rng.poisson(2.0, size=(3, 16)),
+            coords=rng.normal(size=(16, 2)), covariates=np.zeros((16, 0)),
+            spot_ids=[f"p{i}" for i in range(16)], gene_ids=["g0", "g1", "g2"],
+        )
+        ds = MultiSampleDataset(samples=[sample], gene_ids=sample.gene_ids)
+        back = load_dataset(Manifest.read(write_dataset(ds, tmp_path / "out")))
+        assert (tmp_path / "out" / "covariates_s1.tsv").read_text().startswith("spot_id\np0\n")
+        (b,) = back.samples
+        assert b.covariates.shape == (16, 0) and b.covariate_names == ()
+        np.testing.assert_array_equal(b.counts, sample.counts)
+        np.testing.assert_array_equal(b.coords, sample.coords)
+
     def test_gene_order_deterministic(self, tmp_path):
         man = simple_manifest(tmp_path)
         a = load_dataset(man)
@@ -615,12 +632,29 @@ class TestWriteReport:
         with pytest.raises(DataError, match=r"r\.tsv: line 5: u_tilde value 'abc'"):
             read_report(path)
 
+    def test_non_finite_report_leaves_no_file(self, tmp_path):
+        report = build_report(["g1", "g2"], [_result(0.99, 0.2), _result(0.1, 0.2)])
+        report.decisions[1] = replace(report.decisions[1], u_tilde=float("nan"))
+        path = tmp_path / "r.tsv"
+        with pytest.raises(ValueError, match="non-finite value in report row for g2"):
+            write_report(report, path)
+        assert not path.exists()
+
     def test_empty_report(self, tmp_path):
         report = build_report([], [], bfdr_level=0.05)
         path = tmp_path / "r.tsv"
         write_report(report, path)
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 2  # header only, no data rows
+
+
+class TestWriteTable:
+    def test_meta_header_rows(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        write_table(path, ("a", "b"), [("1", "x"), ["2", "y"]], {"seed": 3, "k": "v"})
+        assert path.read_text() == "# seed=3 k=v\na\tb\n1\tx\n2\ty\n"
+        write_table(path, ["a"], iter([["1"]]))
+        assert path.read_text() == "a\n1\n"
 
 
 class TestReadTruth:

@@ -1,6 +1,7 @@
 """Whole-fit behavior: convergence, determinism, invariances."""
 
 import copy
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -170,6 +171,25 @@ class TestCountBlocks:
         with pytest.raises(ValueError, match=match):
             init_state(counts, designs, hp)
         assert not iterations
+
+
+class TestExpOverflow:
+    def test_overflowing_moment_fails_genes_without_warning(self):
+        # A covariate in the thousands overflows E[exp(-C theta)] at init: each
+        # gene fails there, and numpy's overflow warning is not raised.
+        ds, _ = generate(SimConfig(M=2, grid=(12, 12), G=12, n_sv=2, seed=3))
+        designs = [
+            make_design(normalize_coords(s.coords),
+                        np.column_stack([s.covariates, np.linspace(1501.0, 1645.0, s.n_spots)]), 2)
+            for s in ds.samples
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            results = engine.fit_genes(
+                [s.counts[:] for s in ds.samples], designs, Hyperparameters.default(2, 2))
+        assert len(results) == 12
+        for res in results:
+            assert res.failure.startswith("init: non-finite exp(-C theta) moment at sample 0")
 
 
 class TestStateLayout:

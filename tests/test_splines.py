@@ -12,7 +12,9 @@ from scipy.optimize import minimize
 from scipy.special import digamma, expit, gammaln
 
 from svjoint import splines
+from svjoint.numerics import upper_pairs
 from svjoint.simulate import SimConfig, generate
+from svjoint.special import gammaln as svjoint_gammaln
 from svjoint.splines import (
     BasisSpec,
     eval_basis,
@@ -113,6 +115,16 @@ class TestBuildDesign:
     def test_requires_normalized(self):
         with pytest.raises(ValueError):
             make_design([[1.5, 0.2]], [[0.0]], degree=1)
+
+    @pytest.mark.parametrize("degree, n_covariates", [(1, 0), (2, 1), (4, 6)])
+    def test_pairs_rows_are_column_products(self, degree, n_covariates):
+        rng = np.random.default_rng(degree)
+        design = make_design(rng.uniform(size=(7, 2)), rng.normal(size=(7, n_covariates)), degree)
+        i, j, _ = upper_pairs(design.dim)
+        assert design.pairs.shape == (len(i), 7) and design.pairs.flags.c_contiguous
+        for k in range(len(i)):
+            np.testing.assert_array_equal(
+                design.pairs[k], design.matrix[:, i[k]] * design.matrix[:, j[k]])
 
 
 def _flat_sample(pattern, degree_true, seed, n_side=14, dropout=0.0):
@@ -461,6 +473,32 @@ class TestWarmStart:
         assert np.isnan(start[0]).all() and np.isfinite(start[1:]).all()
         cold = zinb_mle(counts[:1], design)[0]
         assert abs(fits[0][0] - cold[0]) <= 1e-10 * max(1.0, abs(cold[0]))
+
+
+class TestZinbCounts:
+    def test_distinct_counts_match_per_gene_unique(self):
+        # An all-zero row, a row with one nonzero count, and a count of 1e9.
+        y = np.array([
+            [0, 0, 0, 0, 0, 0],
+            [0, 0, 7, 0, 0, 0],
+            [1e9, 3, 3, 0, 1, 1e9],
+            [2, 1, 2, 5, 0, 1],
+        ])
+        counts = splines._ZinbCounts(y)
+        u, u_gene, n_u, log_y_fact = [], [], [], []
+        for g, row in enumerate(y):
+            values, mult = np.unique(row[row > 0], return_counts=True)
+            u += values.tolist()
+            u_gene += [g] * len(values)
+            n_u += mult.tolist()
+            total = 0.0
+            for value, n in zip(values, mult):
+                total += n * float(svjoint_gammaln(value + 1.0))
+            log_y_fact.append(total)
+        np.testing.assert_array_equal(counts.u, u)
+        np.testing.assert_array_equal(counts.u_gene, u_gene)
+        np.testing.assert_array_equal(counts.n_u, n_u)
+        np.testing.assert_array_equal(counts.log_y_fact, log_y_fact)
 
 
 class TestZinbMle:
