@@ -1,8 +1,8 @@
 """Cold and warm-started ZINB degree fits of `svjoint detect --degree auto`, side by side.
 
-    python3 scripts/degree_fits.py [--genes 20] [--grid 48x48] [--seed 1]
+    python3 scripts/degree_fits.py [--genes 20] [--grid 48x48] [--seed 1] [--against JSON]
     python3 scripts/degree_fits.py --manifest M.ini [--min-spots-per-gene 100]
-                                   [--min-genes-per-spot 1] [--seed 1]
+                                   [--min-genes-per-spot 1] [--seed 1] [--against JSON]
 
 Without --manifest it simulates a small triplet dataset shaped like the
 benchmark's screen-sparse workload (2 samples, half of the genes spatially
@@ -20,6 +20,13 @@ summed logL and count of failed (None) fits, and the largest relative logL
 difference |warm - cold| / max(1, |cold|) over the genes; then the totals,
 the number of samples that were fit (`samples_fitted`, below `samples`
 when selection stopped early) and the selected degree.
+
+--against JSON then compares that object with one printed by another
+checkout on the same arguments.  Every (sample, degree) chain whose
+`evaluations`, `logl_sum` or `failed` moved is printed.  It exits 1 if the
+dataset's counts, `selected_degree`, `samples_fitted` or any `failed` count
+differ, or if any `logl_sum` moves by more than 1e-8 relative.  Its last
+line counts the chains compared, those that moved and the violations.
 """
 
 import argparse
@@ -37,6 +44,10 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from svjoint import cli, dataio, simulate, splines  # noqa: E402
 
 CANDIDATES = (1, 2, 3, 4)
+# Report keys that must match the reference's, and the largest relative
+# move of a chain's summed logL.
+EXACT_KEYS = ("samples", "genes", "subset", "seed", "samples_fitted", "selected_degree")
+LOGL_REL_TOL = 1e-8
 
 
 def _chain_summary(fits, evaluations):
@@ -107,6 +118,39 @@ def run(manifest, min_spots, min_genes, seed):
     }
 
 
+def _chains(report):
+    return {(f["sample"], f["degree"], chain): f[chain]
+            for f in report["fits"] for chain in ("warm", "cold")}
+
+
+def compare_reports(report, ref):
+    """Print each key and chain of ``report`` that moved from ``ref``; returns
+    the number of violations."""
+    violations = 0
+    for key in EXACT_KEYS:
+        if report[key] != ref[key]:
+            print(f"{key}: {ref[key]} -> {report[key]} (must match)")
+            violations += 1
+    chains, ref_chains = _chains(report), _chains(ref)
+    keys = chains.keys() | ref_chains.keys()
+    moved = sorted(k for k in keys if chains.get(k) != ref_chains.get(k))
+    for key in moved:
+        where = "{} degree {} {}".format(*key)
+        got, want = chains.get(key), ref_chains.get(key)
+        if got is None or want is None:
+            print(f"{where}: fit on one side only")
+            violations += 1
+            continue
+        rel = abs(got["logl_sum"] - want["logl_sum"]) / max(1.0, abs(want["logl_sum"]))
+        bad = got["failed"] != want["failed"] or rel > LOGL_REL_TOL
+        violations += bad
+        print(f"{where}: evaluations {want['evaluations']} -> {got['evaluations']}, "
+              f"logl_sum {want['logl_sum']!r} -> {got['logl_sum']!r} (rel {rel:.2e}), "
+              f"failed {want['failed']} -> {got['failed']}{' (violation)' if bad else ''}")
+    print(f"{len(keys)} chains compared: {len(moved)} moved, {violations} violations")
+    return violations
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--manifest", help="dataset to read (default: simulate one)")
@@ -115,6 +159,8 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--min-spots-per-gene", type=int, default=100)
     parser.add_argument("--min-genes-per-spot", type=int, default=1)
+    parser.add_argument("--against", metavar="JSON",
+                        help="compare with the output of another checkout's run")
     args = parser.parse_args(argv)
     filters = args.min_spots_per_gene, args.min_genes_per_spot, args.seed
     if args.manifest:
@@ -127,7 +173,10 @@ def main(argv=None):
         with tempfile.TemporaryDirectory() as tmp:
             report = run(dataio.write_dataset(ds, tmp, counts_format="triplet"), *filters)
     print(json.dumps(report))
-    return 0
+    if args.against is None:
+        return 0
+    with open(args.against) as fh:
+        return 1 if compare_reports(report, json.load(fh)) else 0
 
 
 if __name__ == "__main__":

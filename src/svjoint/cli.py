@@ -157,6 +157,16 @@ def _option(flag):
         raise ValueError(f"{flag}: {exc}") from None
 
 
+def _check_out(path):
+    """Fail with ``--out`` named unless ``path`` can be written as a file: its
+    directory exists and it is not a directory itself.  Creates no file."""
+    with _option("--out"):
+        if os.path.isdir(path):
+            raise ValueError(f"{path} is a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ValueError(f"the directory of {path} does not exist")
+
+
 def run_detect(args) -> int:
     _keep_temporaries_on_heap()
     # Option values are checked before any data is read.
@@ -182,6 +192,7 @@ def run_detect(args) -> int:
         with _option(flag):
             if value < 0:
                 raise ValueError(f"must be non-negative, got {value}")
+    _check_out(args.out)
 
     manifest = dataio.Manifest.read(args.manifest)
     ds = dataio.load_dataset(manifest)
@@ -277,6 +288,7 @@ def run_simulate(args) -> int:
 
 
 def run_evaluate(args) -> int:
+    _check_out(args.out)
     meta, rows = dataio.read_report(args.report)
     truth_meta, gene_ids, sv_flags = dataio.read_truth(args.truth)
     report_genes = {r["gene_id"] for r in rows}
@@ -296,6 +308,7 @@ def run_evaluate(args) -> int:
 
 
 def run_stability(args) -> int:
+    _check_out(args.out)
     _, rows_a = dataio.read_report(args.report)
     _, rows_b = dataio.read_report(args.report2)
     sel_a = {r["gene_id"] for r in rows_a if r["selected"]}

@@ -372,11 +372,11 @@ def _table_blocks(path, n_values=None):
     are skipped.  It is parsed ``_BLOCK_ROWS`` rows at a time, into float
     arrays of each row's first ``n_values`` numbers (all of them by
     default).  A row whose field count differs from the header's, or a
-    number that does not parse, is a DataError naming the file.
+    number that does not parse, is a DataError naming the file and the line.
     """
     with _open_text(path) as fh:
-        lines = (ln.rstrip("\n") for ln in fh if ln.strip())
-        header = next(lines, None)
+        lines = ((i, ln.rstrip("\n")) for i, ln in enumerate(fh, 1) if ln.strip())
+        _, header = next(lines, (0, None))
         if header is None:
             raise DataError(f"empty file: {path}")
         header = header.split("\t")
@@ -384,13 +384,36 @@ def _table_blocks(path, n_values=None):
         n = len(header) - 1
         usecols = range(1, 1 + (n if n_values is None else n_values))
         while block := list(itertools.islice(lines, _BLOCK_ROWS)):
-            if any(ln.count("\t") != n for ln in block):
-                raise DataError(f"ragged row in {path}")
+            for lineno, ln in block:
+                if ln.count("\t") != n:
+                    fields = len(ln.split("\t"))
+                    raise DataError(f"ragged row in {path}: line {lineno} has {fields} "
+                                    f"fields, the header {n + 1}")
+            rows = [ln for _, ln in block]
             try:
-                values = np.loadtxt(block, delimiter="\t", usecols=usecols, comments=None, ndmin=2)
-            except ValueError as exc:
-                raise DataError(f"{path}: cannot parse number ({exc})") from exc
-            yield [ln.split("\t", 1)[0] for ln in block], values
+                values = np.loadtxt(rows, delimiter="\t", usecols=usecols, comments=None, ndmin=2)
+            except ValueError:
+                lineno, _ = _unparsable_line(block, "\t", usecols)
+                raise DataError(f"{path}: line {lineno}: cannot parse number") from None
+            yield [ln.split("\t", 1)[0] for ln in rows], values
+
+
+def _unparsable_line(lines, delimiter, usecols=None):
+    """The first (line number, text) of ``lines`` that ``np.loadtxt`` cannot
+    parse on its own, or whose field count differs from the first line's.
+
+    Reading one line at a time is slow, so only the error paths of the
+    readers, after a whole block has failed to parse, call this.
+    """
+    width = len(lines[0][1].split(delimiter))
+    for lineno, ln in lines:
+        if len(ln.split(delimiter)) != width:
+            return lineno, ln
+        try:
+            np.loadtxt([ln], delimiter=delimiter, usecols=usecols, comments=None)
+        except ValueError:
+            return lineno, ln
+    raise AssertionError("every line parses on its own")
 
 
 def _read_table(path, first, n_values):
@@ -449,8 +472,12 @@ def _load_counts_triplet(path, gene_ids, n_spots):
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 table = np.loadtxt(path, comments=None, ndmin=2, skiprows=skip)
-        except ValueError as exc:
-            raise DataError(f"{path}: malformed triplet line ({exc})") from exc
+        except ValueError:
+            # Line 0 of the non-blank lines is the header.
+            lineno, line = _unparsable_line(_nonblank_lines(path)[1:], None)
+            raise DataError(
+                f"{path}: line {lineno}: malformed triplet line {line.strip()!r}"
+            ) from None
     if not table.size:
         table = np.zeros((0, 3))
     if table.shape[1] != 3:
@@ -602,12 +629,11 @@ def write_dataset(ds: MultiSampleDataset, out_dir, counts_format: str = "dense")
         counts_path = os.path.join(out_dir, counts_name)
         counts = s.counts
         if counts_format == "dense":
-            with open(counts_path, "w") as fh:
-                fh.write("gene_id\t" + "\t".join(s.spot_ids) + "\n")
-                for start in range(0, len(s.gene_ids), _BLOCK_ROWS):
-                    stop = start + _BLOCK_ROWS
-                    for gid, row in zip(s.gene_ids[start:stop], counts[start:stop].tolist()):
-                        fh.write(gid + "\t" + "\t".join(map(str, row)) + "\n")
+            blocks = range(0, len(s.gene_ids), _BLOCK_ROWS)
+            write_table(counts_path, ("gene_id", *s.spot_ids), (
+                (gid, *map(str, row)) for start in blocks for gid, row in zip(
+                    s.gene_ids[start:start + _BLOCK_ROWS],
+                    counts[start:start + _BLOCK_ROWS].tolist())))
         else:
             genes_name = f"genes_{s.sample_id}.txt"
             with open(os.path.join(out_dir, genes_name), "w") as fh:

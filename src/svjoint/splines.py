@@ -238,90 +238,60 @@ class _ZinbBlock:
 
         ``params`` is (R, 2 + P), one row per entry of ``rows``; returns
         arrays of shape (R,), (R, 2 + P) and (R, 2 + P, 2 + P).  Derivatives
-        in eta are taken as if the clip were not there.  The (R, N) arrays
-        are updated in place where they can be, since every new one costs
-        about as much as the arithmetic on it.
+        in eta are taken as if the clip were not there.
         """
         r, p = params.shape
         c = self.counts
         y, zero = c.y[rows], c.zero[rows]
-        owner = np.full(c.y.shape[0], -1)
-        owner[rows] = np.arange(r)
-        owner = owner[c.u_gene]
+        n_spots = y.shape[1]
+        row_of = np.full(c.y.shape[0], -1)
+        row_of[rows] = np.arange(r)
+        owner = row_of[c.u_gene]
         keep = owner >= 0
         u_gene, u, n_u = owner[keep], c.u[keep], c.n_u[keep]
         n_nz = c.n_nz[rows]
 
         rho = params[:, 1:2]
         pi, phi = expit(params[:, :1]), np.exp(rho)
-        eta = params[:, 2:] @ self.x.T
-        np.clip(eta, -_ETA_CLIP, _ETA_CLIP, out=eta)
+        eta = np.clip(params[:, 2:] @ self.x.T, -_ETA_CLIP, _ETA_CLIP)
         lam = np.exp(eta)
-        inv_s = lam + phi
-        log_r = np.log(inv_s)
-        np.subtract(rho, log_r, out=log_r)  # log(phi / (phi + lam))
-        np.reciprocal(inv_s, out=inv_s)
+        s = lam + phi
+        log_r = rho - np.log(s)  # log(phi / (phi + lam))
+        inv_s = 1.0 / s
         # The NB log-probability without its count-only terms,
         # phi log_r + y (eta - log(phi + lam)); at a zero count it is log a
         # with a = P_NB(0).
-        nb = eta
-        nb -= rho
-        nb += log_r
-        nb *= y
-        nb += phi * log_r
+        nb = ((eta - rho) + log_r) * y + phi * log_r
         # P(0) = pi + (1 - pi) a.  w is the posterior weight of the NB part
         # of a zero count, 1 - pi / P(0), and 1 at a nonzero count.
-        p0 = np.exp(nb)
-        p0 *= 1.0 - pi
-        p0 += pi
-        w = pi / p0
-        w *= zero
-        np.subtract(1.0, w, out=w)
+        p0 = np.exp(nb) * (1.0 - pi) + pi
+        w = 1.0 - (pi / p0) * zero
         v = w * (1.0 - w)
-        np.log(p0, out=p0)
-        p0 -= nb
-        p0 *= zero
-        nb += p0  # per-spot log-likelihood (log(1 - pi) aside)
+        # Per-spot log-likelihood (log(1 - pi) aside): log P(0) at a zero count.
+        ll_spot = nb + (np.log(p0) - nb) * zero
         # NB derivatives, with q = (y - lam)/s and t = lam/s for s = phi + lam:
         # d/deta = phi q, d/dphi = log_r - q, d2/deta2 = -phi (phi + y) t / s,
         # d2/dphi2 = t^2/phi + y/s^2 and d2/dphi deta = q t.  Those of the
         # mixture are w d2 + v d d' (v = 0 at a nonzero count).
-        q = y - lam
-        q *= inv_s
-        t = lam
-        t *= inv_s
-        l_phi = log_r
-        l_phi -= q
+        q = (y - lam) * inv_s
+        t = lam * inv_s
+        l_phi = log_r - q
         v_l_phi = v * l_phi
-        h_eta = y + phi
-        h_eta *= inv_s
-        h_eta *= t
-        h_eta *= -phi * w
-        l_phi_phi = t * t
-        l_phi_phi /= phi
-        inv_s *= inv_s
-        l_phi_phi += y * inv_s
-        q *= phi  # now d/deta
+        l_phi_phi = t * t / phi + y * (inv_s * inv_s)
+        d_eta = q * phi
+        v_d_eta = v * d_eta
+        h_eta = (y + phi) * inv_s * t * (-phi * w) + v_d_eta * d_eta
         # Per-spot terms that map to the coefficients through x: the eta
         # gradient, and the Hessian's cross terms of eta with logit pi and
         # with log phi (the chain rule's factor phi included).
-        per_spot = np.empty((3,) + y.shape)
-        g_eta, h_pi_eta, h_phi_eta = per_spot
-        np.multiply(w, q, out=g_eta)
-        np.multiply(v, q, out=h_pi_eta)
-        h_eta += h_pi_eta * q
-        h_pi_eta *= -1.0
-        np.multiply(phi, v_l_phi, out=h_phi_eta)
-        h_phi_eta += w * t
-        h_phi_eta *= q
-        coef = (per_spot.reshape(3 * r, y.shape[1]) @ self.x).reshape(3, r, p - 2)
+        per_spot = np.stack([w * d_eta, -v_d_eta, (phi * v_l_phi + w * t) * d_eta])
+        coef = (per_spot.reshape(3 * r, n_spots) @ self.x).reshape(3, r, p - 2)
 
         phi_g, phi_u, pi_g = phi[:, 0], phi[u_gene, 0], pi[:, 0]
-        n_spots = y.shape[1]
         lg_u, psi_u, psi1_u = gammaln_digamma_trigamma(u + phi_u)
         lg_g, psi_g, psi1_g = gammaln_digamma_trigamma(phi_g)
         ll = (
-            nb.sum(axis=1)
+            ll_spot.sum(axis=1)
             + n_nz * np.log1p(-pi_g)
             + np.bincount(u_gene, n_u * lg_u, minlength=r)
             - n_nz * lg_g

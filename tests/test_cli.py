@@ -477,6 +477,30 @@ class TestConfig:
         assert f"{flag}: " in caplog.text
         assert not report.exists()
 
+    @pytest.mark.parametrize("command, inputs", [
+        ("detect", ["--manifest", "m.ini"]),
+        ("evaluate", ["--report", "r.tsv", "--truth", "truth.tsv"]),
+        ("stability", ["--report", "r.tsv", "--report2", "r.tsv"]),
+    ], ids=["detect", "evaluate", "stability"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_fails_before_reading(
+            self, tmp_path, monkeypatch, caplog, command, inputs, where):
+        def no_read(path):
+            raise AssertionError("input read before --out was checked")
+
+        for reader in ("load_dataset", "read_report", "read_truth"):
+            monkeypatch.setattr(dataio, reader, no_read)
+        monkeypatch.setattr(dataio.Manifest, "read", no_read)
+        if where == "directory":
+            out, message = tmp_path, f"--out: {tmp_path} is a directory"
+        else:
+            out = tmp_path / "missing" / "out.tsv"
+            message = f"--out: the directory of {out} does not exist"
+        assert run([command, *inputs, "--out", str(out)]) == 1
+        assert message in caplog.text
+        assert "loaded" not in caplog.text
+        assert not (tmp_path / "missing").exists()
+
     @pytest.mark.parametrize("options, flag", [
         (["--grid", "10"], "--grid"), (["--grid", "0x5"], "--grid"),
         (["--grid", "4x-4"], "--grid"), (["--grid", "axb"], "--grid"),

@@ -160,6 +160,14 @@ class TestCountParseErrors:
         with pytest.raises(DataError, match="counts_A.tsv"):
             load_dataset(triplet_manifest(tmp_path, "1 1 4\nx 3 7\n"))
 
+    @pytest.mark.parametrize("body, line", [
+        ("1 1 4\n\n2 3 7\nx 3 7\n", "line 5: malformed triplet line 'x 3 7'"),
+        ("1 1 4\n\n2 3 7 1\n", "line 4: malformed triplet line '2 3 7 1'"),
+    ], ids=["non-numeric", "four-fields"])
+    def test_malformed_triplet_after_blank_line_names_its_line(self, tmp_path, body, line):
+        with pytest.raises(DataError, match=f"counts_A.tsv: {line}"):
+            load_dataset(triplet_manifest(tmp_path, body))
+
     def test_triplet_pair_listed_twice(self, tmp_path):
         with pytest.raises(DataError, match="listed twice"):
             load_dataset(triplet_manifest(tmp_path, "1 1 4\n2 3 7\n1 1 5\n"))
@@ -201,6 +209,30 @@ class TestTableReader:
         with pytest.raises(DataError) as exc:
             load_dataset(manifest)
         assert kind in str(exc.value) and name in str(exc.value)
+
+    @pytest.mark.parametrize("field", ["coords", "covariates", "counts"])
+    @pytest.mark.parametrize("edit, kind", [
+        (lambda row: row + "\t1", "ragged row"),
+        (lambda row: row.rsplit("\t", 1)[0] + "\tx", "cannot parse number"),
+    ], ids=["ragged", "non-numeric"])
+    def test_bad_row_past_first_block_names_its_line(self, tmp_path, field, edit, kind):
+        # 300 rows, so the bad one is in the reader's second 256-row block,
+        # and a blank line above it, so its line is not its row number + 1.
+        n = 300
+        manifest = simple_manifest(
+            tmp_path, gene_ids=[f"g{i}" for i in range(n)], spot_ids=[f"s{i}" for i in range(n)],
+            counts=np.eye(n, dtype=int).tolist(), coords=[[i, 0.5 * i] for i in range(n)],
+            covs=[[0.1 * i] for i in range(n)],
+        )
+        name = getattr(manifest.entries[0], field)
+        lines = (tmp_path / name).read_text().splitlines()
+        lines.insert(1, "")
+        lines[289] = edit(lines[289])
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as exc:
+            load_dataset(manifest)
+        assert kind in str(exc.value) and name in str(exc.value)
+        assert "line 290" in str(exc.value)
 
     def test_covariates_with_only_spot_ids(self, tmp_path):
         manifest = simple_manifest(tmp_path)
